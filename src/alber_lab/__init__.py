@@ -44,6 +44,7 @@ from .dynamics import (
     TrajectoryRecord,
     evolve,
     free_step,
+    iter_evolve,
     linearized_evolve,
     monitor,
     picard_solve,

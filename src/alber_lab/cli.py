@@ -29,10 +29,12 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    DIVERGENCE_LIMIT,
     DivergenceError,
     EvolveConfig,
     TrajectoryRecord,
     evolve,
+    iter_evolve,
     linearized_evolve,
 )
 from .inequalities import (
@@ -54,6 +56,7 @@ from .states import (
     background_to_state,
     eigendecompose,
     galerkin_truncate,
+    reorthonormalized,
     sobolev_schatten_norm,
     state_from_dict,
     state_to_dict,
@@ -159,6 +162,15 @@ def _physics(cfg: dict, default_p=None, default_q=None) -> tuple[float, float]:
     return p, q
 
 
+def _evolve_config(p: float, q: float, dt: float, T: float, record_every: int = 10**9) -> EvolveConfig:
+    """EvolveConfig with its input errors as ConfigError; by default only
+    the endpoints are recorded."""
+    try:
+        return EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=record_every)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _background(section: dict) -> tuple[BackgroundSymbol, float | None, float | None]:
     bg_spec = _require(section, "background", "penrose/perturb section")
     if isinstance(bg_spec, str):
@@ -221,9 +233,9 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     grid = _build_grid(cfg)
     p, q = _physics(cfg)
     tsec = _require(cfg, "time")
-    run_cfg = EvolveConfig(
-        p=p,
-        q=q,
+    run_cfg = _evolve_config(
+        p,
+        q,
         dt=float(_require(tsec, "dt", "time")),
         T=float(_require(tsec, "T", "time")),
         record_every=int(tsec.get("record_every", 1)),
@@ -360,29 +372,27 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
 
     horizon = float(section.get("T") or consts.t_star)
     dt = float(section.get("dt", 1e-3))
+    if not (math.isfinite(horizon) and math.isfinite(dt) and dt > 0.0):
+        raise ConfigError(f"perturb needs a finite horizon and a finite dt > 0, got T={horizon}, dt={dt}")
     steps = max(1, int(round(horizon / dt)))
     record_every = int(section.get("record_every", max(1, steps // 200)))
-    run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=steps * dt, record_every=record_every)
+    run_cfg = _evolve_config(p, q, dt, steps * dt, record_every)
 
     def deviation_of(st: MixedState) -> float:
         diff = to_matrix(st).entries - gamma_mat.entries
         return sobolev_schatten_norm(type(gamma_mat)(grid, diff, hermitian=True), 1.0)
 
-    from .dynamics import DIVERGENCE_LIMIT, strang_step
-
     code = 0
-    state = datum
-    times, deviations = [0.0], [deviation_of(datum)]
-    for i in range(1, steps + 1):
-        state = strang_step(state, run_cfg)
-        if i % record_every == 0 or i == steps:
-            dev = deviation_of(state)
-            if not math.isfinite(dev) or dev > DIVERGENCE_LIMIT:
-                print(f"divergence at t={i * dt:.6g}; keeping records up to the last good time", file=sys.stderr)
-                code = 3
-                break
-            times.append(i * dt)
-            deviations.append(dev)
+    times, deviations = [], []
+    for t, state in iter_evolve(datum, run_cfg):
+        dev = deviation_of(state)
+        # the datum's own row is always kept, so there is a last good time
+        if t > 0.0 and (not math.isfinite(dev) or dev > DIVERGENCE_LIMIT):
+            print(f"divergence at t={t:.6g}; keeping records up to the last good time", file=sys.stderr)
+            code = 3
+            break
+        times.append(t)
+        deviations.append(dev)
 
     lin = linearized_evolve(
         type(gamma_mat)(grid, epsilon * u0.entries, hermitian=True),
@@ -480,11 +490,12 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
     if mode == "dt":
         dts = [float(x) for x in _require(section, "dts", "convergence")]
         dt_ref = float(_require(section, "dt_ref", "convergence"))
-        ref, _ = evolve(state, EvolveConfig(p, q, dt_ref, horizon, record_every=10**9))
+        runs = [_evolve_config(p, q, dt, horizon) for dt in dts]
+        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon))
         ref_mat = to_matrix(ref).entries
         errors = []
-        for dt in dts:
-            final, _ = evolve(state, EvolveConfig(p, q, dt, horizon, record_every=10**9))
+        for run_cfg in runs:
+            final, _ = evolve(state, run_cfg)
             diff = to_matrix(final).entries - ref_mat
             errors.append(float(np.sqrt(np.sum(np.abs(diff) ** 2))))
         for i, (dt, err) in enumerate(zip(dts, errors)):
@@ -494,7 +505,8 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
     elif mode == "N":
         n_list = [int(x) for x in _require(section, "Ns", "convergence")]
         dt = float(section.get("dt", 1e-3))
-        ref, _ = evolve(state, EvolveConfig(p, q, dt, horizon, record_every=10**9))
+        run_cfg = _evolve_config(p, q, dt, horizon)
+        ref, _ = evolve(state, run_cfg)
         ref_mat = to_matrix(ref)
         for n_prime in n_list:
             if n_prime > grid.N:
@@ -507,10 +519,8 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
                 state.orbitals[:, sel],
                 gram_tol=math.inf,
             )
-            from .states import reorthonormalized
-
             sub = reorthonormalized(sub)
-            final, _ = evolve(sub, EvolveConfig(p, q, dt, horizon, record_every=10**9))
+            final, _ = evolve(sub, run_cfg)
             fin_mat = to_matrix(final).entries
             embedded = np.zeros_like(ref_mat.entries)
             embedded[np.ix_(sel, sel)] = fin_mat

@@ -10,11 +10,21 @@ flow multiplies psihat(n) by exp(+i*p*n^2*t).  The potential flow leaves
 exp(-i*q*rho(x)*dt).  At the operator level the same equation reads
 i d/dt U = p*[Lap, U] + q*[V_rho, U], whose free part multiplies U_mn by
 exp(+i*p*(m^2 - n^2)*t), consistent with the orbital phases.
+
+The orbital integrator is Strang splitting, half free, full potential,
+half free.  strang_step composes the three exact substeps on MixedStates
+and is the reference composition.  iter_evolve runs the same scheme on
+raw arrays: the free phases are tabulated once per run, and adjacent
+half free steps merge into one full free phase, so between records a
+step is one potential substep followed by one full free phase.  A
+MixedState is built only at record points, where the open half step is
+closed.  evolve and every other multi-step caller go through iter_evolve.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,14 +64,23 @@ class EvolveConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("p", "q", "dt", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p * self.q == 0.0:
             raise ValueError("p and q must both be nonzero")
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T < self.dt:
             raise ValueError(f"horizon T={self.T} shorter than one step dt={self.dt}")
+        if abs(self.T / self.dt - self.steps) > 1e-9 * self.steps:
+            raise ValueError(f"horizon T={self.T} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+
+    @property
+    def steps(self) -> int:
+        return int(round(self.T / self.dt))
 
 
 @dataclass
@@ -157,21 +176,51 @@ def _check_record(rec: TrajectoryRecord, records: list) -> None:
         raise DivergenceError(rec.t, records)
 
 
+def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, MixedState]]:
+    """Strang split-step run over [0, T], yielding (t, state) records.
+
+    Yields the initial state at t = 0, then the state after every
+    record_every steps and after the last step.  The working buffer holds
+    the orbitals on the full FFT grid, half a free step ahead of the last
+    potential substep; the full-step phase table is zero off the band, so
+    multiplying by it also discards what the potential pushed past the
+    cutoff.  The FFT normalizations cancel over a substep, except in the
+    density, where they are folded into the potential constant.  Yielded
+    states never share memory with the buffer.
+    """
+    grid, mu = state.grid, state.weights
+    modes = grid.modes()
+    band = modes % grid.M
+    n2 = modes.astype(float) ** 2
+    half = np.exp(1j * cfg.p * n2 * (0.5 * cfg.dt))
+    full = np.zeros(grid.M, dtype=complex)
+    full[band] = np.exp(1j * cfg.p * n2 * cfg.dt)
+    kick = -1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI
+    steps = cfg.steps
+
+    yield 0.0, state
+    buf = np.zeros((state.rank, grid.M), dtype=complex)
+    buf[:, band] = state.orbitals * half
+    for i in range(1, steps + 1):
+        psi = np.fft.ifft(buf, axis=-1)
+        psi *= np.exp(kick * (mu @ np.abs(psi) ** 2))
+        buf = np.fft.fft(psi, axis=-1)
+        if i % cfg.record_every == 0 or i == steps:
+            yield i * cfg.dt, MixedState(grid, mu, buf[:, band] * half, gram_tol=math.inf)
+        buf *= full
+
+
 def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[TrajectoryRecord]]:
     """Strang split-step run over [0, T]; records every record_every steps.
 
     Raises DivergenceError (carrying the records up to the last good
     time) if any recorded observable exceeds 1e12 or turns non-finite.
     """
-    steps = int(round(cfg.T / cfg.dt))
-    records = [monitor(state, cfg, 0.0)]
-    _check_record(records[0], records[:0])
-    for i in range(1, steps + 1):
-        state = strang_step(state, cfg)
-        if i % cfg.record_every == 0 or i == steps:
-            rec = monitor(state, cfg, i * cfg.dt)
-            _check_record(rec, records)
-            records.append(rec)
+    records: list[TrajectoryRecord] = []
+    for t, state in iter_evolve(state, cfg):
+        rec = monitor(state, cfg, t)
+        _check_record(rec, records)
+        records.append(rec)
     return state, records
 
 
@@ -309,7 +358,7 @@ def linearized_evolve(
         forced = coupling * d[lookup]
         return u_phase.conj()[:, None] * forced * u_phase[None, :]
 
-    steps = int(round(cfg.T / cfg.dt))
+    steps = cfg.steps
     w = u0.entries.astype(complex).copy()
     times, spectra = [], []
     matrices, matrix_times = [], []

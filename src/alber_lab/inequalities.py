@@ -25,8 +25,9 @@ from .states import (
     sobolev_schatten_norm,
     state_to_dict,
     to_matrix,
+    ybar_bound,
 )
-from .dynamics import EvolveConfig, TrajectoryRecord, diagonal_sums, evolve
+from .dynamics import EvolveConfig, TrajectoryRecord, _potential_matrix, diagonal_sums, evolve
 
 
 @dataclass(frozen=True)
@@ -197,8 +198,6 @@ def check_apriori_ensemble(
     cfg: EnsembleConfig, p: float, q: float, T: float = 0.5, dt: float = 1e-2
 ) -> CheckResult:
     """Short evolutions of random states, each tested against its own Ybar."""
-    from .states import ybar_bound  # local import keeps module load light
-
     rng = np.random.default_rng(cfg.seed)
     focusing = p * q > 0
     violations, worst = 0, 0.0
@@ -276,19 +275,13 @@ def check_bilinear(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
         g2 = _sample_state(rng, cfg)
         u1 = to_matrix(g1)
         u2 = to_matrix(g2)
-        v = _potential_matrix_of(u1)
+        v = _potential_matrix(u1.entries)
         comm = OperatorMatrix(cfg.grid, v @ u2.entries - u2.entries @ v)
         denom = hs1_norm_nonneg(g1, s) * hs1_norm_nonneg(g2, s)
         if denom < 1e-14:
             continue
         ratios.append(sobolev_schatten_norm(comm, s) / denom)
     return _constant_result("bilinear", cfg, ratios)
-
-
-def _potential_matrix_of(u: OperatorMatrix) -> np.ndarray:
-    from .dynamics import _potential_matrix
-
-    return _potential_matrix(u.entries)
 
 
 def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:

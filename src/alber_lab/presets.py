@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import SpectralGrid
-from .states import BackgroundSymbol, MixedState
+from .states import BackgroundSymbol, MixedState, OperatorMatrix, sobolev_schatten_norm
 
 REMARK_UNSTABLE = "remark-5-2-unstable"
 STABLE_BROAD = "stable-broad"
@@ -59,14 +59,12 @@ def random_smooth_state(
 
 def random_hermitian_perturbation(
     grid: SpectralGrid, band: int, rng: np.random.Generator
-) -> "OperatorMatrix":
+) -> OperatorMatrix:
     """Random Hermitian operator supported on the mode box |m|, |n| <= band,
     normalized to unit weighted trace norm.  Intended as the shape U0 of a
     perturbed datum Gamma + eps U0; keep band at or below the spectral
     support of the background so the perturbed datum stays nonnegative
     for eps below the smallest occupied background level."""
-    from .states import OperatorMatrix
-
     if band > grid.N:
         raise ValueError(f"band {band} exceeds grid cutoff {grid.N}")
     n = grid.modes()
@@ -76,8 +74,6 @@ def random_hermitian_perturbation(
     )
     herm = 0.5 * (raw + raw.conj().T) * mask
     u = OperatorMatrix(grid, herm.astype(complex), hermitian=True)
-    from .states import sobolev_schatten_norm
-
     scale = sobolev_schatten_norm(u, 1.0)
     if scale == 0.0:
         raise ValueError("degenerate random draw, empty perturbation")

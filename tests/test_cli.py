@@ -147,6 +147,11 @@ class TestConfigErrors:
         cfg["state"] = {"preset": "nonsense"}
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_fractional_horizon_rejected(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", time={"dt": 0.03, "T": 0.05})
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
+
     def test_missing_cli_args(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate"])
@@ -266,6 +271,33 @@ class TestPerturb:
         cfg = self.perturb_config(tmp_path / "x", -0.5)
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_shares_the_evolution_loop(self, tmp_path, monkeypatch):
+        import alber_lab.dynamics as dyn
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("perturb must not step with the reference composition")
+
+        for name in ("strang_step", "free_step", "potential_step"):
+            monkeypatch.setattr(dyn, name, forbidden)
+        loops = []
+
+        def counting(state, cfg):
+            loops.append(cfg)
+            return dyn.iter_evolve(state, cfg)
+
+        monkeypatch.setattr(cli, "iter_evolve", counting)
+        assert not hasattr(cli, "strang_step")
+        out = tmp_path / "run"
+        assert cli.main(["perturb", "--config", write_config(tmp_path, self.perturb_config(out, 1e-3))]) == 0
+        _, rows = read_csv(out / "deviation.csv")
+        assert len(loops) == 1
+        assert len(rows) == loops[0].steps // loops[0].record_every + 1
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf])
+    def test_bad_step_rejected(self, tmp_path, dt):
+        cfg = self.perturb_config(tmp_path / "x", 1e-3, dt=dt)
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+
     def test_oversized_epsilon_rejected(self, tmp_path):
         # datum gamma + eps u0 leaves the nonnegative cone
         cfg = self.perturb_config(tmp_path / "x", 5.0)
@@ -360,6 +392,12 @@ class TestConvergence:
     def test_n_exceeding_grid_rejected(self, tmp_path):
         cfg = self.conv_config(tmp_path / "x", {"mode": "N", "Ns": [8]})
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_fractional_horizon_rejected(self, tmp_path):
+        out = tmp_path / "x"
+        cfg = self.conv_config(out, {"mode": "dt", "T": 0.1, "dts": [0.02, 0.03], "dt_ref": 0.005})
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+        assert not (out / "errors.csv").exists()
 
     def test_bad_mode_rejected(self, tmp_path):
         cfg = self.conv_config(tmp_path / "x", {"mode": "banana"})

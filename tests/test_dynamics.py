@@ -9,8 +9,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab as al
+import alber_lab.dynamics as dyn
+import alber_lab.states as states_mod
 from alber_lab.dynamics import DivergenceError, diagonal_sums
 from alber_lab.spectral import TWO_PI
 
@@ -33,6 +37,25 @@ class TestEvolveConfig:
             al.EvolveConfig(p=1.0, q=1.0, dt=0.5, T=0.1)
         with pytest.raises(ValueError):
             al.EvolveConfig(p=1.0, q=1.0, dt=1e-3, T=1.0, record_every=0)
+
+    @pytest.mark.parametrize("field", ["p", "q", "dt", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(p=1.0, q=1.0, dt=1e-3, T=1.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            al.EvolveConfig(**kwargs)
+
+    @pytest.mark.parametrize("dt, T", [(0.3, 1.0), (1e-3, 0.5005), (0.4, 1.0), (1e-2, 0.1 + 1e-9)])
+    def test_rejects_fractional_horizon(self, dt, T):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            al.EvolveConfig(p=1.0, q=1.0, dt=dt, T=T)
+
+    @pytest.mark.parametrize(
+        "dt, T, steps", [(1e-3, 5.0, 5000), (6.25e-5, 0.5, 8000), (1e-2, 0.1, 10), (0.3, 0.9, 3), (1e-3, 1e-3, 1)]
+    )
+    def test_accepts_whole_horizon(self, dt, T, steps):
+        assert al.EvolveConfig(p=1.0, q=1.0, dt=dt, T=T).steps == steps
 
 
 class TestFreeStep:
@@ -153,6 +176,121 @@ class TestEvolve:
         with pytest.raises(DivergenceError) as info:
             dyn.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-2, 0.1, record_every=1))
         assert len(info.value.records) == 2  # records before the poisoned one
+
+
+def reference_evolve(state, cfg):
+    """evolve spelled out with the reference composition strang_step."""
+    records = [al.monitor(state, cfg, 0.0)]
+    for i in range(1, cfg.steps + 1):
+        state = al.strang_step(state, cfg)
+        if i % cfg.record_every == 0 or i == cfg.steps:
+            records.append(al.monitor(state, cfg, i * cfg.dt))
+    return state, records
+
+
+RECORD_FIELDS = ("mass", "s2_norm", "energy", "kinetic", "gram_dev", "h1s1")
+
+
+def assert_same_run(run, reference, tol=1e-12):
+    (final, records), (ref_final, ref_records) = run, reference
+    assert final.orbitals.shape == ref_final.orbitals.shape
+    assert np.abs(final.orbitals - ref_final.orbitals).max(initial=0.0) <= tol
+    assert [r.t for r in records] == [r.t for r in ref_records]
+    for rec, ref in zip(records, ref_records):
+        for name in RECORD_FIELDS:
+            a, b = getattr(rec, name), getattr(ref, name)
+            assert abs(a - b) <= tol * max(1.0, abs(b)), (rec.t, name, a, b)
+        assert np.abs(rec.density_spectrum - ref.density_spectrum).max() <= tol
+
+
+class TestFusedKernel:
+    """evolve runs a fused raw-array loop; strang_step is its reference."""
+
+    @pytest.mark.parametrize(
+        "rank, q, steps, record_every",
+        [(3, 1.0, 40, 10), (3, 1.0, 25, 7), (2, -1.5, 30, 4), (1, 2.0, 1, 1), (4, -0.5, 12, 100)],
+    )
+    def test_matches_reference_composition(self, grid16, rank, q, steps, record_every):
+        st = random_state(grid16, rank, seed=20 + rank, band=6)
+        cfg = al.EvolveConfig(0.8, q, 1e-2, steps * 1e-2, record_every=record_every)
+        assert_same_run(al.evolve(st, cfg), reference_evolve(st, cfg))
+
+    def test_rank_zero_matches_reference(self, grid8):
+        cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.13, record_every=5)
+        run = al.evolve(al.MixedState.empty(grid8), cfg)
+        assert_same_run(run, reference_evolve(al.MixedState.empty(grid8), cfg))
+        assert run[0].rank == 0 and len(run[1]) == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=hst.integers(1, 10),
+        rank=hst.integers(0, 3),
+        steps=hst.integers(1, 30),
+        record_every=hst.integers(1, 12),
+        q=hst.sampled_from([-2.0, -0.5, 0.7, 1.5]),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_property_matches_reference(self, n, rank, steps, record_every, q, seed):
+        grid = al.SpectralGrid(n)
+        rank = min(rank, grid.n_modes)
+        if rank:
+            st = al.random_smooth_state(grid, rank, n, 2.5, np.random.default_rng(seed))
+        else:
+            st = al.MixedState.empty(grid)
+        cfg = al.EvolveConfig(1.0, q, 5e-3, steps * 5e-3, record_every=record_every)
+        assert_same_run(al.evolve(st, cfg), reference_evolve(st, cfg))
+
+    def test_iter_evolve_records_match_evolve(self, grid8):
+        st = random_state(grid8, 2, seed=30, band=3)
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-2, 0.2, record_every=3)
+        pairs = list(al.iter_evolve(st, cfg))
+        final, records = al.evolve(st, cfg)
+        assert [t for t, _ in pairs] == [r.t for r in records]
+        assert pairs[0][1] is st
+        assert np.array_equal(pairs[-1][1].orbitals, final.orbitals)
+
+    def test_yielded_states_are_never_overwritten(self, grid8):
+        st = random_state(grid8, 3, seed=31, band=4)
+        initial = st.orbitals.copy()
+        cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.2, record_every=2)
+        held, snapshots, records = [], [], []
+        for t, state in al.iter_evolve(st, cfg):
+            held.append((t, state))
+            snapshots.append(state.orbitals.copy())
+            records.append(al.monitor(state, cfg, t))
+        assert np.array_equal(st.orbitals, initial)
+        for (t, state), snap, rec in zip(held, snapshots, records):
+            assert np.array_equal(state.orbitals, snap)
+            again = al.monitor(state, cfg, t)
+            assert all(getattr(again, f) == getattr(rec, f) for f in RECORD_FIELDS)
+            assert np.array_equal(again.density_spectrum, rec.density_spectrum)
+        for (_, a), (_, b) in zip(held, held[1:]):
+            assert not np.shares_memory(a.orbitals, b.orbitals)
+
+    def test_mixed_states_built_at_records_only(self, grid8, monkeypatch):
+        calls = {"n": 0}
+        original = states_mod.gram_deviation
+
+        def counting(state):
+            calls["n"] += 1
+            return original(state)
+
+        st = random_state(grid8, 2, seed=32, band=3)
+        monkeypatch.setattr(states_mod, "gram_deviation", counting)
+        _, records = al.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-2, 0.6, record_every=20))
+        assert len(records) == 4
+        assert calls["n"] == len(records) - 1  # the initial state is the caller's
+
+    def test_independent_of_the_composition_steps(self, grid8, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolve must not go through the reference composition")
+
+        st = random_state(grid8, 2, seed=33, band=3)
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-2, 0.05)
+        expected = reference_evolve(st, cfg)
+        for name in ("strang_step", "free_step", "potential_step"):
+            monkeypatch.setattr(dyn, name, forbidden)
+        assert_same_run(dyn.evolve(st, cfg), expected)
 
 
 class TestMonitor:
