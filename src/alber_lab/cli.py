@@ -256,18 +256,37 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return code
 
 
-def _scan_from(section: dict) -> PenroseScan:
-    kwargs = {}
-    if "eta_min" in section or "eta_max" in section or "n_eta" in section:
-        kwargs["eta_grid"] = np.geomspace(
-            float(section.get("eta_min", 1e-3)),
-            float(section.get("eta_max", 10.0)),
-            int(section.get("n_eta", 40)),
-        )
-    for key in ("s_padding", "s_density", "refine_iters"):
+RETIRED_SCAN_KEYS = ("s_padding", "s_density", "refine_iters")
+
+
+def _scan_from(section: dict, where: str) -> PenroseScan:
+    for key in RETIRED_SCAN_KEYS:
         if key in section:
-            kwargs[key] = type(PenroseScan.__dataclass_fields__[key].default)(section[key])
-    return PenroseScan(**kwargs)
+            raise ConfigError(
+                f"{where}.{key} is retired: the margin comes from exact zeros and one "
+                "line, not from a scan grid; eta_min/eta_max/n_eta remain"
+            )
+    if not ("eta_min" in section or "eta_max" in section or "n_eta" in section):
+        return PenroseScan()
+    try:
+        return PenroseScan(
+            np.geomspace(
+                float(section.get("eta_min", 1e-3)),
+                float(section.get("eta_max", 10.0)),
+                int(section.get("n_eta", 40)),
+            )
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad eta grid: {exc}") from exc
+
+
+def _bilinear_constant(section: dict, seed: int) -> float:
+    """The section's c_bilinear, else the empirical bilinear constant of a
+    40-sample ensemble at N = 16."""
+    c_bil = section.get("c_bilinear")
+    if c_bil is None:
+        return check_bilinear(EnsembleConfig(40, SpectralGrid(16), seed=seed), 1.0).empirical_constant
+    return float(c_bil)
 
 
 def cmd_penrose(cfg: dict, out: Path) -> int:
@@ -278,7 +297,7 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
     k_max = int(section.get("k_max", 8))
     if k_max < 1:
         raise ConfigError("penrose.k_max must be >= 1")
-    scan = _scan_from(section)
+    scan = _scan_from(section, "penrose")
     reports = [penrose_margin(bg, p, q, k, scan) for k in range(1, k_max + 1)]
     rows = []
     for r in reports:
@@ -298,14 +317,9 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
         "kappa_scanned": kappa,
         "stable_in_scan": not unstable,
         "per_mode": [r.to_dict() for r in reports],
-        "note": "kappa_scanned is the minimum margin over k = 1..k_max on the scanned region",
+        "note": "kappa_scanned is the minimum over k = 1..k_max of inf |F_k| on Re(lambda) >= eta_min",
     }
     if not unstable:
-        c_bil = section.get("c_bilinear")
-        if c_bil is None:
-            c_bil = check_bilinear(
-                EnsembleConfig(40, SpectralGrid(16), seed=int(cfg["seed"])), 1.0
-            ).empirical_constant
         consts = propagator_constants(
             bg.h1s1_norm(),
             bg.l1_norm(),
@@ -313,7 +327,7 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
             q,
             float(section.get("eta", 1.0)),
             float(section.get("epsilon", 1e-2)),
-            float(c_bil),
+            _bilinear_constant(section, int(cfg["seed"])),
         )
         payload["constants"] = consts.to_dict()
     write_json(out / "constants.json", payload)
@@ -336,18 +350,13 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     rng = np.random.default_rng(cfg["seed"])
     u0 = random_hermitian_perturbation(grid, int(section.get("seed_band", max(bg.J, 1))), rng)
 
+    scan = _scan_from(section, "perturb")
     kappa_cfg = section.get("kappa")
     if kappa_cfg is None:
         k_max = int(section.get("k_max", 6))
-        scan = _scan_from(section)
         kappa = min(penrose_margin(bg, p, q, k, scan).margin for k in range(1, k_max + 1))
     else:
         kappa = float(kappa_cfg)
-    c_bil = section.get("c_bilinear")
-    if c_bil is None:
-        c_bil = check_bilinear(
-            EnsembleConfig(40, SpectralGrid(16), seed=int(cfg["seed"])), 1.0
-        ).empirical_constant
     # epsilon = 0 has no intrinsic horizon; constants evaluated at a nominal
     # epsilon so c_star and friends are still reported
     consts = propagator_constants(
@@ -357,7 +366,7 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         q,
         float(section.get("eta", 1.0)),
         epsilon if epsilon > 0 else 1.0,
-        float(c_bil),
+        _bilinear_constant(section, int(cfg["seed"])),
     )
 
     gamma_mat = background_to_matrix(bg, grid)
@@ -374,9 +383,11 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     dt = float(section.get("dt", 1e-3))
     if not (math.isfinite(horizon) and math.isfinite(dt) and dt > 0.0):
         raise ConfigError(f"perturb needs a finite horizon and a finite dt > 0, got T={horizon}, dt={dt}")
+    # the run takes whole steps, so the horizon it reports is steps * dt
     steps = max(1, int(round(horizon / dt)))
+    horizon = steps * dt
     record_every = int(section.get("record_every", max(1, steps // 200)))
-    run_cfg = _evolve_config(p, q, dt, steps * dt, record_every)
+    run_cfg = _evolve_config(p, q, dt, horizon, record_every)
 
     def deviation_of(st: MixedState) -> float:
         diff = to_matrix(st).entries - gamma_mat.entries
@@ -552,7 +563,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "simulate": "split-step evolution of a mixed state; trajectory CSV + density spectra",
-        "penrose": "dispersion-function margin scan over a background; per-mode CSV + constants",
+        "penrose": "dispersion zeros and Penrose margin of a background per mode; per-mode CSV + constants",
         "perturb": "nonlinear vs linearized deviation from a background; deviation CSV",
         "inequalities": "randomized verification of the functional estimates; results CSV",
         "convergence": "integrator and truncation refinement studies; error CSV",

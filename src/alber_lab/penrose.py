@@ -12,6 +12,10 @@ with kernel Phi_k(tau) = sum_j (Gh(j+k) - Gh(j)) exp(i*p*k*(2j+k)*tau).
 Its Laplace transform is a finite pole sum, and the dispersion function
 F_k(lambda) = 1 - (i*q/2pi) * Phitilde_k(lambda) controls stability:
 zeros of F_k with Re(lambda) > 0 are exponential growth rates.
+
+F_k is rational: its zeros are the eigenvalues of one small matrix, and
+without a growing zero inf |F_k| over Re(lambda) >= eta_min lies on the
+line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960).
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .spectral import TWO_PI
 from .states import BackgroundSymbol, OperatorMatrix
 
 ZERO_RESIDUAL = 1e-8
 BOUNDARY_RE = 1e-9
+NEWTON_POLISH = 2
+GOLDEN_ITERS = 80
 
 
 class UnstableBackgroundError(ValueError):
@@ -75,19 +80,20 @@ def dispersion(bg: BackgroundSymbol, p: float, q: float, k: int, lam) -> np.ndar
 
 @dataclass(frozen=True)
 class PenroseScan:
-    """Scan controls for the margin search over lambda = eta + i*s.
+    """Where the margin is taken: the half-plane Re(lambda) >= min(eta_grid).
 
-    The infimum over the open half-plane is estimated on the region
-    eta in [min(eta_grid), max(eta_grid)]; no extrapolation toward the
-    eta -> 0+ boundary is attempted.  The s range covers every kernel
-    resonance padded by s_padding, densified to >= s_density points per
-    unit within two units of each resonance.
+    Without a zero of F_k there, 1/F_k is analytic on it and tends to 1 at
+    infinity, so by the maximum modulus principle the infimum of |F_k| lies
+    on the line Re(lambda) = min(eta_grid), or is the limit 1.  The three
+    smallest grid values each get that line minimum as a diagnostic.
     """
 
     eta_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-3, 10.0, 40))
-    s_padding: float = 10.0
-    s_density: float = 50.0
-    refine_iters: int = 60
+
+    def __post_init__(self) -> None:
+        eta = np.asarray(self.eta_grid, dtype=float)
+        if eta.ndim != 1 or eta.size == 0 or not (np.isfinite(eta).all() and eta.min() > 0.0):
+            raise ValueError("eta_grid must be a nonempty 1-d array of finite eta > 0")
 
 
 @dataclass
@@ -108,97 +114,90 @@ class PenroseReport:
         }
 
 
-def _s_grid(omega: np.ndarray, scan: PenroseScan) -> np.ndarray:
-    span = (float(np.abs(omega).max()) if omega.size else 0.0) + scan.s_padding
-    coarse = np.linspace(-span, span, max(int(math.ceil(8 * span)), 81))
-    fine = [coarse]
-    step = 1.0 / scan.s_density
-    for w in np.unique(omega):
-        fine.append(np.arange(w - 2.0, w + 2.0 + step, step))
-    return np.unique(np.concatenate(fine))
+def _golden_minimize(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search of f on every bracket [lo, hi] at once."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(GOLDEN_ITERS):
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        fx = f(x)
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2), np.where(left, fx, f2), np.where(left, x1, x), np.where(left, f1, fx)
+        )
+    return np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
+
+
+def _line_minimum(f_value, residue, omega, zeros, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Im(lambda) and value of min |F_k| on each line Re(lambda) = eta[i].
+
+    The local minima sit near the zeros of F_k or beside its poles.  Near
+    the pole i*omega_j the line sees F_k ~ B_j + residue_j/(lambda - i*omega_j),
+    whose pole term runs over a circle through 0 and residue_j/eta; the
+    seed there is the point where the shifted circle comes closest to 0.
+    Every seed is bracketed by half its distance to the nearest pole, and
+    all brackets are refined together.
+    """
+    eta = eta[:, None]
+    centre = residue / (2.0 * eta)
+    shifted = f_value(eta + 1j * omega) - centre
+    with np.errstate(all="ignore"):
+        nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
+        beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
+    seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
+    half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
+    s, line = _golden_minimize(lambda s: np.abs(f_value(eta + 1j * s)), seeds - half, seeds + half)
+    best = np.argmin(line, axis=1)
+    rows = np.arange(line.shape[0])
+    return s[rows, best], line[rows, best]
 
 
 def penrose_margin(
     bg: BackgroundSymbol, p: float, q: float, k: int, scan: PenroseScan | None = None
 ) -> PenroseReport:
-    """Estimate inf |F_k| over the scanned region of the right half-plane.
+    """inf |F_k| over Re(lambda) >= eta_min = min(scan.eta_grid), and the growing zeros.
 
-    Grid scan, then Nelder-Mead descent from the grid minimizer (eta
-    clamped to the scanned interval), then Newton hunts for genuine zeros
-    starting from every grid-local minimum with |F_k| < 0.1.  Zeros are
-    only reported with Re(lambda) > 1e-9: rational-continuation zeros
-    sitting on the imaginary axis are marginal modes, not growth.
+    Zeros: every eigenvalue of the matrix below, given at most
+    NEWTON_POLISH Newton steps and kept if |F_k| <= ZERO_RESIDUAL there.
+    Kept zeros with Re(lambda) > BOUNDARY_RE are growth rates; zeros on
+    the imaginary axis are marginal modes, not growth.
+
+    Margin: with a growing zero, the smallest residual at one.  Otherwise
+    the minimum of |F_k| on the line Re(lambda) = eta_min (_line_minimum),
+    capped at 1, the limit at infinity.  eta_line_margins holds the same
+    capped line minimum at the three smallest grid eta.
     """
     scan = scan or PenroseScan()
     c, omega = _kernel_terms(bg, p, k)
-    eta = np.asarray(scan.eta_grid, dtype=float)
+    eta = np.sort(np.asarray(scan.eta_grid, dtype=float))[:3]
     if c.size == 0:
-        return PenroseReport(k, 1.0, complex(eta.min()), [], [(float(e), 1.0) for e in eta[:3]])
+        return PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
+    coef = 1j * q / TWO_PI
 
     def f_value(lam):
-        return 1.0 - (1j * q / TWO_PI) * _symbol_unchecked(c, omega, lam)
+        return 1.0 - coef * _symbol_unchecked(c, omega, lam)
 
-    def f_deriv(lam):
-        return (1j * q / TWO_PI) * np.sum(c / (np.asarray(lam, complex)[..., None] - 1j * omega) ** 2, axis=-1)
+    # det(lambda - A) = prod_j (lambda - i*omega_j) * F_k(lambda) for the
+    # diagonal-plus-rank-one A below (its secular equation), and no c_j
+    # vanishes, so the eigenvalues of A are exactly the zeros of F_k
+    z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_POLISH):
+            newton = z - f_value(z) / (coef * np.sum(c / (z[:, None] - 1j * omega) ** 2, axis=-1))
+            z = np.where(np.abs(f_value(newton)) < np.abs(f_value(z)), newton, z)
+        residual = np.abs(f_value(z))
+    growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
+    zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
 
-    s = _s_grid(omega, scan)
-    lam = eta[:, None] + 1j * s[None, :]
-    absf = np.abs(f_value(lam))
-    i0, j0 = np.unravel_index(int(np.argmin(absf)), absf.shape)
-    margin = float(absf[i0, j0])
-    argmin = complex(lam[i0, j0])
-
-    order = np.argsort(eta)
-    eta_lines = [(float(eta[i]), float(absf[i].min())) for i in order[:3]]
-
-    # local descent from the grid minimizer, eta clamped to the scan region
-    lo, hi = float(eta.min()), float(eta.max())
-
-    def objective(x):
-        return abs(f_value(complex(np.clip(x[0], lo, hi), x[1])))
-
-    res = minimize(
-        objective,
-        np.array([argmin.real, argmin.imag]),
-        method="Nelder-Mead",
-        options={"maxiter": 40 * scan.refine_iters, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    if res.fun < margin:
-        margin = float(res.fun)
-        argmin = complex(np.clip(res.x[0], lo, hi), res.x[1])
-
-    # Newton zero hunt from grid-local minima below 0.1
-    candidates = [argmin]
-    interior = absf[1:-1, 1:-1]
-    local = (
-        (interior < 0.1)
-        & (interior <= absf[:-2, 1:-1]) & (interior <= absf[2:, 1:-1])
-        & (interior <= absf[1:-1, :-2]) & (interior <= absf[1:-1, 2:])
-    )
-    for ii, jj in zip(*np.nonzero(local)):
-        candidates.append(complex(lam[ii + 1, jj + 1]))
-    zeros: list[complex] = []
-    for z in candidates:
-        for _ in range(scan.refine_iters):
-            fz = f_value(z)
-            if abs(fz) <= 1e-15:
-                break
-            dfz = f_deriv(z)
-            if dfz == 0.0 or not np.isfinite(dfz):
-                break
-            step = fz / dfz
-            z = z - step
-            if abs(step) < 1e-14 * (1.0 + abs(z)):
-                break
-        if abs(f_value(z)) <= ZERO_RESIDUAL and z.real > BOUNDARY_RE:
-            if all(abs(z - w) > 1e-6 for w in zeros):
-                zeros.append(complex(z))
-    for z in zeros:
-        r = abs(f_value(z))
-        if r < margin:
-            margin, argmin = float(r), complex(z)
-    zeros.sort(key=lambda w: (-w.real, abs(w.imag)))
-    return PenroseReport(k, margin, argmin, zeros, eta_lines)
+    s, line = _line_minimum(f_value, -coef * c, omega, z, eta)
+    line = np.minimum(line, 1.0)
+    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
+    if zeros:
+        i = int(np.argmin(np.where(growing, residual, np.inf)))
+        return PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines)
+    return PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines)
 
 
 # ---- time-side oracle ----

@@ -47,8 +47,9 @@ class MixedState:
     """Weights and orthonormal orbital coefficients on a shared grid.
 
     orbitals is a (rank, 2N+1) complex array; row k holds psihat_k on
-    modes -N..N.  Construction rejects weights < 0 and Gram deviation
-    beyond gram_tol; use reorthonormalized() to repair a drifted state.
+    modes -N..N.  Construction rejects non-finite or negative weights and,
+    for a finite gram_tol, a Gram deviation (NaN included) not within it;
+    use reorthonormalized() to repair a drifted state.
     """
 
     grid: SpectralGrid
@@ -64,10 +65,13 @@ class MixedState:
                 f"orbitals shape {self.orbitals.shape} does not match "
                 f"{self.weights.size} weights on {self.grid.n_modes} modes"
             )
+        if not np.isfinite(self.weights).all():
+            raise ValueError("weights must be finite")
         if self.weights.size and self.weights.min() < 0.0:
             raise ValueError(f"negative weight {self.weights.min()}")
         dev = gram_deviation(self)
-        if dev > self.gram_tol:
+        # a NaN deviation fails any finite tolerance; gram_tol = inf accepts all
+        if self.gram_tol != math.inf and not dev <= self.gram_tol:
             raise GramError(f"orbital Gram matrix deviates from identity by {dev:.3e}")
 
     @property
@@ -124,6 +128,8 @@ class BackgroundSymbol:
         self.symbol = np.atleast_1d(np.asarray(self.symbol, dtype=float))
         if self.symbol.size % 2 != 1:
             raise ValueError("symbol must cover modes -J..J (odd length)")
+        if not np.isfinite(self.symbol).all():
+            raise ValueError("background symbol entries must be finite")
         if self.symbol.min() < 0.0:
             raise ValueError(f"background symbol must be >= 0, min is {self.symbol.min()}")
 

@@ -208,6 +208,28 @@ class TestPenrose:
         cfg["physics"] = {"p": 1.0, "q": 1.0}
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_nan_symbol_rejected(self, tmp_path):
+        cfg = self.penrose_config(tmp_path / "x", {"symbol": [0.1, math.nan, 0.1]})
+        cfg["physics"] = {"p": 1.0, "q": 1.0}
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
+
+    @pytest.mark.parametrize("key", cli.RETIRED_SCAN_KEYS)
+    def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
+        cfg = self.penrose_config(tmp_path / "x", "stable-broad", **{key: 10})
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"penrose.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eta", [{"eta_min": 0.0}, {"eta_min": -1.0, "eta_max": -0.1}, {"n_eta": 0}])
+    def test_bad_eta_grid_rejected(self, tmp_path, eta):
+        cfg = self.penrose_config(tmp_path / "x", "stable-broad", **eta)
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_bilinear_constant_helper(self):
+        assert cli._bilinear_constant({"c_bilinear": 2}, 0) == 2.0
+        ens = cli.EnsembleConfig(40, cli.SpectralGrid(16), seed=5)
+        expected = cli.check_bilinear(ens, 1.0).empirical_constant
+        assert cli._bilinear_constant({}, 5) == expected
+
 
 class TestPerturb:
     def perturb_config(self, out_dir, epsilon, **section):
@@ -266,6 +288,21 @@ class TestPerturb:
         cfg = self.perturb_config(tmp_path / "x", 0.0)
         del cfg["perturb"]["T"]
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_horizon_is_whole_steps(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = self.perturb_config(out, 1e-3, T=0.205, dt=0.01)
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
+        _, rows = read_csv(out / "deviation.csv")
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["horizon"] == float(rows[-1][0]) == 0.2
+        assert "T=0.2 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", cli.RETIRED_SCAN_KEYS)
+    def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
+        cfg = self.perturb_config(tmp_path / "x", 1e-3, **{key: 10})
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"perturb.{key}" in capsys.readouterr().err
 
     def test_negative_epsilon_rejected(self, tmp_path):
         cfg = self.perturb_config(tmp_path / "x", -0.5)

@@ -8,9 +8,14 @@ forms used as anchors throughout:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab as al
 
@@ -160,6 +165,202 @@ class TestPenroseMargin:
         bg, p, q = rank_one
         blob = json.dumps(al.penrose_margin(bg, p, q, 1).to_dict())
         assert "margin" in blob
+
+
+# Margins of the parent grid + Nelder-Mead + Newton search, frozen:
+# the presets for k = 1..8, and the random family below for seeds 0, 1.
+PARENT_PRESET_MARGINS = {
+    "remark-5-2-unstable": [
+        0.0, 0.0007071062508572347, 0.0008819163197632703, 0.0009354134697441774,
+        0.0009591653838646583, 0.0009718243709792184, 0.0009793782692387024, 0.0009842500153813207,
+    ],
+    "stable-broad": [
+        0.04327304743745107, 0.03312967736722614, 0.03157527183458475, 0.0314879718438745,
+        0.03144996129267704, 0.031429786746820405, 0.03141776496062659, 0.03141001634673284,
+    ],
+}
+PARENT_RANDOM_MARGINS = {
+    (0, 4): [0.023071267382937244, 0.018113557488047664, 0.01800376979590032, 0.017977817845056875,
+             0.017973313808591563, 0.01799852174496065, 0.018014044866029512, 0.0180244401635826],
+    (0, 5): [0.02021467823219089, 0.018147774532159634, 0.017249744816797953, 0.01716677618552424,
+             0.017112818713857687, 0.017064985517778453, 0.017055189262588987, 0.01704902414803605],
+    (0, 6): [0.023147663425352707, 0.018727098710442154, 0.01851469875208296, 0.018510100911645806,
+             0.018516205590098533, 0.018528141360056302, 0.018536176144805707, 0.018545286263781255],
+    (1, 4): [0.05660960356543931, 0.0246507119902178, 0.02358009702595078, 0.02345044397085579,
+             0.05220934303046511, 0.05184492891542619, 0.05194621558086452, 0.05201623088986704],
+    (1, 5): [0.06252106620511315, 0.02423516035482081, 0.02323549618712939, 0.02295268148806062,
+             0.022800638097580685, 0.022750435251520155, 0.02273339749355355, 0.022722253350904165],
+    (1, 6): [0.023461479679088883, 0.020292680485207017, 0.020159433531140823, 0.020035578253225224,
+             0.020038467264821752, 0.02005898486134197, 0.020056782409294895, 0.020067037797747423],
+}
+RANDOM_SLOTS = ((4, 1.0), (5, -1.0), (6, 1.0))
+
+
+def random_family(seed):
+    """Symbols proportional to <n>^-4 * U(0.5, 1.5) on |n| <= J, mass 0.5."""
+    gen = np.random.default_rng(seed)
+    for J, q in RANDOM_SLOTS:
+        n = np.arange(-J, J + 1, dtype=float)
+        s = (1.0 + n * n) ** -2.0 * gen.uniform(0.5, 1.5, n.size)
+        yield J, q, al.BackgroundSymbol(0.5 * s / s.sum())
+
+
+def written_out_terms(bg, p, k):
+    """Coefficients Gh(j+k) - Gh(j) and frequencies p*k*(2j+k) over every j
+    that can touch the support, zero coefficients included."""
+    sym = list(bg.symbol)
+
+    def g(n):
+        return sym[n + bg.J] if abs(n) <= bg.J else 0.0
+
+    j = range(-bg.J - abs(k), bg.J + abs(k) + 1)
+    return np.array([g(i + k) - g(i) for i in j]), np.array([p * k * (2.0 * i + k) for i in j])
+
+
+def written_out_f(c, omega, q, lam):
+    lam = np.asarray(lam, dtype=complex)
+    total = np.zeros_like(lam)
+    for cj, wj in zip(c, omega):  # one term at a time keeps long lines small
+        total += cj / (lam - 1j * wj)
+    return 1.0 - 1j * q / (2.0 * math.pi) * total
+
+
+def winding_count(c, omega, q, delta):
+    """Zeros of F_k in Re(lambda) > delta by the argument principle.
+
+    The contour is the line Re(lambda) = delta, closed at infinity where
+    F_k -> 1.  Walking it upwards leaves the half-plane on the right, so
+    the zero count is minus the winding of F_k.  Samples are refined until
+    F_k turns by at most 0.3 rad between neighbours.
+    """
+    scale = 1.0 + np.abs(omega).max()
+    s = np.unique(np.concatenate(
+        [scale * np.tan(np.linspace(-1.57, 1.57, 2001))]
+        + [w + delta * np.sinh(np.linspace(-20.0, 20.0, 401)) for w in omega]
+    ))
+    for _ in range(80):
+        f = written_out_f(c, omega, q, delta + 1j * s)
+        turn = np.angle(f[1:] / f[:-1])
+        coarse = np.abs(turn) > 0.3
+        if not coarse.any():
+            break
+        s = np.unique(np.concatenate([s, 0.5 * (s[1:] + s[:-1])[coarse]]))
+    assert not coarse.any(), "contour not resolved"
+    winding = turn.sum() / (2.0 * math.pi)
+    assert abs(winding - round(winding)) < 0.05
+    return -round(winding)
+
+
+def line_grid_minimum(c, omega, q, eta):
+    """min |F_k| on Re(lambda) = eta, capped at its limit 1 at infinity.
+
+    Samples: a 0.01 grid over the resonances plus, around each pole, a
+    sinh-spaced set reaching down to eta / 100; then 2001 points between
+    the neighbours of each of the 64 smallest sampled local minima.
+    """
+    span = np.abs(omega).max() + 10.0
+    s = np.unique(np.concatenate(
+        [np.arange(-span, span, 0.01)] + [w + eta * np.sinh(np.linspace(-12.0, 12.0, 481)) for w in omega]
+    ))
+    a = np.abs(written_out_f(c, omega, q, eta + 1j * s))
+    local = np.flatnonzero((a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:])) + 1
+    local = local[np.argsort(a[local])[:64]]  # a flat |F_k| has a local minimum per sample
+    fine = np.linspace(s[local - 1], s[local + 1], 2001).ravel()
+    a_fine = np.abs(written_out_f(c, omega, q, eta + 1j * fine))
+    return float(np.concatenate([[1.0], a, a_fine]).min())
+
+
+symbols = hst.integers(0, 6).flatmap(
+    lambda J: hst.lists(hst.floats(0.0, 1.0), min_size=2 * J + 1, max_size=2 * J + 1)
+)
+
+
+class TestExactPenrose:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        symbol=symbols,
+        log_scale=hst.floats(-4.0, 1.0),
+        k=hst.integers(1, 8),
+        q=hst.sampled_from([1.0, -1.0]),
+        p=hst.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_against_independent_oracles(self, symbol, log_scale, k, q, p):
+        # weak coupling (small symbols) puts the line minimum beside a pole
+        bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
+        scan = al.PenroseScan()
+        eta_min = float(np.min(scan.eta_grid))
+        report = al.penrose_margin(bg, p, q, k, scan)
+        for z in report.zeros:
+            assert z.real > 0.0
+            assert abs(al.dispersion(bg, p, q, k, z)) <= 1e-8
+        c, omega = written_out_terms(bg, p, k)
+        if not c.any():
+            assert report.margin == 1.0 and not report.zeros
+            return
+        delta = 1e-6
+        assert sum(z.real > delta for z in report.zeros) == winding_count(c, omega, q, delta)
+        at_argmin = abs(al.dispersion(bg, p, q, k, report.argmin_lambda))
+        assert math.isclose(report.margin, min(1.0, at_argmin), rel_tol=1e-12, abs_tol=1e-15)
+        if not report.zeros:
+            assert report.argmin_lambda.real == eta_min
+            assert report.margin <= line_grid_minimum(c, omega, q, eta_min) * (1.0 + 1e-9)
+
+    def test_weak_coupling_minimum_beside_pole(self):
+        # the zeros sit within 3e-4 of the poles i*omega = +-18i, and the line
+        # minimum lies beside a pole, where no zero-seeded bracket reaches
+        bg, p, q, k = al.BackgroundSymbol(np.array([0.0015586265119682452])), 2.0, 1.0, 3
+        report = al.penrose_margin(bg, p, q, k)
+        c, omega = written_out_terms(bg, p, k)
+        grid_min = line_grid_minimum(c, omega, q, 1e-3)
+        assert not report.zeros and grid_min < 0.9
+        assert grid_min * (1.0 - 1e-6) <= report.margin <= grid_min * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("name", sorted(PARENT_PRESET_MARGINS))
+    def test_presets_match_parent(self, name):
+        bg, p, q = al.background_preset(name)
+        for k, old in enumerate(PARENT_PRESET_MARGINS[name], start=1):
+            report = al.penrose_margin(bg, p, q, k)
+            assert math.isclose(report.margin, old, rel_tol=1e-9, abs_tol=1e-15)
+            if name == UNSTABLE and k == 1:
+                assert len(report.zeros) == 1 and abs(report.zeros[0] - 1.0) <= 1e-9
+            else:
+                assert not report.zeros
+
+    def test_random_family_never_above_parent(self):
+        below = 0
+        for seed in (0, 1):
+            for J, q, bg in random_family(seed):
+                for k, old in enumerate(PARENT_RANDOM_MARGINS[(seed, J)], start=1):
+                    report = al.penrose_margin(bg, 1.0, q, k)
+                    assert not report.zeros
+                    assert report.margin <= old * (1.0 + 1e-9)
+                    below += report.margin < old * (1.0 - 1e-6)
+        assert below > 0  # the grid search overstated some of these margins
+
+    def test_scan_has_only_eta_grid(self):
+        assert list(al.PenroseScan.__dataclass_fields__) == ["eta_grid"]
+
+    @pytest.mark.parametrize("grid", [[], [0.0, 1.0], [-1.0], [math.nan, 1.0], [[1.0]]])
+    def test_scan_rejects_bad_eta_grid(self, grid):
+        with pytest.raises(ValueError):
+            al.PenroseScan(np.array(grid))
+
+    def test_eta_lines_are_line_minima(self, rank_one):
+        bg, p, q = rank_one
+        report = al.penrose_margin(bg, p, q, 2)
+        c, omega = written_out_terms(bg, p, 2)
+        for eta, line in report.eta_line_margins:
+            grid_min = line_grid_minimum(c, omega, q, eta)
+            assert grid_min * (1.0 - 1e-4) <= line <= grid_min * (1.0 + 1e-9)
+        assert report.margin == report.eta_line_margins[0][1]
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, alber_lab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(al.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 class TestFreeDensity:

@@ -41,6 +41,32 @@ class TestMixedStateConstruction:
         with pytest.raises(ValueError):
             al.MixedState(grid8, np.array([-0.5]), coeffs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, grid8, value):
+        coeffs = np.zeros((2, grid8.n_modes), dtype=complex)
+        coeffs[0, grid8.N] = coeffs[1, grid8.N + 1] = 1.0
+        with pytest.raises(ValueError, match="finite"):
+            al.MixedState(grid8, np.array([0.5, value]), coeffs)
+        with pytest.raises(ValueError, match="finite"):
+            al.MixedState(grid8, np.array([0.5, value]), coeffs, gram_tol=math.inf)
+
+    def test_nan_orbital_fails_finite_gram_tol(self, grid8):
+        coeffs = np.zeros((1, grid8.n_modes), dtype=complex)
+        coeffs[0, grid8.N] = math.nan
+        with pytest.raises(GramError):
+            al.MixedState(grid8, np.array([1.0]), coeffs)
+        with pytest.raises(GramError):
+            al.MixedState(grid8, np.array([1.0]), coeffs, gram_tol=1.0)
+
+    def test_nan_orbital_accepted_without_gram_check(self, grid8):
+        # the integrator builds its states with gram_tol = inf, so a blown-up
+        # run still reaches the divergence check instead of failing here
+        coeffs = np.zeros((1, grid8.n_modes), dtype=complex)
+        coeffs[0, grid8.N] = math.nan
+        state = al.MixedState(grid8, np.array([1.0]), coeffs, gram_tol=math.inf)
+        with pytest.raises(al.DivergenceError):
+            al.evolve(state, al.EvolveConfig(1.0, 1.0, 1e-3, 2e-3))
+
     def test_shape_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError):
             al.MixedState(grid8, np.array([1.0]), np.zeros((1, 5), dtype=complex))
@@ -331,6 +357,11 @@ class TestBackgroundSymbol:
             al.BackgroundSymbol(np.array([1.0, -0.1, 1.0]))
         with pytest.raises(ValueError):
             al.BackgroundSymbol(np.array([1.0, 2.0]))  # even length has no center
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            al.BackgroundSymbol(np.array([0.1, value, 0.1]))
 
 
 class TestSerialization:
