@@ -8,9 +8,11 @@ from .spectral import (
     SpectralGrid,
     analyze,
     bessel_constant,
+    diagonal_sums,
     lp_norm,
     sobolev_norm,
     synthesize,
+    toeplitz,
 )
 from .states import (
     BackgroundSymbol,
@@ -23,6 +25,7 @@ from .states import (
     background_to_matrix,
     background_to_state,
     density,
+    density_samples,
     eigendecompose,
     energy,
     galerkin_truncate,

@@ -11,7 +11,8 @@ byte-identical across reruns with the same configuration and seed (the
 manifest's wall-clock field is the one intentional exception).
 
 Exit codes: 0 success, 2 configuration or input error, 3 numerical
-divergence, 4 inequality-check violation.
+divergence, 4 inequality-check violation.  A key the subcommand does not
+read (CONFIG_KEYS) is an input error, so a typo cannot fall back to a default.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .states import (
     BackgroundSymbol,
     MixedState,
     NotNonNegativeError,
+    OperatorMatrix,
     background_to_matrix,
     background_to_state,
     eigendecompose,
@@ -145,6 +147,59 @@ def load_config(path: str, seed_override, out_override) -> dict:
     return cfg
 
 
+RETIRED_SCAN_KEYS = ("s_padding", "s_density", "refine_iters")
+GRID_KEYS = ("N", "M")
+PHYSICS_KEYS = ("p", "q")
+STATE_KEYS = ("file", "preset", "rank", "band", "decay", "mass", "name")
+# read by both the penrose and the perturb section
+MARGIN_KEYS = ("background", "k_max", "eta", "epsilon", "c_bilinear", "eta_min", "eta_max", "n_eta")
+# sections each subcommand reads, and their keys; output_dir and seed are common
+CONFIG_KEYS = {
+    "simulate": {
+        "grid": GRID_KEYS,
+        "physics": PHYSICS_KEYS,
+        "time": ("dt", "T", "record_every"),
+        "state": STATE_KEYS,
+    },
+    "penrose": {"physics": PHYSICS_KEYS, "penrose": MARGIN_KEYS},
+    "perturb": {
+        "grid": GRID_KEYS,
+        "physics": PHYSICS_KEYS,
+        "perturb": MARGIN_KEYS + ("kappa", "T", "dt", "seed_band", "drop_tol", "record_every", "fit_window"),
+    },
+    "inequalities": {
+        "physics": PHYSICS_KEYS,
+        "ensemble": ("n_samples", "N", "rank_range", "decay_exponent", "s", "checks", "apriori"),
+    },
+    "convergence": {
+        "grid": GRID_KEYS,
+        "physics": PHYSICS_KEYS,
+        "state": STATE_KEYS,
+        "convergence": ("mode", "T", "dts", "dt_ref", "Ns", "dt"),
+    },
+}
+
+
+def check_keys(cfg: dict, subcommand: str) -> None:
+    """Reject a key the subcommand does not read, so a typo cannot fall back to a default."""
+    sections = CONFIG_KEYS[subcommand]
+    for name, section in cfg.items():
+        if name in ("output_dir", "seed"):
+            continue
+        if name not in sections:
+            raise ConfigError(f"unknown key {name!r} for {subcommand}; sections: {', '.join(sections)}")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a JSON object")
+        for key in section:
+            if key in RETIRED_SCAN_KEYS and name in ("penrose", "perturb"):
+                raise ConfigError(
+                    f"{name}.{key} is retired: the margin comes from exact zeros and one "
+                    "line, not from a scan grid; eta_min/eta_max/n_eta remain"
+                )
+            if key not in sections[name]:
+                raise ConfigError(f"unknown key {name}.{key}; allowed: {', '.join(sections[name])}")
+
+
 def _build_grid(cfg: dict) -> SpectralGrid:
     grid = _require(cfg, "grid")
     try:
@@ -171,11 +226,17 @@ def _evolve_config(p: float, q: float, dt: float, T: float, record_every: int = 
         raise ConfigError(str(exc)) from exc
 
 
+def _preset(name) -> tuple[BackgroundSymbol, float, float]:
+    try:
+        return background_preset(name)
+    except KeyError as exc:
+        raise ConfigError(exc.args[0]) from exc
+
+
 def _background(section: dict) -> tuple[BackgroundSymbol, float | None, float | None]:
     bg_spec = _require(section, "background", "penrose/perturb section")
     if isinstance(bg_spec, str):
-        bg, p, q = background_preset(bg_spec)
-        return bg, p, q
+        return _preset(bg_spec)
     if isinstance(bg_spec, dict) and "symbol" in bg_spec:
         try:
             return BackgroundSymbol(np.asarray(bg_spec["symbol"], dtype=float)), None, None
@@ -194,16 +255,21 @@ def _build_state(cfg: dict, grid: SpectralGrid, rng: np.random.Generator) -> Mix
             raise ConfigError(f"cannot load state file {spec['file']}: {exc}") from exc
     preset = spec.get("preset")
     if preset == "random-smooth":
+        rank, band = int(spec.get("rank", 4)), int(spec.get("band", min(12, grid.N)))
+        if not 0 <= band <= grid.N:
+            raise ConfigError(f"state.band={band} outside 0..{grid.N} (the grid N)")
+        if not 0 <= rank <= grid.n_modes:
+            raise ConfigError(f"state.rank={rank} outside 0..{grid.n_modes} (the modes of the grid)")
         return random_smooth_state(
             grid,
-            rank=int(spec.get("rank", 4)),
-            band=int(spec.get("band", min(12, grid.N))),
+            rank=rank,
+            band=band,
             decay=float(spec.get("decay", 3.0)),
             rng=rng,
             total_mass=float(spec.get("mass", 1.0)),
         )
     if preset == "background":
-        bg, _, _ = background_preset(spec.get("name", ""))
+        bg, _, _ = _preset(spec.get("name", ""))
         return background_to_state(bg, grid)
     raise ConfigError("state must give 'file' or preset 'random-smooth'/'background'")
 
@@ -256,16 +322,14 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return code
 
 
-RETIRED_SCAN_KEYS = ("s_padding", "s_density", "refine_iters")
+def _k_max(section: dict, where: str, default: int) -> int:
+    k_max = int(section.get("k_max", default))
+    if k_max < 1:
+        raise ConfigError(f"{where}.k_max must be >= 1")
+    return k_max
 
 
 def _scan_from(section: dict, where: str) -> PenroseScan:
-    for key in RETIRED_SCAN_KEYS:
-        if key in section:
-            raise ConfigError(
-                f"{where}.{key} is retired: the margin comes from exact zeros and one "
-                "line, not from a scan grid; eta_min/eta_max/n_eta remain"
-            )
     if not ("eta_min" in section or "eta_max" in section or "n_eta" in section):
         return PenroseScan()
     try:
@@ -294,9 +358,7 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
     section = _require(cfg, "penrose")
     bg, preset_p, preset_q = _background(section)
     p, q = _physics(cfg, preset_p, preset_q)
-    k_max = int(section.get("k_max", 8))
-    if k_max < 1:
-        raise ConfigError("penrose.k_max must be >= 1")
+    k_max = _k_max(section, "penrose", 8)
     scan = _scan_from(section, "penrose")
     reports = [penrose_margin(bg, p, q, k, scan) for k in range(1, k_max + 1)]
     rows = []
@@ -347,13 +409,16 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         raise ConfigError("perturb.epsilon must be nonnegative")
     if epsilon == 0 and not section.get("T"):
         raise ConfigError("perturb.T is required when epsilon is 0 (no intrinsic horizon)")
+    seed_band = int(section.get("seed_band", max(bg.J, 1)))
+    if not 0 <= seed_band <= grid.N:
+        raise ConfigError(f"perturb.seed_band={seed_band} outside 0..{grid.N} (the grid N)")
     rng = np.random.default_rng(cfg["seed"])
-    u0 = random_hermitian_perturbation(grid, int(section.get("seed_band", max(bg.J, 1))), rng)
+    u0 = random_hermitian_perturbation(grid, seed_band, rng)
 
     scan = _scan_from(section, "perturb")
     kappa_cfg = section.get("kappa")
     if kappa_cfg is None:
-        k_max = int(section.get("k_max", 6))
+        k_max = _k_max(section, "perturb", 6)
         kappa = min(penrose_margin(bg, p, q, k, scan).margin for k in range(1, k_max + 1))
     else:
         kappa = float(kappa_cfg)
@@ -373,7 +438,7 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     datum_entries = gamma_mat.entries + epsilon * u0.entries
     try:
         datum = eigendecompose(
-            type(gamma_mat)(grid, datum_entries, hermitian=True),
+            OperatorMatrix(grid, datum_entries, hermitian=True),
             drop_tol=float(section.get("drop_tol", 1e-12)),
         )
     except NotNonNegativeError as exc:
@@ -391,7 +456,7 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
 
     def deviation_of(st: MixedState) -> float:
         diff = to_matrix(st).entries - gamma_mat.entries
-        return sobolev_schatten_norm(type(gamma_mat)(grid, diff, hermitian=True), 1.0)
+        return sobolev_schatten_norm(OperatorMatrix(grid, diff, hermitian=True), 1.0)
 
     code = 0
     times, deviations = [], []
@@ -406,7 +471,7 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         deviations.append(dev)
 
     lin = linearized_evolve(
-        type(gamma_mat)(grid, epsilon * u0.entries, hermitian=True),
+        OperatorMatrix(grid, epsilon * u0.entries, hermitian=True),
         bg,
         run_cfg,
         matrix_every=1,
@@ -461,11 +526,17 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if ens.rank_range[1] > ens.grid.n_modes:
+        raise ConfigError(f"ensemble.rank_range {ens.rank_range} exceeds the {ens.grid.n_modes} modes of N")
     s = float(section.get("s", 1.0))
     names = tuple(section.get("checks", ALL_CHECKS))
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
         raise ConfigError(f"unknown checks: {unknown}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ConfigError(f"ensemble.s must be finite and >= 0, got {s}")
+    if "bessel" in names and s <= 0.5:
+        raise ConfigError(f"ensemble.s={s}: the bessel check needs s > 1/2")
     results = run_checks(ens, s, names)
     if section.get("apriori", True):
         p, q = _physics(cfg, 1.0, 1.0)
@@ -515,13 +586,14 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
         write_csv(out / "errors.csv", ("dt", "error_s2", "ratio"), rows)
     elif mode == "N":
         n_list = [int(x) for x in _require(section, "Ns", "convergence")]
+        bad = [n for n in n_list if not 1 <= n <= grid.N]
+        if bad:
+            raise ConfigError(f"convergence Ns {bad} outside 1..{grid.N} (the grid N)")
         dt = float(section.get("dt", 1e-3))
         run_cfg = _evolve_config(p, q, dt, horizon)
         ref, _ = evolve(state, run_cfg)
         ref_mat = to_matrix(ref)
         for n_prime in n_list:
-            if n_prime > grid.N:
-                raise ConfigError(f"convergence N={n_prime} exceeds grid N={grid.N}")
             small_grid = SpectralGrid(n_prime)
             sel = np.abs(grid.modes()) <= n_prime
             sub = MixedState(
@@ -576,6 +648,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.out)
+        check_keys(cfg, args.command)
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return HANDLERS[args.command](cfg, out)

@@ -19,6 +19,11 @@ half free steps merge into one full free phase, so between records a
 step is one potential substep followed by one full free phase.  A
 MixedState is built only at record points, where the open half step is
 closed.  evolve and every other multi-step caller go through iter_evolve.
+
+Densities and the energy come from states and V_rho from the Toeplitz pair
+in spectral; potential_step and iter_evolve keep rho inline as they reuse
+psi.  Split-step, Picard and linearized flow each keep their own free
+phases, so the three solvers the oracle tests compare stay independent.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, analyze_batch, lp_norm, synthesize_batch
+from .spectral import TWO_PI, analyze_batch, diagonal_sums, synthesize_batch, toeplitz
 from .states import (
     BackgroundSymbol,
     MixedState,
     OperatorMatrix,
     TruncationError,
+    _energy,
+    density_samples,
     gram_matrix,
     kinetic_energy,
 )
@@ -152,16 +159,13 @@ def monitor(state: MixedState, cfg: EvolveConfig, t: float = 0.0) -> TrajectoryR
     else:
         mass_v, s2, gram_dev = 0.0, 0.0, 0.0
     kin = kinetic_energy(state)
-    psi = synthesize_batch(state.grid, state.orbitals)
-    rho = (np.abs(psi) ** 2).T @ mu if state.rank else np.zeros(state.grid.M)
-    rho_l2 = lp_norm(rho, 2)
-    energy_v = -cfg.p * kin + 0.5 * cfg.q * rho_l2**2
-    spectrum = np.abs(analyze_batch(state.grid, rho.astype(complex)))
+    rho = density_samples(state)
+    spectrum = np.abs(analyze_batch(state.grid, rho))
     return TrajectoryRecord(
         t=t,
         mass=mass_v,
         s2_norm=s2,
-        energy=energy_v,
+        energy=_energy(kin, rho, cfg.p, cfg.q),
         kinetic=kin,
         gram_dev=gram_dev,
         h1s1=mass_v + kin,
@@ -227,26 +231,9 @@ def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[Traje
 # ---- operator-level helpers ----
 
 
-def diagonal_sums(entries: np.ndarray) -> np.ndarray:
-    """All diagonal sums d(k) = sum_j U_{j+k, j} for k = -(nm-1)..(nm-1).
-
-    d(k) is (2*pi)**0.5 times the unitary Fourier coefficient of the
-    position density of U.
-    """
-    nm = entries.shape[0]
-    idx = np.arange(nm)
-    offsets = (idx[:, None] - idx[None, :]).ravel() + (nm - 1)
-    re = np.bincount(offsets, weights=entries.real.ravel(), minlength=2 * nm - 1)
-    im = np.bincount(offsets, weights=entries.imag.ravel(), minlength=2 * nm - 1)
-    return re + 1j * im
-
-
 def _potential_matrix(entries: np.ndarray) -> np.ndarray:
     """V(rho_U) in the plane-wave basis: V_mn = (2*pi)**-1 * d(m - n)."""
-    nm = entries.shape[0]
-    d = diagonal_sums(entries)
-    idx = np.arange(nm)
-    return d[(idx[:, None] - idx[None, :]) + (nm - 1)] / TWO_PI
+    return toeplitz(diagonal_sums(entries)) / TWO_PI
 
 
 def picard_solve(
@@ -342,20 +329,16 @@ def linearized_evolve(
     grid = u0.grid
     if grid.N < bg.J:
         raise TruncationError(f"grid cutoff N={grid.N} below background support J={bg.J}")
-    nm = grid.n_modes
     modes = grid.modes()
     n2 = modes.astype(float) ** 2
     gh = bg.gamma_hat(modes).astype(float)
     gdiff = gh[:, None] - gh[None, :]
     coupling = 1j * (cfg.q / TWO_PI) * gdiff
-    idx = np.arange(nm)
-    lookup = (idx[:, None] - idx[None, :]) + (nm - 1)
-    half_band = slice(nm - 1 - grid.N, nm + grid.N)  # k = -N..N inside d(k)
+    half_band = slice(grid.N, 3 * grid.N + 1)  # k = -N..N inside d(k), k = -2N..2N
 
     def rhs(w: np.ndarray, u_phase: np.ndarray) -> np.ndarray:
         u = u_phase[:, None] * w * u_phase.conj()[None, :]
-        d = diagonal_sums(u)
-        forced = coupling * d[lookup]
+        forced = coupling * toeplitz(diagonal_sums(u))
         return u_phase.conj()[:, None] * forced * u_phase[None, :]
 
     steps = cfg.steps

@@ -15,10 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, bessel_constant, lp_norm, synthesize_batch
+from .spectral import TWO_PI, SpectralGrid, bessel_constant, diagonal_sums, lp_norm
+from .spectral import FourierField, sobolev_norm, synthesize_batch, toeplitz
 from .states import (
     MixedState,
     OperatorMatrix,
+    density_samples,
     hs1_norm_nonneg,
     mass,
     kinetic_energy,
@@ -27,7 +29,7 @@ from .states import (
     to_matrix,
     ybar_bound,
 )
-from .dynamics import EvolveConfig, TrajectoryRecord, _potential_matrix, diagonal_sums, evolve
+from .dynamics import EvolveConfig, TrajectoryRecord, _potential_matrix, evolve
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,7 @@ def _constant_result(name: str, cfg: "EnsembleConfig", ratios: list) -> CheckRes
 
 
 def random_field_coeffs(rng: np.random.Generator, grid: SpectralGrid, decay: float) -> np.ndarray:
-    n = grid.modes().astype(float)
-    shape = (1.0 + n * n) ** (-0.5 * decay)
+    shape = grid.brackets_sq() ** (-0.5 * decay)
     return (rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)) * shape
 
 
@@ -105,11 +106,6 @@ def _sample_state(rng: np.random.Generator, cfg: EnsembleConfig) -> MixedState:
     return random_mixed_state(rng, cfg.grid, rank, cfg.decay_exponent)
 
 
-def _density_samples(state: MixedState) -> np.ndarray:
-    psi = synthesize_batch(state.grid, state.orbitals)
-    return (np.abs(psi) ** 2).T @ state.weights
-
-
 # ---- explicit-constant checks ----
 
 
@@ -120,7 +116,7 @@ def check_bessel(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
     violations, worst, offender = 0, 0.0, None
     for _ in range(cfg.n_samples):
         state = _sample_state(rng, cfg)
-        lhs = float(_density_samples(state).max())
+        lhs = float(density_samples(state).max())
         rhs = b_s * hs1_norm_nonneg(state, s)
         ratio = lhs / rhs if rhs else 0.0
         worst = max(worst, ratio)
@@ -171,7 +167,7 @@ def check_hoffmann_ostenhof(cfg: EnsembleConfig) -> CheckResult:
         dpsi = synthesize_batch(cfg.grid, state.orbitals * (1j * n)[None, :])
         rho = (np.abs(psi) ** 2).T @ state.weights
         drho = (2.0 * np.real(np.conj(psi) * dpsi)).T @ state.weights
-        eps = 1e-12 * float(rho.max()) if rho.size else 0.0
+        eps = 1e-12 * float(rho.max())
         integrand = drho**2 / (4.0 * (rho + eps))
         lhs = float(np.sum(integrand)) * TWO_PI / cfg.grid.M
         rhs = kinetic_energy(state)
@@ -204,7 +200,7 @@ def check_apriori_ensemble(
     run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=max(1, int(round(T / dt)) // 10))
     for _ in range(cfg.n_samples):
         state = _sample_state(rng, cfg)
-        rho_l2 = lp_norm(_density_samples(state), 2)
+        rho_l2 = lp_norm(density_samples(state), 2)
         ybar = ybar_bound(mass(state), kinetic_energy(state), rho_l2, p, q, focusing)
         _, records = evolve(state, run_cfg)
         part = check_apriori(records, ybar)
@@ -218,10 +214,8 @@ def check_apriori_ensemble(
 
 def _matrix_density_sobolev(u: OperatorMatrix, s: float) -> float:
     """||rho_U||_{H^s} for a general (possibly sign-indefinite) matrix."""
-    nm = u.grid.n_modes
-    k = np.arange(-(nm - 1), nm, dtype=float)
-    rho_hat = diagonal_sums(u.entries) / math.sqrt(TWO_PI)
-    return math.sqrt(float(np.sum((1.0 + k * k) ** s * np.abs(rho_hat) ** 2)))
+    rho_hat = diagonal_sums(u.entries) / math.sqrt(TWO_PI)  # on k = -2N..2N
+    return sobolev_norm(FourierField(SpectralGrid(2 * u.grid.N), rho_hat), s)
 
 
 def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
@@ -241,12 +235,7 @@ def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
 
 def _multiplier_matrix(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Multiplication by f as a matrix: (V_f)_mn = (2pi)^-1/2 fhat(m - n)."""
-    nm = grid.n_modes
-    idx = np.arange(nm)
-    diff = idx[:, None] - idx[None, :]
-    padded = np.zeros(2 * nm - 1, dtype=complex)
-    padded[(nm - 1) - grid.N : (nm - 1) + grid.N + 1] = coeffs
-    return padded[diff + (nm - 1)] / math.sqrt(TWO_PI)
+    return toeplitz(np.pad(coeffs, grid.N)) / math.sqrt(TWO_PI)
 
 
 def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
@@ -293,16 +282,13 @@ def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
     """
     rng = np.random.default_rng(cfg.seed)
     nm = cfg.grid.n_modes
-    k = np.arange(-(nm - 1), nm, dtype=float)
-    wk = 1.0 + k * k
+    wk = SpectralGrid(2 * cfg.grid.N).brackets_sq()  # <k>^2 on k = -2N..2N
     ratios = []
     for _ in range(cfg.n_samples):
         u1 = to_matrix(_sample_state(rng, cfg)).entries
         u2 = to_matrix(_sample_state(rng, cfg)).entries
         u = OperatorMatrix(cfg.grid, u1 - u2, hermitian=True)
-        sums = np.array(
-            [np.abs(np.diagonal(u.entries, offset=-int(kk))).sum() for kk in k.astype(int)]
-        )
+        sums = diagonal_sums(np.abs(u.entries)).real
         lhs = float(np.sum(wk * sums**2) - sums[nm - 1] ** 2)  # drop k = 0
         denom = sobolev_schatten_norm(u, 1.0) ** 2
         if denom < 1e-14:
@@ -317,28 +303,21 @@ def fourier_summation_semi_explicit() -> float:
     return 8.0 * TWO_PI * bessel_constant(1.0, 1e-12)
 
 
-ALL_CHECKS = (
-    "bessel",
-    "gn",
-    "hoffmann_ostenhof",
-    "trace",
-    "conjugation",
-    "bilinear",
-    "fourier_summation",
-)
+# name -> check(cfg, s), in the order of ALL_CHECKS; looked up at call time
+_CHECKS = {
+    "bessel": lambda cfg, s: check_bessel(cfg, s),
+    "gn": lambda cfg, s: check_gn(cfg),
+    "hoffmann_ostenhof": lambda cfg, s: check_hoffmann_ostenhof(cfg),
+    "trace": lambda cfg, s: check_trace_estimate(cfg, s),
+    "conjugation": lambda cfg, s: check_conjugation(cfg, s),
+    "bilinear": lambda cfg, s: check_bilinear(cfg, s),
+    "fourier_summation": lambda cfg, s: check_fourier_summation(cfg),
+}
+ALL_CHECKS = tuple(_CHECKS)
 
 
 def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -> list[CheckResult]:
-    table = {
-        "bessel": lambda: check_bessel(cfg, s),
-        "gn": lambda: check_gn(cfg),
-        "hoffmann_ostenhof": lambda: check_hoffmann_ostenhof(cfg),
-        "trace": lambda: check_trace_estimate(cfg, s),
-        "conjugation": lambda: check_conjugation(cfg, s),
-        "bilinear": lambda: check_bilinear(cfg, s),
-        "fourier_summation": lambda: check_fourier_summation(cfg),
-    }
-    unknown = [n for n in names if n not in table]
+    unknown = [n for n in names if n not in _CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    return [table[n]() for n in names]
+    return [_CHECKS[n](cfg, s) for n in names]

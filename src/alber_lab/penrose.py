@@ -63,8 +63,7 @@ def laplace_symbol(bg: BackgroundSymbol, p: float, k: int, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam.real <= 0.0):
         raise ValueError("the Laplace symbol is defined on the open half-plane Re(lambda) > 0")
-    c, omega = _kernel_terms(bg, p, k)
-    out = np.sum(c / (lam[..., None] - 1j * omega), axis=-1)
+    out = _symbol_unchecked(*_kernel_terms(bg, p, k), lam)
     return out if out.shape else complex(out)
 
 
@@ -74,8 +73,7 @@ def _symbol_unchecked(c: np.ndarray, omega: np.ndarray, lam: np.ndarray) -> np.n
 
 def dispersion(bg: BackgroundSymbol, p: float, q: float, k: int, lam) -> np.ndarray:
     """F_k(lambda) = 1 - (i*q/2pi) * Phitilde_k(lambda)."""
-    out = 1.0 - (1j * q / TWO_PI) * laplace_symbol(bg, p, k, lam)
-    return out if np.asarray(out).shape else complex(out)
+    return 1.0 - (1j * q / TWO_PI) * laplace_symbol(bg, p, k, lam)
 
 
 @dataclass(frozen=True)
@@ -204,17 +202,19 @@ def penrose_margin(
 
 
 def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
-    """rho_hat_free(k, t) = sum_j exp(i*p*k*(2j+k)*t) * U0_{j+k, j}."""
+    """rho_hat_free(k, t) = sum_j exp(i*p*k*(2j+k)*t) * U0_{j+k, j}.
+
+    Reads the diagonal with np.diagonal, not spectral.diagonal_sums, on
+    purpose: it feeds the Volterra oracle that is checked against
+    linearized_evolve, which uses diagonal_sums.
+    """
     if k == 0:
         raise ValueError("k = 0 carries no free oscillation; use the trace")
     nm = u0.grid.n_modes
     if abs(k) >= nm:
         raise ValueError(f"|k|={abs(k)} outside the band of the matrix")
     d = np.diagonal(u0.entries, offset=-k)
-    if k >= 0:
-        j = np.arange(-u0.grid.N, u0.grid.N - k + 1)
-    else:
-        j = np.arange(-u0.grid.N - k, u0.grid.N + 1)
+    j = np.arange(-u0.grid.N + max(-k, 0), u0.grid.N - max(k, 0) + 1)
     omega = p * k * (2 * j + k)
     t = np.asarray(t, dtype=float)
     out = np.sum(d * np.exp(1j * np.multiply.outer(t, omega.astype(float))), axis=-1)
@@ -252,7 +252,7 @@ def volterra_solve(
     rho_free = np.asarray(free_density(u0, p, k, t), dtype=complex)
     if c.size == 0:
         return rho_free
-    phi = np.sum(c * np.exp(1j * np.multiply.outer(t, omega)), axis=-1)
+    phi = volterra_kernel(bg, p, k, t)
     coef = 1j * q / TWO_PI
     denom = 1.0 - coef * 0.5 * dt * phi[0]
     rho = np.empty_like(rho_free)

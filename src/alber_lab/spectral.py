@@ -6,13 +6,17 @@ Everything downstream relies on the unitary Fourier convention
     f(x)     = (2*pi)**-0.5 * sum_n f_hat(n) exp(+i*n*x),
 
 so Parseval reads ||f||_{L2}^2 = sum_n |f_hat(n)|^2 with no extra factor.
-All operations here are pure functions; no transform state is cached.
+The plane-wave Toeplitz pair lives here too: diagonal_sums (the density
+coefficients of a mode matrix) and its adjoint toeplitz (multiplication).
+All operations here are pure functions; only the offset table that the
+pair indexes is cached, one read-only copy per matrix size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,6 +145,35 @@ def synthesize(field_: FourierField) -> np.ndarray:
 def analyze(grid: SpectralGrid, samples: np.ndarray) -> FourierField:
     """FourierField from physical samples (band-limited projection)."""
     return FourierField(grid, analyze_batch(grid, samples))
+
+
+@lru_cache(maxsize=16)
+def _offsets(nm: int) -> np.ndarray:
+    """Read-only table (m - n) + (nm - 1) of an nm x nm matrix."""
+    idx = np.arange(nm)
+    table = (idx[:, None] - idx[None, :]) + (nm - 1)
+    table.flags.writeable = False
+    return table
+
+
+def diagonal_sums(entries: np.ndarray) -> np.ndarray:
+    """All diagonal sums d(k) = sum_j U_{j+k, j} for k = -(nm-1)..(nm-1).
+
+    d(k) is (2*pi)**0.5 times the unitary Fourier coefficient of the
+    position density of U.
+    """
+    nm = entries.shape[0]
+    offsets = _offsets(nm).ravel()
+    re = np.bincount(offsets, weights=entries.real.ravel(), minlength=2 * nm - 1)
+    im = np.bincount(offsets, weights=entries.imag.ravel(), minlength=2 * nm - 1)
+    return re + 1j * im
+
+
+def toeplitz(d: np.ndarray) -> np.ndarray:
+    """T_mn = d(m - n) for d on k = -(nm-1)..(nm-1); the adjoint of diagonal_sums."""
+    if len(d) % 2 != 1:
+        raise ValueError(f"diagonal values must cover k = -(nm-1)..(nm-1), got length {len(d)}")
+    return d[_offsets((len(d) + 1) // 2)]
 
 
 def sobolev_norm(field_: FourierField, s: float) -> float:

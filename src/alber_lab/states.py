@@ -5,6 +5,9 @@ and orthonormal orbitals psi_k.  Its matrix in the orthonormal basis
 e_n = (2*pi)**-0.5 exp(i*n*x) is U_mn = sum_k mu_k psihat_k(m) conj(psihat_k(n)).
 Homogeneous backgrounds are diagonal in that basis: a symbol Gamma_hat >= 0
 supported on |n| <= J gives the matrix diag(Gamma_hat(n)).
+Each orbital formula has one home: density_samples (rho on the grid),
+_orbital_sum (the weighted trace behind mass, kinetic energy and the
+H^s S^1 norm) and _energy (E = -p*K + (q/2)*||rho||^2, shared by monitor).
 """
 
 from __future__ import annotations
@@ -157,17 +160,22 @@ class BackgroundSymbol:
 # ---- densities and matrices ----
 
 
-def density(state: MixedState) -> tuple[FourierField, np.ndarray]:
-    """Position density rho(x) = sum_k mu_k |psi_k(x)|^2.
+def density_samples(state: MixedState) -> np.ndarray:
+    """Position density rho(x_j) = sum_k mu_k |psi_k(x_j)|^2 on the M points.
 
-    Returns the band-limited field (modes -N..N) and the raw physical
-    samples; the samples resolve the full band of rho (<= 2N) and are
-    real and non-negative by construction.
+    The samples resolve the full band of rho (<= 2N) and are real and
+    non-negative by construction; a rank-0 state gives zeros.
     """
+    if state.rank == 0:
+        return np.zeros(state.grid.M)
     psi = synthesize_batch(state.grid, state.orbitals)
-    rho = np.abs(psi) ** 2
-    samples = rho.T @ state.weights if state.rank else np.zeros(state.grid.M)
-    return analyze(state.grid, samples.astype(complex)), samples
+    return (np.abs(psi) ** 2).T @ state.weights
+
+
+def density(state: MixedState) -> tuple[FourierField, np.ndarray]:
+    """The density as a band-limited field (modes -N..N) and its raw samples."""
+    samples = density_samples(state)
+    return analyze(state.grid, samples), samples
 
 
 def to_matrix(state: MixedState) -> OperatorMatrix:
@@ -178,18 +186,21 @@ def to_matrix(state: MixedState) -> OperatorMatrix:
     return OperatorMatrix(state.grid, u, hermitian=True)
 
 
-def background_to_matrix(bg: BackgroundSymbol, grid: SpectralGrid) -> OperatorMatrix:
-    """diag(Gamma_hat(n)) on the grid band; the cutoff must hold the support."""
+def _band_symbol(bg: BackgroundSymbol, grid: SpectralGrid) -> np.ndarray:
+    """Gamma_hat on the grid band; the cutoff must hold the support."""
     if grid.N < bg.J:
         raise TruncationError(f"grid cutoff N={grid.N} cannot hold symbol support J={bg.J}")
-    return OperatorMatrix(grid, np.diag(bg.gamma_hat(grid.modes()).astype(complex)), hermitian=True)
+    return bg.gamma_hat(grid.modes())
+
+
+def background_to_matrix(bg: BackgroundSymbol, grid: SpectralGrid) -> OperatorMatrix:
+    """diag(Gamma_hat(n)) on the grid band."""
+    return OperatorMatrix(grid, np.diag(_band_symbol(bg, grid).astype(complex)), hermitian=True)
 
 
 def background_to_state(bg: BackgroundSymbol, grid: SpectralGrid) -> MixedState:
     """The background as a mixed state of plane waves (zero-weight modes dropped)."""
-    if grid.N < bg.J:
-        raise TruncationError(f"grid cutoff N={grid.N} cannot hold symbol support J={bg.J}")
-    values = bg.gamma_hat(grid.modes())
+    values = _band_symbol(bg, grid)
     keep = np.flatnonzero(values > 0.0)
     orbitals = np.zeros((keep.size, grid.n_modes), dtype=complex)
     orbitals[np.arange(keep.size), keep] = 1.0
@@ -233,15 +244,16 @@ def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     return float(_singular_values(weighted).sum())
 
 
+def _orbital_sum(state: MixedState, w) -> float:
+    """tr(diag(w) gamma) = sum_k mu_k sum_n w(n) |psihat_k(n)|^2; 0 at rank 0."""
+    return float(np.dot(state.weights, np.sum(w * np.abs(state.orbitals) ** 2, axis=1)))
+
+
 def hs1_norm_nonneg(state: MixedState, s: float) -> float:
     """H^s Schatten-1 norm of a non-negative state: sum_k mu_k ||psi_k||_{H^s}^2."""
     if s < 0:
         raise ValueError(f"negative Sobolev order s={s}")
-    if state.rank == 0:
-        return 0.0
-    w = state.grid.brackets_sq() ** s
-    per_orbital = np.sum(w[None, :] * np.abs(state.orbitals) ** 2, axis=1)
-    return float(np.dot(state.weights, per_orbital))
+    return _orbital_sum(state, state.grid.brackets_sq() ** s)
 
 
 # ---- conserved observables ----
@@ -249,19 +261,12 @@ def hs1_norm_nonneg(state: MixedState, s: float) -> float:
 
 def mass(state: MixedState) -> float:
     """tr gamma = sum_k mu_k ||psi_k||^2 (= sum_k mu_k for orthonormal orbitals)."""
-    if state.rank == 0:
-        return 0.0
-    norms = np.sum(np.abs(state.orbitals) ** 2, axis=1)
-    return float(np.dot(state.weights, norms))
+    return _orbital_sum(state, 1.0)
 
 
 def kinetic_energy(state: MixedState) -> float:
     """tr(-Lap gamma) = sum_k mu_k sum_n n^2 |psihat_k(n)|^2."""
-    if state.rank == 0:
-        return 0.0
-    n2 = state.grid.modes().astype(float) ** 2
-    per_orbital = np.sum(n2[None, :] * np.abs(state.orbitals) ** 2, axis=1)
-    return float(np.dot(state.weights, per_orbital))
+    return _orbital_sum(state, state.grid.modes().astype(float) ** 2)
 
 
 @lru_cache(maxsize=8)
@@ -269,14 +274,17 @@ def _bessel_b1() -> float:
     return bessel_constant(1.0, 1e-12)
 
 
+def _energy(kinetic: float, rho: np.ndarray, p: float, q: float) -> float:
+    """E = -p*K + (q/2)*||rho||_{L2}^2 from the kinetic energy and density samples."""
+    return -p * kinetic + 0.5 * q * lp_norm(rho, 2) ** 2
+
+
 def energy(state: MixedState, p: float, q: float) -> float:
     """Conserved energy E = -p*K + (q/2)*||rho||_{L2}^2."""
     if p * q == 0.0:
         raise ValueError("dispersion and coupling coefficients must be nonzero")
     kin = kinetic_energy(state)
-    _, rho = density(state)
-    rho_l2 = lp_norm(rho, 2) if rho.size else 0.0
-    value = -p * kin + 0.5 * q * rho_l2**2
+    value = _energy(kin, density_samples(state), p, q)
     # |E| <= |p|*||gamma||_{H1 S1} + (|q|/2)*B_1*||gamma||_{S1}*||gamma||_{H1 S1}
     h1s1 = mass(state) + kin
     bound = abs(p) * h1s1 + 0.5 * abs(q) * _bessel_b1() * mass(state) * h1s1
@@ -320,11 +328,7 @@ def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
         )
     keep = evals > threshold
     order = np.argsort(evals[keep])[::-1]
-    weights = evals[keep][order]
-    orbitals = evecs[:, keep][:, order].T
-    if weights.size == 0:
-        return MixedState.empty(u.grid)
-    return MixedState(u.grid, weights, orbitals)
+    return MixedState(u.grid, evals[keep][order], evecs[:, keep][:, order].T)
 
 
 def reorthonormalized(state: MixedState, drop_tol: float = 1e-12) -> MixedState:

@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -439,3 +440,88 @@ class TestConvergence:
     def test_bad_mode_rejected(self, tmp_path):
         cfg = self.conv_config(tmp_path / "x", {"mode": "banana"})
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+def perturb_input(out_dir: Path, **section) -> dict:
+    sec = {"background": "stable-broad", "epsilon": 1e-3, "kappa": 0.03, "c_bilinear": 2.0, "T": 0.02, "dt": 0.01}
+    sec.update(section)
+    return {"output_dir": str(out_dir), "seed": 1, "grid": {"N": 4}, "perturb": sec}
+
+
+class TestInputErrors:
+    """Bad values in a config exit 2 with a message, not a traceback."""
+
+    def run(self, tmp_path, capsys, command, cfg) -> str:
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        return capsys.readouterr().err
+
+    def test_unknown_penrose_background(self, tmp_path, capsys):
+        cfg = {"output_dir": str(tmp_path / "x"), "penrose": {"background": "nope"}}
+        assert "'nope'" in self.run(tmp_path, capsys, "penrose", cfg)
+
+    def test_unknown_state_background(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", state={"preset": "background", "name": "nope"})
+        assert "'nope'" in self.run(tmp_path, capsys, "simulate", cfg)
+
+    def test_state_band_above_grid(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", state={"preset": "random-smooth", "band": 9})
+        assert "state.band" in self.run(tmp_path, capsys, "simulate", cfg)
+
+    def test_state_rank_above_modes(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", state={"preset": "random-smooth", "rank": 18, "band": 3})
+        assert "state.rank" in self.run(tmp_path, capsys, "simulate", cfg)
+
+    def test_seed_band_above_grid(self, tmp_path, capsys):
+        cfg = perturb_input(tmp_path / "x", seed_band=5)
+        assert "perturb.seed_band" in self.run(tmp_path, capsys, "perturb", cfg)
+
+    def test_perturb_k_max_zero(self, tmp_path, capsys):
+        cfg = perturb_input(tmp_path / "x", k_max=0)
+        del cfg["perturb"]["kappa"]
+        assert "perturb.k_max" in self.run(tmp_path, capsys, "perturb", cfg)
+
+    def test_bessel_order_too_small(self, tmp_path, capsys):
+        cfg = {"output_dir": str(tmp_path / "x"), "ensemble": {"n_samples": 2, "N": 4, "checks": ["bessel"], "s": 0.3}}
+        assert "ensemble.s" in self.run(tmp_path, capsys, "inequalities", cfg)
+
+    def test_ensemble_rank_above_modes(self, tmp_path, capsys):
+        cfg = {"output_dir": str(tmp_path / "x"), "ensemble": {"n_samples": 2, "N": 1, "checks": ["bessel"]}}
+        assert "ensemble.rank_range" in self.run(tmp_path, capsys, "inequalities", cfg)
+
+    def test_convergence_cutoff_zero(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", convergence={"mode": "N", "Ns": [0], "T": 0.02, "dt": 0.01})
+        del cfg["time"]
+        assert "Ns [0]" in self.run(tmp_path, capsys, "convergence", cfg)
+        assert not (tmp_path / "x" / "errors.csv").exists()
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ({"time": {"dt": 0.01, "T": 0.05, "recordevery": 2}}, "time.recordevery"),
+            ({"tme": {"dt": 0.01}}, "'tme'"),
+            ({"ensemble": {"n_samples": 2}}, "'ensemble'"),  # a section of another subcommand
+            ({"time": 5}, "time must be a JSON object"),
+        ],
+    )
+    def test_rejected_and_named(self, tmp_path, capsys, extra, named):
+        cfg = simulate_config(tmp_path / "x", **extra)
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_retired_key_keeps_its_hint(self):
+        with pytest.raises(cli.ConfigError, match="is retired"):
+            cli.check_keys({"penrose": {"background": "stable-broad", "refine_iters": 3}}, "penrose")
+
+    def test_readme_examples_pass(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
+        sections = {"time": "simulate", "penrose": "penrose", "perturb": "perturb",
+                    "ensemble": "inequalities", "convergence": "convergence"}
+        seen = set()
+        for cfg in blocks:
+            command = next(sections[k] for k in cfg if k in sections)
+            cli.check_keys(cfg, command)
+            seen.add(command)
+        assert seen == set(cli.HANDLERS)

@@ -16,7 +16,7 @@ import alber_lab as al
 import alber_lab.dynamics as dyn
 import alber_lab.states as states_mod
 from alber_lab.dynamics import DivergenceError, diagonal_sums
-from alber_lab.spectral import TWO_PI
+from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch
 
 from conftest import random_state
 
@@ -358,6 +358,21 @@ class TestDiagonalSums:
             )
             assert abs(d[k + nm - 1] - brute) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=hst.integers(1, 8), rank=hst.integers(0, 3), seed=hst.integers(0, 2**32 - 1))
+    def test_potential_matrix_is_multiplication_by_rho(self, n, rank, seed):
+        # rho has band 2N and psi band N, so with M >= 4N + 2 the product's
+        # band-limited projection is exact and no alias lands on |n| <= N
+        grid = al.SpectralGrid(n)
+        st = random_state(grid, rank, seed) if rank else al.MixedState.empty(grid)
+        gen = np.random.default_rng(seed)
+        psi_hat = gen.standard_normal(grid.n_modes) + 1j * gen.standard_normal(grid.n_modes)
+        got = dyn._potential_matrix(al.to_matrix(st).entries) @ psi_hat
+        rho = al.density_samples(st)
+        expected = analyze_batch(grid, rho * synthesize_batch(grid, psi_hat))
+        scale = max(1.0, float(st.weights.sum())) * np.linalg.norm(psi_hat)
+        assert np.abs(got - expected).max() <= 1e-13 * scale
+
 
 class TestLinearizedEvolve:
     @staticmethod
@@ -398,6 +413,30 @@ class TestLinearizedEvolve:
         k = np.asarray(traj.k_modes)
         trace = traj.density_modes[:, k == 0][:, 0]
         assert np.abs(trace - trace[0]).max() <= 1e-10
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        J=hst.integers(0, 2),
+        extra=hst.integers(0, 2),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-1.0, 0.5, 1.0]),
+        q=hst.sampled_from([-2.0, -1.0, 1.0]),
+        steps=hst.integers(1, 40),
+    )
+    def test_trace_conserved_property(self, J, extra, seed, p, q, steps):
+        # the diagonal has zero forcing, so tr U moves only by the rounding
+        # of |exp(i p n^2 t)|^2 = 1 in the recorded matrix
+        gen = np.random.default_rng(seed)
+        grid = al.SpectralGrid(J + 1 + extra)
+        bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+        u0 = al.random_hermitian_perturbation(grid, J + 1, gen)
+        cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=max(1, steps // 4))
+        traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        trace = traj.density_modes[:, grid.N]
+        scale = float(np.abs(np.diag(u0.entries)).sum())
+        assert np.abs(trace - trace[0]).max() <= 1e-14 * scale
+        for m in traj.matrices:
+            assert abs(np.trace(m.entries) - np.trace(u0.entries)) <= 1e-14 * scale
 
     def test_truncation_guard(self):
         grid = al.SpectralGrid(2)

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab as al
 from alber_lab.inequalities import (
     ALL_CHECKS,
     EnsembleConfig,
+    _multiplier_matrix,
+    _sample_state,
     _tail_mean,
     check_apriori,
     check_apriori_ensemble,
@@ -27,6 +31,7 @@ from alber_lab.inequalities import (
     fourier_summation_semi_explicit,
     run_checks,
 )
+from alber_lab.spectral import analyze_batch, synthesize_batch
 
 TWO_PI = 2.0 * math.pi
 
@@ -290,3 +295,45 @@ class TestRunChecks:
             (big,) = run_checks(small_cfg(200, N=12, seed=3), names=(name,))
             drift = abs(big.empirical_constant - small.empirical_constant)
             assert drift <= 0.20 * small.empirical_constant
+
+
+def fourier_summation_by_loop(cfg: EnsembleConfig) -> list:
+    """The Fourier-summation ratios with every diagonal sum written out."""
+    rng = np.random.default_rng(cfg.seed)
+    nm = cfg.grid.n_modes
+    ratios = []
+    for _ in range(cfg.n_samples):
+        u = al.to_matrix(_sample_state(rng, cfg)).entries - al.to_matrix(_sample_state(rng, cfg)).entries
+        lhs = 0.0
+        for k in range(-(nm - 1), nm):
+            if k:
+                diag = sum(abs(u[j + k, j]) for j in range(max(0, -k), min(nm, nm - k)))
+                lhs += (1 + k * k) * diag**2
+        denom = al.sobolev_schatten_norm(al.OperatorMatrix(cfg.grid, u, hermitian=True), 1.0) ** 2
+        if denom >= 1e-14:
+            ratios.append(lhs / denom)
+    return ratios
+
+
+class TestPlaneWaveRoutes:
+    """The Toeplitz-built matrices and sums against independent routes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hst.integers(1, 10), seed=hst.integers(0, 2**32 - 1))
+    def test_multiplier_matrix_is_multiplication(self, n, seed):
+        # f and psi both have band N, so the product (band 2N) is resolved
+        grid = al.SpectralGrid(n)
+        gen = np.random.default_rng(seed)
+        f_hat, psi_hat = gen.standard_normal((2, grid.n_modes)) + 1j * gen.standard_normal((2, grid.n_modes))
+        got = _multiplier_matrix(grid, f_hat) @ psi_hat
+        expected = analyze_batch(grid, synthesize_batch(grid, f_hat) * synthesize_batch(grid, psi_hat))
+        assert np.abs(got - expected).max() <= 1e-13 * np.linalg.norm(f_hat) * np.linalg.norm(psi_hat)
+
+    @settings(max_examples=15, deadline=None)
+    @given(n=hst.integers(2, 5), samples=hst.integers(1, 6), seed=hst.integers(0, 2**32 - 1))
+    def test_fourier_summation_matches_loop(self, n, samples, seed):
+        cfg = small_cfg(samples, N=n, seed=seed)
+        ratios = fourier_summation_by_loop(cfg)
+        res = check_fourier_summation(cfg)
+        assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
+        assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)

@@ -10,9 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab as al
-from alber_lab.spectral import TWO_PI, analyze_batch, fft_friendly_size, synthesize_batch
+from alber_lab.spectral import (
+    TWO_PI,
+    _offsets,
+    analyze_batch,
+    diagonal_sums,
+    fft_friendly_size,
+    synthesize_batch,
+    toeplitz,
+)
 
 COTH_PI_HALF = 0.5018709365986607  # coth(pi)/2 to 16 digits
 B20_BRUTE = 0.15915524665586178  # (1 + 2*2^-20 + 2*5^-20 + ...)/(2*pi)
@@ -161,3 +171,37 @@ class TestBesselConstant:
             al.bessel_constant(0.5)
         with pytest.raises(ValueError):
             al.bessel_constant(0.3)
+
+
+class TestToeplitzPair:
+    @settings(max_examples=40, deadline=None)
+    @given(nm=hst.integers(1, 13), seed=hst.integers(0, 2**32 - 1))
+    def test_adjoint_identity(self, nm, seed):
+        # <toeplitz(d), U> = sum_mn conj(d(m-n)) U_mn = <d, diagonal_sums(U)>
+        gen = np.random.default_rng(seed)
+        u = gen.standard_normal((nm, nm)) + 1j * gen.standard_normal((nm, nm))
+        d = gen.standard_normal(2 * nm - 1) + 1j * gen.standard_normal(2 * nm - 1)
+        lhs = np.vdot(toeplitz(d), u)
+        rhs = np.vdot(d, diagonal_sums(u))
+        scale = math.sqrt(nm) * np.linalg.norm(d) * np.linalg.norm(u)
+        assert abs(lhs - rhs) <= 1e-13 * scale
+
+    def test_toeplitz_entries(self):
+        nm = 5
+        d = np.arange(2 * nm - 1) + 1j
+        t = toeplitz(d)
+        for m in range(nm):
+            for n in range(nm):
+                assert t[m, n] == d[m - n + nm - 1]
+
+    def test_offset_table_cached_and_read_only(self):
+        table = _offsets(7)
+        assert _offsets(7) is table
+        assert not table.flags.writeable
+        out = toeplitz(np.zeros(13, dtype=complex))
+        out[0, 0] = 1.0  # the result is a fresh array, not a view of the table
+        assert table[0, 0] == 6
+
+    def test_even_length_rejected(self):
+        with pytest.raises(ValueError):
+            toeplitz(np.zeros(4))

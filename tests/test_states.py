@@ -12,9 +12,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab as al
-from alber_lab.spectral import TWO_PI
+from alber_lab.spectral import TWO_PI, diagonal_sums
 from alber_lab.states import GramError, gram_deviation, gram_matrix
 
 from conftest import random_state
@@ -386,3 +388,62 @@ class TestSerialization:
         d["schema"] = "alber-lab/other-v9"
         with pytest.raises(ValueError):
             al.state_from_dict(d)
+
+
+def state_of_rank(n: int, rank: int, seed: int) -> al.MixedState:
+    grid = al.SpectralGrid(n)
+    return random_state(grid, rank, seed) if rank else al.MixedState.empty(grid)
+
+
+class TestOneHomeFormulas:
+    """density_samples, the orbital traces and the energy against the matrix route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hst.integers(1, 8), rank=hst.integers(0, 3), seed=hst.integers(0, 2**32 - 1))
+    def test_density_samples_match_diagonal_sums(self, n, rank, seed):
+        st = state_of_rank(n, rank, seed)
+        # diagonal sums are sqrt(2 pi) rho_hat(k), k = -2N..2N
+        d = diagonal_sums(al.to_matrix(st).entries)
+        k = np.arange(-2 * n, 2 * n + 1)
+        expected = (np.exp(1j * np.outer(st.grid.points(), k)) @ d).real / TWO_PI
+        got = al.density_samples(st)
+        assert got.shape == (st.grid.M,)
+        assert np.abs(got - expected).max() <= 1e-13 * max(1.0, float(st.weights.sum()))
+
+    def test_density_samples_rank_zero(self, grid8):
+        got = al.density_samples(al.MixedState.empty(grid8))
+        assert got.shape == (grid8.M,) and np.all(got == 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(1, 8),
+        rank=hst.integers(0, 3),
+        seed=hst.integers(0, 2**32 - 1),
+        s=hst.floats(0.0, 3.0),
+    )
+    def test_orbital_traces_match_matrix_diagonal(self, n, rank, seed, s):
+        st = state_of_rank(n, rank, seed)
+        diag = np.diag(al.to_matrix(st).entries).real
+        n2 = st.grid.modes().astype(float) ** 2
+        tol = 1e-12 * max(1.0, float(np.abs(diag).sum()) * (1.0 + n2.max()) ** max(s, 1.0))
+        assert abs(al.mass(st) - diag.sum()) <= tol
+        assert abs(al.kinetic_energy(st) - n2 @ diag) <= tol
+        assert abs(al.hs1_norm_nonneg(st, s) - (1.0 + n2) ** s @ diag) <= tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=hst.integers(1, 8),
+        rank=hst.integers(0, 3),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-1.0, 0.5, 2.0]),
+        q=hst.sampled_from([-1.0, 1.0, 3.0]),
+    )
+    def test_energy_one_formula(self, n, rank, seed, p, q):
+        st = state_of_rank(n, rank, seed)
+        value = al.energy(st, p, q)
+        cfg = al.EvolveConfig(p, q, 0.1, 0.1)
+        assert al.monitor(st, cfg).energy == value  # the same formula, bit for bit
+        # Parseval on the density coefficients: ||rho||^2 = sum_k |d(k)|^2 / (2 pi)
+        d = diagonal_sums(al.to_matrix(st).entries)
+        direct = -p * al.kinetic_energy(st) + 0.5 * q * float(np.sum(np.abs(d) ** 2)) / TWO_PI
+        assert abs(value - direct) <= 1e-12 * max(1.0, abs(p) * al.kinetic_energy(st) + abs(q))
