@@ -3,16 +3,16 @@
     alber-lab <simulate|penrose|perturb|inequalities|convergence>
               --config <path> [--seed <u64>] [--out <dir>]
 
-Configuration is a single JSON document per run; --seed and --out
-override the corresponding fields.  Every run writes its data files plus
-a manifest.json echoing the resolved configuration, the seed, the tool
-version, wall-clock time and a sha256 per output file.  Data files are
-byte-identical across reruns with the same configuration and seed (the
-manifest's wall-clock field is the one intentional exception).
+Configuration is a single JSON document per run, resolved against
+CONFIG_SCHEMA (each key's type and default); --seed and --out override the
+corresponding fields.  Every run writes its data files plus a manifest.json
+echoing the resolved configuration, the seed, the tool version, wall-clock
+time and a sha256 per output file.  Data files are byte-identical across
+reruns with the same configuration and seed (the manifest's wall-clock
+field is the one intentional exception).
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical
-divergence, 4 inequality-check violation.  A key the subcommand does not
-read (CONFIG_KEYS) is an input error, so a typo cannot fall back to a default.
+Exit codes: 0 success, 2 configuration or input error (the message names
+the key), 3 numerical divergence, 4 inequality-check violation.
 """
 
 from __future__ import annotations
@@ -24,7 +24,9 @@ import json
 import math
 import sys
 import time
+import types
 from pathlib import Path
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .dynamics import (
 )
 from .inequalities import (
     ALL_CHECKS,
-    CheckResult,
     EnsembleConfig,
     check_apriori_ensemble,
     check_bilinear,
@@ -121,12 +122,6 @@ def write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int, t0: 
 # ---- config plumbing ----
 
 
-def _require(cfg: dict, key: str, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return cfg[key]
-
-
 def load_config(path: str, seed_override, out_override) -> dict:
     try:
         with open(path) as fh:
@@ -141,137 +136,161 @@ def load_config(path: str, seed_override, out_override) -> dict:
         cfg["seed"] = seed_override
     if out_override is not None:
         cfg["output_dir"] = out_override
-    cfg.setdefault("seed", 0)
-    if "output_dir" not in cfg:
-        raise ConfigError("missing key 'output_dir' (or pass --out)")
     return cfg
 
 
 RETIRED_SCAN_KEYS = ("s_padding", "s_density", "refine_iters")
-GRID_KEYS = ("N", "M")
-PHYSICS_KEYS = ("p", "q")
-STATE_KEYS = ("file", "preset", "rank", "band", "decay", "mass", "name")
-# read by both the penrose and the perturb section
-MARGIN_KEYS = ("background", "k_max", "eta", "epsilon", "c_bilinear", "eta_min", "eta_max", "n_eta")
-# sections each subcommand reads, and their keys; output_dir and seed are common
-CONFIG_KEYS = {
-    "simulate": {
-        "grid": GRID_KEYS,
-        "physics": PHYSICS_KEYS,
-        "time": ("dt", "T", "record_every"),
-        "state": STATE_KEYS,
-    },
-    "penrose": {"physics": PHYSICS_KEYS, "penrose": MARGIN_KEYS},
-    "perturb": {
-        "grid": GRID_KEYS,
-        "physics": PHYSICS_KEYS,
-        "perturb": MARGIN_KEYS + ("kappa", "T", "dt", "seed_band", "drop_tol", "record_every", "fit_window"),
-    },
-    "inequalities": {
-        "physics": PHYSICS_KEYS,
-        "ensemble": ("n_samples", "N", "rank_range", "decay_exponent", "s", "checks", "apriori"),
-    },
-    "convergence": {
-        "grid": GRID_KEYS,
-        "physics": PHYSICS_KEYS,
-        "state": STATE_KEYS,
-        "convergence": ("mode", "T", "dts", "dt_ref", "Ns", "dt"),
-    },
+# Each key a subcommand reads maps to its default, whose type is the key's type
+# (a tuple default is a list of its first item's type), or, with no default, to
+# its type; a key whose type admits None may be left out.
+GRID = {"N": int, "M": 0}
+PHYSICS = {"p": float, "q": float}
+STATE = {"file": str | None, "preset": str | None, "rank": 4, "band": int | None, "decay": 3.0, "mass": 1.0,
+         "name": str | None}
+# read by both the penrose and the perturb section; physics.p/q default to the preset's
+MARGIN = {"background": str | dict, "eta": 1.0, "c_bilinear": float | None, "eta_min": 1e-3, "eta_max": 10.0,
+          "n_eta": 40}
+PRESET_PHYSICS = {"p": float | None, "q": float | None}
+COMMON = {"output_dir": str, "seed": 0}
+CONFIG_SCHEMA = {
+    "simulate": {"grid": GRID, "physics": PHYSICS, "time": {"dt": float, "T": float, "record_every": 1},
+                 "state": STATE, **COMMON},
+    "penrose": {"physics": PRESET_PHYSICS, "penrose": {**MARGIN, "k_max": 8, "epsilon": 1e-2}, **COMMON},
+    "perturb": {"grid": GRID, "physics": PRESET_PHYSICS, **COMMON,
+                "perturb": {**MARGIN, "k_max": 6, "epsilon": float, "kappa": float | None, "T": float | None,
+                            "dt": 1e-3, "seed_band": int | None, "drop_tol": 1e-12,
+                            "record_every": int | None, "fit_window": list[float] | None}},
+    "inequalities": {"physics": {"p": 1.0, "q": 1.0}, **COMMON,
+                     "ensemble": {"n_samples": int, "N": 32, "rank_range": (1, 4), "decay_exponent": 2.0,
+                                  "s": 1.0, "checks": ALL_CHECKS, "apriori": True}},
+    "convergence": {"grid": GRID, "physics": PHYSICS, "state": STATE, **COMMON,
+                    "convergence": {"mode": "dt", "T": 1.0, "dts": list[float] | None, "dt_ref": float | None,
+                                    "Ns": list[int] | None, "dt": 1e-3}},
 }
 
 
-def check_keys(cfg: dict, subcommand: str) -> None:
-    """Reject a key the subcommand does not read, so a typo cannot fall back to a default."""
-    sections = CONFIG_KEYS[subcommand]
-    for name, section in cfg.items():
-        if name in ("output_dir", "seed"):
-            continue
-        if name not in sections:
-            raise ConfigError(f"unknown key {name!r} for {subcommand}; sections: {', '.join(sections)}")
+def _checked(value, spec, where: str):
+    """A value (None when absent) as its schema entry says, or the entry's
+    default.  A dict entry is a section, or the whole config (where is ""):
+    it allows no other key, so a typo cannot fall back to a default.  An int
+    must be integral, a float finite and a bool a JSON bool; the items of a
+    list are checked one by one."""
+    if isinstance(spec, dict):
+        prefix = f"{where}." if where else ""
+        section = {} if value is None else value
         if not isinstance(section, dict):
-            raise ConfigError(f"{name} must be a JSON object")
+            raise ConfigError(f"{where} must be a JSON object")
         for key in section:
-            if key in RETIRED_SCAN_KEYS and name in ("penrose", "perturb"):
+            if key in RETIRED_SCAN_KEYS and where in ("penrose", "perturb"):
                 raise ConfigError(
-                    f"{name}.{key} is retired: the margin comes from exact zeros and one "
+                    f"{where}.{key} is retired: the margin comes from exact zeros and one "
                     "line, not from a scan grid; eta_min/eta_max/n_eta remain"
                 )
-            if key not in sections[name]:
-                raise ConfigError(f"unknown key {name}.{key}; allowed: {', '.join(sections[name])}")
+            if key not in spec:
+                raise ConfigError(f"unknown key {prefix + key!r}; allowed: {', '.join(spec)}")
+        return {key: _checked(section.get(key), kind, prefix + key) for key, kind in spec.items()}
+    kind = spec
+    if not isinstance(spec, (type, types.UnionType, types.GenericAlias)):  # a default
+        if value is None:
+            return spec
+        kind = list[type(spec[0])] if isinstance(spec, tuple) else type(spec)
+    for option in get_args(kind) if isinstance(kind, types.UnionType) else (kind,):
+        if get_origin(option) is list:
+            if isinstance(value, list):
+                return [_checked(item, get_args(option)[0], f"{where}[{i}]") for i, item in enumerate(value)]
+        elif option is int and (type(value) is int or type(value) is float and value.is_integer()):
+            return int(value)  # type(), not isinstance: a bool is not a number here
+        elif option is float and type(value) in (int, float) and math.isfinite(value):
+            return float(value)
+        elif option not in (int, float) and isinstance(value, option):
+            return value
+    if value is None:
+        raise ConfigError(f"missing key {where}")
+    name = str(kind).removeprefix("<class '").removesuffix("'>").replace("float", "finite float")
+    raise ConfigError(f"{where} must be {name}, got {value!r}")
+
+
+def check_keys(cfg: dict, subcommand: str) -> dict:
+    """cfg resolved against CONFIG_SCHEMA[subcommand]: every key checked and
+    every default filled in."""
+    resolved = _checked(cfg, CONFIG_SCHEMA[subcommand], "")
+    if resolved["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {resolved['seed']}")
+    return resolved
+
+
+def _call(section: str, api, *args, **kwargs):
+    """api(*args, **kwargs), its ValueError as a ConfigError in section.  An
+    API message starts with the name of the parameter at fault, and the CLI
+    passes each key to the parameter of the same name, so it names the key."""
+    try:
+        return api(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _build_grid(cfg: dict) -> SpectralGrid:
-    grid = _require(cfg, "grid")
-    try:
-        return SpectralGrid(int(_require(grid, "N", "grid")), int(grid.get("M", 0)))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _call("grid", SpectralGrid, cfg["grid"]["N"], cfg["grid"]["M"])
 
 
-def _physics(cfg: dict, default_p=None, default_q=None) -> tuple[float, float]:
-    phys = cfg.get("physics", {})
-    p = float(phys.get("p", default_p if default_p is not None else math.nan))
-    q = float(phys.get("q", default_q if default_q is not None else math.nan))
-    if not (math.isfinite(p) and math.isfinite(q)) or p * q == 0.0:
-        raise ConfigError("physics.p and physics.q must be finite and nonzero")
+def _physics(cfg: dict, preset_p=None, preset_q=None) -> tuple[float, float]:
+    phys = cfg["physics"]
+    p = preset_p if phys["p"] is None else phys["p"]
+    q = preset_q if phys["q"] is None else phys["q"]
+    if p is None or q is None or p * q == 0.0:
+        raise ConfigError("physics.p and physics.q must be nonzero (and given, with a symbol background)")
     return p, q
 
 
-def _evolve_config(p: float, q: float, dt: float, T: float, record_every: int = 10**9) -> EvolveConfig:
-    """EvolveConfig with its input errors as ConfigError; by default only
-    the endpoints are recorded."""
-    try:
-        return EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=record_every)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _evolve_config(p: float, q: float, dt: float, T: float, where: str, record_every: int = 10**9):
+    """EvolveConfig with its input errors as ConfigError at the section where;
+    by default only the endpoints are recorded."""
+    return _call(where, EvolveConfig, p=p, q=q, dt=dt, T=T, record_every=record_every)
 
 
-def _preset(name) -> tuple[BackgroundSymbol, float, float]:
+def _preset(name: str, where: str) -> tuple[BackgroundSymbol, float, float]:
     try:
         return background_preset(name)
     except KeyError as exc:
-        raise ConfigError(exc.args[0]) from exc
+        raise ConfigError(f"{where}: {exc.args[0]}") from exc
 
 
-def _background(section: dict) -> tuple[BackgroundSymbol, float | None, float | None]:
-    bg_spec = _require(section, "background", "penrose/perturb section")
+def _background(section: dict, where: str) -> tuple[BackgroundSymbol, float | None, float | None]:
+    bg_spec = section["background"]
     if isinstance(bg_spec, str):
-        return _preset(bg_spec)
-    if isinstance(bg_spec, dict) and "symbol" in bg_spec:
-        try:
-            return BackgroundSymbol(np.asarray(bg_spec["symbol"], dtype=float)), None, None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError("background must be a preset name or {'symbol': [...]}")
+        return _preset(bg_spec, f"{where}.background")
+    if "symbol" in bg_spec:
+        symbol = _checked(bg_spec["symbol"], list[float], f"{where}.background.symbol")
+        return _call(f"{where}.background", BackgroundSymbol, np.asarray(symbol, dtype=float)), None, None
+    raise ConfigError(f"{where}.background must be a preset name or {{'symbol': [...]}}")
 
 
 def _build_state(cfg: dict, grid: SpectralGrid, rng: np.random.Generator) -> MixedState:
-    spec = _require(cfg, "state")
-    if "file" in spec:
+    spec = cfg["state"]
+    if spec["file"] is not None:
         try:
             with open(spec["file"]) as fh:
                 return state_from_dict(json.load(fh))
         except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"cannot load state file {spec['file']}: {exc}") from exc
-    preset = spec.get("preset")
-    if preset == "random-smooth":
-        rank, band = int(spec.get("rank", 4)), int(spec.get("band", min(12, grid.N)))
-        if not 0 <= band <= grid.N:
-            raise ConfigError(f"state.band={band} outside 0..{grid.N} (the grid N)")
-        if not 0 <= rank <= grid.n_modes:
-            raise ConfigError(f"state.rank={rank} outside 0..{grid.n_modes} (the modes of the grid)")
-        return random_smooth_state(
+            raise ConfigError(f"state.file: cannot load {spec['file']}: {exc}") from exc
+    if spec["preset"] == "random-smooth":
+        # random_smooth_state checks rank and band against the grid; its mass is called total_mass
+        if spec["mass"] < 0.0:
+            raise ConfigError(f"state.mass must be >= 0, got {spec['mass']}")
+        return _call(
+            "state",
+            random_smooth_state,
             grid,
-            rank=rank,
-            band=band,
-            decay=float(spec.get("decay", 3.0)),
+            rank=spec["rank"],
+            band=min(12, grid.N) if spec["band"] is None else spec["band"],
+            decay=spec["decay"],
             rng=rng,
-            total_mass=float(spec.get("mass", 1.0)),
+            total_mass=spec["mass"],
         )
-    if preset == "background":
-        bg, _, _ = _preset(spec.get("name", ""))
+    if spec["preset"] == "background":
+        bg, _, _ = _preset(spec["name"], "state.name")
         return background_to_state(bg, grid)
-    raise ConfigError("state must give 'file' or preset 'random-smooth'/'background'")
+    raise ConfigError("state must give 'file' or state.preset 'random-smooth'/'background'")
 
 
 def _trajectory_rows(records: list[TrajectoryRecord]):
@@ -298,13 +317,14 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     grid = _build_grid(cfg)
     p, q = _physics(cfg)
-    tsec = _require(cfg, "time")
+    tsec = cfg["time"]
     run_cfg = _evolve_config(
         p,
         q,
-        dt=float(_require(tsec, "dt", "time")),
-        T=float(_require(tsec, "T", "time")),
-        record_every=int(tsec.get("record_every", 1)),
+        dt=tsec["dt"],
+        T=tsec["T"],
+        where="time",
+        record_every=tsec["record_every"],
     )
     rng = np.random.default_rng(cfg["seed"])
     state = _build_state(cfg, grid, rng)
@@ -322,26 +342,15 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     return code
 
 
-def _k_max(section: dict, where: str, default: int) -> int:
-    k_max = int(section.get("k_max", default))
-    if k_max < 1:
-        raise ConfigError(f"{where}.k_max must be >= 1")
-    return k_max
-
-
-def _scan_from(section: dict, where: str) -> PenroseScan:
-    if not ("eta_min" in section or "eta_max" in section or "n_eta" in section):
-        return PenroseScan()
+def _margins(section: dict, where: str, bg: BackgroundSymbol, p: float, q: float) -> list:
+    """penrose_margin for k = 1..k_max, on the line set by the section's eta grid."""
+    if section["k_max"] < 1:
+        raise ConfigError(f"{where}.k_max must be >= 1, got {section['k_max']}")
     try:
-        return PenroseScan(
-            np.geomspace(
-                float(section.get("eta_min", 1e-3)),
-                float(section.get("eta_max", 10.0)),
-                int(section.get("n_eta", 40)),
-            )
-        )
+        scan = PenroseScan(np.geomspace(section["eta_min"], section["eta_max"], section["n_eta"]))
     except ValueError as exc:
         raise ConfigError(f"{where}: bad eta grid: {exc}") from exc
+    return [penrose_margin(bg, p, q, k, scan) for k in range(1, section["k_max"] + 1)]
 
 
 def _bilinear_constant(section: dict, seed: int) -> float:
@@ -353,14 +362,30 @@ def _bilinear_constant(section: dict, seed: int) -> float:
     return float(c_bil)
 
 
+def _constants(cfg: dict, where: str, bg: BackgroundSymbol, kappa: float, q: float, epsilon: float):
+    """propagator_constants of the background of section where."""
+    c_bilinear = _bilinear_constant(cfg[where], cfg["seed"])
+    args = (bg.h1s1_norm(), bg.l1_norm(), kappa, q, cfg[where]["eta"], epsilon, c_bilinear)
+    return _call(where, propagator_constants, *args)
+
+
 def cmd_penrose(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    section = _require(cfg, "penrose")
-    bg, preset_p, preset_q = _background(section)
+    section = cfg["penrose"]
+    bg, preset_p, preset_q = _background(section, "penrose")
     p, q = _physics(cfg, preset_p, preset_q)
-    k_max = _k_max(section, "penrose", 8)
-    scan = _scan_from(section, "penrose")
-    reports = [penrose_margin(bg, p, q, k, scan) for k in range(1, k_max + 1)]
+    reports = _margins(section, "penrose", bg, p, q)
+    kappa = min(r.margin for r in reports)
+    unstable = any(r.zeros for r in reports)
+    payload = {
+        "kappa_scanned": kappa,
+        "stable_in_scan": not unstable,
+        "per_mode": [r.to_dict() for r in reports],
+        "note": "kappa_scanned is the minimum over k = 1..k_max of inf |F_k| on Re(lambda) >= eta_min",
+    }
+    # the constants come before any file is written, so an input error they find leaves none
+    if not unstable:
+        payload["constants"] = _constants(cfg, "penrose", bg, kappa, q, section["epsilon"]).to_dict()
     rows = []
     for r in reports:
         rows.append(
@@ -373,25 +398,6 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
             )
         )
     write_csv(out / "margins.csv", ("k", "margin", "argmin_re", "argmin_im", "zeros"), rows)
-    kappa = min(r.margin for r in reports)
-    unstable = any(r.zeros for r in reports)
-    payload = {
-        "kappa_scanned": kappa,
-        "stable_in_scan": not unstable,
-        "per_mode": [r.to_dict() for r in reports],
-        "note": "kappa_scanned is the minimum over k = 1..k_max of inf |F_k| on Re(lambda) >= eta_min",
-    }
-    if not unstable:
-        consts = propagator_constants(
-            bg.h1s1_norm(),
-            bg.l1_norm(),
-            kappa,
-            q,
-            float(section.get("eta", 1.0)),
-            float(section.get("epsilon", 1e-2)),
-            _bilinear_constant(section, int(cfg["seed"])),
-        )
-        payload["constants"] = consts.to_dict()
     write_json(out / "constants.json", payload)
     write_manifest(out, "penrose", cfg, cfg["seed"], t0)
     print(f"penrose: kappa={kappa:.6g} stable={not unstable} -> {out}")
@@ -400,59 +406,53 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
 
 def cmd_perturb(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    section = _require(cfg, "perturb")
-    bg, preset_p, preset_q = _background(section)
+    section = cfg["perturb"]
+    bg, preset_p, preset_q = _background(section, "perturb")
     p, q = _physics(cfg, preset_p, preset_q)
     grid = _build_grid(cfg)
-    epsilon = float(_require(section, "epsilon", "perturb"))
+    epsilon, horizon, window = section["epsilon"], section["T"], section["fit_window"]
     if epsilon < 0:
-        raise ConfigError("perturb.epsilon must be nonnegative")
-    if epsilon == 0 and not section.get("T"):
+        raise ConfigError(f"perturb.epsilon must be >= 0, got {epsilon}")
+    if horizon is not None and horizon <= 0.0:
+        raise ConfigError(f"perturb.T must be > 0, got {horizon}")
+    if epsilon == 0 and horizon is None:
         raise ConfigError("perturb.T is required when epsilon is 0 (no intrinsic horizon)")
-    seed_band = int(section.get("seed_band", max(bg.J, 1)))
+    if window is not None and len(window) != 2:
+        raise ConfigError(f"perturb.fit_window must be [t_lo, t_hi], got {window}")
+    seed_band = max(bg.J, 1) if section["seed_band"] is None else section["seed_band"]
     if not 0 <= seed_band <= grid.N:
         raise ConfigError(f"perturb.seed_band={seed_band} outside 0..{grid.N} (the grid N)")
     rng = np.random.default_rng(cfg["seed"])
     u0 = random_hermitian_perturbation(grid, seed_band, rng)
 
-    scan = _scan_from(section, "perturb")
-    kappa_cfg = section.get("kappa")
-    if kappa_cfg is None:
-        k_max = _k_max(section, "perturb", 6)
-        kappa = min(penrose_margin(bg, p, q, k, scan).margin for k in range(1, k_max + 1))
-    else:
-        kappa = float(kappa_cfg)
+    kappa = section["kappa"]
+    if kappa is None:
+        kappa = min(r.margin for r in _margins(section, "perturb", bg, p, q))
     # epsilon = 0 has no intrinsic horizon; constants evaluated at a nominal
     # epsilon so c_star and friends are still reported
-    consts = propagator_constants(
-        bg.h1s1_norm(),
-        bg.l1_norm(),
-        kappa,
-        q,
-        float(section.get("eta", 1.0)),
-        epsilon if epsilon > 0 else 1.0,
-        _bilinear_constant(section, int(cfg["seed"])),
-    )
+    consts = _constants(cfg, "perturb", bg, kappa, q, epsilon if epsilon > 0 else 1.0)
 
     gamma_mat = background_to_matrix(bg, grid)
     datum_entries = gamma_mat.entries + epsilon * u0.entries
     try:
         datum = eigendecompose(
             OperatorMatrix(grid, datum_entries, hermitian=True),
-            drop_tol=float(section.get("drop_tol", 1e-12)),
+            drop_tol=section["drop_tol"],
         )
     except NotNonNegativeError as exc:
-        raise ConfigError(f"perturbed datum is not a state: {exc}") from exc
+        raise ConfigError(f"perturb.epsilon: the perturbed datum is not a state: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"perturb.{exc}") from exc
 
-    horizon = float(section.get("T") or consts.t_star)
-    dt = float(section.get("dt", 1e-3))
-    if not (math.isfinite(horizon) and math.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"perturb needs a finite horizon and a finite dt > 0, got T={horizon}, dt={dt}")
+    horizon = consts.t_star if horizon is None else horizon
+    dt = section["dt"]
+    if not (dt > 0.0 and math.isfinite(horizon / dt)):
+        raise ConfigError(f"perturb needs a finite number of steps dt > 0, got T={horizon}, dt={dt}")
     # the run takes whole steps, so the horizon it reports is steps * dt
     steps = max(1, int(round(horizon / dt)))
     horizon = steps * dt
-    record_every = int(section.get("record_every", max(1, steps // 200)))
-    run_cfg = _evolve_config(p, q, dt, horizon, record_every)
+    record_every = max(1, steps // 200) if section["record_every"] is None else section["record_every"]
+    run_cfg = _evolve_config(p, q, dt, horizon, "perturb", record_every)
 
     def deviation_of(st: MixedState) -> float:
         diff = to_matrix(st).entries - gamma_mat.entries
@@ -479,11 +479,10 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     lin_dev = {
         float(t): sobolev_schatten_norm(m, 1.0) for t, m in zip(lin.matrix_times, lin.matrices)
     }
-    window = section.get("fit_window")
     fit_rate = math.nan
     usable = [(t, d) for t, d in zip(times, deviations) if d > 0]
-    if window and len(usable) >= 2:
-        lo, hi = float(window[0]), float(window[1])
+    if window is not None and len(usable) >= 2:
+        lo, hi = window
         pts = [(t, math.log(d)) for t, d in usable if lo <= t <= hi]
         if len(pts) >= 2:
             ts, ys = zip(*pts)
@@ -515,31 +514,28 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
 
 def cmd_inequalities(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    section = _require(cfg, "ensemble")
-    try:
-        ens = EnsembleConfig(
-            n_samples=int(_require(section, "n_samples", "ensemble")),
-            grid=SpectralGrid(int(section.get("N", 32))),
-            rank_range=tuple(section.get("rank_range", (1, 4))),
-            decay_exponent=float(section.get("decay_exponent", 2.0)),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if ens.rank_range[1] > ens.grid.n_modes:
-        raise ConfigError(f"ensemble.rank_range {ens.rank_range} exceeds the {ens.grid.n_modes} modes of N")
-    s = float(section.get("s", 1.0))
-    names = tuple(section.get("checks", ALL_CHECKS))
+    section = cfg["ensemble"]
+    ens = _call(
+        "ensemble",
+        EnsembleConfig,
+        n_samples=section["n_samples"],
+        grid=_call("ensemble", SpectralGrid, section["N"]),
+        rank_range=tuple(section["rank_range"]),
+        decay_exponent=section["decay_exponent"],
+        seed=cfg["seed"],
+    )
+    s = section["s"]
+    names = tuple(section["checks"])
     unknown = [n for n in names if n not in ALL_CHECKS]
     if unknown:
-        raise ConfigError(f"unknown checks: {unknown}")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ConfigError(f"ensemble.s must be finite and >= 0, got {s}")
+        raise ConfigError(f"ensemble.checks: unknown checks {unknown}")
+    if s < 0.0:
+        raise ConfigError(f"ensemble.s must be >= 0, got {s}")
     if "bessel" in names and s <= 0.5:
         raise ConfigError(f"ensemble.s={s}: the bessel check needs s > 1/2")
     results = run_checks(ens, s, names)
-    if section.get("apriori", True):
-        p, q = _physics(cfg, 1.0, 1.0)
+    if section["apriori"]:
+        p, q = _physics(cfg)
         results.append(check_apriori_ensemble(ens, p, q))
     rows = [
         (r.name, r.n_samples, r.violations, r.worst_ratio, r.empirical_constant, cfg["seed"])
@@ -561,19 +557,21 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
 
 def cmd_convergence(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
-    section = _require(cfg, "convergence")
-    mode = section.get("mode", "dt")
+    section = cfg["convergence"]
+    mode, horizon = section["mode"], section["T"]
+    if mode not in ("dt", "N"):
+        raise ConfigError(f"convergence.mode must be 'dt' or 'N', got {mode!r}")
     grid = _build_grid(cfg)
     p, q = _physics(cfg)
-    horizon = float(section.get("T", 1.0))
     rng = np.random.default_rng(cfg["seed"])
     state = _build_state(cfg, grid, rng)
     rows = []
     if mode == "dt":
-        dts = [float(x) for x in _require(section, "dts", "convergence")]
-        dt_ref = float(_require(section, "dt_ref", "convergence"))
-        runs = [_evolve_config(p, q, dt, horizon) for dt in dts]
-        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon))
+        dts, dt_ref = section["dts"], section["dt_ref"]
+        if dts is None or dt_ref is None:
+            raise ConfigError("convergence.dts and convergence.dt_ref are required in mode 'dt'")
+        runs = [_evolve_config(p, q, dt, horizon, "convergence") for dt in dts]
+        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon, "convergence"))
         ref_mat = to_matrix(ref).entries
         errors = []
         for run_cfg in runs:
@@ -584,13 +582,14 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
             ratio = errors[i - 1] / err if i and err else math.nan
             rows.append((dt, err, ratio))
         write_csv(out / "errors.csv", ("dt", "error_s2", "ratio"), rows)
-    elif mode == "N":
-        n_list = [int(x) for x in _require(section, "Ns", "convergence")]
+    else:
+        n_list = section["Ns"]
+        if n_list is None:
+            raise ConfigError("convergence.Ns is required in mode 'N'")
         bad = [n for n in n_list if not 1 <= n <= grid.N]
         if bad:
             raise ConfigError(f"convergence Ns {bad} outside 1..{grid.N} (the grid N)")
-        dt = float(section.get("dt", 1e-3))
-        run_cfg = _evolve_config(p, q, dt, horizon)
+        run_cfg = _evolve_config(p, q, section["dt"], horizon, "convergence")
         ref, _ = evolve(state, run_cfg)
         ref_mat = to_matrix(ref)
         for n_prime in n_list:
@@ -611,8 +610,6 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
             err = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
             rows.append((n_prime, err, math.nan))
         write_csv(out / "errors.csv", ("N", "error_s2", "ratio"), rows)
-    else:
-        raise ConfigError(f"convergence.mode must be 'dt' or 'N', got {mode!r}")
     write_manifest(out, "convergence", cfg, cfg["seed"], t0)
     print(f"convergence ({mode}): {len(rows)} rows -> {out}")
     return 0
@@ -647,8 +644,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="override the config output_dir")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.seed, args.out)
-        check_keys(cfg, args.command)
+        cfg = check_keys(load_config(args.config, args.seed, args.out), args.command)
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
         return HANDLERS[args.command](cfg, out)

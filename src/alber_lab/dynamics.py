@@ -79,11 +79,11 @@ class EvolveConfig:
         if self.dt <= 0.0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T < self.dt:
-            raise ValueError(f"horizon T={self.T} shorter than one step dt={self.dt}")
+            raise ValueError(f"T={self.T} is shorter than one step dt={self.dt}")
         if abs(self.T / self.dt - self.steps) > 1e-9 * self.steps:
-            raise ValueError(f"horizon T={self.T} is not a whole number of steps dt={self.dt}")
+            raise ValueError(f"T={self.T} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def steps(self) -> int:

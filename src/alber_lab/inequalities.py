@@ -42,10 +42,20 @@ class EnsembleConfig:
 
     def __post_init__(self) -> None:
         if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        lo, hi = self.rank_range
-        if not 1 <= lo <= hi:
-            raise ValueError(f"bad rank range {self.rank_range}")
+            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        ranks = tuple(self.rank_range) if isinstance(self.rank_range, (tuple, list)) else ()
+        n_modes = self.grid.n_modes
+        if not (
+            len(ranks) == 2
+            and all(isinstance(r, (int, np.integer)) for r in ranks)
+            and 1 <= ranks[0] <= ranks[1] <= n_modes
+        ):
+            raise ValueError(
+                f"rank_range {self.rank_range} must be two ints lo, hi with 1 <= lo <= hi <= {n_modes} "
+                "(the modes of the grid)"
+            )
+        if not math.isfinite(self.decay_exponent):
+            raise ValueError(f"decay_exponent must be finite, got {self.decay_exponent}")
 
 
 @dataclass

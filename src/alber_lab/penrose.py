@@ -306,14 +306,28 @@ def propagator_constants(
     epsilon: float,
     c_bilinear: float,
 ) -> PropagatorConstants:
+    # each message starts with the parameter's name, so a caller can say where it came from
+    inputs = {
+        "gamma_h1s1": gamma_h1s1,
+        "gamma_l1": gamma_l1,
+        "kappa": kappa,
+        "q": q,
+        "eta": eta,
+        "epsilon": epsilon,
+        "c_bilinear": c_bilinear,
+    }
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if kappa <= 0.0:
-        raise UnstableBackgroundError(
-            f"propagator constants require a positive Penrose margin, got kappa={kappa}"
-        )
+        raise UnstableBackgroundError(f"kappa must be a positive Penrose margin, got {kappa}")
     if min(gamma_h1s1, gamma_l1) < 0.0:
         raise ValueError("background norms must be >= 0")
-    if eta <= 0.0 or epsilon <= 0.0 or c_bilinear <= 0.0 or q == 0.0:
-        raise ValueError("eta, epsilon, c_bilinear must be positive and q nonzero")
+    for name in ("eta", "epsilon", "c_bilinear"):
+        if inputs[name] <= 0.0:
+            raise ValueError(f"{name} must be positive, got {inputs[name]}")
+    if q == 0.0:
+        raise ValueError("q must be nonzero")
     a = c_bilinear * abs(q) * gamma_h1s1
     b = abs(q) * gamma_l1 / (TWO_PI * kappa)
     c_gamma_eta = 1.0 + a * (1.0 + b / eta) / eta

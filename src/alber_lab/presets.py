@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .spectral import SpectralGrid
@@ -44,8 +46,14 @@ def random_smooth_state(
     <n>^-decay coefficient falloff; geometric weights normalized to
     total_mass.  Smooth enough (for band << N) that split-step aliasing
     sits at rounding level."""
-    if band > grid.N:
-        raise ValueError(f"band {band} exceeds grid cutoff {grid.N}")
+    if not 0 <= rank <= grid.n_modes:
+        raise ValueError(f"rank {rank} outside 0..{grid.n_modes} (the modes of the grid)")
+    if not 0 <= band <= grid.N:
+        raise ValueError(f"band {band} outside 0..{grid.N} (the grid cutoff N)")
+    if not math.isfinite(decay):
+        raise ValueError(f"decay must be finite, got {decay}")
+    if not (math.isfinite(total_mass) and total_mass >= 0.0):
+        raise ValueError(f"total_mass must be finite and >= 0, got {total_mass}")
     n = grid.modes().astype(float)
     shape = np.where(np.abs(n) <= band, (1.0 + n * n) ** (-0.5 * decay), 0.0)
     raw = (
@@ -53,7 +61,8 @@ def random_smooth_state(
     ) * shape[None, :]
     q_mat, _ = np.linalg.qr(raw.T)
     weights = 0.6 ** np.arange(rank)
-    weights *= total_mass / weights.sum()
+    if rank:
+        weights *= total_mass / weights.sum()
     return MixedState(grid, weights, q_mat.T)
 
 

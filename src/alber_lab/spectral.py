@@ -55,7 +55,7 @@ class SpectralGrid:
 
     def __post_init__(self) -> None:
         if self.N < 1:
-            raise ValueError(f"mode cutoff N must be >= 1, got {self.N}")
+            raise ValueError(f"N must be >= 1 (the mode cutoff), got {self.N}")
         if self.M == 0:
             object.__setattr__(self, "M", fft_friendly_size(2 * (2 * self.N + 1)))
         if self.M < 2 * (2 * self.N + 1):

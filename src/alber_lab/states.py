@@ -132,9 +132,9 @@ class BackgroundSymbol:
         if self.symbol.size % 2 != 1:
             raise ValueError("symbol must cover modes -J..J (odd length)")
         if not np.isfinite(self.symbol).all():
-            raise ValueError("background symbol entries must be finite")
+            raise ValueError("symbol entries must be finite")
         if self.symbol.min() < 0.0:
-            raise ValueError(f"background symbol must be >= 0, min is {self.symbol.min()}")
+            raise ValueError(f"symbol must be >= 0, min is {self.symbol.min()}")
 
     @property
     def J(self) -> int:
@@ -311,6 +311,8 @@ def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
     Eigenvalues in (-drop_tol, drop_tol) * ||U||_op are treated as zero;
     anything below that window raises NotNonNegativeError.
     """
+    if not (math.isfinite(drop_tol) and drop_tol >= 0.0):
+        raise ValueError(f"drop_tol must be finite and >= 0, got {drop_tol}")
     entries = u.entries
     scale = math.sqrt(float(np.sum(np.abs(entries) ** 2)))
     dev = float(np.abs(entries - entries.conj().T).max())

@@ -5,15 +5,22 @@ assertions cover output schemas, the manifest contract, byte-level
 determinism, and the exit-code protocol (0/2/3/4).
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import alber_lab.cli as cli
 from alber_lab.dynamics import DivergenceError
@@ -525,3 +532,223 @@ class TestUnknownKeys:
             cli.check_keys(cfg, command)
             seen.add(command)
         assert seen == set(cli.HANDLERS)
+
+
+def penrose_input(out_dir: Path, **section) -> dict:
+    sec = {"background": "stable-broad", "k_max": 2, "n_eta": 10, "c_bilinear": 2.0}
+    sec.update(section)
+    return {"output_dir": str(out_dir), "seed": 5, "penrose": sec}
+
+
+def ensemble_input(out_dir: Path, **section) -> dict:
+    sec = {"n_samples": 2, "N": 4, "checks": ["bessel"], "apriori": False}
+    sec.update(section)
+    return {"output_dir": str(out_dir), "seed": 3, "ensemble": sec}
+
+
+def convergence_input(out_dir: Path, **section) -> dict:
+    sec = {"mode": "dt", "T": 0.1, "dts": [0.02, 0.01], "dt_ref": 0.005}
+    sec.update(section)
+    cfg = simulate_config(out_dir, convergence=sec)
+    del cfg["time"]
+    return cfg
+
+
+# a small valid config per subcommand, and the builder of its one section
+BASE_INPUTS = {
+    "simulate": lambda out: simulate_config(out),
+    "penrose": penrose_input,
+    "perturb": perturb_input,
+    "inequalities": ensemble_input,
+    "convergence": convergence_input,
+}
+
+
+def with_value(cfg: dict, section, key: str, value) -> dict:
+    """cfg with section.key (a top-level key when section is None) set to value."""
+    if section is None:
+        cfg[key] = value
+    else:
+        cfg.setdefault(section, {})[key] = value
+    return cfg
+
+
+# (subcommand, section, key, bad value): each once ended in a traceback or
+# in an exit 0 with wrong or silently altered output
+PROBES = [
+    ("penrose", "penrose", "k_max", "abc"),
+    ("penrose", "penrose", "eta", -1),
+    ("penrose", "penrose", "eta", math.nan),
+    ("penrose", "penrose", "epsilon", math.nan),
+    ("penrose", "penrose", "c_bilinear", -1),
+    ("perturb", "perturb", "kappa", -1),
+    ("perturb", "perturb", "fit_window", 0.5),
+    ("perturb", "perturb", "epsilon", math.nan),
+    ("perturb", "perturb", "T", 0),
+    ("simulate", "state", "mass", -1),
+    ("simulate", "state", "decay", math.nan),
+    ("simulate", "state", "rank", [2]),
+    ("simulate", None, "seed", "abc"),
+    ("simulate", None, "seed", -1),
+    ("simulate", "grid", "N", 8.7),
+    ("inequalities", "ensemble", "rank_range", 3),
+    ("inequalities", "ensemble", "decay_exponent", math.nan),
+    ("inequalities", "ensemble", "apriori", "false"),
+    ("convergence", "convergence", "dts", 0.01),
+    ("convergence", "convergence", "T", "x"),
+]
+
+
+def run_bad_value(tmp_dir: Path, command: str, section, key: str, value):
+    """Exit code, stderr and written files of command with section.key = value."""
+    out = tmp_dir / "out"
+    cfg = with_value(BASE_INPUTS[command](out), section, key, value)
+    path = tmp_dir / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(path)])
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    return code, err.getvalue(), written
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command, section, key, value", PROBES)
+    def test_probe_exits_2_and_names_its_key(self, tmp_path, command, section, key, value):
+        code, err, written = run_bad_value(tmp_path, command, section, key, value)
+        assert code == 2
+        assert (key if section is None else f"{section}.{key}") in err
+        assert written == []
+
+    @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
+    def test_base_inputs_run(self, tmp_path, command):
+        cfg = BASE_INPUTS[command](tmp_path / "run")
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+
+    def test_record_every_zero_is_not_the_default(self, tmp_path, capsys):
+        cfg = perturb_input(tmp_path / "x", record_every=0)
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "perturb.record_every" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fit_window", [[0.05], [0.05, 0.1, 0.2]])
+    def test_fit_window_needs_two_ends(self, tmp_path, capsys, fit_window):
+        cfg = perturb_input(tmp_path / "x", fit_window=fit_window)
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "perturb.fit_window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, missing", [("dt", "dts"), ("dt", "dt_ref"), ("N", "Ns")])
+    def test_convergence_mode_needs_its_keys(self, tmp_path, capsys, mode, missing):
+        section = {"mode": mode, "T": 0.02, "dt": 0.01, "dts": [0.01], "dt_ref": 0.005, "Ns": [2]}
+        del section[missing]
+        cfg = convergence_input(tmp_path / "x")
+        cfg["convergence"] = section
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"convergence.{missing}" in capsys.readouterr().err
+
+    def test_integral_float_is_an_int(self, tmp_path):
+        cfg = simulate_config(tmp_path / "x", grid={"N": 8.0})
+        assert cli.check_keys(cfg, "simulate")["grid"] == {"N": 8, "M": 0}
+
+    def test_manifest_echoes_the_resolved_config(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = penrose_input(out)
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"] == json.loads(json.dumps(cli.check_keys(cfg, "penrose")))
+        assert manifest["config"]["penrose"]["eta_min"] == 1e-3
+        assert manifest["config"]["penrose"]["epsilon"] == 1e-2
+        assert manifest["config"]["physics"] == {"p": None, "q": None}
+
+
+def schema_keys():
+    """(subcommand, section or None, key, schema entry) for every key in CONFIG_SCHEMA."""
+    for command, schema in cli.CONFIG_SCHEMA.items():
+        for name, spec in schema.items():
+            if isinstance(spec, dict):
+                yield from ((command, name, key, entry) for key, entry in spec.items())
+            else:
+                yield command, None, name, spec
+
+
+def kind_of(entry):
+    """The type a schema entry states: itself, or its default's (a tuple is a list)."""
+    if isinstance(entry, (type, types.UnionType, types.GenericAlias)):
+        return entry
+    return list[type(entry[0])] if isinstance(entry, tuple) else type(entry)
+
+
+def options_of(kind) -> tuple:
+    return typing.get_args(kind) if isinstance(kind, types.UnionType) else (kind,)
+
+
+def wrong_values(kind):
+    """JSON values of a type kind does not admit: strings, lists with a bad
+    item, objects, bools, NaN and +-inf, and 8.5 for an int."""
+    options = options_of(kind)
+    odd_number = 8.5 if int in options else -math.inf
+    bad_items = hst.sampled_from(["abc", True, {"x": 1}, math.nan, math.inf, odd_number])
+    values = [hst.lists(bad_items, min_size=1, max_size=3), hst.sampled_from([math.nan, math.inf, -math.inf])]
+    if str not in options:
+        values.append(hst.sampled_from(["abc", "", "1"]))
+    if dict not in options:
+        values.append(hst.just({"x": 1}))
+    if bool not in options:
+        values.append(hst.booleans())
+    if int in options:
+        values.append(hst.just(8.5))
+    return hst.one_of(values)
+
+
+class TestSchemaProperty:
+    @pytest.mark.parametrize("command, section, key, entry", list(schema_keys()))
+    @settings(max_examples=12, deadline=None)
+    @given(data=hst.data())
+    def test_wrong_type_exits_2(self, command, section, key, entry, data):
+        value = data.draw(wrong_values(kind_of(entry)))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, written = run_bad_value(Path(tmp), command, section, key, value)
+        assert code == 2
+        assert (key if section is None else f"{section}.{key}") in err
+        assert written == []
+
+
+def readme_reference() -> dict:
+    """{subcommand: {key: (type, default)}} from the README's config tables;
+    the table under "## Command line" lists the keys of every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    body = readme[readme.index("## Command line"): readme.index("## Presets")]
+    tables = {}
+    for heading in re.split(r"^### ", body, flags=re.M):
+        name = heading.split("\n", 1)[0].strip()
+        rows = {}
+        for line in heading.splitlines():
+            cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            if len(cells) == 4 and cells[0].startswith("`"):
+                rows[cells[0].strip("`")] = (cells[1], cells[2])
+        tables[name] = rows
+    common = tables.pop(next(iter(tables)))  # the text before the first subcommand
+    return {name: {**rows, **common} for name, rows in tables.items()}
+
+
+class TestReadmeReference:
+    def test_names_exactly_the_schema_keys(self):
+        reference = readme_reference()
+        assert set(reference) == set(cli.CONFIG_SCHEMA)
+        keys = {command: set() for command in cli.CONFIG_SCHEMA}
+        for command, section, key, _ in schema_keys():
+            keys[command].add(key if section is None else f"{section}.{key}")
+        assert {command: set(rows) for command, rows in reference.items()} == keys
+
+    def test_types_and_defaults_match_the_schema(self):
+        reference = readme_reference()
+        for command, section, key, entry in schema_keys():
+            type_cell, default_cell = reference[command][key if section is None else f"{section}.{key}"]
+            kind = kind_of(entry)
+            names = [str(k).removeprefix("<class '").removesuffix("'>") for k in options_of(kind)]
+            assert type_cell == " or ".join(n for n in names if n != "NoneType"), (command, section, key)
+            if kind is not entry:
+                assert default_cell == f"`{json.dumps(entry)}`", (command, section, key)
+            elif type(None) in options_of(kind):
+                assert default_cell != "required", (command, section, key)
+            else:
+                assert default_cell == "required", (command, section, key)

@@ -58,6 +58,21 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(5, al.SpectralGrid(4), rank_range=(0, 2))
 
+    @pytest.mark.parametrize("rank_range", [(1, 5), (5, 5), [1, 2], (np.int64(1), np.int64(2))])
+    def test_rank_range_within_the_modes(self, rank_range):
+        cfg = EnsembleConfig(5, al.SpectralGrid(2), rank_range=rank_range)  # 5 modes
+        assert tuple(cfg.rank_range) == tuple(rank_range)
+
+    @pytest.mark.parametrize("rank_range", [(1, 6), (6, 6), (1,), (1, 2, 3), (1.0, 2.0), (1, 2.5), 3])
+    def test_rank_range_rejected(self, rank_range):
+        with pytest.raises(ValueError, match="rank_range"):
+            EnsembleConfig(5, al.SpectralGrid(2), rank_range=rank_range)
+
+    @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf])
+    def test_non_finite_decay_rejected(self, decay):
+        with pytest.raises(ValueError, match="decay_exponent"):
+            EnsembleConfig(5, al.SpectralGrid(4), decay_exponent=decay)
+
 
 class TestBessel:
     def test_plane_wave_ratio(self, grid8):

@@ -484,6 +484,17 @@ class TestVolterraSolve:
         assert max(ratios) < 50.0  # boundedness at desk scale, not a sharp value
 
 
+STABLE_CONSTANTS_INPUT = {
+    "gamma_h1s1": 0.5,
+    "gamma_l1": 0.3,
+    "kappa": 0.05,
+    "q": -1.0,
+    "eta": 0.7,
+    "epsilon": 1e-3,
+    "c_bilinear": 0.2,
+}
+
+
 class TestPropagatorConstants:
     def test_unit_example(self):
         # A = B = 1: h1s1 = 1, l1 = 2*pi, kappa = 1, |q| = 1, C = 1
@@ -509,6 +520,20 @@ class TestPropagatorConstants:
     def test_unstable_rejected(self):
         with pytest.raises(al.UnstableBackgroundError):
             al.propagator_constants(0.5, 0.3, 0.0, 1.0, 1.0, 1e-2, 0.2)
+
+    @pytest.mark.parametrize("name", list(STABLE_CONSTANTS_INPUT))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, name, bad):
+        args = {**STABLE_CONSTANTS_INPUT, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            al.propagator_constants(**args)
+
+    @pytest.mark.parametrize("name", ["eta", "epsilon", "c_bilinear"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_rejected(self, name, bad):
+        args = {**STABLE_CONSTANTS_INPUT, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            al.propagator_constants(**args)
 
     def test_serializable(self):
         import json

@@ -321,6 +321,39 @@ class TestEigendecompose:
         st = al.eigendecompose(u)
         assert st.rank == 0
 
+    @pytest.mark.parametrize("drop_tol", [-1.0, -1e-12, math.nan, math.inf])
+    def test_bad_drop_tol_rejected(self, grid8, drop_tol):
+        u = al.OperatorMatrix(grid8, np.eye(grid8.n_modes, dtype=complex), hermitian=True)
+        with pytest.raises(ValueError, match="drop_tol"):
+            al.eigendecompose(u, drop_tol=drop_tol)
+
+
+class TestRandomSmoothState:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"rank": -1}, "rank"),
+            ({"rank": 18}, "rank"),  # 17 modes at N = 8
+            ({"band": 9}, "band"),
+            ({"band": -1}, "band"),
+            ({"decay": math.nan}, "decay"),
+            ({"decay": math.inf}, "decay"),
+            ({"total_mass": -0.5}, "total_mass"),
+            ({"total_mass": math.nan}, "total_mass"),
+            ({"total_mass": math.inf}, "total_mass"),
+        ],
+    )
+    def test_bad_input_named(self, grid8, kwargs, name):
+        args = {"rank": 2, "band": 3, "decay": 2.5, "total_mass": 1.0, **kwargs}
+        with pytest.raises(ValueError, match=f"^{name} "):
+            al.random_smooth_state(grid8, rng=np.random.default_rng(0), **args)
+
+    @pytest.mark.parametrize("rank, mass", [(0, 1.0), (17, 1.0), (3, 0.0)])
+    def test_edges_accepted(self, grid8, rank, mass):
+        st = al.random_smooth_state(grid8, rank, 8, 2.5, np.random.default_rng(0), total_mass=mass)
+        assert st.rank == rank
+        assert abs(float(st.weights.sum()) - (mass if rank else 0.0)) < 1e-12
+
 
 class TestYbar:
     def test_defocusing_rank_one(self):
