@@ -524,16 +524,7 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
         decay_exponent=section["decay_exponent"],
         seed=cfg["seed"],
     )
-    s = section["s"]
-    names = tuple(section["checks"])
-    unknown = [n for n in names if n not in ALL_CHECKS]
-    if unknown:
-        raise ConfigError(f"ensemble.checks: unknown checks {unknown}")
-    if s < 0.0:
-        raise ConfigError(f"ensemble.s must be >= 0, got {s}")
-    if "bessel" in names and s <= 0.5:
-        raise ConfigError(f"ensemble.s={s}: the bessel check needs s > 1/2")
-    results = run_checks(ens, s, names)
+    results = _call("ensemble", run_checks, ens, section["s"], tuple(section["checks"]))
     if section["apriori"]:
         p, q = _physics(cfg)
         results.append(check_apriori_ensemble(ens, p, q))

@@ -20,6 +20,14 @@ step is one potential substep followed by one full free phase.  A
 MixedState is built only at record points, where the open half step is
 closed.  evolve and every other multi-step caller go through iter_evolve.
 
+The linearized flow uses the integrating-factor midpoint rule.  In the
+lab frame its step is one fixed map: the half-step free phase
+exp(i*p*(m^2 - n^2)*dt/2) is tabulated once, as one exponential of the
+difference, so its diagonal is exactly 1; the coupling vanishes exactly
+on the diagonal, so the trace of U is kept bit for bit.  The step takes no
+eigenvalue or matrix exponential of the Penrose matrix: the growth rate it
+yields is checked against that matrix's eigenvalue.
+
 Densities and the energy come from states and V_rho from the Toeplitz pair
 in spectral; potential_step and iter_evolve keep rho inline as they reuse
 psi.  Split-step, Picard and linearized flow each keep their own free
@@ -47,6 +55,8 @@ from .states import (
 )
 
 DIVERGENCE_LIMIT = 1e12
+# largest step count EvolveConfig accepts; the heaviest run in use takes 75 000
+MAX_STEPS = 10**8
 
 
 class DivergenceError(RuntimeError):
@@ -80,6 +90,10 @@ class EvolveConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.T < self.dt:
             raise ValueError(f"T={self.T} is shorter than one step dt={self.dt}")
+        if self.T / self.dt > MAX_STEPS:
+            raise ValueError(
+                f"dt={self.dt} makes T/dt = {self.T / self.dt:.3g} steps, above MAX_STEPS={MAX_STEPS}"
+            )
         if abs(self.T / self.dt - self.steps) > 1e-9 * self.steps:
             raise ValueError(f"T={self.T} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
@@ -318,11 +332,15 @@ def linearized_evolve(
 ) -> LinearizedTrajectory:
     """Integrate i d/dt U_mn = -p(m^2-n^2) U_mn - (q/2pi)(Gh(m)-Gh(n)) rho_hat_U(m-n).
 
-    The free phases are removed exactly with the integrating factor
-    W_mn = exp(-i p (m^2-n^2) t) U_mn and the remaining coupling is
-    advanced with the explicit midpoint rule, so the step size is limited
-    by the coupling strength, not by the stiff free rotation.  Diagonal
-    entries have exactly zero forcing, hence tr U is conserved exactly.
+    The free phases Phi(t)_mn = exp(i p (m^2-n^2) t) are removed with an
+    integrating factor and the coupling
+    C(U)_mn = (iq/2pi)(Gh(m)-Gh(n)) rho_hat_U(m-n) is advanced with the
+    explicit midpoint rule, so the step size is limited by the coupling
+    strength, not by the stiff free rotation.  In the lab frame that step
+    is one fixed map, with H = Phi(dt/2) tabulated once:
+    V = U + dt/2 C(U), then U <- H (H U + dt C(H V)) entrywise.  The
+    diagonal of H is exactly 1 and that of C exactly 0, so every diagonal
+    entry of U, hence tr U, keeps its initial value bit for bit.
     Unbounded growth is expected for spectrally unstable backgrounds and
     is flagged, not raised.
     """
@@ -332,45 +350,28 @@ def linearized_evolve(
     modes = grid.modes()
     n2 = modes.astype(float) ** 2
     gh = bg.gamma_hat(modes).astype(float)
-    gdiff = gh[:, None] - gh[None, :]
-    coupling = 1j * (cfg.q / TWO_PI) * gdiff
+    coupling = 1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :])
+    half = np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :]))
     half_band = slice(grid.N, 3 * grid.N + 1)  # k = -N..N inside d(k), k = -2N..2N
-
-    def rhs(w: np.ndarray, u_phase: np.ndarray) -> np.ndarray:
-        u = u_phase[:, None] * w * u_phase.conj()[None, :]
-        forced = coupling * toeplitz(diagonal_sums(u))
-        return u_phase.conj()[:, None] * forced * u_phase[None, :]
-
     steps = cfg.steps
-    w = u0.entries.astype(complex).copy()
+    u = u0.entries.astype(complex)
     times, spectra = [], []
     matrices, matrix_times = [], []
     growth = False
-
-    def record(i: int) -> None:
-        nonlocal growth
-        t = i * cfg.dt
-        u_phase = np.exp(1j * cfg.p * n2 * t)
-        u = u_phase[:, None] * w * u_phase.conj()[None, :]
+    for i in range(steps + 1):
+        if i:
+            v = u + 0.5 * cfg.dt * coupling * toeplitz(diagonal_sums(u))
+            u = half * (half * u + cfg.dt * coupling * toeplitz(diagonal_sums(half * v)))
+        if i % cfg.record_every and i != steps:
+            continue
         d = diagonal_sums(u)[half_band]
-        if not np.isfinite(d).all() or (np.abs(d).max() if d.size else 0.0) > DIVERGENCE_LIMIT:
+        if not np.isfinite(d).all() or np.abs(d).max() > DIVERGENCE_LIMIT:
             growth = True
-        times.append(t)
+        times.append(i * cfg.dt)
         spectra.append(d)
         if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, steps):
             matrices.append(OperatorMatrix(grid, u))
-            matrix_times.append(t)
-
-    record(0)
-    for i in range(1, steps + 1):
-        t = (i - 1) * cfg.dt
-        u_t = np.exp(1j * cfg.p * n2 * t)
-        u_half = np.exp(1j * cfg.p * n2 * (t + 0.5 * cfg.dt))
-        k1 = rhs(w, u_t)
-        k2 = rhs(w + 0.5 * cfg.dt * k1, u_half)
-        w = w + cfg.dt * k2
-        if i % cfg.record_every == 0 or i == steps:
-            record(i)
+            matrix_times.append(i * cfg.dt)
     return LinearizedTrajectory(
         times=np.asarray(times),
         k_modes=modes.copy(),

@@ -327,7 +327,17 @@ ALL_CHECKS = tuple(_CHECKS)
 
 
 def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -> list[CheckResult]:
+    """Run the named checks at Sobolev order s.
+
+    Before any sample is drawn, rejects unknown names (the message starts
+    with "checks") and an s that is non-finite, negative, or <= 1/2 when
+    bessel is named (the message starts with "s").
+    """
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+        raise ValueError(f"checks: unknown checks {unknown}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"s must be finite and >= 0, got {s}")
+    if "bessel" in names and s <= 0.5:
+        raise ValueError(f"s={s}: the bessel check needs s > 1/2")
     return [_CHECKS[n](cfg, s) for n in names]

@@ -231,7 +231,10 @@ def volterra_solve(
 ) -> np.ndarray:
     """Product-trapezoidal march for the scalar density equation at mode k.
 
-    t_grid must be uniform starting at 0.  O(n^2) work; warns when the
+    t_grid must be uniform starting at 0.  Phi_k is a sum of exponentials
+    c_j exp(i*omega_j*tau), so the trapezoid history sum splits into one
+    running sum per term, S_j <- exp(i*omega_j*dt)(S_j + rho_i) from
+    S_j = rho_0/2 * exp(i*omega_j*dt): O(n * terms) work.  Warns when the
     step undersamples the fastest kernel oscillation (dt > 0.1 / max|omega|).
     """
     t = np.asarray(t_grid, dtype=float)
@@ -252,16 +255,15 @@ def volterra_solve(
     rho_free = np.asarray(free_density(u0, p, k, t), dtype=complex)
     if c.size == 0:
         return rho_free
-    phi = volterra_kernel(bg, p, k, t)
+    phase = np.exp(1j * omega * dt)
     coef = 1j * q / TWO_PI
-    denom = 1.0 - coef * 0.5 * dt * phi[0]
+    denom = 1.0 - coef * 0.5 * dt * c.sum()
     rho = np.empty_like(rho_free)
     rho[0] = rho_free[0]
+    history = 0.5 * rho[0] * phase
     for i in range(1, t.size):
-        acc = 0.5 * phi[i] * rho[0]
-        if i > 1:
-            acc += np.dot(phi[1:i][::-1], rho[1:i])
-        rho[i] = (rho_free[i] + coef * dt * acc) / denom
+        rho[i] = (rho_free[i] + coef * dt * (c @ history)) / denom
+        history = phase * (history + rho[i])
     return rho
 
 

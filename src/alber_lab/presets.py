@@ -55,7 +55,10 @@ def random_smooth_state(
     if not (math.isfinite(total_mass) and total_mass >= 0.0):
         raise ValueError(f"total_mass must be finite and >= 0, got {total_mass}")
     n = grid.modes().astype(float)
-    shape = np.where(np.abs(n) <= band, (1.0 + n * n) ** (-0.5 * decay), 0.0)
+    with np.errstate(over="ignore"):
+        shape = np.where(np.abs(n) <= band, (1.0 + n * n) ** (-0.5 * decay), 0.0)
+    if not np.isfinite(shape).all():
+        raise ValueError(f"decay {decay} overflows the falloff (1 + n^2)^(-decay/2) on |n| <= {band}")
     raw = (
         rng.standard_normal((rank, grid.n_modes)) + 1j * rng.standard_normal((rank, grid.n_modes))
     ) * shape[None, :]

@@ -620,6 +620,28 @@ class TestBadValues:
         assert (key if section is None else f"{section}.{key}") in err
         assert written == []
 
+    @pytest.mark.parametrize(
+        "command, section, key, value, extra",
+        [
+            ("simulate", "time", "dt", 1e-300, {"T": 1.0}),  # 1e300 steps
+            ("simulate", "time", "dt", 1e-310, {"T": 1e10}),  # T/dt overflows
+            ("perturb", "perturb", "dt", 1e-300, {}),
+            ("simulate", "state", "decay", -1e300, {}),  # the falloff overflows
+            ("inequalities", "ensemble", "s", -1.0, {}),
+            ("inequalities", "ensemble", "s", 0.5, {}),
+        ],
+    )
+    def test_extreme_value_exits_2_and_names_its_key(self, tmp_path, command, section, key, value, extra):
+        out = tmp_path / "out"
+        cfg = with_value(BASE_INPUTS[command](out), section, key, value)
+        cfg[section].update(extra)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", write_config(tmp_path, cfg)])
+        assert code == 2
+        assert f"{section}.{key}" in err.getvalue()
+        assert not out.exists() or list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
     def test_base_inputs_run(self, tmp_path, command):
         cfg = BASE_INPUTS[command](tmp_path / "run")

@@ -57,6 +57,22 @@ class TestEvolveConfig:
     def test_accepts_whole_horizon(self, dt, T, steps):
         assert al.EvolveConfig(p=1.0, q=1.0, dt=dt, T=T).steps == steps
 
+    def test_step_count_bounded(self):
+        # T/dt is checked before it is rounded: 1e300 steps would run until killed
+        assert al.EvolveConfig(p=1.0, q=1.0, dt=1.0, T=float(dyn.MAX_STEPS)).steps == dyn.MAX_STEPS
+        with pytest.raises(ValueError, match="^dt=.*MAX_STEPS"):
+            al.EvolveConfig(p=1.0, q=1.0, dt=1.0, T=float(dyn.MAX_STEPS + 1))
+        with pytest.raises(ValueError, match="^dt=.*MAX_STEPS"):
+            al.EvolveConfig(p=1.0, q=1.0, dt=1e-300, T=1.0)
+
+    def test_overflowing_step_count_rejected(self):
+        # T/dt overflows to inf, which int(round(.)) cannot convert
+        with pytest.raises(ValueError, match="^dt=.*MAX_STEPS"):
+            al.EvolveConfig(p=1.0, q=1.0, dt=1e-310, T=1e10)
+
+    def test_heaviest_run_in_use_fits(self):
+        assert al.EvolveConfig(p=1.0, q=1.0, dt=2e-4, T=15.0).steps == 75_000 < dyn.MAX_STEPS
+
 
 class TestFreeStep:
     def test_zero_dt_identity(self, grid8):
@@ -374,6 +390,50 @@ class TestDiagonalSums:
         assert np.abs(got - expected).max() <= 1e-13 * scale
 
 
+def linearized_in_rotating_frame(u0, bg, cfg):
+    """The integrating-factor midpoint scheme written out step by step.
+
+    Works in the rotating frame W = Phi(-t) U with the free phases
+    Phi(t)_mn = exp(i p (m^2 - n^2) t) recomputed at every stage, and
+    rotates back to U at each record.  Returns the density modes
+    k = -N..N and the matrix U at every record.
+    """
+    grid = u0.grid
+    modes = grid.modes()
+    n2 = modes.astype(float) ** 2
+    gh = bg.gamma_hat(modes).astype(float)
+    coupling = 1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :])
+    nm = grid.n_modes
+
+    def rotate(x, t):
+        ph = np.exp(1j * cfg.p * n2 * t)
+        return ph[:, None] * x * ph.conj()[None, :]
+
+    def density(u):
+        # d(k) = sum_j U_{j+k, j} for k = -N..N, read diagonal by diagonal
+        return np.array([np.trace(u, offset=-k) for k in range(-grid.N, grid.N + 1)])
+
+    def forcing(u):
+        d = np.array([np.trace(u, offset=-k) for k in range(-(nm - 1), nm)])
+        v = np.array([[d[m - n + nm - 1] for n in range(nm)] for m in range(nm)])
+        return coupling * v
+
+    def rhs(w, t):
+        return rotate(forcing(rotate(w, t)), -t)
+
+    w = u0.entries.astype(complex).copy()
+    spectra, matrices = [density(w)], [w.copy()]
+    for i in range(1, cfg.steps + 1):
+        t = (i - 1) * cfg.dt
+        k1 = rhs(w, t)
+        w = w + cfg.dt * rhs(w + 0.5 * cfg.dt * k1, t + 0.5 * cfg.dt)
+        if i % cfg.record_every == 0 or i == cfg.steps:
+            u = rotate(w, i * cfg.dt)
+            spectra.append(density(u))
+            matrices.append(u)
+    return np.array(spectra), matrices
+
+
 class TestLinearizedEvolve:
     @staticmethod
     def _seed_matrix(grid, entries_at):
@@ -456,3 +516,53 @@ class TestLinearizedEvolve:
         traj = al.linearized_evolve(u0, bg, cfg)
         assert traj.growth_flag  # e^t amplification crosses the 1e12 guard
         assert np.isfinite(traj.density_modes[0]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        J=hst.integers(0, 2),
+        extra=hst.integers(0, 2),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-1.5, -1.0, 0.5, 1.0]),
+        q=hst.sampled_from([-2.0, -0.5, 1.0, 3.0]),
+        record_every=hst.integers(2, 6),
+        whole=hst.integers(0, 4),
+        rest=hst.integers(1, 5),
+    )
+    def test_matches_rotating_frame_scheme(self, J, extra, seed, p, q, record_every, whole, rest):
+        # the lab-frame step is the same map as the rotating-frame midpoint step
+        steps = whole * record_every + min(rest, record_every - 1)  # a partial last stride
+        gen = np.random.default_rng(seed)
+        grid = al.SpectralGrid(J + 1 + extra)
+        bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+        u0 = al.random_hermitian_perturbation(grid, J + 1, gen)
+        cfg = al.EvolveConfig(p, q, 0.05, steps * 0.05, record_every=record_every)
+        traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        spectra, matrices = linearized_in_rotating_frame(u0, bg, cfg)
+        assert traj.density_modes.shape == spectra.shape
+        assert np.abs(traj.density_modes - spectra).max() <= 1e-10 * np.abs(spectra).max()
+        assert len(traj.matrices) == len(matrices)
+        scale = max(np.abs(m).max() for m in matrices)
+        for got, want in zip(traj.matrices, matrices):
+            assert np.abs(got.entries - want).max() <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        J=hst.integers(0, 2),
+        extra=hst.integers(0, 3),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-1.0, 0.5, 1.0, 3.0]),
+        q=hst.sampled_from([-2.0, -1.0, 1.0]),
+        steps=hst.integers(1, 40),
+        record_every=hst.integers(1, 7),
+    )
+    def test_diagonal_kept_bit_for_bit(self, J, extra, seed, p, q, steps, record_every):
+        # the half-step phase is exactly 1 and the coupling exactly 0 on the diagonal
+        gen = np.random.default_rng(seed)
+        grid = al.SpectralGrid(J + 1 + extra)
+        bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+        u0 = al.random_hermitian_perturbation(grid, J + 1 + extra, gen)
+        cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=record_every)
+        traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        for m in traj.matrices:
+            assert np.array_equal(np.diag(m.entries), np.diag(u0.entries))
+        assert (traj.density_modes[:, grid.N] == traj.density_modes[0, grid.N]).all()

@@ -292,6 +292,32 @@ class TestRunChecks:
         with pytest.raises(ValueError):
             run_checks(small_cfg(2), names=("bessel", "nonsense"))
 
+    @pytest.mark.parametrize(
+        "s, names, start",
+        [
+            (1.0, ("bessel", "nonsense"), "checks"),
+            (math.nan, ("trace",), "s "),
+            (math.inf, ("trace",), "s "),
+            (-0.5, ("trace",), "s "),
+            (0.5, ("trace", "bessel"), "s="),
+            (0.3, ("bessel",), "s="),
+        ],
+    )
+    def test_bad_input_rejected_before_any_sample(self, monkeypatch, s, names, start):
+        import alber_lab.inequalities as ineq
+
+        def no_sample(cfg, s):
+            raise AssertionError("a check ran before the input was validated")
+
+        for name in ALL_CHECKS:
+            monkeypatch.setitem(ineq._CHECKS, name, no_sample)
+        with pytest.raises(ValueError, match=f"^{start}"):
+            run_checks(small_cfg(2), s, names)
+
+    @pytest.mark.parametrize("s, names", [(0.0, ("trace",)), (0.5, ("trace", "gn")), (0.51, ("bessel",))])
+    def test_edge_orders_accepted(self, s, names):
+        assert [r.name for r in run_checks(small_cfg(2), s, names)] == list(names)
+
     def test_deterministic(self):
         a = run_checks(small_cfg(10), names=("bessel", "trace"))
         b = run_checks(small_cfg(10), names=("bessel", "trace"))

@@ -442,6 +442,35 @@ class TestVolterraSolve:
         rel = np.abs(vol[::100] - traj.density_modes[:, k]).max() / np.abs(vol).max()
         assert rel <= 1e-6
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        J=hst.integers(0, 2),
+        k=hst.sampled_from([-2, -1, 1, 2, 3]),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-1.0, 0.5, 1.0]),
+        q=hst.sampled_from([-3.0, -1.0, 1.0, 2.0]),
+    )
+    def test_matches_quadratic_product_trapezoid(self, J, k, seed, p, q):
+        # the recurrence is the O(n^2) product trapezoid, reordered exactly
+        gen = np.random.default_rng(seed)
+        grid = al.SpectralGrid(J + 4)
+        bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+        nm = grid.n_modes
+        u0 = al.OperatorMatrix(grid, gen.standard_normal((nm, nm)) + 1j * gen.standard_normal((nm, nm)))
+        j = np.arange(-J - abs(k), J + abs(k) + 1)
+        dt = 0.05 / (abs(p * k) * np.abs(2 * j + k).max())
+        t = np.arange(2000) * dt
+        got = al.volterra_solve(bg, u0, p, q, k, t)
+        phi = al.volterra_kernel(bg, p, k, t)
+        rho_free = al.free_density(u0, p, k, t)
+        coef = 1j * q / (2.0 * math.pi)
+        want = np.empty(t.size, dtype=complex)
+        want[0] = rho_free[0]
+        for i in range(1, t.size):
+            acc = 0.5 * phi[i] * want[0] + np.dot(phi[1:i][::-1], want[1:i])
+            want[i] = (rho_free[i] + coef * dt * acc) / (1.0 - coef * 0.5 * dt * phi[0])
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
     def test_nonuniform_grid_rejected(self, grid8, rank_one):
         bg, p, q = rank_one
         u0 = seed_matrix(grid8, {(1, 0): 1.0})

@@ -348,6 +348,17 @@ class TestRandomSmoothState:
         with pytest.raises(ValueError, match=f"^{name} "):
             al.random_smooth_state(grid8, rng=np.random.default_rng(0), **args)
 
+    @pytest.mark.parametrize("decay, band", [(-1e300, 3), (-600.0, 8), (-1e300, 1)])
+    def test_overflowing_falloff_named(self, grid8, decay, band):
+        # finite, but (1 + n^2)^(-decay/2) overflows on the band
+        with pytest.raises(ValueError, match="^decay "):
+            al.random_smooth_state(grid8, 2, band, decay, np.random.default_rng(0))
+
+    def test_extreme_decay_inside_a_zero_band_accepted(self, grid8):
+        # the falloff only matters on |n| <= band; at band 0 it is 1
+        st = al.random_smooth_state(grid8, 1, 0, -1e300, np.random.default_rng(0))
+        assert abs(abs(st.orbitals[0, grid8.N]) - 1.0) < 1e-14
+
     @pytest.mark.parametrize("rank, mass", [(0, 1.0), (17, 1.0), (3, 0.0)])
     def test_edges_accepted(self, grid8, rank, mass):
         st = al.random_smooth_state(grid8, rank, 8, 2.5, np.random.default_rng(0), total_mass=mass)
