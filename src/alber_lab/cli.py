@@ -242,10 +242,19 @@ def _physics(cfg: dict, preset_p=None, preset_q=None) -> tuple[float, float]:
     return p, q
 
 
-def _evolve_config(p: float, q: float, dt: float, T: float, where: str, record_every: int = 10**9):
-    """EvolveConfig with its input errors as ConfigError at the section where;
-    by default only the endpoints are recorded."""
-    return _call(where, EvolveConfig, p=p, q=q, dt=dt, T=T, record_every=record_every)
+def _evolve_config(
+    p: float, q: float, dt: float, T: float, where: str, record_every: int = 10**9, dt_key: str = "dt"
+):
+    """EvolveConfig with its input errors as ConfigError at the section where,
+    an error about dt naming the key dt_key; by default only the endpoints
+    are recorded."""
+    try:
+        return EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=record_every)
+    except ValueError as exc:
+        msg = str(exc)
+        if msg.startswith("dt"):
+            msg = dt_key + msg[len("dt"):]
+        raise ConfigError(f"{where}.{msg}") from exc
 
 
 def _preset(name: str, where: str) -> tuple[BackgroundSymbol, float, float]:
@@ -561,8 +570,11 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
         dts, dt_ref = section["dts"], section["dt_ref"]
         if dts is None or dt_ref is None:
             raise ConfigError("convergence.dts and convergence.dt_ref are required in mode 'dt'")
-        runs = [_evolve_config(p, q, dt, horizon, "convergence") for dt in dts]
-        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon, "convergence"))
+        runs = [
+            _evolve_config(p, q, dt, horizon, "convergence", dt_key=f"dts[{i}]")
+            for i, dt in enumerate(dts)
+        ]
+        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon, "convergence", dt_key="dt_ref"))
         ref_mat = to_matrix(ref).entries
         errors = []
         for run_cfg in runs:
@@ -642,6 +654,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"divergence at t={exc.t:.6g}; no data file written", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -39,6 +39,13 @@ class UnstableBackgroundError(ValueError):
     """Constants that require a positive Penrose margin were requested without one."""
 
 
+def _check_finite(**values: float) -> None:
+    # each message starts with the parameter's name, so a caller can say where it came from
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _kernel_terms(bg: BackgroundSymbol, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero coefficients c_j = Gh(j+k) - Gh(j) and frequencies p*k*(2j+k)."""
     if k == 0:
@@ -167,6 +174,7 @@ def penrose_margin(
     capped at 1, the limit at infinity.  eta_line_margins holds the same
     capped line minimum at the three smallest grid eta.
     """
+    _check_finite(p=p, q=q)
     scan = scan or PenroseScan()
     c, omega = _kernel_terms(bg, p, k)
     eta = np.sort(np.asarray(scan.eta_grid, dtype=float))[:3]
@@ -237,6 +245,7 @@ def volterra_solve(
     S_j = rho_0/2 * exp(i*omega_j*dt): O(n * terms) work.  Warns when the
     step undersamples the fastest kernel oscillation (dt > 0.1 / max|omega|).
     """
+    _check_finite(p=p, q=q)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("t_grid must be 1-d, start at 0 and have >= 2 points")
@@ -308,7 +317,6 @@ def propagator_constants(
     epsilon: float,
     c_bilinear: float,
 ) -> PropagatorConstants:
-    # each message starts with the parameter's name, so a caller can say where it came from
     inputs = {
         "gamma_h1s1": gamma_h1s1,
         "gamma_l1": gamma_l1,
@@ -318,9 +326,7 @@ def propagator_constants(
         "epsilon": epsilon,
         "c_bilinear": c_bilinear,
     }
-    for name, value in inputs.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _check_finite(**inputs)
     if kappa <= 0.0:
         raise UnstableBackgroundError(f"kappa must be a positive Penrose margin, got {kappa}")
     if min(gamma_h1s1, gamma_l1) < 0.0:

@@ -81,9 +81,6 @@ class MixedState:
     def rank(self) -> int:
         return self.weights.size
 
-    def orbital(self, k: int) -> FourierField:
-        return FourierField(self.grid, self.orbitals[k].copy())
-
     @classmethod
     def empty(cls, grid: SpectralGrid) -> "MixedState":
         return cls(grid, np.zeros(0), np.zeros((0, grid.n_modes), dtype=complex))

@@ -448,6 +448,16 @@ class TestConvergence:
         cfg = self.conv_config(tmp_path / "x", {"mode": "banana"})
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # a mass far above the divergence limit trips the reference run's first record
+        out = tmp_path / "run"
+        cfg = self.conv_config(out, {"mode": "dt", "T": 0.01, "dts": [2e-3, 1e-3], "dt_ref": 5e-4})
+        cfg["grid"] = {"N": 8}
+        cfg["state"]["mass"] = 1e200
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 3
+        assert "divergence at t=" in capsys.readouterr().err
+        assert not (out / "errors.csv").exists()
+
 
 def perturb_input(out_dir: Path, **section) -> dict:
     sec = {"background": "stable-broad", "epsilon": 1e-3, "kappa": 0.03, "c_bilinear": 2.0, "T": 0.02, "dt": 0.01}
@@ -641,6 +651,23 @@ class TestBadValues:
         assert code == 2
         assert f"{section}.{key}" in err.getvalue()
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "key, value, named",
+        [
+            ("dts", [1e-300, 0.01], "convergence.dts[0]=1e-300"),
+            ("dts", [0.02, -0.01], "convergence.dts[1] must be positive"),
+            ("dt_ref", 1e-300, "convergence.dt_ref=1e-300"),
+            ("dt_ref", 0.0, "convergence.dt_ref must be positive"),
+        ],
+    )
+    def test_convergence_step_errors_name_their_key(self, tmp_path, key, value, named):
+        # the N mode's convergence.dt is a different key
+        code, err, written = run_bad_value(tmp_path, "convergence", "convergence", key, value)
+        assert code == 2
+        assert named in err
+        assert "convergence.dt=" not in err and "convergence.dt " not in err
+        assert written == []
 
     @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
     def test_base_inputs_run(self, tmp_path, command):

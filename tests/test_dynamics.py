@@ -327,6 +327,47 @@ class TestMonitor:
         assert np.abs(rec.density_spectrum - np.abs(field.coeffs)).max() < 1e-12
 
 
+def picard_quadratic(gamma0, p, q, T, n_iter=8, n_quad=33):
+    """The Picard scheme with its trapezoid history summed afresh at every node.
+
+    Each term of the sum applies the free flow S(t_i - t_j) as a product of
+    two phase vectors exp(i p n^2 tau), recomputed for every pair of nodes:
+    O(n_quad^2) flows per iterate.  Returns the symmetrized last iterate,
+    or raises NoContractionError under the same rule as picard_solve.
+    """
+    n2 = gamma0.grid.modes().astype(float) ** 2
+    ts = np.linspace(0.0, T, n_quad)
+    h = ts[1] - ts[0]
+
+    def flow(entries, dtau):
+        u = np.exp(1j * p * n2 * dtau)
+        return u[:, None] * entries * u.conj()[None, :]
+
+    free = [flow(gamma0.entries, t) for t in ts]
+    iterates = [m.copy() for m in free]
+    scale = math.sqrt(float(np.sum(np.abs(gamma0.entries) ** 2))) or 1.0
+    prev_dist = math.inf
+    for _ in range(n_iter):
+        forcings = []
+        for m in iterates:
+            v = dyn._potential_matrix(m)
+            forcings.append(v @ m - m @ v)
+        new = [free[0].copy()]
+        for i in range(1, n_quad):
+            acc = 0.5 * flow(forcings[0], ts[i])
+            for j in range(1, i):
+                acc += flow(forcings[j], ts[i] - ts[j])
+            acc += 0.5 * forcings[i]
+            new.append(free[i] + (-1j * q * h) * acc)
+        dist = max(math.sqrt(float(np.sum(np.abs(a - b) ** 2))) for a, b in zip(new, iterates))
+        iterates = new
+        if dist >= prev_dist and dist > 1e-14 * scale:
+            raise al.NoContractionError(f"{prev_dist:.3e} -> {dist:.3e}")
+        prev_dist = dist
+    final = iterates[-1]
+    return 0.5 * (final + final.conj().T)
+
+
 class TestPicard:
     def test_linear_case_exact(self, grid8):
         st = random_state(grid8, 2, seed=9, band=3)
@@ -357,6 +398,42 @@ class TestPicard:
         heavy = al.random_smooth_state(grid8, 2, 3, 1.0, gen, total_mass=80.0)
         with pytest.raises(al.NoContractionError):
             al.picard_solve(al.to_matrix(heavy), p=1e-3, q=5.0, T=3.0, n_iter=10, n_quad=33)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(1, 8),
+        rank=hst.integers(1, 3),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        q=hst.sampled_from([-3.0, -1.0, 1.0, 3.0]),
+        T=hst.floats(0.0, 0.1, exclude_min=True),
+        n_iter=hst.integers(1, 12),
+        n_quad=hst.integers(2, 65),
+    )
+    def test_matches_quadratic_history_sum(self, n, rank, seed, p, q, T, n_iter, n_quad):
+        # the running sum is the trapezoid history sum, reordered exactly
+        grid = al.SpectralGrid(n)
+        g0 = al.to_matrix(random_state(grid, min(rank, grid.n_modes), seed))
+        try:
+            want = picard_quadratic(g0, p, q, T, n_iter, n_quad)
+        except al.NoContractionError:
+            with pytest.raises(al.NoContractionError):
+                al.picard_solve(g0, p, q, T, n_iter, n_quad)
+            return
+        got = al.picard_solve(g0, p, q, T, n_iter, n_quad)
+        assert got.hermitian
+        assert np.abs(got.entries - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", ["p", "q", "T"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, grid8, monkeypatch, name, bad):
+        def no_work(entries):
+            raise AssertionError("picard_solve started work on a non-finite input")
+
+        monkeypatch.setattr(dyn, "_potential_matrix", no_work)
+        args = {"p": 1.0, "q": 1.0, "T": 0.05, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            al.picard_solve(al.to_matrix(random_state(grid8, 2, seed=3)), **args)
 
 
 class TestDiagonalSums:

@@ -166,6 +166,14 @@ class TestPenroseMargin:
         blob = json.dumps(al.penrose_margin(bg, p, q, 1).to_dict())
         assert "margin" in blob
 
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, rank_one, name, bad):
+        bg, p, q = rank_one
+        args = {"p": p, "q": q, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            al.penrose_margin(bg, k=1, **args)
+
 
 # Margins of the parent grid + Nelder-Mead + Newton search, frozen:
 # the presets for k = 1..8, and the random family below for seeds 0, 1.
@@ -476,6 +484,15 @@ class TestVolterraSolve:
         u0 = seed_matrix(grid8, {(1, 0): 1.0})
         with pytest.raises(ValueError):
             al.volterra_solve(bg, u0, p, q, 1, np.array([0.0, 0.1, 0.3]))
+
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, grid8, rank_one, name, bad):
+        bg, p, q = rank_one
+        args = {"p": p, "q": q, name: bad}
+        u0 = seed_matrix(grid8, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            al.volterra_solve(bg, u0, k=1, t_grid=np.linspace(0.0, 1.0, 101), **args)
 
     def test_coarse_grid_warns(self, grid8):
         bg = al.BackgroundSymbol(np.array([0.2, 1.0, 0.2]))
