@@ -21,12 +21,18 @@ MixedState is built only at record points, where the open half step is
 closed.  evolve and every other multi-step caller go through iter_evolve.
 
 The linearized flow uses the integrating-factor midpoint rule.  In the
-lab frame its step is one fixed map: the half-step free phase
-exp(i*p*(m^2 - n^2)*dt/2) is tabulated once, as one exponential of the
-difference, so its diagonal is exactly 1; the coupling vanishes exactly
-on the diagonal, so the trace of U is kept bit for bit.  The step takes no
-eigenvalue or matrix exponential of the Penrose matrix: the growth rate it
-yields is checked against that matrix's eigenvalue.
+lab frame its step is one fixed linear map that never mixes the
+diagonals m - n = k of U, so on diagonal k it is one small
+diagonal-plus-rank-one matrix M_k, built from the half-step free phase
+exp(i*p*(m^2 - n^2)*dt/2) (one exponential of the difference) and the
+coupling.  The flow holds the diagonals that are not zero at t=0 as one
+stack and advances them from record to record either by one batched
+product with M^record_every, a matrix power taken once, or by
+record_every rank-one steps, whichever takes fewer multiplies.  M_0 is
+exactly the identity, so the diagonal of U, hence its trace, is kept
+bit for bit.  Only powers of the scheme's own step are taken, never an
+eigenvalue or matrix exponential of the Penrose matrix: the growth rate
+the flow yields is checked against that matrix's eigenvalue.
 
 The Picard oracle iterates the mild (Duhamel) formula on a uniform
 trapezoid grid.  Its free phases are one exponential of m^2 - n^2 per
@@ -43,12 +49,21 @@ phases, so the three solvers the oracle tests compare stay independent.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TWO_PI, analyze_batch, diagonal_sums, synthesize_batch, toeplitz
+from .spectral import (
+    TWO_PI,
+    analyze_batch,
+    diagonal_stack,
+    diagonal_sums,
+    from_diagonal_stack,
+    synthesize_batch,
+    toeplitz,
+)
 from .states import (
     BackgroundSymbol,
     MixedState,
@@ -278,6 +293,8 @@ def picard_solve(
     for name, value in (("p", p), ("q", q), ("T", T)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not np.isfinite(gamma0.entries).all():
+        raise ValueError("gamma0 must be finite, got a non-finite entry")
     if T < 0:
         raise ValueError("horizon must be >= 0")
     if n_quad < 2 or n_iter < 1:
@@ -327,6 +344,19 @@ class LinearizedTrajectory:
     growth_flag: bool
 
 
+def _power_pays(n: int, uses: int, nm: int) -> bool:
+    """Whether `uses` runs of n steps cost fewer multiplies as products with M^n.
+
+    Counted per diagonal of length nm: np.linalg.matrix_power(M, n) takes
+    n.bit_length() - 1 squarings and popcount(n) - 1 further products of
+    nm^3 multiplies each, one product with M^n costs nm^2, and one
+    rank-one step costs 3 nm.  The power wins at small nm and long
+    strides; at large nm it also holds nm times the memory of the steps.
+    """
+    products = n.bit_length() + bin(n).count("1") - 2
+    return products * nm**3 + uses * nm**2 <= uses * n * 3 * nm
+
+
 def linearized_evolve(
     u0: OperatorMatrix,
     bg: BackgroundSymbol,
@@ -340,40 +370,73 @@ def linearized_evolve(
     C(U)_mn = (iq/2pi)(Gh(m)-Gh(n)) rho_hat_U(m-n) is advanced with the
     explicit midpoint rule, so the step size is limited by the coupling
     strength, not by the stiff free rotation.  In the lab frame that step
-    is one fixed map, with H = Phi(dt/2) tabulated once:
-    V = U + dt/2 C(U), then U <- H (H U + dt C(H V)) entrywise.  The
-    diagonal of H is exactly 1 and that of C exactly 0, so every diagonal
-    entry of U, hence tr U, keeps its initial value bit for bit.
-    Unbounded growth is expected for spectrally unstable backgrounds and
-    is flagged, not raised.
+    is one fixed map, with H = Phi(dt/2):
+    V = U + dt/2 C(U), then U <- H (H U + dt C(H V)) entrywise.
+
+    C reads diagonal k = m - n of U only through its sum d(k), so the
+    step never mixes diagonals: on diagonal k, with h and c the entries
+    of H and of the coupling there, it is the diagonal-plus-rank-one matrix
+    M_k = diag(h^2) + dt (h c) (h + dt/2 (h . c) 1)^T.  A diagonal that is
+    zero at t=0 stays zero; the others are advanced as one zero-padded
+    stack (spectral.diagonal_stack), record to record.  Each stride of n
+    steps is one batched product with M^n, taken once per stride length,
+    where _power_pays counts that as fewer multiplies than n rank-one
+    steps x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  A
+    matrix is rebuilt from the stack only where one is recorded.  M_0 is
+    exactly the identity (h = 1 and c = 0 there), so every diagonal entry
+    of U, hence tr U, keeps its initial value bit for bit.  Unbounded
+    growth is expected for spectrally unstable backgrounds and is
+    flagged, not raised.
     """
     grid = u0.grid
     if grid.N < bg.J:
         raise TruncationError(f"grid cutoff N={grid.N} below background support J={bg.J}")
+    if matrix_every < 0:
+        raise ValueError(f"matrix_every must be >= 0, got {matrix_every}")
+    if not np.isfinite(u0.entries).all():
+        raise ValueError("u0 must be finite, got a non-finite entry")
     modes = grid.modes()
+    nm = grid.n_modes
     n2 = modes.astype(float) ** 2
     gh = bg.gamma_hat(modes).astype(float)
-    coupling = 1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :])
-    half = np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :]))
+    x = diagonal_stack(u0.entries)
+    live = np.flatnonzero(x.any(axis=1))
+    x = x[live]
+    h = diagonal_stack(np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :])))[live]
+    dhc = cfg.dt * h * diagonal_stack(1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :]))[live]
+    h2 = h * h
+    # the padding (h == 0) stays zero in every row and column of M_k
+    w = h + (0.5 * dhc.sum(axis=1))[:, None] * (h != 0)
+    ends = [*range(0, cfg.steps, cfg.record_every), cfg.steps]
+    uses = Counter(b - a for a, b in zip(ends, ends[1:]))  # record_every, and a partial last stride
+    pays = [n for n, count in uses.items() if _power_pays(n, count, nm)]
+    if pays:
+        step = dhc[:, :, None] * w[:, None, :]
+        step[:, np.arange(nm), np.arange(nm)] += h2
+    powers = {n: np.linalg.matrix_power(step, n) for n in pays}
+
+    def advance(x: np.ndarray, n: int) -> np.ndarray:
+        if n in powers:
+            return (powers[n] @ x[:, :, None])[:, :, 0]
+        for _ in range(n):
+            x = h2 * x + dhc * (w * x).sum(axis=1)[:, None]
+        return x
+
     half_band = slice(grid.N, 3 * grid.N + 1)  # k = -N..N inside d(k), k = -2N..2N
-    steps = cfg.steps
-    u = u0.entries.astype(complex)
+    full = np.zeros((2 * nm - 1, nm), dtype=complex)
     times, spectra = [], []
     matrices, matrix_times = [], []
     growth = False
-    for i in range(steps + 1):
-        if i:
-            v = u + 0.5 * cfg.dt * coupling * toeplitz(diagonal_sums(u))
-            u = half * (half * u + cfg.dt * coupling * toeplitz(diagonal_sums(half * v)))
-        if i % cfg.record_every and i != steps:
-            continue
-        d = diagonal_sums(u)[half_band]
+    for prev, i in zip([0, *ends], ends):
+        x = advance(x, i - prev)
+        full[live] = x
+        d = full.sum(axis=1)[half_band]
         if not np.isfinite(d).all() or np.abs(d).max() > DIVERGENCE_LIMIT:
             growth = True
         times.append(i * cfg.dt)
         spectra.append(d)
-        if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, steps):
-            matrices.append(OperatorMatrix(grid, u))
+        if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, cfg.steps):
+            matrices.append(OperatorMatrix(grid, from_diagonal_stack(full)))
             matrix_times.append(i * cfg.dt)
     return LinearizedTrajectory(
         times=np.asarray(times),

@@ -212,9 +212,9 @@ def penrose_margin(
 def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
     """rho_hat_free(k, t) = sum_j exp(i*p*k*(2j+k)*t) * U0_{j+k, j}.
 
-    Reads the diagonal with np.diagonal, not spectral.diagonal_sums, on
-    purpose: it feeds the Volterra oracle that is checked against
-    linearized_evolve, which uses diagonal_sums.
+    Reads the diagonal with np.diagonal, not spectral's diagonal helpers,
+    on purpose: it feeds the Volterra oracle that is checked against
+    linearized_evolve, which uses spectral.diagonal_stack.
     """
     if k == 0:
         raise ValueError("k = 0 carries no free oscillation; use the trace")
@@ -246,6 +246,8 @@ def volterra_solve(
     step undersamples the fastest kernel oscillation (dt > 0.1 / max|omega|).
     """
     _check_finite(p=p, q=q)
+    if not np.isfinite(u0.entries).all():
+        raise ValueError("u0 must be finite, got a non-finite entry")
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("t_grid must be 1-d, start at 0 and have >= 2 points")

@@ -176,6 +176,32 @@ def toeplitz(d: np.ndarray) -> np.ndarray:
     return d[_offsets((len(d) + 1) // 2)]
 
 
+@lru_cache(maxsize=16)
+def _stack_index(nm: int) -> tuple:
+    """Where entry (m, n) sits in the diagonal stack: row m - n + nm - 1, column min(m, n)."""
+    idx = np.arange(nm)
+    cols = np.minimum.outer(idx, idx)
+    cols.flags.writeable = False
+    return _offsets(nm), cols
+
+
+def diagonal_stack(entries: np.ndarray) -> np.ndarray:
+    """The diagonals m - n = k of an nm x nm matrix as rows of a (2nm-1, nm) stack.
+
+    Row k + nm - 1 holds diagonal k from its top-left entry on and is
+    zero-padded to length nm, so its sum is diagonal_sums(entries)[k + nm - 1].
+    """
+    nm = entries.shape[0]
+    out = np.zeros((2 * nm - 1, nm), dtype=complex)
+    out[_stack_index(nm)] = entries
+    return out
+
+
+def from_diagonal_stack(stack: np.ndarray) -> np.ndarray:
+    """The nm x nm matrix whose diagonal_stack is stack; the padding is not read."""
+    return stack[_stack_index(stack.shape[1])]
+
+
 def sobolev_norm(field_: FourierField, s: float) -> float:
     """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2}; s must be >= 0."""
     if s < 0:
@@ -188,7 +214,8 @@ def lp_norm(samples: np.ndarray, p) -> float:
     """L^p norm of physical samples via the rectangle rule, p in {1,2,4,inf}.
 
     The quadrature weight is 2*pi/len(samples), exact for trigonometric
-    polynomials resolved by the sample count.
+    polynomials resolved by the sample count.  A p-th power that overflows
+    gives an infinite norm, without a numpy warning.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
@@ -199,10 +226,11 @@ def lp_norm(samples: np.ndarray, p) -> float:
         return float(a.max())
     if p == 1:
         return float(np.sum(a) * dx)
-    if p == 2:
-        return math.sqrt(float(np.sum(a**2) * dx))
-    if p == 4:
-        return float(np.sum(a**4) * dx) ** 0.25
+    with np.errstate(over="ignore"):
+        if p == 2:
+            return math.sqrt(float(np.sum(a**2) * dx))
+        if p == 4:
+            return float(np.sum(a**4) * dx) ** 0.25
     raise ValueError(f"unsupported exponent p={p}; use 1, 2, 4 or math.inf")
 
 

@@ -116,6 +116,16 @@ class TestSimulate:
         assert (out / "trajectory.csv").exists()
         assert not (out / "final_state.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_mass_diverges_without_numpy_warning(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = simulate_config(out)
+        cfg["state"]["mass"] = 1e200
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "divergence at t=0" in err
+        assert "Warning" not in err
+
     def test_state_from_file(self, tmp_path):
         out1 = tmp_path / "first"
         cli.main(["simulate", "--config", write_config(tmp_path, simulate_config(out1), "one.json")])
@@ -457,6 +467,18 @@ class TestConvergence:
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 3
         assert "divergence at t=" in capsys.readouterr().err
         assert not (out / "errors.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_prints_no_numpy_warning(self, tmp_path, capsys):
+        # the energy of a mass-1e200 state overflows to inf without numpy's overflow warning
+        out = tmp_path / "run"
+        cfg = self.conv_config(out, {"mode": "dt", "T": 0.01, "dts": [2e-3, 1e-3], "dt_ref": 5e-4})
+        cfg["grid"] = {"N": 8}
+        cfg["state"]["mass"] = 1e200
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == "divergence at t=0; no data file written\n"
+        assert not out.exists() or not any(out.iterdir())
 
 
 def perturb_input(out_dir: Path, **section) -> dict:

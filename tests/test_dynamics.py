@@ -6,6 +6,7 @@ e^{-i q rho(x) dt} pointwise.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ import alber_lab as al
 import alber_lab.dynamics as dyn
 import alber_lab.states as states_mod
 from alber_lab.dynamics import DivergenceError, diagonal_sums
-from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch
+from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch, toeplitz
 
 from conftest import random_state
 
@@ -435,6 +436,18 @@ class TestPicard:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             al.picard_solve(al.to_matrix(random_state(grid8, 2, seed=3)), **args)
 
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_datum_rejected(self, grid8, monkeypatch, where, bad):
+        def no_work(entries):
+            raise AssertionError("picard_solve started work on a non-finite input")
+
+        monkeypatch.setattr(dyn, "_potential_matrix", no_work)
+        m = al.to_matrix(random_state(grid8, 2, seed=3)).entries.copy()
+        m[grid8.N + where[0], grid8.N + where[1]] = bad
+        with pytest.raises(ValueError, match="^gamma0 must be finite"):
+            al.picard_solve(al.OperatorMatrix(grid8, m), 1.0, 1.0, 0.05)
+
 
 class TestDiagonalSums:
     def test_brute_force_oracle(self, grid8, rng):
@@ -509,6 +522,64 @@ def linearized_in_rotating_frame(u0, bg, cfg):
             spectra.append(density(u))
             matrices.append(u)
     return np.array(spectra), matrices
+
+
+def linearized_step_reference(u0, bg, cfg, matrix_every=0):
+    """The lab-frame midpoint step applied one dt at a time on the full matrix.
+
+    V = U + dt/2 C(U), then U <- H (H U + dt C(H V)) entrywise, with
+    H = Phi(dt/2) and C(U)_mn = (iq/2pi)(Gh(m)-Gh(n)) d(m - n) formed
+    through diagonal_sums and toeplitz at every step.  Records, recorded
+    matrices and the growth flag follow the rules of linearized_evolve.
+    """
+    grid = u0.grid
+    modes = grid.modes()
+    n2 = modes.astype(float) ** 2
+    gh = bg.gamma_hat(modes).astype(float)
+    coupling = 1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :])
+    half = np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :]))
+    half_band = slice(grid.N, 3 * grid.N + 1)
+    steps = cfg.steps
+    u = u0.entries.astype(complex)
+    times, spectra = [], []
+    matrices, matrix_times = [], []
+    growth = False
+    for i in range(steps + 1):
+        if i:
+            v = u + 0.5 * cfg.dt * coupling * toeplitz(diagonal_sums(u))
+            u = half * (half * u + cfg.dt * coupling * toeplitz(diagonal_sums(half * v)))
+        if i % cfg.record_every and i != steps:
+            continue
+        d = diagonal_sums(u)[half_band]
+        if not np.isfinite(d).all() or np.abs(d).max() > dyn.DIVERGENCE_LIMIT:
+            growth = True
+        times.append(i * cfg.dt)
+        spectra.append(d)
+        if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, steps):
+            matrices.append(u)
+            matrix_times.append(i * cfg.dt)
+    return dyn.LinearizedTrajectory(
+        times=np.asarray(times),
+        k_modes=modes.copy(),
+        density_modes=np.asarray(spectra),
+        matrices=matrices,
+        matrix_times=np.asarray(matrix_times),
+        growth_flag=growth,
+    )
+
+
+def stride_case(data, kind):
+    """(steps, record_every) with record_every 1, a divisor of steps, a
+    non-divisor (a partial last stride) or more than steps."""
+    if kind == "one":
+        return data.draw(hst.integers(1, 40)), 1
+    stride = data.draw(hst.integers(2, 12))
+    if kind == "beyond":
+        return data.draw(hst.integers(1, stride - 1)), stride
+    steps = stride * data.draw(hst.integers(1, 5))
+    if kind == "partial":
+        steps += data.draw(hst.integers(1, stride - 1))
+    return steps, stride
 
 
 class TestLinearizedEvolve:
@@ -643,3 +714,159 @@ class TestLinearizedEvolve:
         for m in traj.matrices:
             assert np.array_equal(np.diag(m.entries), np.diag(u0.entries))
         assert (traj.density_modes[:, grid.N] == traj.density_modes[0, grid.N]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hst.data(),
+        n=hst.integers(1, 8),
+        background=hst.sampled_from(["random", "remark-5-2-unstable", "stable-broad"]),
+        p_sign=hst.sampled_from([-1.0, 1.0]),
+        q_sign=hst.sampled_from([-1.0, 1.0]),
+        steps_kind=hst.sampled_from(["one", "divisor", "partial", "beyond"]),
+        matrix_every=hst.sampled_from([0, 1, 3]),
+        power=hst.sampled_from([True, False, None]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_step_reference(
+        self, data, n, background, p_sign, q_sign, steps_kind, matrix_every, power, seed
+    ):
+        # one matrix power per stride and rank-one steps on the diagonal stack
+        # (forced, or as _power_pays picks) are the same map as one step per dt
+        gen = np.random.default_rng(seed)
+        if background == "random":
+            J = data.draw(hst.integers(0, n))
+            bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+            p, q = data.draw(hst.sampled_from([0.5, 1.0, 1.5])), data.draw(hst.sampled_from([0.5, 1.0, 3.0]))
+        else:
+            bg, p, q = al.background_preset(background)
+        grid = al.SpectralGrid(max(n, bg.J))
+        u0 = al.random_hermitian_perturbation(grid, data.draw(hst.integers(0, grid.N)), gen)
+        steps, record_every = stride_case(data, steps_kind)
+        dt = data.draw(hst.sampled_from([1e-3, 1e-2, 0.05]))
+        cfg = al.EvolveConfig(p_sign * p, q_sign * q, dt, steps * dt, record_every=record_every)
+        pays = dyn._power_pays if power is None else (lambda *args: power)
+        with mock.patch.object(dyn, "_power_pays", pays):
+            got = al.linearized_evolve(u0, bg, cfg, matrix_every=matrix_every)
+        want = linearized_step_reference(u0, bg, cfg, matrix_every=matrix_every)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.matrix_times, want.matrix_times)
+        assert got.growth_flag == want.growth_flag
+        assert np.array_equal(got.k_modes, want.k_modes)
+        assert got.density_modes.shape == want.density_modes.shape
+        for g, w in zip(got.density_modes, want.density_modes):
+            assert np.abs(g - w).max() <= 1e-10 * np.abs(w).max()
+        assert len(got.matrices) == len(want.matrices)
+        for g, w in zip(got.matrices, want.matrices):
+            assert np.abs(g.entries - w).max() <= 1e-10 * np.abs(w).max()
+
+    def test_matches_step_reference_on_oracle_configs(self):
+        # criterion 4's configs and the perturb path (stride 10, every matrix)
+        for name, n, dt, T, record_every, matrix_every in [
+            ("stable-broad", 6, 2e-4, 2.0, 100, 0),
+            ("remark-5-2-unstable", 6, 2e-4, 2.0, 100, 0),
+            ("stable-broad", 12, 1e-3, 0.5, 10, 1),
+        ]:
+            bg, p, q = al.background_preset(name)
+            grid = al.SpectralGrid(n)
+            u0 = al.random_hermitian_perturbation(grid, 2, np.random.default_rng(7))
+            cfg = al.EvolveConfig(p, q, dt, T, record_every=record_every)
+            got = al.linearized_evolve(u0, bg, cfg, matrix_every=matrix_every)
+            want = linearized_step_reference(u0, bg, cfg, matrix_every=matrix_every)
+            scale = np.abs(want.density_modes).max()
+            assert np.abs(got.density_modes - want.density_modes).max() <= 1e-10 * scale
+            for g, w in zip(got.matrices, want.matrices):
+                assert np.abs(g.entries - w).max() <= 1e-10 * np.abs(w).max()
+                assert np.array_equal(np.diag(g.entries), np.diag(u0.entries))
+
+    def test_oracle_configs_on_both_paths(self):
+        # criterion 4's config, with the matrix power and with rank-one steps
+        bg, p, q = al.background_preset("remark-5-2-unstable")
+        u0 = al.random_hermitian_perturbation(al.SpectralGrid(6), 2, np.random.default_rng(7))
+        cfg = al.EvolveConfig(p, q, 2e-4, 2.0, record_every=100)
+        want = linearized_step_reference(u0, bg, cfg)
+        for power in (True, False):
+            with mock.patch.object(dyn, "_power_pays", lambda *args: power):
+                got = al.linearized_evolve(u0, bg, cfg)
+            scale = np.abs(want.density_modes).max()
+            assert np.abs(got.density_modes - want.density_modes).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "n, band, dt, T, record_every, powers",
+        [
+            (6, 2, 2e-4, 2.0, 100, 1),  # criterion 4: small nm, long strides
+            (3, 3, 1e-2, 1.0, 7, 1),  # M^7 pays for 14 strides, M^2 not for the last one
+            (3, 3, 1e-2, 0.5, 7, 0),  # M^7 does not pay for 7 strides
+            (32, 32, 1e-3, 0.2, 100, 0),  # large nm: products with M^n cost more than the steps
+        ],
+    )
+    def test_power_only_where_it_pays(self, monkeypatch, n, band, dt, T, record_every, powers):
+        calls = []
+        power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: calls.append(a.shape) or power(a, k))
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(al.SpectralGrid(n), band, np.random.default_rng(2))
+        traj = al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, dt, T, record_every=record_every))
+        assert len(calls) == powers
+        # only the diagonals that are not zero at t=0 are advanced
+        assert all(shape == (4 * band + 1, 2 * n + 1, 2 * n + 1) for shape in calls)
+        assert np.isfinite(traj.density_modes).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power", [True, False])
+    def test_zero_diagonals_stay_zero(self, power):
+        # an unstable background whose step power overflows on k = +-1: a datum
+        # that is zero there stays exactly zero, with no NaN and no growth flag
+        bg, p, q = al.background_preset("remark-5-2-unstable")
+        grid = al.SpectralGrid(3)
+        u0 = al.OperatorMatrix(grid, np.diag(np.linspace(0.1, 0.7, 7)).astype(complex), hermitian=True)
+        cfg = al.EvolveConfig(p, q, 0.05, 2000.0, record_every=10**9)
+        with mock.patch.object(dyn, "_power_pays", lambda *args: power):
+            traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        assert not traj.growth_flag
+        assert (np.delete(traj.density_modes, grid.N, axis=1) == 0).all()
+        for m in traj.matrices:
+            assert np.array_equal(m.entries, u0.entries)
+
+    def test_zero_datum(self):
+        bg, p, q = al.background_preset("stable-broad")
+        grid = al.SpectralGrid(4)
+        u0 = al.OperatorMatrix(grid, np.zeros((grid.n_modes, grid.n_modes), dtype=complex))
+        traj = al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 1.0, record_every=7), matrix_every=1)
+        assert not traj.growth_flag
+        assert (traj.density_modes == 0).all()
+        assert all((m.entries == 0).all() for m in traj.matrices)
+
+    def test_no_toeplitz_pair(self, monkeypatch):
+        # neither the power nor the rank-one steps read diagonal sums or build a Toeplitz matrix
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linearized_evolve stepped through the Toeplitz pair")
+
+        monkeypatch.setattr(dyn, "diagonal_sums", forbidden)
+        monkeypatch.setattr(dyn, "toeplitz", forbidden)
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(al.SpectralGrid(4), 2, np.random.default_rng(1))
+        cfg = al.EvolveConfig(p, q, 1e-2, 1.0, record_every=7)
+        for power in (True, False):
+            with mock.patch.object(dyn, "_power_pays", lambda *args: power):
+                traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+            assert len(traj.times) == 16
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, monkeypatch, where, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("linearized_evolve started work on a non-finite input")
+
+        monkeypatch.setattr(dyn, "diagonal_stack", no_work)
+        grid = al.SpectralGrid(4)
+        m = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
+        m[grid.N + where[0], grid.N + where[1]] = bad
+        bg, p, q = al.background_preset("stable-broad")
+        with pytest.raises(ValueError, match="^u0 must be finite"):
+            al.linearized_evolve(al.OperatorMatrix(grid, m), bg, al.EvolveConfig(p, q, 1e-2, 0.1))
+
+    def test_negative_matrix_every_rejected(self):
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(al.SpectralGrid(4), 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="^matrix_every must be >= 0"):
+            al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 0.1), matrix_every=-1)

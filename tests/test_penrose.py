@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
+import alber_lab.penrose as penrose_mod
 
 UNSTABLE = "remark-5-2-unstable"
 
@@ -493,6 +494,19 @@ class TestVolterraSolve:
         u0 = seed_matrix(grid8, {(1, 0): 1.0})
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             al.volterra_solve(bg, u0, k=1, t_grid=np.linspace(0.0, 1.0, 101), **args)
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 0)])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_datum_rejected(self, rank_one, monkeypatch, where, bad):
+        def no_work(*args, **kwargs):
+            raise AssertionError("volterra_solve started work on a non-finite input")
+
+        monkeypatch.setattr(penrose_mod, "free_density", no_work)
+        grid = al.SpectralGrid(4)
+        u0 = seed_matrix(grid, {(1, 0): 1.0, where: bad})
+        bg, p, q = rank_one
+        with pytest.raises(ValueError, match="^u0 must be finite"):
+            al.volterra_solve(bg, u0, p, q, 1, np.linspace(0.0, 1.0, 101))
 
     def test_coarse_grid_warns(self, grid8):
         bg = al.BackgroundSymbol(np.array([0.2, 1.0, 0.2]))

@@ -150,6 +150,14 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             al.lp_norm(np.ones(grid8.M), 3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_overflowing_powers_infinite(self, grid8, p):
+        # a**p overflows for these finite samples: the norm is inf, with no warning
+        assert al.lp_norm(1e200 * np.cos(grid8.points()), p) == math.inf
+        assert al.lp_norm(np.full(grid8.M, math.inf), p) == math.inf
+        assert math.isnan(al.lp_norm(np.full(grid8.M, math.nan), p))
+
 
 class TestBesselConstant:
     def test_s1_closed_form(self):

@@ -17,7 +17,7 @@ from hypothesis import strategies as hst
 
 import alber_lab as al
 from alber_lab.spectral import TWO_PI, diagonal_sums
-from alber_lab.states import GramError, gram_deviation, gram_matrix
+from alber_lab.states import GramError, _energy, gram_deviation, gram_matrix
 
 from conftest import random_state
 
@@ -260,6 +260,12 @@ class TestEnergies:
         st = plane_wave_state(grid8, 0, 1.0)
         with pytest.raises(ValueError):
             al.energy(st, 0.0, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_energy_of_overflowing_density_is_infinite(self, grid8):
+        # ||rho||_2^2 overflows here: the energy is infinite, with no warning
+        assert _energy(1.0, np.full(grid8.M, 1e200), 1.0, 1.0) == math.inf
+        assert _energy(1.0, np.full(grid8.M, 1e200), 1.0, -1.0) == -math.inf
 
 
 class TestGalerkinTruncate:
