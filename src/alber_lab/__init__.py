@@ -4,14 +4,11 @@ NLS dynamics on the one-dimensional torus."""
 __version__ = "0.1.0"
 
 from .spectral import (
-    FourierField,
     SpectralGrid,
-    analyze,
     bessel_constant,
     diagonal_sums,
     lp_norm,
     sobolev_norm,
-    synthesize,
     toeplitz,
 )
 from .states import (
@@ -24,7 +21,6 @@ from .states import (
     TruncationError,
     background_to_matrix,
     background_to_state,
-    density,
     density_samples,
     eigendecompose,
     energy,

@@ -58,7 +58,6 @@ from .states import (
     background_to_matrix,
     background_to_state,
     eigendecompose,
-    galerkin_truncate,
     reorthonormalized,
     sobolev_schatten_norm,
     state_from_dict,
@@ -609,7 +608,7 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
             fin_mat = to_matrix(final).entries
             embedded = np.zeros_like(ref_mat.entries)
             embedded[np.ix_(sel, sel)] = fin_mat
-            diff = embedded - galerkin_truncate(ref_mat, grid.N).entries
+            diff = embedded - ref_mat.entries
             err = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
             rows.append((n_prime, err, math.nan))
         write_csv(out / "errors.csv", ("N", "error_s2", "ratio"), rows)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import TWO_PI, SpectralGrid, bessel_constant, diagonal_sums, lp_norm
-from .spectral import FourierField, sobolev_norm, synthesize_batch, toeplitz
+from .spectral import sobolev_norm, synthesize_batch, toeplitz
 from .states import (
     MixedState,
     OperatorMatrix,
@@ -224,8 +224,7 @@ def check_apriori_ensemble(
 
 def _matrix_density_sobolev(u: OperatorMatrix, s: float) -> float:
     """||rho_U||_{H^s} for a general (possibly sign-indefinite) matrix."""
-    rho_hat = diagonal_sums(u.entries) / math.sqrt(TWO_PI)  # on k = -2N..2N
-    return sobolev_norm(FourierField(SpectralGrid(2 * u.grid.N), rho_hat), s)
+    return sobolev_norm(diagonal_sums(u.entries) / math.sqrt(TWO_PI), s)  # on k = -2N..2N
 
 
 def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
@@ -255,7 +254,7 @@ def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
     ratios = []
     for _ in range(cfg.n_samples):
         coeffs = random_field_coeffs(rng, cfg.grid, cfg.decay_exponent)
-        fnorm = math.sqrt(float(np.sum(cfg.grid.brackets_sq() ** s * np.abs(coeffs) ** 2)))
+        fnorm = sobolev_norm(coeffs, s)
         if fnorm < 1e-14:
             continue
         m = _multiplier_matrix(cfg.grid, coeffs)

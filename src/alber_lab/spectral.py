@@ -6,16 +6,19 @@ Everything downstream relies on the unitary Fourier convention
     f(x)     = (2*pi)**-0.5 * sum_n f_hat(n) exp(+i*n*x),
 
 so Parseval reads ||f||_{L2}^2 = sum_n |f_hat(n)|^2 with no extra factor.
-The plane-wave Toeplitz pair lives here too: diagonal_sums (the density
-coefficients of a mode matrix) and its adjoint toeplitz (multiplication).
-All operations here are pure functions; only the offset table that the
-pair indexes is cached, one read-only copy per matrix size.
+A field is a plain array of its coefficients on modes -N..N, or a stack
+of such rows: synthesize_batch/analyze_batch are the one transform pair,
+and sobolev_norm the one H^s formula.  The plane-wave Toeplitz pair lives
+here too: diagonal_sums (the density coefficients of a mode matrix) and
+its adjoint toeplitz (multiplication).  All operations here are pure
+functions; only the offset table that the pair indexes is cached, one
+read-only copy per matrix size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -81,34 +84,6 @@ class SpectralGrid:
         return 1.0 + n.astype(float) ** 2
 
 
-@dataclass
-class FourierField:
-    """A band-limited field, stored as its coefficients on modes -N..N."""
-
-    grid: SpectralGrid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.grid.n_modes,):
-            raise ValueError(
-                f"expected {self.grid.n_modes} coefficients for N={self.grid.N}, "
-                f"got shape {self.coeffs.shape}"
-            )
-
-    @classmethod
-    def zero(cls, grid: SpectralGrid) -> "FourierField":
-        return cls(grid, np.zeros(grid.n_modes, dtype=complex))
-
-    @classmethod
-    def from_mode(cls, grid: SpectralGrid, n: int, coeff: complex = 1.0) -> "FourierField":
-        if abs(n) > grid.N:
-            raise ValueError(f"mode {n} outside band |n| <= {grid.N}")
-        c = np.zeros(grid.n_modes, dtype=complex)
-        c[n + grid.N] = coeff
-        return cls(grid, c)
-
-
 def synthesize_batch(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     """Evaluate stacked coefficient rows on the physical grid.
 
@@ -135,16 +110,6 @@ def analyze_batch(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {grid.M} samples on this grid, got shape {samples.shape}")
     spectrum = np.fft.fft(samples, axis=-1) * (math.sqrt(TWO_PI) / grid.M)
     return spectrum[..., grid.modes() % grid.M]
-
-
-def synthesize(field_: FourierField) -> np.ndarray:
-    """Physical samples of a field on its grid."""
-    return synthesize_batch(field_.grid, field_.coeffs)
-
-
-def analyze(grid: SpectralGrid, samples: np.ndarray) -> FourierField:
-    """FourierField from physical samples (band-limited projection)."""
-    return FourierField(grid, analyze_batch(grid, samples))
 
 
 @lru_cache(maxsize=16)
@@ -202,12 +167,19 @@ def from_diagonal_stack(stack: np.ndarray) -> np.ndarray:
     return stack[_stack_index(stack.shape[1])]
 
 
-def sobolev_norm(field_: FourierField, s: float) -> float:
-    """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2}; s must be >= 0."""
+def sobolev_norm(coeffs: np.ndarray, s: float) -> float:
+    """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2} of coefficients on modes -K..K.
+
+    K is read from the length, which must be odd; s must be >= 0.
+    """
     if s < 0:
         raise ValueError(f"negative Sobolev order s={s} is not exposed here")
-    weights = field_.grid.brackets_sq() ** s
-    return math.sqrt(float(np.sum(weights * np.abs(field_.coeffs) ** 2)))
+    if len(coeffs) % 2 != 1:
+        raise ValueError(f"coefficients must cover modes -K..K, got length {len(coeffs)}")
+    k = len(coeffs) // 2
+    n = np.arange(-k, k + 1)
+    weights = (1.0 + n.astype(float) ** 2) ** s
+    return math.sqrt(float(np.sum(weights * np.abs(coeffs) ** 2)))
 
 
 def lp_norm(samples: np.ndarray, p) -> float:

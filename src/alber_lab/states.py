@@ -5,9 +5,11 @@ and orthonormal orbitals psi_k.  Its matrix in the orthonormal basis
 e_n = (2*pi)**-0.5 exp(i*n*x) is U_mn = sum_k mu_k psihat_k(m) conj(psihat_k(n)).
 Homogeneous backgrounds are diagonal in that basis: a symbol Gamma_hat >= 0
 supported on |n| <= J gives the matrix diag(Gamma_hat(n)).
-Each orbital formula has one home: density_samples (rho on the grid),
-_orbital_sum (the weighted trace behind mass, kinetic energy and the
-H^s S^1 norm) and _energy (E = -p*K + (q/2)*||rho||^2, shared by monitor).
+Each orbital formula has one home: density_samples (rho on the grid, the
+one density routine; potential_step, iter_evolve and the Hoffmann-Ostenhof
+check write rho inline because they reuse psi), _orbital_sum (the weighted
+trace behind mass, kinetic energy and the H^s S^1 norm) and _energy
+(E = -p*K + (q/2)*||rho||^2, shared by monitor).
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import (
-    TWO_PI,
-    FourierField,
-    SpectralGrid,
-    analyze,
-    bessel_constant,
-    lp_norm,
-    synthesize_batch,
-)
+from .spectral import TWO_PI, SpectralGrid, bessel_constant, lp_norm, synthesize_batch
 
 
 class GramError(ValueError):
@@ -72,10 +66,11 @@ class MixedState:
             raise ValueError("weights must be finite")
         if self.weights.size and self.weights.min() < 0.0:
             raise ValueError(f"negative weight {self.weights.min()}")
-        dev = gram_deviation(self)
-        # a NaN deviation fails any finite tolerance; gram_tol = inf accepts all
-        if self.gram_tol != math.inf and not dev <= self.gram_tol:
-            raise GramError(f"orbital Gram matrix deviates from identity by {dev:.3e}")
+        # gram_tol = inf accepts all, unmeasured; a NaN deviation fails any finite tolerance
+        if self.gram_tol != math.inf:
+            dev = gram_deviation(self)
+            if not dev <= self.gram_tol:
+                raise GramError(f"orbital Gram matrix deviates from identity by {dev:.3e}")
 
     @property
     def rank(self) -> int:
@@ -167,12 +162,6 @@ def density_samples(state: MixedState) -> np.ndarray:
         return np.zeros(state.grid.M)
     psi = synthesize_batch(state.grid, state.orbitals)
     return (np.abs(psi) ** 2).T @ state.weights
-
-
-def density(state: MixedState) -> tuple[FourierField, np.ndarray]:
-    """The density as a band-limited field (modes -N..N) and its raw samples."""
-    samples = density_samples(state)
-    return analyze(state.grid, samples), samples
 
 
 def to_matrix(state: MixedState) -> OperatorMatrix:

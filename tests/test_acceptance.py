@@ -82,7 +82,7 @@ def test_criterion_1_conservation(conservation_run):
 
 def test_criterion_2_apriori_bound(conservation_run):
     state, focusing_records, _ = conservation_run
-    _, rho = al.density(state)
+    rho = al.density_samples(state)
     rho_l2 = al.lp_norm(rho, 2)
     m0, k0 = al.mass(state), al.kinetic_energy(state)
     outcomes = {}

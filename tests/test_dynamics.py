@@ -15,7 +15,6 @@ from hypothesis import strategies as hst
 
 import alber_lab as al
 import alber_lab.dynamics as dyn
-import alber_lab.states as states_mod
 from alber_lab.dynamics import DivergenceError, diagonal_sums
 from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch, toeplitz
 
@@ -112,8 +111,8 @@ class TestPotentialStep:
         # band 3 at N = 16 keeps every relevant multiplier order in-band, so
         # the discarded tail sits far below the 1e-12 target
         st = random_state(grid16, 3, seed=4, band=3)
-        _, before = al.density(st)
-        _, after = al.density(al.potential_step(st, 2.0, 0.01))
+        before = al.density_samples(st)
+        after = al.density_samples(al.potential_step(st, 2.0, 0.01))
         assert np.abs(after - before).max() <= 1e-12 * np.abs(before).max()
 
     def test_mass_and_gram_invariant(self, grid16):
@@ -286,14 +285,14 @@ class TestFusedKernel:
 
     def test_mixed_states_built_at_records_only(self, grid8, monkeypatch):
         calls = {"n": 0}
-        original = states_mod.gram_deviation
+        original = al.MixedState.__post_init__
 
         def counting(state):
             calls["n"] += 1
-            return original(state)
+            original(state)
 
         st = random_state(grid8, 2, seed=32, band=3)
-        monkeypatch.setattr(states_mod, "gram_deviation", counting)
+        monkeypatch.setattr(al.MixedState, "__post_init__", counting)
         _, records = al.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-2, 0.6, record_every=20))
         assert len(records) == 4
         assert calls["n"] == len(records) - 1  # the initial state is the caller's
@@ -324,8 +323,8 @@ class TestMonitor:
         assert abs(rec.kinetic - al.kinetic_energy(st)) < 1e-12
         assert abs(rec.energy - al.energy(st, 1.0, -1.0)) < 1e-10
         assert abs(rec.s2_norm - np.sqrt((st.weights**2).sum())) < 1e-10
-        field, _ = al.density(st)
-        assert np.abs(rec.density_spectrum - np.abs(field.coeffs)).max() < 1e-12
+        rho_hat = analyze_batch(grid16, al.density_samples(st))
+        assert np.abs(rec.density_spectrum - np.abs(rho_hat)).max() < 1e-12
 
 
 def picard_quadratic(gamma0, p, q, T, n_iter=8, n_quad=33):

@@ -28,6 +28,13 @@ COTH_PI_HALF = 0.5018709365986607  # coth(pi)/2 to 16 digits
 B20_BRUTE = 0.15915524665586178  # (1 + 2*2^-20 + 2*5^-20 + ...)/(2*pi)
 
 
+def mode_coeffs(grid, n, coeff):
+    """Coefficients on modes -N..N of the single mode coeff * e_n."""
+    c = np.zeros(grid.n_modes, dtype=complex)
+    c[n + grid.N] = coeff
+    return c
+
+
 class TestSpectralGrid:
     def test_mode_layout(self, grid8):
         assert grid8.n_modes == 17
@@ -60,43 +67,39 @@ class TestSpectralGrid:
 
 class TestSynthesizeAnalyze:
     def test_zero_field(self, grid8):
-        f = al.FourierField.zero(grid8)
-        assert np.all(al.synthesize(f) == 0)
+        assert np.all(synthesize_batch(grid8, np.zeros(grid8.n_modes)) == 0)
 
     def test_constant_mode(self, grid8):
-        f = al.FourierField.from_mode(grid8, 0, math.sqrt(TWO_PI))
-        s = al.synthesize(f)
+        s = synthesize_batch(grid8, mode_coeffs(grid8, 0, math.sqrt(TWO_PI)))
         assert np.allclose(s, 1.0, atol=1e-13)
 
     def test_plane_wave_closed_form(self, grid8):
-        f = al.FourierField.from_mode(grid8, 1, math.sqrt(TWO_PI))
-        s = al.synthesize(f)
+        c = mode_coeffs(grid8, 1, math.sqrt(TWO_PI))
+        s = synthesize_batch(grid8, c)
         assert np.allclose(s, np.exp(1j * grid8.points()), atol=1e-12)
-        back = al.analyze(grid8, s)
-        assert np.abs(back.coeffs - f.coeffs).max() < 1e-12
+        back = analyze_batch(grid8, s)
+        assert np.abs(back - c).max() < 1e-12
 
     def test_all_ones_samples(self, grid8):
-        f = al.analyze(grid8, np.ones(grid8.M, dtype=complex))
-        coeffs = f.coeffs.copy()
+        coeffs = analyze_batch(grid8, np.ones(grid8.M, dtype=complex))
         assert abs(coeffs[grid8.N] - math.sqrt(TWO_PI)) < 1e-12
         coeffs[grid8.N] = 0.0
         assert np.abs(coeffs).max() < 1e-12
 
     def test_random_round_trip(self, grid16, rng):
         c = rng.standard_normal(grid16.n_modes) + 1j * rng.standard_normal(grid16.n_modes)
-        f = al.FourierField(grid16, c)
-        back = al.analyze(grid16, al.synthesize(f))
-        assert np.abs(back.coeffs - c).max() < 1e-12 * np.abs(c).max()
+        back = analyze_batch(grid16, synthesize_batch(grid16, c))
+        assert np.abs(back - c).max() < 1e-12 * np.abs(c).max()
 
     def test_out_of_band_discarded(self, grid8):
         # e^{i(N+1)x} is orthogonal to every retained mode on the M-point rule
         x = grid8.points()
-        f = al.analyze(grid8, np.exp(1j * (grid8.N + 1) * x))
-        assert al.sobolev_norm(f, 0.0) < 1e-12
+        c = analyze_batch(grid8, np.exp(1j * (grid8.N + 1) * x))
+        assert al.sobolev_norm(c, 0.0) < 1e-12
 
     def test_length_mismatch_rejected(self, grid8):
         with pytest.raises(ValueError):
-            al.analyze(grid8, np.ones(grid8.M - 1, dtype=complex))
+            analyze_batch(grid8, np.ones(grid8.M - 1, dtype=complex))
 
     def test_batch_shapes(self, grid8, rng):
         c = rng.standard_normal((3, grid8.n_modes)).astype(complex)
@@ -108,30 +111,71 @@ class TestSynthesizeAnalyze:
 
 class TestSobolevNorm:
     def test_zero_field(self, grid8):
-        assert al.sobolev_norm(al.FourierField.zero(grid8), 2.0) == 0.0
+        assert al.sobolev_norm(np.zeros(grid8.n_modes, dtype=complex), 2.0) == 0.0
 
     def test_plane_wave_h1(self, grid8):
-        f = al.FourierField.from_mode(grid8, 1, math.sqrt(TWO_PI))
-        assert abs(al.sobolev_norm(f, 1.0) - 2.0 * math.sqrt(math.pi)) < 1e-12
+        c = mode_coeffs(grid8, 1, math.sqrt(TWO_PI))
+        assert abs(al.sobolev_norm(c, 1.0) - 2.0 * math.sqrt(math.pi)) < 1e-12
 
     def test_s0_matches_quadrature(self, grid16, rng):
         for _ in range(5):
             c = rng.standard_normal(grid16.n_modes) + 1j * rng.standard_normal(grid16.n_modes)
-            f = al.FourierField(grid16, c)
-            l2 = al.lp_norm(al.synthesize(f), 2)
-            s0 = al.sobolev_norm(f, 0.0)
+            l2 = al.lp_norm(synthesize_batch(grid16, c), 2)
+            s0 = al.sobolev_norm(c, 0.0)
             assert abs(s0 - l2) <= 1e-10 * s0
 
     def test_monotone_in_s(self, grid8, rng):
         c = rng.standard_normal(grid8.n_modes).astype(complex)
-        f = al.FourierField(grid8, c)
-        norms = [al.sobolev_norm(f, s) for s in (0.0, 0.5, 1.0, 2.0)]
+        norms = [al.sobolev_norm(c, s) for s in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-14 for a, b in zip(norms, norms[1:]))
 
     def test_negative_order_rejected(self, grid8):
-        f = al.FourierField.zero(grid8)
         with pytest.raises(ValueError):
-            al.sobolev_norm(f, -1.0)
+            al.sobolev_norm(np.zeros(grid8.n_modes, dtype=complex), -1.0)
+
+
+def non_five_smooth_m(n: int) -> int:
+    """The smallest admissible sample count for cutoff n that is not 5-smooth."""
+    m = 2 * (2 * n + 1)
+    while fft_friendly_size(m) == m:
+        m += 1
+    return m
+
+
+class TestTransformProperties:
+    """Round trip, Parseval and length checks over cutoffs, sample counts and shapes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=hst.integers(1, 24),
+        default_m=hst.booleans(),
+        lead=hst.lists(hst.integers(1, 4), max_size=2).map(tuple),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_round_trip(self, n, default_m, lead, seed):
+        grid = al.SpectralGrid(n) if default_m else al.SpectralGrid(n, M=non_five_smooth_m(n))
+        gen = np.random.default_rng(seed)
+        shape = lead + (grid.n_modes,)
+        c = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        samples = synthesize_batch(grid, c)
+        assert samples.shape == lead + (grid.M,)
+        back = analyze_batch(grid, samples)
+        assert back.shape == c.shape
+        assert np.abs(back - c).max() <= 1e-12 * np.abs(c).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hst.integers(1, 24), default_m=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+    def test_parseval(self, n, default_m, seed):
+        grid = al.SpectralGrid(n) if default_m else al.SpectralGrid(n, M=non_five_smooth_m(n))
+        gen = np.random.default_rng(seed)
+        c = gen.standard_normal(grid.n_modes) + 1j * gen.standard_normal(grid.n_modes)
+        s0 = al.sobolev_norm(c, 0.0)
+        assert abs(s0 - al.lp_norm(synthesize_batch(grid, c), 2)) <= 1e-12 * s0
+
+    @given(half=hst.integers(0, 30), s=hst.floats(0.0, 3.0))
+    def test_sobolev_norm_rejects_even_length(self, half, s):
+        with pytest.raises(ValueError, match="modes -K..K"):
+            al.sobolev_norm(np.ones(2 * half, dtype=complex), s)
 
 
 class TestLpNorm:

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
-from alber_lab.spectral import TWO_PI, diagonal_sums
+import alber_lab.states as states_mod
+from alber_lab.spectral import TWO_PI, analyze_batch, diagonal_sums
 from alber_lab.states import GramError, _energy, gram_deviation, gram_matrix
 
 from conftest import random_state
@@ -60,6 +61,17 @@ class TestMixedStateConstruction:
         with pytest.raises(GramError):
             al.MixedState(grid8, np.array([1.0]), coeffs, gram_tol=1.0)
 
+    def test_infinite_gram_tol_skips_the_deviation(self, grid8, monkeypatch):
+        # gram_tol = inf accepts every Gram matrix, so the deviation is never formed
+        def refuse(state):
+            raise AssertionError("gram_deviation called under gram_tol = inf")
+
+        monkeypatch.setattr(states_mod, "gram_deviation", refuse)
+        coeffs = np.zeros((2, grid8.n_modes), dtype=complex)
+        coeffs[0, grid8.N] = coeffs[1, grid8.N] = 1.0
+        state = al.MixedState(grid8, np.array([1.0, 0.5]), coeffs, gram_tol=math.inf)
+        assert state.rank == 2
+
     def test_nan_orbital_accepted_without_gram_check(self, grid8):
         # the integrator builds its states with gram_tol = inf, so a blown-up
         # run still reaches the divergence check instead of failing here
@@ -97,11 +109,11 @@ class TestMixedStateConstruction:
 class TestDensity:
     def test_single_plane_wave(self, grid8):
         st = plane_wave_state(grid8, 2, 0.7)
-        _, samples = al.density(st)
+        samples = al.density_samples(st)
         assert np.allclose(samples, 0.7 / TWO_PI, atol=1e-13)
 
     def test_empty_state(self, grid8):
-        _, samples = al.density(al.MixedState.empty(grid8))
+        samples = al.density_samples(al.MixedState.empty(grid8))
         assert np.all(samples == 0)
 
     def test_two_plane_waves(self, grid8):
@@ -109,18 +121,18 @@ class TestDensity:
         coeffs[0, grid8.N] = 1.0
         coeffs[1, grid8.N + 1] = 1.0
         st = al.MixedState(grid8, np.array([1.0, 1.0]), coeffs)
-        _, samples = al.density(st)
+        samples = al.density_samples(st)
         assert np.allclose(samples, 1.0 / math.pi, atol=1e-13)
 
     def test_density_real_nonnegative(self, grid16):
         st = random_state(grid16, 3, seed=9)
-        _, samples = al.density(st)
+        samples = al.density_samples(st)
         assert np.abs(samples.imag).max() < 1e-13 if np.iscomplexobj(samples) else True
         assert samples.min() >= -1e-12 * np.abs(samples).max()
 
     def test_density_integral_is_mass(self, grid16):
         st = random_state(grid16, 3, seed=11)
-        _, samples = al.density(st)
+        samples = al.density_samples(st)
         assert abs(al.lp_norm(samples, 1) - al.mass(st)) <= 1e-10 * al.mass(st)
 
     def test_density_matches_matrix_diagonals(self, grid8):
@@ -128,11 +140,11 @@ class TestDensity:
         from alber_lab.dynamics import diagonal_sums
 
         st = random_state(grid8, 2, seed=3)
-        field, _ = al.density(st)
+        rho_hat = analyze_batch(grid8, al.density_samples(st))
         d = diagonal_sums(al.to_matrix(st).entries)
         nm = grid8.n_modes
         rho_hat_matrix = d[nm - 1 - grid8.N : nm + grid8.N] / math.sqrt(TWO_PI)
-        assert np.abs(field.coeffs - rho_hat_matrix).max() < 1e-12
+        assert np.abs(rho_hat - rho_hat_matrix).max() < 1e-12
 
 
 class TestOperatorMatrix:
@@ -431,6 +443,29 @@ class TestSerialization:
         bg = al.BackgroundSymbol(np.array([0.5, 1.0, 0.25]))
         back = background_from_dict(json.loads(json.dumps(background_to_dict(bg))))
         assert np.array_equal(back.symbol, bg.symbol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=hst.integers(1, 8), rank=hst.integers(0, 3), seed=hst.integers(0, 2**32 - 1))
+    def test_state_round_trip_bit_for_bit(self, n, rank, seed):
+        st = state_of_rank(n, rank, seed)
+        back = al.state_from_dict(json.loads(json.dumps(al.state_to_dict(st))))
+        assert back.grid == st.grid
+        assert back.weights.tobytes() == st.weights.tobytes()
+        assert back.orbitals.tobytes() == st.orbitals.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        symbol=hst.integers(0, 6).flatmap(
+            lambda j: hst.lists(hst.floats(0.0, 1e300), min_size=2 * j + 1, max_size=2 * j + 1)
+        )
+    )
+    def test_background_round_trip_bit_for_bit(self, symbol):
+        from alber_lab.states import background_from_dict, background_to_dict
+
+        bg = al.BackgroundSymbol(np.array(symbol))
+        back = background_from_dict(json.loads(json.dumps(background_to_dict(bg))))
+        assert back.J == bg.J
+        assert back.symbol.tobytes() == bg.symbol.tobytes()
 
     def test_wrong_schema_rejected(self, grid8):
         st = plane_wave_state(grid8, 0, 1.0)
