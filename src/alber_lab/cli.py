@@ -5,11 +5,12 @@
 
 Configuration is a single JSON document per run, resolved against
 CONFIG_SCHEMA (each key's type and default); --seed and --out override the
-corresponding fields.  Every run writes its data files plus a manifest.json
-echoing the resolved configuration, the seed, the tool version, wall-clock
-time and a sha256 per output file.  Data files are byte-identical across
-reruns with the same configuration and seed (the manifest's wall-clock
-field is the one intentional exception).
+corresponding fields.  main is the one run envelope: it times the run and
+writes a manifest.json echoing the resolved configuration, the seed, the
+tool version, wall-clock time and a sha256 per data file the run wrote (on
+exit 3 and 4 too).  Data files are byte-identical across reruns with the
+same configuration and seed (the manifest's clock fields are the one
+intentional exception).
 
 Exit codes: 0 success, 2 configuration or input error (the message names
 the key), 3 numerical divergence, 4 inequality-check violation.
@@ -81,18 +82,24 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+# the data files the run in progress has written, for its manifest; main empties it
+_written: list[Path] = []
+
+
 def write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)  # RFC 4180 line endings
         writer.writerow(header)
         for row in rows:
             writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    _written.append(path)
 
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    _written.append(path)
 
 
 def _sha256(path: Path) -> str:
@@ -101,15 +108,16 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, subcommand: str, config: dict, seed: int, t0: float) -> None:
-    outputs = sorted(p for p in out_dir.iterdir() if p.is_file() and p.name != "manifest.json")
+def write_manifest(out_dir: Path, subcommand: str, config: dict, t0: float) -> None:
+    """manifest.json of the run started at t0, listing the data files it wrote."""
+    outputs = sorted(_written)
     write_json(
         out_dir / "manifest.json",
         {
             "schema": "alber-lab/manifest-v1",
             "subcommand": subcommand,
             "config": config,
-            "seed": seed,
+            "seed": config["seed"],
             "version": __version__,
             "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "elapsed_s": round(time.perf_counter() - t0, 3),
@@ -138,7 +146,6 @@ def load_config(path: str, seed_override, out_override) -> dict:
     return cfg
 
 
-RETIRED_SCAN_KEYS = ("s_padding", "s_density", "refine_iters")
 # Each key a subcommand reads maps to its default, whose type is the key's type
 # (a tuple default is a list of its first item's type), or, with no default, to
 # its type; a key whose type admits None may be left out.
@@ -180,11 +187,6 @@ def _checked(value, spec, where: str):
         if not isinstance(section, dict):
             raise ConfigError(f"{where} must be a JSON object")
         for key in section:
-            if key in RETIRED_SCAN_KEYS and where in ("penrose", "perturb"):
-                raise ConfigError(
-                    f"{where}.{key} is retired: the margin comes from exact zeros and one "
-                    "line, not from a scan grid; eta_min/eta_max/n_eta remain"
-                )
             if key not in spec:
                 raise ConfigError(f"unknown key {prefix + key!r}; allowed: {', '.join(spec)}")
         return {key: _checked(section.get(key), kind, prefix + key) for key, kind in spec.items()}
@@ -301,13 +303,9 @@ def _build_state(cfg: dict, grid: SpectralGrid, rng: np.random.Generator) -> Mix
     raise ConfigError("state must give 'file' or state.preset 'random-smooth'/'background'")
 
 
-def _trajectory_rows(records: list[TrajectoryRecord]):
-    for r in records:
-        yield (r.t, r.mass, r.s2_norm, r.energy, r.kinetic, r.gram_dev, r.h1s1)
-
-
 def _write_trajectory(out: Path, grid: SpectralGrid, records: list[TrajectoryRecord]) -> None:
-    write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, _trajectory_rows(records))
+    rows = ((r.t, r.mass, r.s2_norm, r.energy, r.kinetic, r.gram_dev, r.h1s1) for r in records)
+    write_csv(out / "trajectory.csv", TRAJECTORY_HEADER, rows)
     write_json(
         out / "density_spectra.json",
         {
@@ -322,7 +320,7 @@ def _write_trajectory(out: Path, grid: SpectralGrid, records: list[TrajectoryRec
 
 
 def cmd_simulate(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
+    """split-step evolution of a mixed state; trajectory CSV + density spectra"""
     grid = _build_grid(cfg)
     p, q = _physics(cfg)
     tsec = cfg["time"]
@@ -345,7 +343,6 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         print(f"divergence at t={exc.t:.6g}; writing records up to the last good time", file=sys.stderr)
         code = 3
     _write_trajectory(out, grid, records)
-    write_manifest(out, "simulate", cfg, cfg["seed"], t0)
     print(f"simulate: {len(records)} records -> {out}")
     return code
 
@@ -378,7 +375,7 @@ def _constants(cfg: dict, where: str, bg: BackgroundSymbol, kappa: float, q: flo
 
 
 def cmd_penrose(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
+    """dispersion zeros and Penrose margin of a background per mode; per-mode CSV + constants"""
     section = cfg["penrose"]
     bg, preset_p, preset_q = _background(section, "penrose")
     p, q = _physics(cfg, preset_p, preset_q)
@@ -407,13 +404,12 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
         )
     write_csv(out / "margins.csv", ("k", "margin", "argmin_re", "argmin_im", "zeros"), rows)
     write_json(out / "constants.json", payload)
-    write_manifest(out, "penrose", cfg, cfg["seed"], t0)
     print(f"penrose: kappa={kappa:.6g} stable={not unstable} -> {out}")
     return 0
 
 
 def cmd_perturb(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
+    """nonlinear vs linearized deviation from a background; deviation CSV"""
     section = cfg["perturb"]
     bg, preset_p, preset_q = _background(section, "perturb")
     p, q = _physics(cfg, preset_p, preset_q)
@@ -484,21 +480,19 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         run_cfg,
         matrix_every=1,
     )
-    lin_dev = {
-        float(t): sobolev_schatten_norm(m, 1.0) for t, m in zip(lin.matrix_times, lin.matrices)
-    }
+    # both flows record at the same steps, so record i of each is at times[i]
+    lin_dev = [sobolev_schatten_norm(m, 1.0) for m in lin.matrices]
     fit_rate = math.nan
-    usable = [(t, d) for t, d in zip(times, deviations) if d > 0]
-    if window is not None and len(usable) >= 2:
+    if window is not None:
         lo, hi = window
-        pts = [(t, math.log(d)) for t, d in usable if lo <= t <= hi]
+        pts = [(t, math.log(d)) for t, d in zip(times, deviations) if d > 0 and lo <= t <= hi]
         if len(pts) >= 2:
             ts, ys = zip(*pts)
             fit_rate = float(np.polyfit(ts, ys, 1)[0])
     rows = []
-    for t, dev in zip(times, deviations):
+    for t, dev, lin_t in zip(times, deviations, lin_dev):
         bound = 2.0 * consts.c_star * (1.0 + t * t) * epsilon
-        rows.append((t, dev, lin_dev.get(float(t), math.nan), bound, fit_rate))
+        rows.append((t, dev, lin_t, bound, fit_rate))
     write_csv(
         out / "deviation.csv",
         ("t", "deviation_h1s1", "linearized_h1s1", "bound", "fit_rate"),
@@ -515,13 +509,12 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
             "max_deviation": max(deviations) if deviations else math.nan,
         },
     )
-    write_manifest(out, "perturb", cfg, cfg["seed"], t0)
     print(f"perturb: eps={epsilon:g} T={horizon:.4g} max_dev={max(deviations):.4g} -> {out}")
     return code
 
 
 def cmd_inequalities(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
+    """randomized verification of the functional estimates; results CSV"""
     section = cfg["ensemble"]
     ens = _call(
         "ensemble",
@@ -549,13 +542,19 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
     for r in violators:
         if r.offender is not None:
             write_json(out / f"offender_{r.name}.json", r.offender)
-    write_manifest(out, "inequalities", cfg, cfg["seed"], t0)
     print(f"inequalities: {len(results)} checks, {sum(r.violations for r in violators)} violations -> {out}")
     return 4 if violators else 0
 
 
+def _truncated(state: MixedState, n: int) -> MixedState:
+    """state cut to the modes |k| <= n and re-orthonormalized."""
+    sel = np.abs(state.grid.modes()) <= n
+    cut = MixedState(SpectralGrid(n), state.weights, state.orbitals[:, sel], gram_tol=math.inf)
+    return reorthonormalized(cut)
+
+
 def cmd_convergence(cfg: dict, out: Path) -> int:
-    t0 = time.perf_counter()
+    """integrator and truncation refinement studies; error CSV"""
     section = cfg["convergence"]
     mode, horizon = section["mode"], section["T"]
     if mode not in ("dt", "N"):
@@ -564,26 +563,16 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
     p, q = _physics(cfg)
     rng = np.random.default_rng(cfg["seed"])
     state = _build_state(cfg, grid, rng)
-    rows = []
+    # (label, start state, EvolveConfig) per refinement, and the reference's EvolveConfig
     if mode == "dt":
         dts, dt_ref = section["dts"], section["dt_ref"]
         if dts is None or dt_ref is None:
             raise ConfigError("convergence.dts and convergence.dt_ref are required in mode 'dt'")
         runs = [
-            _evolve_config(p, q, dt, horizon, "convergence", dt_key=f"dts[{i}]")
+            (dt, state, _evolve_config(p, q, dt, horizon, "convergence", dt_key=f"dts[{i}]"))
             for i, dt in enumerate(dts)
         ]
-        ref, _ = evolve(state, _evolve_config(p, q, dt_ref, horizon, "convergence", dt_key="dt_ref"))
-        ref_mat = to_matrix(ref).entries
-        errors = []
-        for run_cfg in runs:
-            final, _ = evolve(state, run_cfg)
-            diff = to_matrix(final).entries - ref_mat
-            errors.append(float(np.sqrt(np.sum(np.abs(diff) ** 2))))
-        for i, (dt, err) in enumerate(zip(dts, errors)):
-            ratio = errors[i - 1] / err if i and err else math.nan
-            rows.append((dt, err, ratio))
-        write_csv(out / "errors.csv", ("dt", "error_s2", "ratio"), rows)
+        ref_cfg = _evolve_config(p, q, dt_ref, horizon, "convergence", dt_key="dt_ref")
     else:
         n_list = section["Ns"]
         if n_list is None:
@@ -591,28 +580,20 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
         bad = [n for n in n_list if not 1 <= n <= grid.N]
         if bad:
             raise ConfigError(f"convergence Ns {bad} outside 1..{grid.N} (the grid N)")
-        run_cfg = _evolve_config(p, q, section["dt"], horizon, "convergence")
-        ref, _ = evolve(state, run_cfg)
-        ref_mat = to_matrix(ref)
-        for n_prime in n_list:
-            small_grid = SpectralGrid(n_prime)
-            sel = np.abs(grid.modes()) <= n_prime
-            sub = MixedState(
-                small_grid,
-                state.weights,
-                state.orbitals[:, sel],
-                gram_tol=math.inf,
-            )
-            sub = reorthonormalized(sub)
-            final, _ = evolve(sub, run_cfg)
-            fin_mat = to_matrix(final).entries
-            embedded = np.zeros_like(ref_mat.entries)
-            embedded[np.ix_(sel, sel)] = fin_mat
-            diff = embedded - ref_mat.entries
-            err = float(np.sqrt(np.sum(np.abs(diff) ** 2)))
-            rows.append((n_prime, err, math.nan))
-        write_csv(out / "errors.csv", ("N", "error_s2", "ratio"), rows)
-    write_manifest(out, "convergence", cfg, cfg["seed"], t0)
+        ref_cfg = _evolve_config(p, q, section["dt"], horizon, "convergence")
+        runs = [(n, _truncated(state, n), ref_cfg) for n in n_list]
+    ref, _ = evolve(state, ref_cfg)
+    ref_mat = to_matrix(ref).entries
+    rows = []
+    for label, start, run_cfg in runs:
+        final, _ = evolve(start, run_cfg)
+        sel = np.abs(grid.modes()) <= start.grid.N
+        embedded = np.zeros_like(ref_mat)  # the final matrix on the reference grid
+        embedded[np.ix_(sel, sel)] = to_matrix(final).entries
+        err = float(np.sqrt(np.sum(np.abs(embedded - ref_mat) ** 2)))
+        ratio = rows[-1][1] / err if mode == "dt" and rows and err else math.nan
+        rows.append((label, err, ratio))
+    write_csv(out / "errors.csv", (mode, "error_s2", "ratio"), rows)
     print(f"convergence ({mode}): {len(rows)} rows -> {out}")
     return 0
 
@@ -632,30 +613,27 @@ def main(argv=None) -> int:
         description="Simulation and stability analysis of mixed-state cubic NLS dynamics on the torus",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "simulate": "split-step evolution of a mixed state; trajectory CSV + density spectra",
-        "penrose": "dispersion zeros and Penrose margin of a background per mode; per-mode CSV + constants",
-        "perturb": "nonlinear vs linearized deviation from a background; deviation CSV",
-        "inequalities": "randomized verification of the functional estimates; results CSV",
-        "convergence": "integrator and truncation refinement studies; error CSV",
-    }
-    for name, text in helps.items():
-        sp = sub.add_parser(name, help=text)
+    for name, handler in HANDLERS.items():
+        sp = sub.add_parser(name, help=handler.__doc__)
         sp.add_argument("--config", required=True, help="path to the JSON configuration")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the config output_dir")
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
+    _written.clear()
     try:
         cfg = check_keys(load_config(args.config, args.seed, args.out), args.command)
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)
-        return HANDLERS[args.command](cfg, out)
+        code = HANDLERS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence at t={exc.t:.6g}; no data file written", file=sys.stderr)
         return 3
+    write_manifest(out, args.command, cfg, t0)
+    return code
 
 
 if __name__ == "__main__":

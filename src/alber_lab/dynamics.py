@@ -38,7 +38,7 @@ The Picard oracle iterates the mild (Duhamel) formula on a uniform
 trapezoid grid.  Its free phases are one exponential of m^2 - n^2 per
 node, and the trapezoid history sum is carried as one running sum with
 the step phase tabulated once, so an iterate costs O(n_quad) matrix
-products; the forcing [V_rho, gamma] is formed node by node.
+products; the potentials V_rho of all nodes come from one stacked call.
 
 Densities and the energy come from states and V_rho from the Toeplitz pair
 in spectral; potential_step and iter_evolve keep rho inline as they reuse
@@ -267,7 +267,7 @@ def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[Traje
 
 
 def _potential_matrix(entries: np.ndarray) -> np.ndarray:
-    """V(rho_U) in the plane-wave basis: V_mn = (2*pi)**-1 * d(m - n)."""
+    """V(rho_U) in the plane-wave basis, V_mn = (2*pi)**-1 * d(m - n), per matrix along leading axes."""
     return toeplitz(diagonal_sums(entries)) / TWO_PI
 
 
@@ -311,7 +311,7 @@ def picard_solve(
     scale = math.sqrt(float(np.sum(np.abs(gamma0.entries) ** 2))) or 1.0
     prev_dist = math.inf
     for _ in range(n_iter):
-        v = np.array([_potential_matrix(m) for m in iterates])
+        v = _potential_matrix(iterates)
         forcings = v @ iterates - iterates @ v
         new = free.copy()
         history = 0.5 * step * forcings[0]

@@ -291,7 +291,7 @@ def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
     """
     rng = np.random.default_rng(cfg.seed)
     nm = cfg.grid.n_modes
-    wk = SpectralGrid(2 * cfg.grid.N).brackets_sq()  # <k>^2 on k = -2N..2N
+    wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
     ratios = []
     for _ in range(cfg.n_samples):
         u1 = to_matrix(_sample_state(rng, cfg)).entries

@@ -10,9 +10,9 @@ A field is a plain array of its coefficients on modes -N..N, or a stack
 of such rows: synthesize_batch/analyze_batch are the one transform pair,
 and sobolev_norm the one H^s formula.  The plane-wave Toeplitz pair lives
 here too: diagonal_sums (the density coefficients of a mode matrix) and
-its adjoint toeplitz (multiplication).  All operations here are pure
-functions; only the offset table that the pair indexes is cached, one
-read-only copy per matrix size.
+its adjoint toeplitz (multiplication), both over any leading axes.  All
+operations here are pure functions; only the offset table that the pair
+indexes is cached, one read-only copy per matrix size.
 """
 
 from __future__ import annotations
@@ -124,21 +124,24 @@ def _offsets(nm: int) -> np.ndarray:
 def diagonal_sums(entries: np.ndarray) -> np.ndarray:
     """All diagonal sums d(k) = sum_j U_{j+k, j} for k = -(nm-1)..(nm-1).
 
+    entries has shape (..., nm, nm); the result has shape (..., 2nm-1).
     d(k) is (2*pi)**0.5 times the unitary Fourier coefficient of the
-    position density of U.
+    position density of U.  One bincount sums every matrix, matrix i in
+    bins i*(2nm-1) on, each diagonal in the order of a single-matrix call.
     """
-    nm = entries.shape[0]
-    offsets = _offsets(nm).ravel()
-    re = np.bincount(offsets, weights=entries.real.ravel(), minlength=2 * nm - 1)
-    im = np.bincount(offsets, weights=entries.imag.ravel(), minlength=2 * nm - 1)
-    return re + 1j * im
+    *lead, nm, _ = entries.shape
+    width, count = 2 * nm - 1, math.prod(lead)
+    bins = (_offsets(nm).ravel() + width * np.arange(count)[:, None]).ravel()
+    re = np.bincount(bins, weights=entries.real.ravel(), minlength=count * width)
+    im = np.bincount(bins, weights=entries.imag.ravel(), minlength=count * width)
+    return (re + 1j * im).reshape(*lead, width)
 
 
 def toeplitz(d: np.ndarray) -> np.ndarray:
-    """T_mn = d(m - n) for d on k = -(nm-1)..(nm-1); the adjoint of diagonal_sums."""
-    if len(d) % 2 != 1:
-        raise ValueError(f"diagonal values must cover k = -(nm-1)..(nm-1), got length {len(d)}")
-    return d[_offsets((len(d) + 1) // 2)]
+    """T_mn = d(m - n) for d on k = -(nm-1)..(nm-1) along the last axis; the adjoint of diagonal_sums."""
+    if d.shape[-1] % 2 != 1:
+        raise ValueError(f"diagonal values must cover k = -(nm-1)..(nm-1), got length {d.shape[-1]}")
+    return d[..., _offsets((d.shape[-1] + 1) // 2)]
 
 
 @lru_cache(maxsize=16)
@@ -170,10 +173,10 @@ def from_diagonal_stack(stack: np.ndarray) -> np.ndarray:
 def sobolev_norm(coeffs: np.ndarray, s: float) -> float:
     """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2} of coefficients on modes -K..K.
 
-    K is read from the length, which must be odd; s must be >= 0.
+    K is read from the length, which must be odd; s must be finite and >= 0.
     """
-    if s < 0:
-        raise ValueError(f"negative Sobolev order s={s} is not exposed here")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
     if len(coeffs) % 2 != 1:
         raise ValueError(f"coefficients must cover modes -K..K, got length {len(coeffs)}")
     k = len(coeffs) // 2

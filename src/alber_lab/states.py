@@ -223,8 +223,8 @@ def schatten_norm(u: OperatorMatrix, p) -> float:
 
 def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     """Trace norm of <D>^s U <D>^s with <D>^s = diag(<n>^s) on the band."""
-    if s < 0:
-        raise ValueError(f"negative Sobolev order s={s}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
     d = u.grid.brackets_sq() ** (0.5 * s)
     weighted = d[:, None] * u.entries * d[None, :]
     return float(_singular_values(weighted).sum())
@@ -237,8 +237,8 @@ def _orbital_sum(state: MixedState, w) -> float:
 
 def hs1_norm_nonneg(state: MixedState, s: float) -> float:
     """H^s Schatten-1 norm of a non-negative state: sum_k mu_k ||psi_k||_{H^s}^2."""
-    if s < 0:
-        raise ValueError(f"negative Sobolev order s={s}")
+    if not 0 <= s < math.inf:
+        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
     return _orbital_sum(state, state.grid.brackets_sq() ** s)
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import re
 import tempfile
+import time
 import types
 import typing
 from pathlib import Path
@@ -73,20 +74,6 @@ class TestSimulate:
         raw = (out / "trajectory.csv").read_bytes()
         assert b"\r\n" in raw
         assert raw.count(b"\n") == raw.count(b"\r\n")
-
-    def test_manifest_contract(self, tmp_path):
-        out = tmp_path / "run"
-        cli.main(["simulate", "--config", write_config(tmp_path, simulate_config(out))])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["schema"] == "alber-lab/manifest-v1"
-        assert manifest["subcommand"] == "simulate"
-        assert manifest["seed"] == 11
-        names = [o["path"] for o in manifest["outputs"]]
-        assert "manifest.json" not in names
-        assert set(names) == {"trajectory.csv", "density_spectra.json", "final_state.json"}
-        for entry in manifest["outputs"]:
-            digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
-            assert digest == entry["sha256"]
 
     def test_deterministic_outputs(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -231,7 +218,7 @@ class TestPenrose:
         cfg["physics"] = {"p": 1.0, "q": 1.0}
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
 
-    @pytest.mark.parametrize("key", cli.RETIRED_SCAN_KEYS)
+    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters"])  # retired scan-grid keys
     def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
         cfg = self.penrose_config(tmp_path / "x", "stable-broad", **{key: 10})
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
@@ -316,7 +303,7 @@ class TestPerturb:
         assert summary["horizon"] == float(rows[-1][0]) == 0.2
         assert "T=0.2 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", cli.RETIRED_SCAN_KEYS)
+    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters"])  # retired scan-grid keys
     def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
         cfg = self.perturb_config(tmp_path / "x", 1e-3, **{key: 10})
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
@@ -549,10 +536,6 @@ class TestUnknownKeys:
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert named in capsys.readouterr().err
 
-    def test_retired_key_keeps_its_hint(self):
-        with pytest.raises(cli.ConfigError, match="is retired"):
-            cli.check_keys({"penrose": {"background": "stable-broad", "refine_iters": 3}}, "penrose")
-
     def test_readme_examples_pass(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         blocks = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", readme, re.S)]
@@ -729,6 +712,81 @@ class TestBadValues:
         assert manifest["config"]["penrose"]["eta_min"] == 1e-3
         assert manifest["config"]["penrose"]["epsilon"] == 1e-2
         assert manifest["config"]["physics"] == {"p": None, "q": None}
+
+
+# the data files each BASE_INPUTS run writes
+BASE_OUTPUTS = {
+    "simulate": {"trajectory.csv", "density_spectra.json", "final_state.json"},
+    "penrose": {"margins.csv", "constants.json"},
+    "perturb": {"deviation.csv", "summary.json"},
+    "inequalities": {"checks.csv"},
+    "convergence": {"errors.csv"},
+}
+
+
+def manifest_outputs(out: Path, command: str, cfg: dict) -> set:
+    """The data files out/manifest.json lists, after checking its schema,
+    subcommand, seed, resolved config and the sha256 of each listed file."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["schema"] == "alber-lab/manifest-v1"
+    assert manifest["subcommand"] == command
+    assert manifest["seed"] == cfg["seed"]
+    assert manifest["config"] == json.loads(json.dumps(cli.check_keys(cfg, command)))
+    names = [entry["path"] for entry in manifest["outputs"]]
+    assert len(names) == len(set(names))
+    for entry in manifest["outputs"]:
+        assert entry["sha256"] == hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
+    return set(names)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
+    def test_contract(self, tmp_path, command):
+        out = tmp_path / "run"
+        cfg = BASE_INPUTS[command](out)
+        assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        assert manifest_outputs(out, command, cfg) == BASE_OUTPUTS[command]
+        assert {p.name for p in out.iterdir()} == BASE_OUTPUTS[command] | {"manifest.json"}
+
+    def test_contract_on_violation(self, tmp_path, monkeypatch):
+        from alber_lab.inequalities import CheckResult
+
+        def fake_run_checks(cfg, s, names):
+            return [CheckResult("bessel", 5, 1, 2.0, offender={"marker": 1})]
+
+        monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+        out = tmp_path / "run"
+        cfg = ensemble_input(out)
+        assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4
+        assert manifest_outputs(out, "inequalities", cfg) == {"checks.csv", "offender_bessel.json"}
+
+    def test_lists_only_this_runs_files(self, tmp_path):
+        # a diverging run (exit 3) into the directory of a finished one
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, simulate_config(out), "a.json")]) == 0
+        cfg = simulate_config(out)
+        cfg["state"]["mass"] = 1e200
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg, "b.json")]) == 3
+        assert manifest_outputs(out, "simulate", cfg) == {"trajectory.csv", "density_spectra.json"}
+        assert (out / "final_state.json").exists()  # the first run's file is left on disk
+
+    def test_elapsed_covers_config_resolution(self, tmp_path, monkeypatch):
+        def slow_check_keys(cfg, subcommand):
+            time.sleep(0.2)
+            return resolve(cfg, subcommand)
+
+        resolve = cli.check_keys
+        monkeypatch.setattr(cli, "check_keys", slow_check_keys)
+        out = tmp_path / "run"
+        assert cli.main(["penrose", "--config", write_config(tmp_path, penrose_input(out))]) == 0
+        assert json.loads((out / "manifest.json").read_text())["elapsed_s"] >= 0.2
+
+    def test_help_lines_are_handler_docstrings(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for handler in cli.HANDLERS.values():
+            assert handler.__doc__ and " ".join(handler.__doc__.split()) in text
 
 
 def schema_keys():

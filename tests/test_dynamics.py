@@ -447,6 +447,19 @@ class TestPicard:
         with pytest.raises(ValueError, match="^gamma0 must be finite"):
             al.picard_solve(al.OperatorMatrix(grid8, m), 1.0, 1.0, 0.05)
 
+    def test_potentials_formed_in_one_call_per_iterate(self, grid8, monkeypatch):
+        # every node's V_rho of one Picard iterate comes from one stacked call
+        shapes = []
+
+        def recording(entries):
+            shapes.append(entries.shape)
+            return potential(entries)
+
+        potential = dyn._potential_matrix
+        monkeypatch.setattr(dyn, "_potential_matrix", recording)
+        al.picard_solve(al.to_matrix(random_state(grid8, 2, seed=3)), 1.0, 1.0, 0.05, n_iter=4, n_quad=9)
+        assert shapes == [(9, grid8.n_modes, grid8.n_modes)] * 4
+
 
 class TestDiagonalSums:
     def test_brute_force_oracle(self, grid8, rng):

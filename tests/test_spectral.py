@@ -130,8 +130,9 @@ class TestSobolevNorm:
         assert all(a <= b + 1e-14 for a, b in zip(norms, norms[1:]))
 
     def test_negative_order_rejected(self, grid8):
-        with pytest.raises(ValueError):
-            al.sobolev_norm(np.zeros(grid8.n_modes, dtype=complex), -1.0)
+        for s in (-1.0, math.nan, math.inf):  # a non-finite order is rejected too, naming s
+            with pytest.raises(ValueError, match="^s must be"):
+                al.sobolev_norm(np.zeros(grid8.n_modes, dtype=complex), s)
 
 
 def non_five_smooth_m(n: int) -> int:
@@ -257,3 +258,14 @@ class TestToeplitzPair:
     def test_even_length_rejected(self):
         with pytest.raises(ValueError):
             toeplitz(np.zeros(4))
+
+    def test_leading_axes_bit_for_bit(self):
+        # one bincount over a stack sums each diagonal in the order of a per-matrix call
+        gen = np.random.default_rng(7)
+        stack = gen.standard_normal((33, 33, 33)) + 1j * gen.standard_normal((33, 33, 33))
+        sums = diagonal_sums(stack)
+        assert sums.shape == (33, 65)
+        assert np.array_equal(sums, np.array([diagonal_sums(m) for m in stack]))
+        assert np.array_equal(toeplitz(sums), np.array([toeplitz(d) for d in sums]))
+        grid = diagonal_sums(stack.reshape(3, 11, 33, 33))
+        assert np.array_equal(grid, sums.reshape(3, 11, 65))

@@ -245,6 +245,14 @@ class TestSobolevSchatten:
         st = random_state(grid16, 2, seed=4)
         assert abs(al.hs1_norm_nonneg(st, 0.0) - al.mass(st)) < 1e-12
 
+    @pytest.mark.parametrize("s", [-1.0, math.nan, math.inf, -math.inf])
+    def test_bad_order_rejected(self, grid8, s):
+        st = random_state(grid8, 2, seed=4)
+        with pytest.raises(ValueError, match="^s must be"):
+            al.sobolev_schatten_norm(al.to_matrix(st), s)
+        with pytest.raises(ValueError, match="^s must be"):
+            al.hs1_norm_nonneg(st, s)
+
 
 class TestEnergies:
     def test_rank_one_closed_form(self, grid8):
