@@ -52,7 +52,6 @@ from .dynamics import (
 )
 from .penrose import (
     PenroseReport,
-    PenroseScan,
     PropagatorConstants,
     UnstableBackgroundError,
     dispersion,

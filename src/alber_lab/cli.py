@@ -48,7 +48,7 @@ from .inequalities import (
     check_bilinear,
     run_checks,
 )
-from .penrose import PenroseScan, penrose_margin, propagator_constants
+from .penrose import penrose_margin, propagator_constants
 from .presets import background_preset, random_hermitian_perturbation, random_smooth_state
 from .spectral import SpectralGrid
 from .states import (
@@ -154,8 +154,7 @@ PHYSICS = {"p": float, "q": float}
 STATE = {"file": str | None, "preset": str | None, "rank": 4, "band": int | None, "decay": 3.0, "mass": 1.0,
          "name": str | None}
 # read by both the penrose and the perturb section; physics.p/q default to the preset's
-MARGIN = {"background": str | dict, "eta": 1.0, "c_bilinear": float | None, "eta_min": 1e-3, "eta_max": 10.0,
-          "n_eta": 40}
+MARGIN = {"background": str | dict, "eta": 1.0, "c_bilinear": float | None, "eta_min": 1e-3}
 PRESET_PHYSICS = {"p": float | None, "q": float | None}
 COMMON = {"output_dir": str, "seed": 0}
 CONFIG_SCHEMA = {
@@ -299,6 +298,8 @@ def _build_state(cfg: dict, grid: SpectralGrid, rng: np.random.Generator) -> Mix
         )
     if spec["preset"] == "background":
         bg, _, _ = _preset(spec["name"], "state.name")
+        if grid.N < bg.J:
+            raise ConfigError(f"grid.N={grid.N} cannot hold the support J={bg.J} of state.name {spec['name']!r}")
         return background_to_state(bg, grid)
     raise ConfigError("state must give 'file' or state.preset 'random-smooth'/'background'")
 
@@ -348,14 +349,10 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 
 
 def _margins(section: dict, where: str, bg: BackgroundSymbol, p: float, q: float) -> list:
-    """penrose_margin for k = 1..k_max, on the line set by the section's eta grid."""
+    """penrose_margin for k = 1..k_max, on the line Re(lambda) = the section's eta_min."""
     if section["k_max"] < 1:
         raise ConfigError(f"{where}.k_max must be >= 1, got {section['k_max']}")
-    try:
-        scan = PenroseScan(np.geomspace(section["eta_min"], section["eta_max"], section["n_eta"]))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad eta grid: {exc}") from exc
-    return [penrose_margin(bg, p, q, k, scan) for k in range(1, section["k_max"] + 1)]
+    return [_call(where, penrose_margin, bg, p, q, k, section["eta_min"]) for k in range(1, section["k_max"] + 1)]
 
 
 def _bilinear_constant(section: dict, seed: int) -> float:
@@ -423,6 +420,8 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         raise ConfigError("perturb.T is required when epsilon is 0 (no intrinsic horizon)")
     if window is not None and len(window) != 2:
         raise ConfigError(f"perturb.fit_window must be [t_lo, t_hi], got {window}")
+    if grid.N < bg.J:
+        raise ConfigError(f"grid.N={grid.N} cannot hold the support J={bg.J} of perturb.background")
     seed_band = max(bg.J, 1) if section["seed_band"] is None else section["seed_band"]
     if not 0 <= seed_band <= grid.N:
         raise ConfigError(f"perturb.seed_band={seed_band} outside 0..{grid.N} (the grid N)")
@@ -631,7 +630,7 @@ def main(argv=None) -> int:
         return 2
     except DivergenceError as exc:
         print(f"divergence at t={exc.t:.6g}; no data file written", file=sys.stderr)
-        return 3
+        code = 3
     write_manifest(out, args.command, cfg, t0)
     return code
 

@@ -1,6 +1,6 @@
 """Linear stability of homogeneous backgrounds: Volterra kernels, the
-dispersion function on the Laplace side, margin scans, and the constants
-entering the polynomial-propagator and stable-window estimates.
+dispersion function on the Laplace side, its Penrose margin, and the
+constants entering the polynomial-propagator and stable-window estimates.
 
 For a background symbol Gh and mode k != 0 the density perturbation obeys
 the scalar Volterra equation
@@ -13,8 +13,9 @@ Its Laplace transform is a finite pole sum, and the dispersion function
 F_k(lambda) = 1 - (i*q/2pi) * Phitilde_k(lambda) controls stability:
 zeros of F_k with Re(lambda) > 0 are exponential growth rates.
 
-F_k is rational: its zeros are the eigenvalues of one small matrix, and
-without a growing zero inf |F_k| over Re(lambda) >= eta_min lies on the
+F_k is rational: its zeros are the eigenvalues of one small matrix.
+Without a zero in Re(lambda) >= eta_min, 1/F_k is analytic there and
+tends to 1 at infinity, so inf |F_k| over that half-plane lies on the one
 line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960).
 """
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,24 +84,6 @@ def dispersion(bg: BackgroundSymbol, p: float, q: float, k: int, lam) -> np.ndar
     return 1.0 - (1j * q / TWO_PI) * laplace_symbol(bg, p, k, lam)
 
 
-@dataclass(frozen=True)
-class PenroseScan:
-    """Where the margin is taken: the half-plane Re(lambda) >= min(eta_grid).
-
-    Without a zero of F_k there, 1/F_k is analytic on it and tends to 1 at
-    infinity, so by the maximum modulus principle the infimum of |F_k| lies
-    on the line Re(lambda) = min(eta_grid), or is the limit 1.  The three
-    smallest grid values each get that line minimum as a diagnostic.
-    """
-
-    eta_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-3, 10.0, 40))
-
-    def __post_init__(self) -> None:
-        eta = np.asarray(self.eta_grid, dtype=float)
-        if eta.ndim != 1 or eta.size == 0 or not (np.isfinite(eta).all() and eta.min() > 0.0):
-            raise ValueError("eta_grid must be a nonempty 1-d array of finite eta > 0")
-
-
 @dataclass
 class PenroseReport:
     k: int
@@ -159,10 +142,8 @@ def _line_minimum(f_value, residue, omega, zeros, eta) -> tuple[np.ndarray, np.n
     return s[rows, best], line[rows, best]
 
 
-def penrose_margin(
-    bg: BackgroundSymbol, p: float, q: float, k: int, scan: PenroseScan | None = None
-) -> PenroseReport:
-    """inf |F_k| over Re(lambda) >= eta_min = min(scan.eta_grid), and the growing zeros.
+def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: float = 1e-3) -> PenroseReport:
+    """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros.
 
     Zeros: every eigenvalue of the matrix below, given at most
     NEWTON_POLISH Newton steps and kept if |F_k| <= ZERO_RESIDUAL there.
@@ -172,12 +153,15 @@ def penrose_margin(
     Margin: with a growing zero, the smallest residual at one.  Otherwise
     the minimum of |F_k| on the line Re(lambda) = eta_min (_line_minimum),
     capped at 1, the limit at infinity.  eta_line_margins holds the same
-    capped line minimum at the three smallest grid eta.
+    capped line minimum at eta_min, 2*eta_min and 4*eta_min; a margin that
+    doubles with eta_min shows zeros on the imaginary axis.
     """
     _check_finite(p=p, q=q)
-    scan = scan or PenroseScan()
+    eta_min = float(eta_min)
+    if not (eta_min > 0.0 and math.isfinite(4.0 * eta_min)):
+        raise ValueError(f"eta_min must be finite and > 0, with 4*eta_min finite, got {eta_min}")
     c, omega = _kernel_terms(bg, p, k)
-    eta = np.sort(np.asarray(scan.eta_grid, dtype=float))[:3]
+    eta = eta_min * np.array([1.0, 2.0, 4.0])
     if c.size == 0:
         return PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
     coef = 1j * q / TWO_PI

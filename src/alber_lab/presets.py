@@ -21,9 +21,9 @@ def background_preset(name: str) -> tuple[BackgroundSymbol, float, float]:
     zero at lambda = 1 and linear-in-time growth rate 1.
 
     stable-broad: Gamma_hat(n) = 0.2 <n>^-4 on |n| <= 2 with p = 1,
-    q = -1.  Scans of the dispersion function find no zeros in the right
-    half-plane; the scanned margin is positive (it shrinks linearly with
-    the eta floor of the scan, as it must on the torus, where marginal
+    q = -1.  Its dispersion functions have no zeros in the right
+    half-plane; the margin on the line Re(lambda) = eta_min is positive (it
+    shrinks linearly with eta_min, as it must on the torus, where marginal
     modes sit on the imaginary axis).
     """
     if name == REMARK_UNSTABLE:

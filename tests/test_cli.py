@@ -166,7 +166,7 @@ class TestConfigErrors:
 
 class TestPenrose:
     def penrose_config(self, out_dir, background, **section):
-        sec = {"background": background, "k_max": 2, "n_eta": 10, "c_bilinear": 2.0}
+        sec = {"background": background, "k_max": 2, "c_bilinear": 2.0}
         sec.update(section)
         return {"output_dir": str(out_dir), "seed": 5, "penrose": sec}
 
@@ -218,16 +218,26 @@ class TestPenrose:
         cfg["physics"] = {"p": 1.0, "q": 1.0}
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
 
-    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters"])  # retired scan-grid keys
+    # retired scan-grid keys
+    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters", "eta_max", "n_eta"])
     def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
         cfg = self.penrose_config(tmp_path / "x", "stable-broad", **{key: 10})
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
         assert f"penrose.{key}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("eta", [{"eta_min": 0.0}, {"eta_min": -1.0, "eta_max": -0.1}, {"n_eta": 0}])
-    def test_bad_eta_grid_rejected(self, tmp_path, eta):
+    @pytest.mark.parametrize("eta", [{"eta_min": 0.0}, {"eta_min": -1.0}, {"eta_min": 1e308}])
+    def test_bad_eta_grid_rejected(self, tmp_path, capsys, eta):
         cfg = self.penrose_config(tmp_path / "x", "stable-broad", **eta)
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "penrose.eta_min" in capsys.readouterr().err
+
+    def test_margin_taken_on_eta_min(self, tmp_path):
+        # eta_min above the old grid's default top of 10 once moved the line to 10
+        out = tmp_path / "run"
+        cfg = self.penrose_config(out, "stable-broad", eta_min=20.0)
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 0
+        _, rows = read_csv(out / "margins.csv")
+        assert [float(row[2]) for row in rows] == [20.0, 20.0]
 
     def test_bilinear_constant_helper(self):
         assert cli._bilinear_constant({"c_bilinear": 2}, 0) == 2.0
@@ -303,7 +313,8 @@ class TestPerturb:
         assert summary["horizon"] == float(rows[-1][0]) == 0.2
         assert "T=0.2 " in capsys.readouterr().out
 
-    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters"])  # retired scan-grid keys
+    # retired scan-grid keys
+    @pytest.mark.parametrize("key", ["s_padding", "s_density", "refine_iters", "eta_max", "n_eta"])
     def test_retired_scan_key_rejected(self, tmp_path, capsys, key):
         cfg = self.perturb_config(tmp_path / "x", 1e-3, **{key: 10})
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
@@ -465,7 +476,7 @@ class TestConvergence:
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 3
         err = capsys.readouterr().err
         assert err == "divergence at t=0; no data file written\n"
-        assert not out.exists() or not any(out.iterdir())
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def perturb_input(out_dir: Path, **section) -> dict:
@@ -500,6 +511,18 @@ class TestInputErrors:
     def test_seed_band_above_grid(self, tmp_path, capsys):
         cfg = perturb_input(tmp_path / "x", seed_band=5)
         assert "perturb.seed_band" in self.run(tmp_path, capsys, "perturb", cfg)
+
+    def test_perturb_grid_below_background_support(self, tmp_path, capsys):
+        # seed_band 0 passes its own check, so the background alone must not fit
+        cfg = perturb_input(tmp_path / "x", seed_band=0)
+        cfg["grid"] = {"N": 1}
+        err = self.run(tmp_path, capsys, "perturb", cfg)
+        assert "grid.N=1" in err and "J=2" in err
+
+    def test_state_grid_below_background_support(self, tmp_path, capsys):
+        cfg = simulate_config(tmp_path / "x", grid={"N": 1}, state={"preset": "background", "name": "stable-broad"})
+        err = self.run(tmp_path, capsys, "simulate", cfg)
+        assert "grid.N=1" in err and "J=2" in err
 
     def test_perturb_k_max_zero(self, tmp_path, capsys):
         cfg = perturb_input(tmp_path / "x", k_max=0)
@@ -550,7 +573,7 @@ class TestUnknownKeys:
 
 
 def penrose_input(out_dir: Path, **section) -> dict:
-    sec = {"background": "stable-broad", "k_max": 2, "n_eta": 10, "c_bilinear": 2.0}
+    sec = {"background": "stable-broad", "k_max": 2, "c_bilinear": 2.0}
     sec.update(section)
     return {"output_dir": str(out_dir), "seed": 5, "penrose": sec}
 
@@ -611,6 +634,7 @@ PROBES = [
     ("inequalities", "ensemble", "apriori", "false"),
     ("convergence", "convergence", "dts", 0.01),
     ("convergence", "convergence", "T", "x"),
+    ("penrose", "penrose", "eta_min", 0),
 ]
 
 
@@ -759,6 +783,15 @@ class TestManifest:
         cfg = ensemble_input(out)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4
         assert manifest_outputs(out, "inequalities", cfg) == {"checks.csv", "offender_bessel.json"}
+
+    def test_contract_on_divergence(self, tmp_path):
+        # convergence diverges inside main's envelope, before any data file
+        out = tmp_path / "run"
+        cfg = convergence_input(out)
+        cfg["state"]["mass"] = 1e200
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 3
+        assert manifest_outputs(out, "convergence", cfg) == set()
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_lists_only_this_runs_files(self, tmp_path):
         # a diverging run (exit 3) into the directory of a finished one

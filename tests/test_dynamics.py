@@ -309,6 +309,31 @@ class TestFusedKernel:
         assert_same_run(dyn.evolve(st, cfg), expected)
 
 
+class TestTimeReversal:
+    """Strang splitting is symmetric: the step with (-p, -q) undoes the step
+    with (p, q), so T forward and T back returns the datum to rounding.  The
+    cutoff breaks this by what it discards, so the run must stay resolved:
+    band <= N/4, and mass 20 only at N = 32 (at N = 16 the focusing run
+    pushes enough past the cutoff to miss by up to 3e-7 relative)."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n_mass=hst.sampled_from([(16, 1.0), (32, 1.0), (32, 20.0)]),
+        q=hst.sampled_from([1.0, -1.0]),
+        seed=hst.integers(0, 2**16),
+        data=hst.data(),
+    )
+    def test_reversed_run_returns_the_datum(self, n_mass, q, seed, data):
+        n, mass = n_mass
+        grid = al.SpectralGrid(n)
+        band = data.draw(hst.integers(1, n // 4), label="band")
+        st = al.random_smooth_state(grid, 3, band, 2.5, np.random.default_rng(seed), total_mass=mass)
+        there, _ = al.evolve(st, al.EvolveConfig(1.0, q, 1e-3, 0.5, record_every=10**9))
+        back, _ = al.evolve(there, al.EvolveConfig(-1.0, -q, 1e-3, 0.5, record_every=10**9))
+        start = al.to_matrix(st).entries
+        assert np.abs(al.to_matrix(back).entries - start).max() <= 1e-10 * np.abs(start).max()
+
+
 class TestMonitor:
     def test_zero_state_record(self, grid8):
         rec = al.monitor(al.MixedState.empty(grid8), al.EvolveConfig(1.0, 1.0, 1e-3, 1.0))

@@ -1,4 +1,4 @@
-"""Volterra kernel, dispersion function, margin scan, and constants.
+"""Volterra kernel, dispersion function, Penrose margin, and constants.
 
 The rank-one background Gamma_hat(0) = 2*pi with p = q = 1 admits closed
 forms used as anchors throughout:
@@ -160,6 +160,16 @@ class TestPenroseMargin:
         etas = [e for e, _ in report.eta_line_margins]
         assert etas == sorted(etas)
 
+    def test_eta_ladder_doubles(self):
+        # stable-broad has zeros on the imaginary axis, so its margin grows
+        # linearly with the line it is taken on
+        bg, p, q = al.background_preset("stable-broad")
+        report = al.penrose_margin(bg, p, q, 1, 2e-3)
+        assert [e for e, _ in report.eta_line_margins] == [2e-3, 4e-3, 8e-3]
+        lines = [m for _, m in al.penrose_margin(bg, p, q, 1).eta_line_margins]
+        assert [round(m, 4) for m in lines] == [0.0433, 0.0861, 0.1686]
+        assert report.margin == lines[1]
+
     def test_report_serializable(self, rank_one):
         import json
 
@@ -296,9 +306,8 @@ class TestExactPenrose:
     def test_against_independent_oracles(self, symbol, log_scale, k, q, p):
         # weak coupling (small symbols) puts the line minimum beside a pole
         bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
-        scan = al.PenroseScan()
-        eta_min = float(np.min(scan.eta_grid))
-        report = al.penrose_margin(bg, p, q, k, scan)
+        eta_min = 1e-3
+        report = al.penrose_margin(bg, p, q, k)
         for z in report.zeros:
             assert z.real > 0.0
             assert abs(al.dispersion(bg, p, q, k, z)) <= 1e-8
@@ -346,13 +355,10 @@ class TestExactPenrose:
                     below += report.margin < old * (1.0 - 1e-6)
         assert below > 0  # the grid search overstated some of these margins
 
-    def test_scan_has_only_eta_grid(self):
-        assert list(al.PenroseScan.__dataclass_fields__) == ["eta_grid"]
-
-    @pytest.mark.parametrize("grid", [[], [0.0, 1.0], [-1.0], [math.nan, 1.0], [[1.0]]])
-    def test_scan_rejects_bad_eta_grid(self, grid):
-        with pytest.raises(ValueError):
-            al.PenroseScan(np.array(grid))
+    @pytest.mark.parametrize("eta_min", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])  # 4e308 overflows
+    def test_rejects_bad_eta_min(self, rank_one, eta_min):
+        with pytest.raises(ValueError, match="^eta_min"):
+            al.penrose_margin(*rank_one, 1, eta_min)
 
     def test_eta_lines_are_line_minima(self, rank_one):
         bg, p, q = rank_one
