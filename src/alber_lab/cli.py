@@ -48,7 +48,7 @@ from .inequalities import (
     check_bilinear,
     run_checks,
 )
-from .penrose import penrose_margin, propagator_constants
+from .penrose import check_eta_min, penrose_margin, propagator_constants
 from .presets import background_preset, random_hermitian_perturbation, random_smooth_state
 from .spectral import SpectralGrid
 from .states import (
@@ -422,6 +422,7 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         raise ConfigError(f"perturb.fit_window must be [t_lo, t_hi], got {window}")
     if grid.N < bg.J:
         raise ConfigError(f"grid.N={grid.N} cannot hold the support J={bg.J} of perturb.background")
+    _call("perturb", check_eta_min, section["eta_min"])  # also when a given kappa leaves it unread
     seed_band = max(bg.J, 1) if section["seed_band"] is None else section["seed_band"]
     if not 0 <= seed_band <= grid.N:
         raise ConfigError(f"perturb.seed_band={seed_band} outside 0..{grid.N} (the grid N)")

@@ -13,12 +13,20 @@ exp(+i*p*(m^2 - n^2)*t), consistent with the orbital phases.
 
 The orbital integrator is Strang splitting, half free, full potential,
 half free.  strang_step composes the three exact substeps on MixedStates
-and is the reference composition.  iter_evolve runs the same scheme on
-raw arrays: the free phases are tabulated once per run, and adjacent
-half free steps merge into one full free phase, so between records a
-step is one potential substep followed by one full free phase.  A
-MixedState is built only at record points, where the open half step is
-closed.  evolve and every other multi-step caller go through iter_evolve.
+and is the reference composition.  _split_step, the one multi-step loop,
+runs the same scheme on raw arrays with a leading batch axis: weights
+(..., r) and orbitals (..., r, 2N+1), every leading index one state of
+rank r, all advanced by the same FFT and density calls.  The free phases
+are tabulated once per run, and adjacent half free steps merge into one
+full free phase, so between records a step is one potential substep
+followed by one full free phase; the open half step is closed only at
+record points.  iter_evolve wraps it for one MixedState, and evolve and
+every other multi-step caller go through iter_evolve, except the
+a-priori ensemble of inequalities, which runs its samples through
+_split_step in groups of equal rank.  _record_scalars is the one formula
+for the record channels, over the same leading axes: monitor takes one
+state's from it, the ensemble a whole group's, and _trusted is the one
+divergence rule for both.
 
 The linearized flow uses the integrating-factor midpoint rule.  In the
 lab frame its step is one fixed linear map that never mixes the
@@ -41,7 +49,7 @@ the step phase tabulated once, so an iterate costs O(n_quad) matrix
 products; the potentials V_rho of all nodes come from one stacked call.
 
 Densities and the energy come from states and V_rho from the Toeplitz pair
-in spectral; potential_step and iter_evolve keep rho inline as they reuse
+in spectral; potential_step and _split_step keep rho inline as they reuse
 psi.  Split-step, Picard and linearized flow each keep their own free
 phases, so the three solvers the oracle tests compare stay independent.
 """
@@ -57,6 +65,7 @@ import numpy as np
 
 from .spectral import (
     TWO_PI,
+    SpectralGrid,
     analyze_batch,
     diagonal_stack,
     diagonal_sums,
@@ -69,10 +78,10 @@ from .states import (
     MixedState,
     OperatorMatrix,
     TruncationError,
+    _density,
     _energy,
-    density_samples,
-    gram_matrix,
-    kinetic_energy,
+    _orbital_sum,
+    _weighted,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -178,56 +187,60 @@ def strang_step(state: MixedState, cfg: EvolveConfig) -> MixedState:
 # ---- observables ----
 
 
-def monitor(state: MixedState, cfg: EvolveConfig, t: float = 0.0) -> TrajectoryRecord:
-    """Assemble the per-record observables; pure, no state mutation.
+def _record_scalars(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, p: float, q: float) -> tuple:
+    """The record channels of states along leading axes, and their densities.
 
-    Mass and the Hilbert-Schmidt norm are read off the orbital Gram
-    matrix so integrator-induced orbital drift shows up instead of being
-    hidden by the constant weights.
+    mu has shape (..., r) and orbitals (..., r, 2N+1).  Returns mass,
+    s2_norm, energy, kinetic, gram_dev and h1s1 (each of shape (...)) and
+    the density samples rho (shape (..., M)).  Mass and the
+    Hilbert-Schmidt norm are read off the orbital Gram matrix, so
+    integrator-induced orbital drift shows up instead of being hidden by
+    the constant weights.  A state in a stack may get other last bits
+    than alone: the sums follow the stack's memory layout, and the square
+    in the energy is a product there instead of a pow.
     """
-    mu = state.weights
-    if state.rank:
-        g = gram_matrix(state)
-        mass_v = float(np.real(np.dot(mu, np.diag(g).real)))
-        s2 = math.sqrt(float(np.einsum("k,l,kl->", mu, mu, np.abs(g) ** 2).real))
-        gram_dev = float(np.abs(g - np.eye(state.rank)).max())
-    else:
-        mass_v, s2, gram_dev = 0.0, 0.0, 0.0
-    kin = kinetic_energy(state)
-    rho = density_samples(state)
+    g = orbitals.conj() @ np.swapaxes(orbitals, -1, -2)
+    mass_v = _weighted(mu, np.diagonal(g, axis1=-2, axis2=-1).real[..., None])[..., 0]
+    s2 = np.sqrt(np.einsum("...k,...l,...kl->...", mu, mu, np.abs(g) ** 2))
+    gram_dev = np.abs(g - np.eye(mu.shape[-1])).max(axis=(-2, -1), initial=0.0)
+    kin = _orbital_sum(mu, orbitals, grid.modes().astype(float) ** 2)
+    rho = _density(grid, mu, orbitals)
+    return mass_v, s2, _energy(kin, rho, p, q), kin, gram_dev, mass_v + kin, rho
+
+
+def monitor(state: MixedState, cfg: EvolveConfig, t: float = 0.0) -> TrajectoryRecord:
+    """Assemble the per-record observables (_record_scalars); pure, no state mutation."""
+    *scalars, rho = _record_scalars(state.grid, state.weights, state.orbitals, cfg.p, cfg.q)
     spectrum = np.abs(analyze_batch(state.grid, rho))
-    return TrajectoryRecord(
-        t=t,
-        mass=mass_v,
-        s2_norm=s2,
-        energy=_energy(kin, rho, cfg.p, cfg.q),
-        kinetic=kin,
-        gram_dev=gram_dev,
-        h1s1=mass_v + kin,
-        density_spectrum=spectrum,
-    )
+    return TrajectoryRecord(t, *map(float, scalars), density_spectrum=spectrum)
+
+
+def _trusted(*values) -> np.ndarray:
+    """Whether all values are finite and within DIVERGENCE_LIMIT, elementwise."""
+    return np.all([np.abs(v) <= DIVERGENCE_LIMIT for v in values], axis=0)
 
 
 def _check_record(rec: TrajectoryRecord, records: list) -> None:
-    values = (rec.mass, rec.s2_norm, rec.energy, rec.kinetic, rec.h1s1)
-    finite = all(math.isfinite(v) for v in values)
-    if not finite or max(abs(v) for v in values) > DIVERGENCE_LIMIT:
+    if not _trusted(rec.mass, rec.s2_norm, rec.energy, rec.kinetic, rec.h1s1):
         raise DivergenceError(rec.t, records)
 
 
-def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, MixedState]]:
-    """Strang split-step run over [0, T], yielding (t, state) records.
+def _split_step(
+    grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, cfg: EvolveConfig
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The Strang split-step loop on raw arrays, yielding (t, orbitals) records.
 
-    Yields the initial state at t = 0, then the state after every
+    mu has shape (..., r) and orbitals (..., r, 2N+1); each leading index
+    is one state, and each state's records are the bits it gets alone.
+    Yields the given orbitals at t = 0, then the orbitals after every
     record_every steps and after the last step.  The working buffer holds
     the orbitals on the full FFT grid, half a free step ahead of the last
     potential substep; the full-step phase table is zero off the band, so
     multiplying by it also discards what the potential pushed past the
     cutoff.  The FFT normalizations cancel over a substep, except in the
     density, where they are folded into the potential constant.  Yielded
-    states never share memory with the buffer.
+    arrays never share memory with the buffer.
     """
-    grid, mu = state.grid, state.weights
     modes = grid.modes()
     band = modes % grid.M
     n2 = modes.astype(float) ** 2
@@ -235,18 +248,32 @@ def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, M
     full = np.zeros(grid.M, dtype=complex)
     full[band] = np.exp(1j * cfg.p * n2 * cfg.dt)
     kick = -1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI
+    weights = mu[..., None, :]  # rho of every state as one stacked product, shape (..., 1, M)
     steps = cfg.steps
 
-    yield 0.0, state
-    buf = np.zeros((state.rank, grid.M), dtype=complex)
-    buf[:, band] = state.orbitals * half
+    yield 0.0, orbitals
+    buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
+    buf[..., band] = orbitals * half
     for i in range(1, steps + 1):
         psi = np.fft.ifft(buf, axis=-1)
-        psi *= np.exp(kick * (mu @ np.abs(psi) ** 2))
+        psi *= np.exp(kick * (weights @ np.abs(psi) ** 2))
         buf = np.fft.fft(psi, axis=-1)
         if i % cfg.record_every == 0 or i == steps:
-            yield i * cfg.dt, MixedState(grid, mu, buf[:, band] * half, gram_tol=math.inf)
+            yield i * cfg.dt, buf[..., band] * half
         buf *= full
+
+
+def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, MixedState]]:
+    """Strang split-step run over [0, T], yielding (t, state) records.
+
+    Yields the initial state itself at t = 0, then the state after every
+    record_every steps and after the last step (_split_step on one state).
+    """
+    records = _split_step(state.grid, state.weights, state.orbitals, cfg)
+    next(records)
+    yield 0.0, state
+    for t, orbitals in records:
+        yield t, MixedState(state.grid, state.weights, orbitals, gram_tol=math.inf)
 
 
 def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[TrajectoryRecord]]:

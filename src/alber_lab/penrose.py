@@ -142,6 +142,14 @@ def _line_minimum(f_value, residue, omega, zeros, eta) -> tuple[np.ndarray, np.n
     return s[rows, best], line[rows, best]
 
 
+def check_eta_min(eta_min: float) -> float:
+    """eta_min as a float; a ValueError starting "eta_min" unless it is finite and > 0 with 4*eta_min finite."""
+    eta_min = float(eta_min)
+    if not (eta_min > 0.0 and math.isfinite(4.0 * eta_min)):
+        raise ValueError(f"eta_min must be finite and > 0, with 4*eta_min finite, got {eta_min}")
+    return eta_min
+
+
 def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: float = 1e-3) -> PenroseReport:
     """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros.
 
@@ -157,9 +165,7 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
     doubles with eta_min shows zeros on the imaginary axis.
     """
     _check_finite(p=p, q=q)
-    eta_min = float(eta_min)
-    if not (eta_min > 0.0 and math.isfinite(4.0 * eta_min)):
-        raise ValueError(f"eta_min must be finite and > 0, with 4*eta_min finite, got {eta_min}")
+    eta_min = check_eta_min(eta_min)
     c, omega = _kernel_terms(bg, p, k)
     eta = eta_min * np.array([1.0, 2.0, 4.0])
     if c.size == 0:

@@ -5,11 +5,15 @@ and orthonormal orbitals psi_k.  Its matrix in the orthonormal basis
 e_n = (2*pi)**-0.5 exp(i*n*x) is U_mn = sum_k mu_k psihat_k(m) conj(psihat_k(n)).
 Homogeneous backgrounds are diagonal in that basis: a symbol Gamma_hat >= 0
 supported on |n| <= J gives the matrix diag(Gamma_hat(n)).
-Each orbital formula has one home: density_samples (rho on the grid, the
-one density routine; potential_step, iter_evolve and the Hoffmann-Ostenhof
-check write rho inline because they reuse psi), _orbital_sum (the weighted
-trace behind mass, kinetic energy and the H^s S^1 norm) and _energy
-(E = -p*K + (q/2)*||rho||^2, shared by monitor).
+Each orbital formula has one home: _density (rho on the grid, the one
+density routine behind density_samples; potential_step, the split-step
+kernel and the Hoffmann-Ostenhof check write rho inline because they
+reuse psi), _orbital_sum (the weighted trace behind mass, kinetic energy
+and the H^s S^1 norm) and _energy (E = -p*K + (q/2)*||rho||^2, shared by
+the record scalars of dynamics).  These three act on raw weights (..., r)
+and orbitals (..., r, 2N+1) along any leading axes, every state through
+_weighted, the weighted sum over k; on one state they give the bits of
+the single-state forms rows.T @ mu and np.dot(mu, x).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, bessel_constant, lp_norm, synthesize_batch
+from .spectral import TWO_PI, SpectralGrid, bessel_constant, synthesize_batch
 
 
 class GramError(ValueError):
@@ -152,16 +156,23 @@ class BackgroundSymbol:
 # ---- densities and matrices ----
 
 
+def _weighted(mu: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k mu_k rows_k for mu of shape (..., r) and rows of shape (..., r, m): shape (..., m)."""
+    return (mu[..., None, :] @ rows)[..., 0, :]
+
+
+def _density(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
+    """rho(x_j) = sum_k mu_k |psi_k(x_j)|^2 on the M points, along leading axes."""
+    return _weighted(mu, np.abs(synthesize_batch(grid, orbitals)) ** 2)
+
+
 def density_samples(state: MixedState) -> np.ndarray:
     """Position density rho(x_j) = sum_k mu_k |psi_k(x_j)|^2 on the M points.
 
     The samples resolve the full band of rho (<= 2N) and are real and
     non-negative by construction; a rank-0 state gives zeros.
     """
-    if state.rank == 0:
-        return np.zeros(state.grid.M)
-    psi = synthesize_batch(state.grid, state.orbitals)
-    return (np.abs(psi) ** 2).T @ state.weights
+    return _density(state.grid, state.weights, state.orbitals)
 
 
 def to_matrix(state: MixedState) -> OperatorMatrix:
@@ -230,16 +241,16 @@ def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     return float(_singular_values(weighted).sum())
 
 
-def _orbital_sum(state: MixedState, w) -> float:
-    """tr(diag(w) gamma) = sum_k mu_k sum_n w(n) |psihat_k(n)|^2; 0 at rank 0."""
-    return float(np.dot(state.weights, np.sum(w * np.abs(state.orbitals) ** 2, axis=1)))
+def _orbital_sum(mu: np.ndarray, orbitals: np.ndarray, w) -> np.ndarray:
+    """tr(diag(w) gamma) = sum_k mu_k sum_n w(n) |psihat_k(n)|^2 along leading axes; 0 at rank 0."""
+    return _weighted(mu, np.sum(w * np.abs(orbitals) ** 2, axis=-1, keepdims=True))[..., 0]
 
 
 def hs1_norm_nonneg(state: MixedState, s: float) -> float:
     """H^s Schatten-1 norm of a non-negative state: sum_k mu_k ||psi_k||_{H^s}^2."""
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
-    return _orbital_sum(state, state.grid.brackets_sq() ** s)
+    return float(_orbital_sum(state.weights, state.orbitals, state.grid.brackets_sq() ** s))
 
 
 # ---- conserved observables ----
@@ -247,12 +258,12 @@ def hs1_norm_nonneg(state: MixedState, s: float) -> float:
 
 def mass(state: MixedState) -> float:
     """tr gamma = sum_k mu_k ||psi_k||^2 (= sum_k mu_k for orthonormal orbitals)."""
-    return _orbital_sum(state, 1.0)
+    return float(_orbital_sum(state.weights, state.orbitals, 1.0))
 
 
 def kinetic_energy(state: MixedState) -> float:
     """tr(-Lap gamma) = sum_k mu_k sum_n n^2 |psihat_k(n)|^2."""
-    return _orbital_sum(state, state.grid.modes().astype(float) ** 2)
+    return float(_orbital_sum(state.weights, state.orbitals, state.grid.modes().astype(float) ** 2))
 
 
 @lru_cache(maxsize=8)
@@ -260,9 +271,16 @@ def _bessel_b1() -> float:
     return bessel_constant(1.0, 1e-12)
 
 
-def _energy(kinetic: float, rho: np.ndarray, p: float, q: float) -> float:
-    """E = -p*K + (q/2)*||rho||_{L2}^2 from the kinetic energy and density samples."""
-    return -p * kinetic + 0.5 * q * lp_norm(rho, 2) ** 2
+def _energy(kinetic, rho: np.ndarray, p: float, q: float):
+    """E = -p*K + (q/2)*||rho||_{L2}^2 from the kinetic energy and density samples, along leading axes.
+
+    ||rho||_{L2} is lp_norm's rectangle rule on the last axis, and a
+    square that overflows is infinite without a numpy warning.  On one
+    state l2 is a numpy scalar, whose square is the pow of lp_norm(rho, 2) ** 2.
+    """
+    with np.errstate(over="ignore"):
+        l2 = np.sqrt(np.sum(np.abs(rho) ** 2, axis=-1) * (TWO_PI / rho.shape[-1]))
+        return -p * kinetic + 0.5 * q * l2**2
 
 
 def energy(state: MixedState, p: float, q: float) -> float:
@@ -270,7 +288,7 @@ def energy(state: MixedState, p: float, q: float) -> float:
     if p * q == 0.0:
         raise ValueError("dispersion and coupling coefficients must be nonzero")
     kin = kinetic_energy(state)
-    value = _energy(kin, density_samples(state), p, q)
+    value = float(_energy(kin, density_samples(state), p, q))
     # |E| <= |p|*||gamma||_{H1 S1} + (|q|/2)*B_1*||gamma||_{S1}*||gamma||_{H1 S1}
     h1s1 = mass(state) + kin
     bound = abs(p) * h1s1 + 0.5 * abs(q) * _bessel_b1() * mass(state) * h1s1

@@ -381,6 +381,17 @@ class TestInequalities:
         assert rows[-1][0] == "apriori"
         assert int(rows[-1][2]) == 0
 
+    def test_apriori_divergence_exits_3(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = self.ineq_config(out, n_samples=3, apriori=True)
+        cfg["physics"] = {"p": 1.0, "q": 1e300}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["inequalities", "--config", write_config(tmp_path, cfg)])
+        assert code == 3
+        assert err.getvalue() == "divergence at t=0; no data file written\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_unknown_check_rejected(self, tmp_path):
         cfg = self.ineq_config(tmp_path / "x", checks=["bessel", "nonsense"])
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 2
@@ -635,6 +646,7 @@ PROBES = [
     ("convergence", "convergence", "dts", 0.01),
     ("convergence", "convergence", "T", "x"),
     ("penrose", "penrose", "eta_min", 0),
+    ("perturb", "perturb", "eta_min", 0),  # with perturb.kappa given, eta_min is never read
 ]
 
 
@@ -832,6 +844,19 @@ def schema_keys():
                 yield command, None, name, spec
 
 
+def schema_id(command: str, section, key: str, entry) -> str:
+    """command-section-key plus the entry: a type's name, a default's value, or
+    else (a union, a list default) the type it states, so that no id hangs on
+    the entry's position in CONFIG_SCHEMA."""
+    if isinstance(entry, type):
+        label = entry.__name__
+    elif isinstance(entry, (str, int, float)):
+        label = str(entry)
+    else:
+        label = str(kind_of(entry)).replace(" ", "")
+    return f"{command}-{section}-{key}-{label}"
+
+
 def kind_of(entry):
     """The type a schema entry states: itself, or its default's (a tuple is a list)."""
     if isinstance(entry, (type, types.UnionType, types.GenericAlias)):
@@ -862,7 +887,9 @@ def wrong_values(kind):
 
 
 class TestSchemaProperty:
-    @pytest.mark.parametrize("command, section, key, entry", list(schema_keys()))
+    @pytest.mark.parametrize(
+        "command, section, key, entry", list(schema_keys()), ids=[schema_id(*k) for k in schema_keys()]
+    )
     @settings(max_examples=12, deadline=None)
     @given(data=hst.data())
     def test_wrong_type_exits_2(self, command, section, key, entry, data):

@@ -309,6 +309,100 @@ class TestFusedKernel:
         assert_same_run(dyn.evolve(st, cfg), expected)
 
 
+class TestBatchKernel:
+    """One loop and one formula: every batch row of _split_step is the run
+    iter_evolve gives that state alone, and _record_scalars on one state is
+    bit for bit the single-state routes monitor was written with."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        batch=hst.integers(1, 4),
+        rank=hst.integers(1, 4),
+        n=hst.integers(2, 12),
+        p=hst.sampled_from([1.0, -0.7]),
+        q=hst.sampled_from([1.5, -1.0]),
+        steps=hst.integers(1, 20),
+        record_every=hst.integers(1, 8),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_batch_rows_are_single_runs(self, batch, rank, n, p, q, steps, record_every, seed):
+        grid = al.SpectralGrid(n)
+        rng = np.random.default_rng(seed)
+        states = [al.random_smooth_state(grid, rank, n, 2.5, rng, total_mass=rng.uniform(0.5, 10.0)) for _ in range(batch)]
+        cfg = al.EvolveConfig(p, q, 5e-3, steps * 5e-3, record_every=record_every)
+        mu = np.stack([st.weights for st in states])
+        rows = list(dyn._split_step(grid, mu, np.stack([st.orbitals for st in states]), cfg))
+        for j, st in enumerate(states):
+            single = list(al.iter_evolve(st, cfg))
+            assert [t for t, _ in rows] == [t for t, _ in single]
+            for (_, orbitals), (_, state) in zip(rows, single):
+                assert np.array_equal(orbitals[j], state.orbitals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rank=hst.integers(0, 4),
+        n=hst.integers(1, 12),
+        p=hst.sampled_from([1.0, -0.7]),
+        q=hst.sampled_from([1.5, -1.0]),
+        steps=hst.integers(0, 6),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_record_scalars_are_the_single_state_routes(self, rank, n, p, q, steps, seed):
+        grid = al.SpectralGrid(n)
+        rank = min(rank, grid.n_modes)
+        st = al.random_smooth_state(grid, rank, n, 2.5, np.random.default_rng(seed)) if rank else al.MixedState.empty(grid)
+        cfg = al.EvolveConfig(p, q, 1e-2, max(steps, 1) * 1e-2)
+        if steps:  # an evolved state's orbitals are not laid out like a drawn one's
+            st = list(al.iter_evolve(st, cfg))[-1][1]
+        mu = st.weights
+        g = st.orbitals.conj() @ st.orbitals.T
+        rho = (np.abs(synthesize_batch(grid, st.orbitals)) ** 2).T @ mu
+        kin = float(np.dot(mu, np.sum(grid.modes().astype(float) ** 2 * np.abs(st.orbitals) ** 2, axis=1)))
+        mass = float(np.real(np.dot(mu, np.diag(g).real)))
+        expected = (
+            mass,
+            math.sqrt(float(np.einsum("k,l,kl->", mu, mu, np.abs(g) ** 2).real)),
+            -p * kin + 0.5 * q * al.lp_norm(rho, 2) ** 2,
+            kin,
+            float(np.abs(g - np.eye(rank)).max(initial=0.0)),
+            mass + kin,
+        )
+        *scalars, got_rho = dyn._record_scalars(grid, mu, st.orbitals, p, q)
+        assert tuple(map(float, scalars)) == expected
+        assert np.array_equal(got_rho, rho)
+        rec = al.monitor(st, cfg, 0.0)
+        assert tuple(getattr(rec, name) for name in RECORD_FIELDS) == expected
+        assert np.array_equal(rec.density_spectrum, np.abs(analyze_batch(grid, rho)))
+
+    def test_stacked_scalars_match_single_states(self, grid16):
+        states = [random_state(grid16, 3, seed=40 + j, band=8) for j in range(5)]
+        mu = np.stack([st.weights for st in states])
+        stacked = dyn._record_scalars(grid16, mu, np.stack([st.orbitals for st in states]), 1.0, -1.0)
+        for j, st in enumerate(states):
+            single = dyn._record_scalars(grid16, st.weights, st.orbitals, 1.0, -1.0)
+            for a, b in zip(stacked, single):
+                assert np.allclose(a[j], b, rtol=1e-14, atol=1e-15)
+
+    def test_evolve_runs_the_one_loop(self, grid8, monkeypatch):
+        shapes = []
+        original = dyn._split_step
+
+        def counting(grid, mu, orbitals, cfg):
+            shapes.append(orbitals.shape)
+            return original(grid, mu, orbitals, cfg)
+
+        monkeypatch.setattr(dyn, "_split_step", counting)
+        al.evolve(random_state(grid8, 2, seed=34, band=3), al.EvolveConfig(1.0, 1.0, 1e-2, 0.05))
+        assert shapes == [(2, grid8.n_modes)]
+
+    def test_trusted_is_the_divergence_rule(self):
+        limit = dyn.DIVERGENCE_LIMIT
+        values = np.array([[1.0, -limit, limit * 1.01, 2.0, math.nan, 1.0],
+                           [0.0, 3.0, 1.0, -math.inf, 1.0, -limit * 1.01]])
+        assert dyn._trusted(*values).tolist() == [True, True, False, False, False, False]
+        assert dyn._trusted(1.0, limit) and not dyn._trusted(1.0, math.inf)
+
+
 class TestTimeReversal:
     """Strang splitting is symmetric: the step with (-p, -q) undoes the step
     with (p, q), so T forward and T back returns the datum to rounding.  The

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
+import alber_lab.dynamics as dyn
+import alber_lab.inequalities as ineq
 from alber_lab.inequalities import (
     ALL_CHECKS,
     EnsembleConfig,
@@ -177,6 +179,48 @@ class TestApriori:
             res = check_apriori_ensemble(cfg, p, q, T=0.2, dt=5e-3)
             assert res.violations == 0
             assert res.worst_ratio < 1.0
+
+    @pytest.mark.parametrize("shrink", [1.0, 0.8])  # 0.8: a bound below the truth, so records violate
+    @pytest.mark.parametrize("p, q", [(1.0, 1.0), (1.0, -1.0), (-0.5, 2.0)])
+    def test_matches_sample_by_sample(self, monkeypatch, shrink, p, q):
+        def bound(*args):
+            return shrink * al.ybar_bound(*args)
+
+        monkeypatch.setattr(ineq, "ybar_bound", bound)
+        cfg = EnsembleConfig(24, al.SpectralGrid(12), rank_range=(1, 5), seed=11)
+        rng = np.random.default_rng(cfg.seed)
+        run_cfg = al.EvolveConfig(p, q, 5e-3, 0.2, record_every=4)
+        violations, worst = 0, 0.0
+        for _ in range(cfg.n_samples):  # one evolve per sample, as before batching
+            st = _sample_state(rng, cfg)
+            rho_l2 = al.lp_norm(al.density_samples(st), 2)
+            ybar = bound(al.mass(st), al.kinetic_energy(st), rho_l2, p, q, p * q > 0)
+            part = check_apriori(al.evolve(st, run_cfg)[1], ybar)
+            violations += part.violations
+            worst = max(worst, part.worst_ratio)
+        res = check_apriori_ensemble(cfg, p, q, T=0.2, dt=5e-3)
+        assert res.violations == violations
+        assert (violations > 0) == (shrink < 1.0)
+        assert abs(res.worst_ratio - worst) <= 1e-15 * worst
+
+    def test_one_kernel_run_per_rank(self, monkeypatch):
+        runs = []
+
+        def counting(grid, mu, orbitals, cfg):
+            runs.append(mu.shape)
+            return dyn._split_step(grid, mu, orbitals, cfg)
+
+        monkeypatch.setattr(ineq, "_split_step", counting)
+        cfg = EnsembleConfig(30, al.SpectralGrid(8), rank_range=(1, 4), seed=5)
+        check_apriori_ensemble(cfg, 1.0, 1.0, T=0.05, dt=1e-2)
+        rng = np.random.default_rng(cfg.seed)
+        ranks = [_sample_state(rng, cfg).rank for _ in range(cfg.n_samples)]
+        assert runs == [(ranks.count(r), r) for r in sorted(set(ranks))]
+
+    def test_divergence_raises(self):
+        with pytest.raises(al.DivergenceError) as info:
+            check_apriori_ensemble(small_cfg(3, N=8), 1.0, 1e300)
+        assert info.value.t == 0.0
 
 
 class TestTraceEstimate:

@@ -287,6 +287,22 @@ class TestEnergies:
         assert _energy(1.0, np.full(grid8.M, 1e200), 1.0, 1.0) == math.inf
         assert _energy(1.0, np.full(grid8.M, 1e200), 1.0, -1.0) == -math.inf
 
+    def test_one_state_energy_is_the_lp_norm_formula(self, rng):
+        # one state's square is lp_norm's pow, which rounds unlike the product
+        # x * x in about 1 case of 1000: the stacked form must not leak into it
+        for _ in range(10000):
+            rho = rng.exponential(size=int(rng.integers(4, 40)))
+            kin, p, q = rng.exponential(), float(rng.choice([1.0, -0.7])), float(rng.choice([1.5, -1.0]))
+            assert _energy(kin, rho, p, q) == -p * kin + 0.5 * q * al.lp_norm(rho, 2) ** 2
+
+    def test_stacked_energy_matches_one_state(self, rng):
+        rho = rng.exponential(size=(3, 5, 24))
+        kin = rng.exponential(size=(3, 5))
+        stacked = _energy(kin, rho, 1.0, -2.0)
+        assert stacked.shape == (3, 5)
+        for idx in np.ndindex(3, 5):
+            assert stacked[idx] == pytest.approx(_energy(kin[idx], rho[idx], 1.0, -2.0), rel=1e-15)
+
 
 class TestGalerkinTruncate:
     def test_full_cut_is_identity(self, grid8, rng):
