@@ -844,19 +844,6 @@ def schema_keys():
                 yield command, None, name, spec
 
 
-def schema_id(command: str, section, key: str, entry) -> str:
-    """command-section-key plus the entry: a type's name, a default's value, or
-    else (a union, a list default) the type it states, so that no id hangs on
-    the entry's position in CONFIG_SCHEMA."""
-    if isinstance(entry, type):
-        label = entry.__name__
-    elif isinstance(entry, (str, int, float)):
-        label = str(entry)
-    else:
-        label = str(kind_of(entry)).replace(" ", "")
-    return f"{command}-{section}-{key}-{label}"
-
-
 def kind_of(entry):
     """The type a schema entry states: itself, or its default's (a tuple is a list)."""
     if isinstance(entry, (type, types.UnionType, types.GenericAlias)):
@@ -887,9 +874,7 @@ def wrong_values(kind):
 
 
 class TestSchemaProperty:
-    @pytest.mark.parametrize(
-        "command, section, key, entry", list(schema_keys()), ids=[schema_id(*k) for k in schema_keys()]
-    )
+    @pytest.mark.parametrize("command, section, key, entry", list(schema_keys()))
     @settings(max_examples=12, deadline=None)
     @given(data=hst.data())
     def test_wrong_type_exits_2(self, command, section, key, entry, data):
