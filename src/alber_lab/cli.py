@@ -33,10 +33,10 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
-    DIVERGENCE_LIMIT,
     DivergenceError,
     EvolveConfig,
     TrajectoryRecord,
+    _trusted,
     evolve,
     iter_evolve,
     linearized_evolve,
@@ -96,8 +96,9 @@ def write_csv(path: Path, header, rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """payload as strict JSON (RFC 8259): a NaN or infinity in it is a ValueError."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     _written.append(path)
 
@@ -418,8 +419,8 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         raise ConfigError(f"perturb.T must be > 0, got {horizon}")
     if epsilon == 0 and horizon is None:
         raise ConfigError("perturb.T is required when epsilon is 0 (no intrinsic horizon)")
-    if window is not None and len(window) != 2:
-        raise ConfigError(f"perturb.fit_window must be [t_lo, t_hi], got {window}")
+    if window is not None and not (len(window) == 2 and window[0] < window[1]):
+        raise ConfigError(f"perturb.fit_window must be [t_lo, t_hi] with t_lo < t_hi, got {window}")
     if grid.N < bg.J:
         raise ConfigError(f"grid.N={grid.N} cannot hold the support J={bg.J} of perturb.background")
     _call("perturb", check_eta_min, section["eta_min"])  # also when a given kappa leaves it unread
@@ -458,46 +459,38 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     record_every = max(1, steps // 200) if section["record_every"] is None else section["record_every"]
     run_cfg = _evolve_config(p, q, dt, horizon, "perturb", record_every)
 
-    def deviation_of(st: MixedState) -> float:
-        diff = to_matrix(st).entries - gamma_mat.entries
-        return sobolev_schatten_norm(OperatorMatrix(grid, diff, hermitian=True), 1.0)
-
-    code = 0
-    times, deviations = [], []
-    for t, state in iter_evolve(datum, run_cfg):
-        dev = deviation_of(state)
-        # the datum's own row is always kept, so there is a last good time
-        if t > 0.0 and (not math.isfinite(dev) or dev > DIVERGENCE_LIMIT):
-            print(f"divergence at t={t:.6g}; keeping records up to the last good time", file=sys.stderr)
-            code = 3
-            break
-        times.append(t)
-        deviations.append(dev)
-
     lin = linearized_evolve(
         OperatorMatrix(grid, epsilon * u0.entries, hermitian=True),
         bg,
         run_cfg,
         matrix_every=1,
     )
-    # both flows record at the same steps, so record i of each is at times[i]
-    lin_dev = [sobolev_schatten_norm(m, 1.0) for m in lin.matrices]
-    fit_rate = math.nan
+    code = 0
+    rows = []
+    for (t, state), lin_u in zip(iter_evolve(datum, run_cfg), lin.matrices):
+        diff = OperatorMatrix(grid, to_matrix(state).entries - gamma_mat.entries, hermitian=True)
+        dev = sobolev_schatten_norm(diff, 1.0)
+        # the explicit linearized step can overflow, and a matrix that is not finite has no SVD
+        lin_dev = sobolev_schatten_norm(lin_u, 1.0) if np.isfinite(lin_u.entries).all() else math.inf
+        # the datum's own row is always kept, so there is a last good time
+        if t > 0.0 and not _trusted(dev, lin_dev):
+            print(f"divergence at t={t:.6g}; keeping records up to the last good time", file=sys.stderr)
+            code = 3
+            break
+        rows.append((t, dev, lin_dev, 2.0 * consts.c_star * (1.0 + t * t) * epsilon))
+    fit_rate = None
     if window is not None:
         lo, hi = window
-        pts = [(t, math.log(d)) for t, d in zip(times, deviations) if d > 0 and lo <= t <= hi]
+        pts = [(t, math.log(dev)) for t, dev, *_ in rows if dev > 0 and lo <= t <= hi]
         if len(pts) >= 2:
             ts, ys = zip(*pts)
             fit_rate = float(np.polyfit(ts, ys, 1)[0])
-    rows = []
-    for t, dev, lin_t in zip(times, deviations, lin_dev):
-        bound = 2.0 * consts.c_star * (1.0 + t * t) * epsilon
-        rows.append((t, dev, lin_t, bound, fit_rate))
     write_csv(
         out / "deviation.csv",
         ("t", "deviation_h1s1", "linearized_h1s1", "bound", "fit_rate"),
-        rows,
+        [(*row, math.nan if fit_rate is None else fit_rate) for row in rows],
     )
+    max_deviation = max(dev for _, dev, *_ in rows)
     write_json(
         out / "summary.json",
         {
@@ -506,10 +499,10 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
             "horizon": horizon,
             "fit_rate": fit_rate,
             "kappa": kappa,
-            "max_deviation": max(deviations) if deviations else math.nan,
+            "max_deviation": max_deviation,
         },
     )
-    print(f"perturb: eps={epsilon:g} T={horizon:.4g} max_dev={max(deviations):.4g} -> {out}")
+    print(f"perturb: eps={epsilon:g} T={horizon:.4g} max_dev={max_deviation:.4g} -> {out}")
     return code
 
 

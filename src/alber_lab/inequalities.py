@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, bessel_constant, diagonal_sums, lp_norm
+from .spectral import TWO_PI, SpectralGrid, _check_finite, bessel_constant, diagonal_sums, lp_norm
 from .spectral import sobolev_norm, synthesize_batch, toeplitz
 from .states import (
     MixedState,
@@ -62,8 +62,7 @@ class EnsembleConfig:
                 f"rank_range {self.rank_range} must be two ints lo, hi with 1 <= lo <= hi <= {n_modes} "
                 "(the modes of the grid)"
             )
-        if not math.isfinite(self.decay_exponent):
-            raise ValueError(f"decay_exponent must be finite, got {self.decay_exponent}")
+        _check_finite(decay_exponent=self.decay_exponent)
 
 
 @dataclass

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TWO_PI
+from .spectral import TWO_PI, _check_finite
 from .states import BackgroundSymbol, OperatorMatrix
 
 ZERO_RESIDUAL = 1e-8
@@ -38,13 +38,6 @@ GOLDEN_ITERS = 80
 
 class UnstableBackgroundError(ValueError):
     """Constants that require a positive Penrose margin were requested without one."""
-
-
-def _check_finite(**values: float) -> None:
-    # each message starts with the parameter's name, so a caller can say where it came from
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _kernel_terms(bg: BackgroundSymbol, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +228,7 @@ def volterra_solve(
     S_j = rho_0/2 * exp(i*omega_j*dt): O(n * terms) work.  Warns when the
     step undersamples the fastest kernel oscillation (dt > 0.1 / max|omega|).
     """
-    _check_finite(p=p, q=q)
-    if not np.isfinite(u0.entries).all():
-        raise ValueError("u0 must be finite, got a non-finite entry")
+    _check_finite(p=p, q=q, u0=u0.entries)
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("t_grid must be 1-d, start at 0 and have >= 2 points")

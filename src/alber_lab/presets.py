@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralGrid
+from .spectral import SpectralGrid, _check_finite
 from .states import BackgroundSymbol, MixedState, OperatorMatrix, sobolev_schatten_norm
 
 REMARK_UNSTABLE = "remark-5-2-unstable"
@@ -50,8 +50,7 @@ def random_smooth_state(
         raise ValueError(f"rank {rank} outside 0..{grid.n_modes} (the modes of the grid)")
     if not 0 <= band <= grid.N:
         raise ValueError(f"band {band} outside 0..{grid.N} (the grid cutoff N)")
-    if not math.isfinite(decay):
-        raise ValueError(f"decay must be finite, got {decay}")
+    _check_finite(decay=decay)
     if not (math.isfinite(total_mass) and total_mass >= 0.0):
         raise ValueError(f"total_mass must be finite and >= 0, got {total_mass}")
     n = grid.modes().astype(float)

@@ -12,7 +12,9 @@ and sobolev_norm the one H^s formula.  The plane-wave Toeplitz pair lives
 here too: diagonal_sums (the density coefficients of a mode matrix) and
 its adjoint toeplitz (multiplication), both over any leading axes.  All
 operations here are pure functions; only the offset table that the pair
-indexes is cached, one read-only copy per matrix size.
+indexes is cached, one read-only copy per matrix size.  _check_finite is
+the one check that arguments are finite, for every module that takes
+numbers or arrays from outside.
 """
 
 from __future__ import annotations
@@ -24,6 +26,21 @@ from functools import lru_cache
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+
+def _check_finite(**values) -> None:
+    """A ValueError for the first value, a number or an array, that is not finite.
+
+    The message starts with the parameter's name, so a caller can say where
+    it came from: "<name> must be finite, got <value>", or "got a
+    non-finite entry" for an array.
+    """
+    for name, value in values.items():
+        if np.ndim(value):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got a non-finite entry")
+        elif not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _is_five_smooth(m: int) -> bool:

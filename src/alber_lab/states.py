@@ -372,7 +372,6 @@ def ybar_bound(
 # ---- serialization ----
 
 STATE_SCHEMA = "alber-lab/state-v1"
-BACKGROUND_SCHEMA = "alber-lab/background-v1"
 
 
 def state_to_dict(state: MixedState) -> dict:
@@ -397,17 +396,3 @@ def state_from_dict(payload: dict) -> MixedState:
     flat = flat.reshape(weights.size, 2 * grid.n_modes)
     orbitals = flat[:, 0::2] + 1j * flat[:, 1::2]
     return MixedState(grid, weights, orbitals)
-
-
-def background_to_dict(bg: BackgroundSymbol) -> dict:
-    return {"schema": BACKGROUND_SCHEMA, "J": bg.J, "symbol": bg.symbol.tolist()}
-
-
-def background_from_dict(payload: dict) -> BackgroundSymbol:
-    if payload.get("schema") != BACKGROUND_SCHEMA:
-        raise ValueError(f"unexpected background schema {payload.get('schema')!r}")
-    symbol = np.asarray(payload["symbol"], dtype=float)
-    bg = BackgroundSymbol(symbol)
-    if bg.J != int(payload["J"]):
-        raise ValueError("symbol length inconsistent with declared J")
-    return bg

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab.cli as cli
-from alber_lab.dynamics import DivergenceError
+from alber_lab.dynamics import DivergenceError, _trusted
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
@@ -355,6 +355,25 @@ class TestPerturb:
         # datum gamma + eps u0 leaves the nonnegative cone
         cfg = self.perturb_config(tmp_path / "x", 5.0)
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+
+    def test_linearized_overflow_exits_3(self, tmp_path, capsys):
+        # at this coupling the explicit midpoint step of the linearized flow
+        # is unstable: its matrices overflow while the nonlinear deviation stays bounded
+        out = tmp_path / "run"
+        cfg = {
+            "output_dir": str(out),
+            "seed": 3,
+            "grid": {"N": 6},
+            "physics": {"p": 1.0, "q": 1e8},
+            "perturb": {"background": "stable-broad", "epsilon": 1e-3, "kappa": 0.1,
+                        "c_bilinear": 0.18, "T": 0.5, "dt": 1e-2},
+        }
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("divergence at t=")
+        _, rows = read_csv(out / "deviation.csv")
+        assert 1 <= len(rows) < 51
+        assert all(_trusted(float(row[1]), float(row[2])) for row in rows)
 
 
 class TestInequalities:
@@ -720,7 +739,7 @@ class TestBadValues:
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
         assert "perturb.record_every" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fit_window", [[0.05], [0.05, 0.1, 0.2]])
+    @pytest.mark.parametrize("fit_window", [[0.05], [0.05, 0.1, 0.2], [0.2, 0.05], [0.1, 0.1]])
     def test_fit_window_needs_two_ends(self, tmp_path, capsys, fit_window):
         cfg = perturb_input(tmp_path / "x", fit_window=fit_window)
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
@@ -775,7 +794,21 @@ def manifest_outputs(out: Path, command: str, cfg: dict) -> set:
     return set(names)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 class TestManifest:
+    @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
+    def test_json_files_are_strict(self, tmp_path, command):
+        # the perturb input has no fit window, so its summary has no fit_rate
+        out = tmp_path / "run"
+        assert cli.main([command, "--config", write_config(tmp_path, BASE_INPUTS[command](out))]) == 0
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_no_constant)
+        if command == "perturb":
+            assert json.loads((out / "summary.json").read_text())["fit_rate"] is None
+
     @pytest.mark.parametrize("command", sorted(BASE_INPUTS))
     def test_contract(self, tmp_path, command):
         out = tmp_path / "run"

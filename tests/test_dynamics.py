@@ -5,7 +5,9 @@ free phase e^{+i p n^2 dt} on psihat(n) and the potential phase
 e^{-i q rho(x) dt} pointwise.
 """
 
+import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -402,6 +404,28 @@ class TestBatchKernel:
         assert dyn._trusted(*values).tolist() == [True, True, False, False, False, False]
         assert dyn._trusted(1.0, limit) and not dyn._trusted(1.0, math.inf)
 
+    def test_every_flow_reads_the_one_limit(self, grid8, monkeypatch, tmp_path):
+        import alber_lab.cli as cli
+        from alber_lab.inequalities import check_apriori_ensemble
+
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(grid8, 2, np.random.default_rng(3))
+        lin_cfg = al.EvolveConfig(p, q, 1e-2, 0.05)
+        assert not al.linearized_evolve(u0, bg, lin_cfg).growth_flag
+        perturb = {"output_dir": str(tmp_path / "run"), "seed": 1, "grid": {"N": 4},
+                   "perturb": {"background": "stable-broad", "epsilon": 1e-3, "kappa": 0.03,
+                               "c_bilinear": 2.0, "T": 0.02, "dt": 0.01}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(perturb))
+
+        monkeypatch.setattr(dyn, "DIVERGENCE_LIMIT", 1e-9)
+        with pytest.raises(DivergenceError):
+            al.evolve(random_state(grid8, 2, seed=3, band=3), al.EvolveConfig(1.0, 1.0, 1e-2, 0.05))
+        assert al.linearized_evolve(u0, bg, lin_cfg).growth_flag
+        with pytest.raises(DivergenceError):
+            check_apriori_ensemble(al.EnsembleConfig(2, grid8), 1.0, 1.0, T=0.05, dt=1e-2)
+        assert cli.main(["perturb", "--config", str(path)]) == 3
+
 
 class TestTimeReversal:
     """Strang splitting is symmetric: the step with (-p, -q) undoes the step
@@ -721,6 +745,20 @@ class TestLinearizedEvolve:
             m[grid.N + i, grid.N + j] = v
             m[grid.N + j, grid.N + i] = np.conj(v)
         return al.OperatorMatrix(grid, m, hermitian=True)
+
+    @pytest.mark.parametrize("power", [True, False])
+    def test_overflow_flags_growth_without_warning(self, power):
+        # at q = 1e8 the explicit midpoint step is unstable for dt = 1e-2 and the matrices overflow
+        grid = al.SpectralGrid(6)
+        bg, _, _ = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(grid, 2, np.random.default_rng(3))
+        u0 = al.OperatorMatrix(grid, 1e-3 * u0.entries, hermitian=True)
+        cfg = al.EvolveConfig(1.0, 1e8, 1e-2, 0.5, record_every=5)
+        with mock.patch.object(dyn, "_power_pays", lambda *args: power), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        assert traj.growth_flag
+        assert not np.isfinite(traj.matrices[-1].entries).all()
 
     def test_zero_background_free_flow(self, grid8):
         u0 = self._seed_matrix(grid8, {(1, 0): 0.5, (2, 2): 1.0})

@@ -16,6 +16,7 @@ from hypothesis import strategies as hst
 import alber_lab as al
 from alber_lab.spectral import (
     TWO_PI,
+    _check_finite,
     _offsets,
     analyze_batch,
     diagonal_sums,
@@ -107,6 +108,23 @@ class TestSynthesizeAnalyze:
         assert s.shape == (3, grid8.M)
         back = analyze_batch(grid8, s)
         assert np.abs(back - c).max() < 1e-12
+
+
+class TestCheckFinite:
+    def test_finite_values_pass(self):
+        _check_finite(a=1.0, b=-3, c=np.ones((2, 2), dtype=complex), d=np.float64(2.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_number_named_with_its_value(self, bad):
+        with pytest.raises(ValueError, match=f"^b must be finite, got {bad}$"):
+            _check_finite(a=1.0, b=bad, c=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.inf)])
+    def test_array_named_by_its_entry(self, bad):
+        entries = np.zeros((2, 2), dtype=complex)
+        entries[1, 0] = bad
+        with pytest.raises(ValueError, match="^u0 must be finite, got a non-finite entry$"):
+            _check_finite(p=1.0, u0=entries)
 
 
 class TestSobolevNorm:

@@ -461,13 +461,6 @@ class TestSerialization:
         assert np.abs(back.weights - st.weights).max() < 1e-15
         assert np.abs(back.orbitals - st.orbitals).max() < 1e-15
 
-    def test_background_round_trip(self):
-        from alber_lab.states import background_from_dict, background_to_dict
-
-        bg = al.BackgroundSymbol(np.array([0.5, 1.0, 0.25]))
-        back = background_from_dict(json.loads(json.dumps(background_to_dict(bg))))
-        assert np.array_equal(back.symbol, bg.symbol)
-
     @settings(max_examples=40, deadline=None)
     @given(n=hst.integers(1, 8), rank=hst.integers(0, 3), seed=hst.integers(0, 2**32 - 1))
     def test_state_round_trip_bit_for_bit(self, n, rank, seed):
@@ -476,20 +469,6 @@ class TestSerialization:
         assert back.grid == st.grid
         assert back.weights.tobytes() == st.weights.tobytes()
         assert back.orbitals.tobytes() == st.orbitals.tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        symbol=hst.integers(0, 6).flatmap(
-            lambda j: hst.lists(hst.floats(0.0, 1e300), min_size=2 * j + 1, max_size=2 * j + 1)
-        )
-    )
-    def test_background_round_trip_bit_for_bit(self, symbol):
-        from alber_lab.states import background_from_dict, background_to_dict
-
-        bg = al.BackgroundSymbol(np.array(symbol))
-        back = background_from_dict(json.loads(json.dumps(background_to_dict(bg))))
-        assert back.J == bg.J
-        assert back.symbol.tobytes() == bg.symbol.tobytes()
 
     def test_wrong_schema_rejected(self, grid8):
         st = plane_wave_state(grid8, 0, 1.0)
