@@ -222,14 +222,24 @@ def volterra_solve(
 ) -> np.ndarray:
     """Product-trapezoidal march for the scalar density equation at mode k.
 
-    t_grid must be uniform starting at 0.  Phi_k is a sum of exponentials
-    c_j exp(i*omega_j*tau), so the trapezoid history sum splits into one
-    running sum per term, S_j <- exp(i*omega_j*dt)(S_j + rho_i) from
-    S_j = rho_0/2 * exp(i*omega_j*dt): O(n * terms) work.  Warns when the
-    step undersamples the fastest kernel oscillation (dt > 0.1 / max|omega|).
+    t_grid must be finite, uniform and start at 0.  Phi_k is a sum of
+    exponentials c_j exp(i*omega_j*tau), so the trapezoid history sum splits
+    into one running sum per term, S_j <- exp(i*omega_j*dt)(S_j + rho_i) from
+    S_j = rho_0/2 * exp(i*omega_j*dt).  With g_i = rho_free_i / denom,
+    a = (coef*dt/denom) c and P = exp(i*omega*dt) that march is the linear
+    recurrence rho_i = g_i + a.S_{i-1}, S_i = A S_{i-1} + P g_i with the step
+    A = diag(P) + P a^T, and it is run in blocks of L ~ sqrt(n) steps: in a
+    block rho = g + T g + G S_start, with T the strictly lower-triangular
+    Toeplitz matrix of h_m = a A^m P and the rows of G the a A^l, and the
+    block ends in S = A^L S_start + K g, the columns of K the A^(L-1-j) P.
+    The tables take only powers of A; the products with g run for every
+    block at once, and the one Python loop carries S over the O(sqrt(n))
+    block starts.  A growing solution overflows to inf/nan entries without
+    a numpy warning.  Warns when the step undersamples the fastest kernel
+    oscillation (dt > 0.1 / max|omega|).
     """
-    _check_finite(p=p, q=q, u0=u0.entries)
     t = np.asarray(t_grid, dtype=float)
+    _check_finite(p=p, q=q, u0=u0.entries, t_grid=t)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("t_grid must be 1-d, start at 0 and have >= 2 points")
     dt = t[1] - t[0]
@@ -250,13 +260,29 @@ def volterra_solve(
     phase = np.exp(1j * omega * dt)
     coef = 1j * q / TWO_PI
     denom = 1.0 - coef * 0.5 * dt * c.sum()
-    rho = np.empty_like(rho_free)
-    rho[0] = rho_free[0]
-    history = 0.5 * rho[0] * phase
-    for i in range(1, t.size):
-        rho[i] = (rho_free[i] + coef * dt * (c @ history)) / denom
-        history = phase * (history + rho[i])
-    return rho
+    a = (coef * dt / denom) * c
+    step = np.diag(phase) + np.outer(phase, a)
+    steps = t.size - 1
+    length = math.isqrt(steps)
+    blocks = -(-steps // length)
+    g = np.zeros(blocks * length, dtype=complex)
+    g[:steps] = rho_free[1:] / denom
+    g = g.reshape(blocks, length)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.eye(c.size, dtype=complex)[None]  # A^0 .. A^(m-1), doubled to A^L
+        while len(powers) <= length:
+            powers = np.concatenate([powers, powers @ (powers[-1] @ step)])
+        rows, jump = a @ powers[:length], powers[length]
+        lag = np.subtract.outer(np.arange(length), np.arange(length)) - 1
+        toeplitz = np.where(lag >= 0, (rows @ phase)[lag.clip(0)], 0.0)
+        kick = g @ (powers[length - 1 :: -1] @ phase)
+        starts = np.empty((blocks, c.size), dtype=complex)
+        history = 0.5 * rho_free[0] * phase
+        for b in range(blocks):
+            starts[b] = history
+            history = jump @ history + kick[b]
+        rho = g + g @ toeplitz.T + starts @ rows.T
+    return np.concatenate([rho_free[:1], rho.ravel()[:steps]])
 
 
 # ---- constants for the propagator and the stable window ----
@@ -319,12 +345,22 @@ def propagator_constants(
             raise ValueError(f"{name} must be positive, got {inputs[name]}")
     if q == 0.0:
         raise ValueError("q must be nonzero")
-    a = c_bilinear * abs(q) * gamma_h1s1
-    b = abs(q) * gamma_l1 / (TWO_PI * kappa)
-    c_gamma_eta = 1.0 + a * (1.0 + b / eta) / eta
-    c_star = 3.0 * (1.0 + a + a * b)
-    c_q = c_bilinear * abs(q)
-    c_gamma = (8.0 * c_star**2 * c_q) ** (-0.2)
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars overflow to inf, as floats do
+        a = c_bilinear * abs(q) * gamma_h1s1
+        b = abs(q) * gamma_l1 / (TWO_PI * kappa)
+        c_gamma_eta = 1.0 + a * (1.0 + b / eta) / eta
+        c_star = 3.0 * (1.0 + a + a * b)
+        c_q = c_bilinear * abs(q)
+        try:
+            window = 8.0 * c_star**2 * c_q
+        except OverflowError:  # a float power past the float range raises
+            window = math.inf
+    derived = {"c_gamma_eta": c_gamma_eta, "c_star": c_star, "8*c_star**2*c_q": window}
+    for name, value in derived.items():
+        if not math.isfinite(value):
+            given = ", ".join(f"{key}={v:.6g}" for key, v in inputs.items())
+            raise ValueError(f"constants are not finite: {name} = {value} from {given}")
+    c_gamma = window ** (-0.2)
     t_star = c_gamma * epsilon ** (-0.2)
     return PropagatorConstants(
         gamma_h1s1=gamma_h1s1,

@@ -567,6 +567,22 @@ class TestInputErrors:
         cfg = {"output_dir": str(tmp_path / "x"), "ensemble": {"n_samples": 2, "N": 1, "checks": ["bessel"]}}
         assert "ensemble.rank_range" in self.run(tmp_path, capsys, "inequalities", cfg)
 
+    @pytest.mark.parametrize("q", [1e150, 1e200])
+    @pytest.mark.parametrize("command", ["penrose", "perturb"])
+    def test_overflowing_constants(self, tmp_path, capsys, command, q):
+        # stable-broad scans stable at these couplings, so the constants are
+        # taken, and c_star**2 (1e150) or c_star (1e200) passes the float range
+        out = tmp_path / "x"
+        if command == "penrose":
+            cfg = {"output_dir": str(out), "penrose": {"background": "stable-broad", "k_max": 2, "c_bilinear": 0.18}}
+        else:
+            cfg = perturb_input(out)
+        cfg["physics"] = {"q": q}
+        err = self.run(tmp_path, capsys, command, cfg).splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {command}.constants are not finite")
+        assert f"q={q:g}," in err[0]
+        assert list(out.iterdir()) == []
+
     def test_convergence_cutoff_zero(self, tmp_path, capsys):
         cfg = simulate_config(tmp_path / "x", convergence={"mode": "N", "Ns": [0], "T": 0.02, "dt": 0.01})
         del cfg["time"]

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,33 @@ class TestFreeDensity:
         assert np.abs(al.free_density(u0, 0.9, k, t)).max() <= cap + 1e-12
 
 
+def per_step_volterra(bg, u0, p, q, k, t):
+    """volterra_solve's recurrence in its per-step form, the reference for
+    the blocked scan: one Python iteration per time point, S_j <- P_j (S_j + rho_i)."""
+    c, omega = penrose_mod._kernel_terms(bg, p, k)
+    rho_free = np.asarray(al.free_density(u0, p, k, t), dtype=complex)
+    if c.size == 0:
+        return rho_free
+    dt = t[1] - t[0]
+    phase = np.exp(1j * omega * dt)
+    coef = 1j * q / (2.0 * math.pi)
+    denom = 1.0 - coef * 0.5 * dt * c.sum()
+    rho = np.empty_like(rho_free)
+    rho[0] = rho_free[0]
+    history = 0.5 * rho[0] * phase
+    for i in range(1, t.size):
+        rho[i] = (rho_free[i] + coef * dt * (c @ history)) / denom
+        history = phase * (history + rho[i])
+    return rho
+
+
+def criterion_4_datum():
+    grid = al.SpectralGrid(6)
+    m = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
+    m[grid.N + 1, grid.N] = m[grid.N, grid.N + 1] = 1.0
+    return al.OperatorMatrix(grid, m, hermitian=True)
+
+
 class TestVolterraSolve:
     def test_zero_background_reproduces_free(self, grid8, rng):
         nm = grid8.n_modes
@@ -486,6 +514,73 @@ class TestVolterraSolve:
             want[i] = (rho_free[i] + coef * dt * acc) / (1.0 - coef * 0.5 * dt * phi[0])
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
+    # block lengths 1, 1, 3, 3, 4, 4: one block, two, a full last block
+    # and a short one; 10 001 and 50 001 points at dt = 2e-4 run to T = 2
+    # (the benchmark's oracle) and T = 10 (criterion 4)
+    @pytest.mark.parametrize("n", [2, 3, 11, 15, 16, 17, 10_001, 50_001])
+    @pytest.mark.parametrize("k", [-1, 1, 2])
+    @pytest.mark.parametrize("name", ["stable-broad", UNSTABLE])
+    def test_blocked_scan_matches_per_step(self, name, k, n):
+        bg, p, q = al.background_preset(name)
+        u0 = criterion_4_datum() if k != 2 else al.random_hermitian_perturbation(
+            al.SpectralGrid(6), 2, np.random.default_rng(5)
+        )
+        t = np.arange(n) * 2e-4
+        want = per_step_volterra(bg, u0, p, q, k, t)
+        got = al.volterra_solve(bg, u0, p, q, k, t)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        J=hst.integers(0, 3),
+        k=hst.sampled_from([-3, -2, -1, 1, 2, 3]),
+        n=hst.integers(2, 3000),
+        seed=hst.integers(0, 2**32 - 1),
+        p_sign=hst.sampled_from([-1.0, 1.0]),
+        q_sign=hst.sampled_from([-1.0, 1.0]),
+    )
+    def test_blocked_scan_matches_per_step_random(self, J, k, n, seed, p_sign, q_sign):
+        gen = np.random.default_rng(seed)
+        grid = al.SpectralGrid(J + 4)
+        bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * J + 1))
+        nm = grid.n_modes
+        u0 = al.OperatorMatrix(grid, gen.standard_normal((nm, nm)) + 1j * gen.standard_normal((nm, nm)))
+        p, q = p_sign * gen.uniform(0.5, 1.5), q_sign * gen.uniform(0.5, 3.0)
+        j = np.arange(-J - abs(k), J + abs(k) + 1)
+        dt = 0.05 / (abs(p * k) * np.abs(2 * j + k).max())
+        t = np.arange(n) * dt
+        want = per_step_volterra(bg, u0, p, q, k, t)
+        got = al.volterra_solve(bg, u0, p, q, k, t)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+    def test_python_lines_grow_like_sqrt_n(self):
+        # a loop per time point would run ~30 000 lines at n = 10 001; the
+        # scan runs three per block of ~sqrt(n) steps (100 blocks at
+        # n = 10 001, 10 at n = 101) after a set-up of a few dozen
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = criterion_4_datum()
+
+        def lines_run(n):
+            count = 0
+
+            def tracer(frame, event, arg):
+                nonlocal count
+                if frame.f_code is not penrose_mod.volterra_solve.__code__:
+                    return None
+                count += event == "line"
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                al.volterra_solve(bg, u0, p, q, 1, np.arange(n) * 2e-4)
+            finally:
+                sys.settrace(None)
+            return count
+
+        small, large = lines_run(101), lines_run(10_001)
+        assert large - small <= 3 * (100 - 10) + 10
+
     def test_nonuniform_grid_rejected(self, grid8, rank_one):
         bg, p, q = rank_one
         u0 = seed_matrix(grid8, {(1, 0): 1.0})
@@ -513,6 +608,28 @@ class TestVolterraSolve:
         bg, p, q = rank_one
         with pytest.raises(ValueError, match="^u0 must be finite"):
             al.volterra_solve(bg, u0, p, q, 1, np.linspace(0.0, 1.0, 101))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, rank_one, monkeypatch, bad):
+        # np.allclose(inf, inf) is true, so [0, inf] looks uniform to the grid check
+        def no_work(*args, **kwargs):
+            raise AssertionError("volterra_solve started work on a non-finite input")
+
+        monkeypatch.setattr(penrose_mod, "free_density", no_work)
+        bg, p, q = rank_one
+        u0 = seed_matrix(al.SpectralGrid(4), {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="^t_grid must be finite, got a non-finite entry"):
+            al.volterra_solve(bg, u0, p, q, 1, [0.0, bad])
+
+    def test_overflow_warns_nothing(self, rank_one):
+        # at q * 200 the unstable mode grows like exp(200 t): the march
+        # overflows, and the growth shows as inf/nan entries, not as warnings
+        bg, p, q = rank_one
+        t = np.arange(20_001) * 2e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = al.volterra_solve(bg, criterion_4_datum(), p, 200.0 * q, 1, t)
+        assert np.isfinite(rho[:100]).all() and not np.isfinite(rho[-1])
 
     def test_coarse_grid_warns(self, grid8):
         bg = al.BackgroundSymbol(np.array([0.2, 1.0, 0.2]))
@@ -600,6 +717,15 @@ class TestPropagatorConstants:
         args = {**STABLE_CONSTANTS_INPUT, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be positive"):
             al.propagator_constants(**args)
+
+    @pytest.mark.parametrize("q", [1e150, 1e200, np.float64(1e200)], ids=["1e150", "1e200", "numpy-1e200"])
+    def test_overflowing_constants_rejected(self, q):
+        # at 1e150 a float c_star**2 passes the float range, at 1e200 c_star itself
+        args = {**STABLE_CONSTANTS_INPUT, "q": q}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^constants are not finite: .* q=1e\+(150|200),"):
+                al.propagator_constants(**args)
 
     def test_serializable(self):
         import json
