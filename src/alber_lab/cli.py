@@ -566,6 +566,11 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
             for i, dt in enumerate(dts)
         ]
         ref_cfg = _evolve_config(p, q, dt_ref, horizon, "convergence", dt_key="dt_ref")
+        if dts and dt_ref > min(dts):
+            raise ConfigError(
+                f"convergence.dt_ref={dt_ref:g} is coarser than the finest step min(dts)={min(dts):g}; "
+                "the reference must be at least as fine as every step it judges"
+            )
     else:
         n_list = section["Ns"]
         if n_list is None:

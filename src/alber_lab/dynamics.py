@@ -20,7 +20,9 @@ rank r, all advanced by the same FFT and density calls.  The free phases
 are tabulated once per run, and adjacent half free steps merge into one
 full free phase, so between records a step is one potential substep
 followed by one full free phase; the open half step is closed only at
-record points.  iter_evolve wraps it for one MixedState, and evolve and
+record points.  The loop allocates its working arrays once per run and
+writes every substep into them with out=, so only record points
+allocate.  iter_evolve wraps it for one MixedState, and evolve and
 every other multi-step caller go through iter_evolve, except the
 a-priori ensemble of inequalities, which runs its samples through
 _split_step in groups of equal rank.  _record_scalars is the one formula
@@ -240,8 +242,11 @@ def _split_step(
     potential substep; the full-step phase table is zero off the band, so
     multiplying by it also discards what the potential pushed past the
     cutoff.  The FFT normalizations cancel over a substep, except in the
-    density, where they are folded into the potential constant.  Yielded
-    arrays never share memory with the buffer.
+    density, where they are folded into the potential constant.  The
+    buffer, the samples psi, their squared moduli, rho and the potential
+    phase are allocated once per run and every substep writes into them,
+    so only record points allocate; yielded arrays never share memory
+    with this workspace.
     """
     modes = grid.modes()
     band = modes % grid.M
@@ -256,10 +261,19 @@ def _split_step(
     yield 0.0, orbitals
     buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
     buf[..., band] = orbitals * half
+    psi = np.empty_like(buf)
+    dens = np.empty(buf.shape)
+    rho = np.empty(buf.shape[:-2] + (1, grid.M))
+    phase = np.empty(rho.shape, dtype=complex)
     for i in range(1, steps + 1):
-        psi = np.fft.ifft(buf, axis=-1)
-        psi *= np.exp(kick * (weights @ np.abs(psi) ** 2))
-        buf = np.fft.fft(psi, axis=-1)
+        np.fft.ifft(buf, axis=-1, out=psi)
+        np.abs(psi, out=dens)
+        np.square(dens, out=dens)
+        np.matmul(weights, dens, out=rho)
+        np.multiply(kick, rho, out=phase)
+        np.exp(phase, out=phase)
+        psi *= phase
+        np.fft.fft(psi, axis=-1, out=buf)
         if i % cfg.record_every == 0 or i == steps:
             yield i * cfg.dt, buf[..., band] * half
         buf *= full

@@ -462,6 +462,18 @@ class TestConvergence:
         _, rows = read_csv(out / "errors.csv")
         assert float(rows[1][1]) == 0.0  # identical run, identical matrix
 
+    @pytest.mark.parametrize(
+        "T, dts, dt_ref",
+        [(0.1, [1e-3, 2e-3, 2e-3], 1e-2), (0.06, [0.02, 0.01], 0.015)],  # coarser than all, or than one
+    )
+    def test_dt_ref_coarser_than_a_step_rejected(self, tmp_path, capsys, T, dts, dt_ref):
+        out = tmp_path / "run"
+        cfg = self.conv_config(out, {"mode": "dt", "T": T, "dts": dts, "dt_ref": dt_ref})
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "convergence.dt_ref" in err
+        assert not (out / "errors.csv").exists()
+
     def test_n_mode(self, tmp_path):
         out = tmp_path / "run"
         cfg = self.conv_config(out, {"mode": "N", "T": 0.05, "dt": 0.01, "Ns": [2, 4, 6]})

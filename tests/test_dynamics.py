@@ -427,6 +427,115 @@ class TestBatchKernel:
         assert cli.main(["perturb", "--config", str(path)]) == 3
 
 
+def allocating_split_step(grid, mu, orbitals, cfg):
+    """_split_step as it was before its workspace, frozen: the same substeps,
+    each allocating its result.  The bit-identity reference."""
+    modes = grid.modes()
+    band = modes % grid.M
+    n2 = modes.astype(float) ** 2
+    half = np.exp(1j * cfg.p * n2 * (0.5 * cfg.dt))
+    full = np.zeros(grid.M, dtype=complex)
+    full[band] = np.exp(1j * cfg.p * n2 * cfg.dt)
+    kick = -1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI
+    weights = mu[..., None, :]
+    steps = cfg.steps
+
+    yield 0.0, orbitals
+    buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
+    buf[..., band] = orbitals * half
+    for i in range(1, steps + 1):
+        psi = np.fft.ifft(buf, axis=-1)
+        psi *= np.exp(kick * (weights @ np.abs(psi) ** 2))
+        buf = np.fft.fft(psi, axis=-1)
+        if i % cfg.record_every == 0 or i == steps:
+            yield i * cfg.dt, buf[..., band] * half
+        buf *= full
+
+
+def random_stack(grid, batch, rank, rng):
+    """weights (batch, rank) and orbitals (batch, rank, 2N+1) of random states."""
+    if rank == 0:
+        return np.zeros((batch, 0)), np.zeros((batch, 0, grid.n_modes), dtype=complex)
+    states = [
+        al.random_smooth_state(grid, rank, grid.N, 2.5, rng, total_mass=rng.uniform(0.5, 10.0))
+        for _ in range(batch)
+    ]
+    return np.stack([st.weights for st in states]), np.stack([st.orbitals for st in states])
+
+
+def assert_same_records(run, reference):
+    """Two record streams, compared in lockstep as they are yielded."""
+    for (t, orbitals), (ref_t, ref_orbitals) in zip(run, reference, strict=True):
+        assert t == ref_t
+        assert np.array_equal(orbitals, ref_orbitals)
+
+
+class TestWorkspace:
+    """_split_step writes every substep into arrays allocated once per run:
+    its records are the bits of the allocating loop, and no run sees
+    another's workspace or the caller's arrays."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=hst.integers(1, 4),
+        stacked=hst.booleans(),
+        rank=hst.integers(0, 4),
+        n=hst.integers(1, 16),
+        p=hst.sampled_from([1.0, -0.7]),
+        q=hst.sampled_from([1.5, -1.0]),
+        steps=hst.integers(1, 30),
+        record_every=hst.integers(1, 40),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_records_are_the_allocating_loops_bits(self, batch, stacked, rank, n, p, q, steps, record_every, seed):
+        grid = al.SpectralGrid(n)
+        mu, orbitals = random_stack(grid, batch, min(rank, grid.n_modes), np.random.default_rng(seed))
+        if not stacked:  # one state, no leading axis
+            mu, orbitals = mu[0], orbitals[0]
+        cfg = al.EvolveConfig(p, q, 5e-3, steps * 5e-3, record_every=record_every)
+        assert_same_records(dyn._split_step(grid, mu, orbitals, cfg), allocating_split_step(grid, mu, orbitals, cfg))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_benchmark_size_is_the_allocating_loops_bits(self, stacked):
+        # the simulate benchmark's size: N=64, rank 4, 300 steps of dt=1e-3, records every 100
+        grid = al.SpectralGrid(64)
+        mu, orbitals = random_stack(grid, 3, 4, np.random.default_rng(64))
+        if not stacked:
+            mu, orbitals = mu[0], orbitals[0]
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-3, 0.3, record_every=100)
+        assert cfg.steps == 300
+        assert_same_records(dyn._split_step(grid, mu, orbitals, cfg), allocating_split_step(grid, mu, orbitals, cfg))
+
+    def test_alternating_runs_are_the_runs_alone(self, grid16):
+        # equal shapes, so a workspace kept between runs (by shape or otherwise) would mix them
+        a, b = random_state(grid16, 3, seed=50, band=6), random_state(grid16, 3, seed=51, band=8)
+        cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.3, record_every=4)
+        alone = [[(t, st.orbitals) for t, st in al.iter_evolve(x, cfg)] for x in (a, b)]
+        alternating = ([], [])
+        for rec_a, rec_b in zip(al.iter_evolve(a, cfg), al.iter_evolve(b, cfg), strict=True):
+            for held, (t, st) in zip(alternating, (rec_a, rec_b)):
+                held.append((t, st.orbitals))
+        for run, ref in zip(alternating, alone):
+            assert_same_records(run, ref)
+
+    def test_batched_records_share_no_memory(self, grid8):
+        mu, orbitals = random_stack(grid8, 3, 2, np.random.default_rng(52))
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-2, 0.1, record_every=1)
+        held = [orb for _, orb in dyn._split_step(grid8, mu, orbitals, cfg)]
+        assert len(held) == cfg.steps + 1
+        for i, a in enumerate(held):
+            for b in held[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_caller_arrays_are_unchanged(self, grid8):
+        mu, orbitals = random_stack(grid8, 2, 3, np.random.default_rng(53))
+        mu_before, orbitals_before = mu.copy(), orbitals.copy()
+        cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.1, record_every=3)
+        for _ in dyn._split_step(grid8, mu, orbitals, cfg):
+            pass
+        assert np.array_equal(mu, mu_before) and np.array_equal(orbitals, orbitals_before)
+
+
 class TestTimeReversal:
     """Strang splitting is symmetric: the step with (-p, -q) undoes the step
     with (p, q), so T forward and T back returns the datum to rounding.  The
