@@ -561,12 +561,14 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
         dts, dt_ref = section["dts"], section["dt_ref"]
         if dts is None or dt_ref is None:
             raise ConfigError("convergence.dts and convergence.dt_ref are required in mode 'dt'")
+        if not dts:
+            raise ConfigError("convergence.dts is empty; mode 'dt' needs at least one step")
         runs = [
             (dt, state, _evolve_config(p, q, dt, horizon, "convergence", dt_key=f"dts[{i}]"))
             for i, dt in enumerate(dts)
         ]
         ref_cfg = _evolve_config(p, q, dt_ref, horizon, "convergence", dt_key="dt_ref")
-        if dts and dt_ref > min(dts):
+        if dt_ref > min(dts):
             raise ConfigError(
                 f"convergence.dt_ref={dt_ref:g} is coarser than the finest step min(dts)={min(dts):g}; "
                 "the reference must be at least as fine as every step it judges"
@@ -575,6 +577,8 @@ def cmd_convergence(cfg: dict, out: Path) -> int:
         n_list = section["Ns"]
         if n_list is None:
             raise ConfigError("convergence.Ns is required in mode 'N'")
+        if not n_list:
+            raise ConfigError("convergence.Ns is empty; mode 'N' needs at least one cutoff")
         bad = [n for n in n_list if not 1 <= n <= grid.N]
         if bad:
             raise ConfigError(f"convergence Ns {bad} outside 1..{grid.N} (the grid N)")

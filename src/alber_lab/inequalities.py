@@ -6,6 +6,11 @@ rounding slack; checks whose constants are not pinned down analytically
 (trace, conjugation, bilinear commutator, Fourier summation) report the
 empirical supremum of the defining ratio instead, and only the stability
 of that supremum under ensemble growth is an assertable property.
+
+The H^s S^1 norms of a difference gamma1 - gamma2 (rank <= r1 + r2) and of
+a commutator [V, gamma2] (rank <= 2 r2) are taken in factor space: each is
+the trace norm of F C F* with F = <D>^s times orbital columns, computed by
+states._factored_trace_norm, never by an SVD of the (2N+1)^2 matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from .states import (
     hs1_norm_nonneg,
     mass,
     kinetic_energy,
-    sobolev_schatten_norm,
+    _factored_trace_norm,
+    _singular_values,
     state_to_dict,
     to_matrix,
     ybar_bound,
@@ -109,8 +115,13 @@ def random_mixed_state(
     rng: np.random.Generator, grid: SpectralGrid, rank: int, decay: float
 ) -> MixedState:
     """Orthonormalized complex-Gaussian orbitals with <n>^-decay coefficient
-    decay and geometrically decaying positive weights."""
-    raw = np.stack([random_field_coeffs(rng, grid, decay) for _ in range(rank)])
+    decay and geometrically decaying positive weights.
+
+    The orbitals come from one draw of shape (rank, 2, 2N+1): the stream of
+    `rank` calls of random_field_coeffs, real part before imaginary part.
+    """
+    gauss = rng.standard_normal((rank, 2, grid.n_modes))
+    raw = (gauss[:, 0] + 1j * gauss[:, 1]) * grid.brackets_sq() ** (-0.5 * decay)
     q_mat, _ = np.linalg.qr(raw.T)
     orbitals = q_mat.T
     weights = np.abs(rng.standard_normal(rank)) * 0.5 ** np.arange(rank)
@@ -254,15 +265,28 @@ def _matrix_density_sobolev(u: OperatorMatrix, s: float) -> float:
     return sobolev_norm(diagonal_sums(u.entries) / math.sqrt(TWO_PI), s)  # on k = -2N..2N
 
 
+def _difference(g1: MixedState, g2: MixedState, d: np.ndarray) -> tuple:
+    """U = gamma1 - gamma2 as a checked matrix, and ||<D>^s U <D>^s||_S1 for d = <n>^s.
+
+    The norm is the trace norm of F C F* with F = d [psi1^T psi2^T] and
+    C = diag(mu1, -mu2).  An exactly zero U (gamma1 == gamma2) has norm 0,
+    the dense route's value, not the rounding left by the factors.
+    """
+    u = OperatorMatrix(g1.grid, to_matrix(g1).entries - to_matrix(g2).entries, hermitian=True)
+    if not u.entries.any():
+        return u, 0.0
+    factors = d[:, None] * np.concatenate((g1.orbitals.T, g2.orbitals.T), axis=1)
+    core = np.diag(np.concatenate((g1.weights, -g2.weights)))
+    return u, _factored_trace_norm(factors, core)
+
+
 def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
     """||rho_U||_{H^s} <= C ||U||_{H^s S1} on sign-indefinite differences."""
     rng = np.random.default_rng(cfg.seed)
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
     ratios = []
     for _ in range(cfg.n_samples):
-        u1 = to_matrix(_sample_state(rng, cfg)).entries
-        u2 = to_matrix(_sample_state(rng, cfg)).entries
-        u = OperatorMatrix(cfg.grid, u1 - u2, hermitian=True)
-        denom = sobolev_schatten_norm(u, s)
+        u, denom = _difference(_sample_state(rng, cfg), _sample_state(rng, cfg), d)
         if denom < 1e-14:
             continue
         ratios.append(_matrix_density_sobolev(u, s) / denom)
@@ -286,26 +310,30 @@ def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
             continue
         m = _multiplier_matrix(cfg.grid, coeffs)
         conj = d[:, None] * m / d[None, :]
-        opnorm = float(np.linalg.svd(conj, compute_uv=False)[0])
+        opnorm = float(_singular_values(conj)[0])
         ratios.append(opnorm / fnorm)
     return _constant_result("conjugation", cfg, ratios)
 
 
 def check_bilinear(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1}."""
+    """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1}.
+
+    With A = psi2^T and M = diag(mu2), gamma2 = A M A* and V is self-adjoint,
+    so [V, gamma2] = F C F* with F = [V A, A] and C = [[0, M], [-M, 0]].
+    """
     rng = np.random.default_rng(cfg.seed)
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
     ratios = []
     for _ in range(cfg.n_samples):
         g1 = _sample_state(rng, cfg)
         g2 = _sample_state(rng, cfg)
-        u1 = to_matrix(g1)
-        u2 = to_matrix(g2)
-        v = _potential_matrix(u1.entries)
-        comm = OperatorMatrix(cfg.grid, v @ u2.entries - u2.entries @ v)
         denom = hs1_norm_nonneg(g1, s) * hs1_norm_nonneg(g2, s)
         if denom < 1e-14:
             continue
-        ratios.append(sobolev_schatten_norm(comm, s) / denom)
+        a = g2.orbitals.T
+        factors = d[:, None] * np.concatenate((_potential_matrix(to_matrix(g1).entries) @ a, a), axis=1)
+        core = np.diag(g2.weights, g2.rank) - np.diag(g2.weights, -g2.rank)
+        ratios.append(_factored_trace_norm(factors, core) / denom)
     return _constant_result("bilinear", cfg, ratios)
 
 
@@ -319,14 +347,13 @@ def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
     rng = np.random.default_rng(cfg.seed)
     nm = cfg.grid.n_modes
     wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
+    d = cfg.grid.brackets_sq() ** 0.5
     ratios = []
     for _ in range(cfg.n_samples):
-        u1 = to_matrix(_sample_state(rng, cfg)).entries
-        u2 = to_matrix(_sample_state(rng, cfg)).entries
-        u = OperatorMatrix(cfg.grid, u1 - u2, hermitian=True)
+        u, norm = _difference(_sample_state(rng, cfg), _sample_state(rng, cfg), d)
         sums = diagonal_sums(np.abs(u.entries)).real
         lhs = float(np.sum(wk * sums**2) - sums[nm - 1] ** 2)  # drop k = 0
-        denom = sobolev_schatten_norm(u, 1.0) ** 2
+        denom = norm**2
         if denom < 1e-14:
             continue
         ratios.append(lhs / denom)

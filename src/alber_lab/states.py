@@ -14,6 +14,10 @@ the record scalars of dynamics).  These three act on raw weights (..., r)
 and orbitals (..., r, 2N+1) along any leading axes, every state through
 _weighted, the weighted sum over k; on one state they give the bits of
 the single-state forms rows.T @ mu and np.dot(mu, x).
+Schatten norms are taken from singular values.  sobolev_schatten_norm is
+the general dense route; _factored_trace_norm takes the trace norm of a
+finite-rank operator F C F* in factor space, from the QR of F, which is
+how the inequality lab measures differences and commutators of states.
 """
 
 from __future__ import annotations
@@ -239,6 +243,18 @@ def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     d = u.grid.brackets_sq() ** (0.5 * s)
     weighted = d[:, None] * u.entries * d[None, :]
     return float(_singular_values(weighted).sum())
+
+
+def _factored_trace_norm(factors: np.ndarray, core: np.ndarray) -> float:
+    """Trace norm of F C F* for factors F of shape (n, k) and a core C of shape (k, k).
+
+    With the economic QR F = Q R, Q has orthonormal columns, so F C F*
+    = Q (R C R*) Q* and R C R* have the same nonzero singular values:
+    one SVD of a k x k matrix instead of n x n.  For k > n, R is n x k
+    and the SVD is n x n, no smaller than the dense one.
+    """
+    r = np.linalg.qr(factors, mode="r")
+    return float(_singular_values(r @ core @ r.conj().T).sum())
 
 
 def _orbital_sum(mu: np.ndarray, orbitals: np.ndarray, w) -> np.ndarray:

@@ -474,6 +474,25 @@ class TestConvergence:
         assert err.count("\n") == 1 and "convergence.dt_ref" in err
         assert not (out / "errors.csv").exists()
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ({"mode": "dt", "T": 0.1, "dts": [], "dt_ref": 0.005}, "convergence.dts"),
+            ({"mode": "N", "Ns": []}, "convergence.Ns"),
+        ],
+    )
+    def test_empty_refinement_list_rejected(self, tmp_path, capsys, monkeypatch, section, key):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("an evolution ran before the empty list was rejected")
+
+        monkeypatch.setattr(cli, "evolve", no_evolution)
+        out = tmp_path / "run"
+        cfg = self.conv_config(out, section)
+        assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and key in err and "empty" in err
+        assert not (out / "errors.csv").exists()
+
     def test_n_mode(self, tmp_path):
         out = tmp_path / "run"
         cfg = self.conv_config(out, {"mode": "N", "T": 0.05, "dt": 0.01, "Ns": [2, 4, 6]})

@@ -18,6 +18,7 @@ import alber_lab.inequalities as ineq
 from alber_lab.inequalities import (
     ALL_CHECKS,
     EnsembleConfig,
+    _constant_result,
     _multiplier_matrix,
     _sample_state,
     _tail_mean,
@@ -31,6 +32,8 @@ from alber_lab.inequalities import (
     check_hoffmann_ostenhof,
     check_trace_estimate,
     fourier_summation_semi_explicit,
+    random_field_coeffs,
+    random_mixed_state,
     run_checks,
 )
 from alber_lab.spectral import analyze_batch, synthesize_batch
@@ -47,6 +50,28 @@ def plane_wave_mixture(grid, modes, weights):
 
 def small_cfg(n_samples=20, N=8, seed=7, decay=2.5):
     return EnsembleConfig(n_samples, al.SpectralGrid(N), decay_exponent=decay, seed=seed)
+
+
+def random_mixed_state_by_loop(rng, grid, rank, decay):
+    """random_mixed_state with one random_field_coeffs call per orbital."""
+    raw = np.stack([random_field_coeffs(rng, grid, decay) for _ in range(rank)])
+    q_mat, _ = np.linalg.qr(raw.T)
+    weights = np.abs(rng.standard_normal(rank)) * 0.5 ** np.arange(rank)
+    return al.MixedState(grid, weights, q_mat.T)
+
+
+class TestRandomMixedState:
+    @pytest.mark.parametrize("rank", [1, 2, 4, 9])
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_one_draw_is_the_per_orbital_stream(self, rank, seed):
+        grid = al.SpectralGrid(6)
+        gen, gen_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        for decay in (2.0, 1.0, 2.5):  # consecutive states share the stream
+            got = random_mixed_state(gen, grid, rank, decay)
+            expected = random_mixed_state_by_loop(gen_loop, grid, rank, decay)
+            assert np.array_equal(got.orbitals, expected.orbitals)
+            assert np.array_equal(got.weights, expected.weights)
+        assert gen.bit_generator.state == gen_loop.bit_generator.state
 
 
 class TestEnsembleConfig:
@@ -254,6 +279,17 @@ class TestConjugation:
         opnorm = float(np.linalg.svd(m, compute_uv=False)[0])
         assert abs(opnorm / fnorm - 1.0 / math.sqrt(TWO_PI)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "check", [check_conjugation, check_trace_estimate, check_bilinear, check_fourier_summation]
+    )
+    def test_svd_failure_is_a_numerical_error(self, monkeypatch, check):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(al.NumericalError, match="SVD failed"):
+            check(small_cfg(3))
+
     def test_ensemble_constant_recorded(self):
         res = check_conjugation(small_cfg(50))
         assert res.violations == 0
@@ -382,13 +418,13 @@ class TestRunChecks:
             assert drift <= 0.20 * small.empirical_constant
 
 
-def fourier_summation_by_loop(cfg: EnsembleConfig) -> list:
+def fourier_summation_by_loop(cfg: EnsembleConfig, sample=_sample_state) -> list:
     """The Fourier-summation ratios with every diagonal sum written out."""
     rng = np.random.default_rng(cfg.seed)
     nm = cfg.grid.n_modes
     ratios = []
     for _ in range(cfg.n_samples):
-        u = al.to_matrix(_sample_state(rng, cfg)).entries - al.to_matrix(_sample_state(rng, cfg)).entries
+        u = al.to_matrix(sample(rng, cfg)).entries - al.to_matrix(sample(rng, cfg)).entries
         lhs = 0.0
         for k in range(-(nm - 1), nm):
             if k:
@@ -422,3 +458,106 @@ class TestPlaneWaveRoutes:
         res = check_fourier_summation(cfg)
         assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
         assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
+
+
+def density_coefficients(u: np.ndarray) -> np.ndarray:
+    """(2pi)^-1/2 sum_j U_{j+k, j} for k = -2N..2N: the Fourier coefficients of the density of U."""
+    nm = u.shape[0]
+    return np.array([np.trace(u, offset=-k) for k in range(1 - nm, nm)]) / math.sqrt(TWO_PI)
+
+
+def trace_by_svd(cfg: EnsembleConfig, s: float, sample=_sample_state) -> list:
+    """The trace-estimate ratios, each denominator a dense SVD of <D>^s U <D>^s."""
+    rng = np.random.default_rng(cfg.seed)
+    ratios = []
+    for _ in range(cfg.n_samples):
+        u = al.to_matrix(sample(rng, cfg)).entries - al.to_matrix(sample(rng, cfg)).entries
+        denom = al.sobolev_schatten_norm(al.OperatorMatrix(cfg.grid, u, hermitian=True), s)
+        if denom >= 1e-14:
+            ratios.append(al.sobolev_norm(density_coefficients(u), s) / denom)
+    return ratios
+
+
+def bilinear_by_svd(cfg: EnsembleConfig, s: float) -> list:
+    """The bilinear ratios, each commutator a dense matrix and its norm a dense SVD."""
+    rng = np.random.default_rng(cfg.seed)
+    nm = cfg.grid.n_modes
+    lag = np.subtract.outer(np.arange(nm), np.arange(nm)) + nm - 1  # m - n, shifted to an index
+    ratios = []
+    for _ in range(cfg.n_samples):
+        g1, g2 = _sample_state(rng, cfg), _sample_state(rng, cfg)
+        v = density_coefficients(al.to_matrix(g1).entries)[lag] / math.sqrt(TWO_PI)  # rhohat(m - n) / sqrt(2pi)
+        u2 = al.to_matrix(g2).entries
+        denom = al.hs1_norm_nonneg(g1, s) * al.hs1_norm_nonneg(g2, s)
+        if denom >= 1e-14:
+            ratios.append(al.sobolev_schatten_norm(al.OperatorMatrix(cfg.grid, v @ u2 - u2 @ v), s) / denom)
+    return ratios
+
+
+def twin_sampler(twins):
+    """_sample_state, except that the second state of each sample in twins is its first state."""
+    drawn = []
+
+    def sample(rng, cfg):
+        i = len(drawn)
+        drawn.append(drawn[-1] if i % 2 and i // 2 in twins else _sample_state(rng, cfg))
+        return drawn[-1]
+
+    return sample
+
+
+class TestFactorSpaceNorms:
+    """The factor-space trace norms of the trace and bilinear checks against dense SVDs."""
+
+    # up to 8 factor columns against 2N+1 rows: F can be wide for N <= 3 and is tall from N = 4
+    @pytest.mark.parametrize("check, by_svd", [(check_trace_estimate, trace_by_svd), (check_bilinear, bilinear_by_svd)])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=hst.integers(1, 8),
+        samples=hst.integers(1, 6),
+        s=hst.sampled_from([0.0, 0.5, 1.0, 1.5]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd(self, check, by_svd, n, samples, s, seed):
+        cfg = EnsembleConfig(samples, al.SpectralGrid(n), rank_range=(1, min(4, 2 * n + 1)), seed=seed)
+        ratios = by_svd(cfg, s)
+        res = check(cfg, s)
+        assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
+        assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("check, by_svd", [(check_trace_estimate, trace_by_svd), (check_bilinear, bilinear_by_svd)])
+    def test_benchmark_size_matches_svd(self, check, by_svd):
+        # N=32: tall factors, 65 rows against at most 8 columns
+        cfg = EnsembleConfig(12, al.SpectralGrid(32), seed=4)
+        ratios = by_svd(cfg, 1.0)
+        res = check(cfg, 1.0)
+        assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
+        assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("twins", [{1}, {0, 1, 2, 3}])
+    @pytest.mark.parametrize(
+        "name, by_loop",
+        [
+            ("trace", lambda cfg, sample: trace_by_svd(cfg, 1.0, sample)),
+            ("fourier_summation", fourier_summation_by_loop),
+        ],
+    )
+    def test_equal_states_skipped(self, monkeypatch, name, by_loop, twins):
+        # rough orbitals at N=32: the factors of gamma - gamma leave rounding above 1e-14
+        cfg = EnsembleConfig(4, al.SpectralGrid(32), decay_exponent=1.0, seed=0)
+        expected = by_loop(cfg, twin_sampler(twins))
+        assert len(expected) == cfg.n_samples - len(twins)
+        seen = []
+
+        def recording(name, cfg, ratios):
+            seen.append(list(ratios))
+            return _constant_result(name, cfg, ratios)
+
+        monkeypatch.setattr(ineq, "_sample_state", twin_sampler(twins))
+        monkeypatch.setattr(ineq, "_constant_result", recording)
+        (res,) = run_checks(cfg, 1.0, (name,))
+        assert seen[0] == pytest.approx(expected, rel=1e-12)
+        if expected:
+            assert res.worst_ratio == pytest.approx(max(expected), rel=1e-12)
+        else:
+            assert res.worst_ratio == 0.0 and math.isnan(res.empirical_constant)

@@ -18,7 +18,7 @@ from hypothesis import strategies as hst
 import alber_lab as al
 import alber_lab.states as states_mod
 from alber_lab.spectral import TWO_PI, analyze_batch, diagonal_sums
-from alber_lab.states import GramError, _energy, gram_deviation, gram_matrix
+from alber_lab.states import GramError, _energy, _factored_trace_norm, gram_deviation, gram_matrix
 
 from conftest import random_state
 
@@ -252,6 +252,39 @@ class TestSobolevSchatten:
             al.sobolev_schatten_norm(al.to_matrix(st), s)
         with pytest.raises(ValueError, match="^s must be"):
             al.hs1_norm_nonneg(st, s)
+
+
+class TestFactoredTraceNorm:
+    """||F C F*||_S1 from the QR of F against the dense SVD of F C F*."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        N=hst.integers(1, 8),
+        wide=hst.booleans(),
+        extra=hst.integers(0, 6),
+        repeats=hst.integers(0, 3),
+        zeros=hst.integers(0, 3),
+        core_kind=hst.sampled_from(["diagonal", "hermitian", "anti-hermitian"]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_svd(self, N, wide, extra, repeats, zeros, core_kind, seed):
+        grid = al.SpectralGrid(N)
+        n = grid.n_modes
+        gen = np.random.default_rng(seed)
+        k = n + 1 + extra if wide else max(1, n - extra)  # more columns than rows, or at most as many
+        f = gen.standard_normal((n, k)) + 1j * gen.standard_normal((n, k))
+        f = np.concatenate((f, f[:, :repeats]), axis=1)  # repeated columns: F is rank-deficient
+        width = f.shape[1]
+        b = gen.standard_normal((width, width)) + 1j * gen.standard_normal((width, width))
+        core = {
+            "diagonal": np.diag(gen.standard_normal(width)).astype(complex),
+            "hermitian": b + b.conj().T,
+            "anti-hermitian": b - b.conj().T,
+        }[core_kind]
+        core[:zeros, :] = 0.0  # zero weights
+        core[:, :zeros] = 0.0
+        expected = al.schatten_norm(al.OperatorMatrix(grid, f @ core @ f.conj().T), 1)
+        assert _factored_trace_norm(f, core) == pytest.approx(expected, rel=1e-12)
 
 
 class TestEnergies:
