@@ -17,6 +17,10 @@ F_k is rational: its zeros are the eigenvalues of one small matrix.
 Without a zero in Re(lambda) >= eta_min, 1/F_k is analytic there and
 tends to 1 at infinity, so inf |F_k| over that half-plane lies on the one
 line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960).
+F_k and its first two derivatives come from one pass over its pole terms
+(_dispersion_derivatives): they polish the zeros by Newton's method and
+find the line minimum by a safeguarded Newton iteration on the derivative
+of |F_k|^2.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +38,6 @@ from .states import BackgroundSymbol, OperatorMatrix
 ZERO_RESIDUAL = 1e-8
 BOUNDARY_RE = 1e-9
 NEWTON_POLISH = 2
-GOLDEN_ITERS = 80
 
 
 class UnstableBackgroundError(ValueError):
@@ -64,12 +68,9 @@ def laplace_symbol(bg: BackgroundSymbol, p: float, k: int, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam.real <= 0.0):
         raise ValueError("the Laplace symbol is defined on the open half-plane Re(lambda) > 0")
-    out = _symbol_unchecked(*_kernel_terms(bg, p, k), lam)
+    c, omega = _kernel_terms(bg, p, k)
+    out = np.sum(c / (lam[..., None] - 1j * omega), axis=-1)
     return out if out.shape else complex(out)
-
-
-def _symbol_unchecked(c: np.ndarray, omega: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    return np.sum(c / (np.asarray(lam, dtype=complex)[..., None] - 1j * omega), axis=-1)
 
 
 def dispersion(bg: BackgroundSymbol, p: float, q: float, k: int, lam) -> np.ndarray:
@@ -95,41 +96,72 @@ class PenroseReport:
         }
 
 
-def _golden_minimize(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search of f on every bracket [lo, hi] at once."""
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(GOLDEN_ITERS):
-        left = f1 < f2
-        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
-        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
-        fx = f(x)
-        x1, f1, x2, f2 = (
-            np.where(left, x, x2), np.where(left, fx, f2), np.where(left, x1, x), np.where(left, f1, fx)
-        )
-    return np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
+def _dispersion_derivatives(c: np.ndarray, omega: np.ndarray, coef: complex, lam) -> tuple:
+    """F_k, F_k' and F_k'' at lam from one pass over the pole terms, with
+    r_j = 1/(lam - i*omega_j) and coef = i*q/2pi:
+    F = 1 - coef*sum c r, F' = coef*sum c r^2, F'' = -2*coef*sum c r^3."""
+    gap = np.asarray(lam, dtype=complex)[..., None] - 1j * omega
+    term2 = c / gap**2
+    return 1.0 - coef * (c / gap).sum(axis=-1), coef * term2.sum(axis=-1), -2.0 * coef * (term2 / gap).sum(axis=-1)
 
 
-def _line_minimum(f_value, residue, omega, zeros, eta) -> tuple[np.ndarray, np.ndarray]:
+def _line_minimum(derivatives, residue, omega, zeros, eta) -> tuple[np.ndarray, np.ndarray]:
     """Im(lambda) and value of min |F_k| on each line Re(lambda) = eta[i].
 
     The local minima sit near the zeros of F_k or beside its poles.  Near
     the pole i*omega_j the line sees F_k ~ B_j + residue_j/(lambda - i*omega_j),
     whose pole term runs over a circle through 0 and residue_j/eta; the
     seed there is the point where the shifted circle comes closest to 0.
-    Every seed is bracketed by half its distance to the nearest pole, and
-    all brackets are refined together.
+    Every seed is bracketed by half its distance to the nearest pole.
+
+    Along the line phi(s) = |F_k(eta + i*s)|^2 has phi' = -2 Im(conj(F) F')
+    and phi'' = 2(|F'|^2 - Re(conj(F) F'')), F' = dF_k/dlambda; divided by
+    phi, with u = F'/F and v = F''/F, they are -2 Im u and 2(|u|^2 - Re v),
+    so the search reads the same at any amplitude of the symbol.  Both ends
+    and the seed of every bracket are evaluated once.  Where phi falls at
+    the lower end and rises at the upper one, or the seed lies below both
+    ends, Newton's method on phi' = 0 starts at the seed: each point moves
+    the end of its side of the minimum, a Newton point off the bracket
+    falls back to bisection, and a bracket stops once its Newton step would
+    lower phi by at most 1e-14 relative or move s by rounding only.  Any
+    other bracket keeps the smaller end.  All brackets of all lines take
+    their steps together, and each reports its smallest evaluated |F_k|.
     """
     eta = eta[:, None]
     centre = residue / (2.0 * eta)
-    shifted = f_value(eta + 1j * omega) - centre
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # shifted may vanish, and gap**2 overflows once |lambda| > 1e154
+        shifted = derivatives(eta + 1j * omega)[0] - centre
         nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
         beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
-    seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
-    half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
-    s, line = _golden_minimize(lambda s: np.abs(f_value(eta + 1j * s)), seeds - half, seeds + half)
+        seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
+        half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
+        points = (seeds[..., None] + half[..., None] * np.array([-1.0, 0.0, 1.0])).reshape(-1, 3)  # lo, seed, hi
+        row = np.repeat(eta, seeds.shape[1])  # the eta of every bracket
+        f, df, d2f = derivatives(row[:, None] + 1j * points)
+        value = np.abs(f)
+        s = points[np.arange(len(points)), value.argmin(axis=1)]
+        line = value.min(axis=1)
+        falling = (df / f).imag  # -phi'/(2 phi)
+        dip = (falling[:, 0] > 0.0) & (falling[:, 2] < 0.0) | (value[:, 1] < np.minimum(value[:, 0], value[:, 2]))
+        active = np.flatnonzero(dip)
+        row, (lo, t, hi) = row[active], points[active].T
+        f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
+        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half.ravel()[active])
+        for _ in range(64):  # bisection alone shrinks a bracket to rounding in 53 steps
+            u, v = df / f, d2f / f
+            lo, hi = np.where(u.imag > 0.0, t, lo), np.where(u.imag < 0.0, t, hi)
+            step = u.imag / (np.abs(u) ** 2 - v.real)
+            take = (lo <= t + step) & (t + step <= hi)
+            done = take & ((step * u.imag <= 1e-14) | (np.abs(step) <= floor)) | (hi - lo <= floor)
+            if done.all():
+                break
+            t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
+            active, row, lo, hi, floor = active[~done], row[~done], lo[~done], hi[~done], floor[~done]
+            f, df, d2f = derivatives(row + 1j * t)
+            better = np.abs(f) < line[active]
+            s[active] = np.where(better, t, s[active])
+            line[active] = np.where(better, np.abs(f), line[active])
+    s, line = s.reshape(seeds.shape), line.reshape(seeds.shape)
     best = np.argmin(line, axis=1)
     rows = np.arange(line.shape[0])
     return s[rows, best], line[rows, best]
@@ -152,8 +184,10 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
     the imaginary axis are marginal modes, not growth.
 
     Margin: with a growing zero, the smallest residual at one.  Otherwise
-    the minimum of |F_k| on the line Re(lambda) = eta_min (_line_minimum),
-    capped at 1, the limit at infinity.  eta_line_margins holds the same
+    the minimum of |F_k| on the line Re(lambda) = eta_min, capped at 1, the
+    limit at infinity: _line_minimum brackets it at the zeros and beside
+    the poles and runs Newton's method on d|F_k|^2/ds = 0 with the exact
+    derivatives, falling back to bisection.  eta_line_margins holds the same
     capped line minimum at eta_min, 2*eta_min and 4*eta_min; a margin that
     doubles with eta_min shows zeros on the imaginary axis.
     """
@@ -165,22 +199,24 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
         return PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
     coef = 1j * q / TWO_PI
 
-    def f_value(lam):
-        return 1.0 - coef * _symbol_unchecked(c, omega, lam)
+    derivatives = partial(_dispersion_derivatives, c, omega, coef)
 
     # det(lambda - A) = prod_j (lambda - i*omega_j) * F_k(lambda) for the
     # diagonal-plus-rank-one A below (its secular equation), and no c_j
     # vanishes, so the eigenvalues of A are exactly the zeros of F_k
     z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
     with np.errstate(all="ignore"):
+        f, df, _ = derivatives(z)
         for _ in range(NEWTON_POLISH):
-            newton = z - f_value(z) / (coef * np.sum(c / (z[:, None] - 1j * omega) ** 2, axis=-1))
-            z = np.where(np.abs(f_value(newton)) < np.abs(f_value(z)), newton, z)
-        residual = np.abs(f_value(z))
+            newton = z - f / df
+            f_new, df_new, _ = derivatives(newton)
+            better = np.abs(f_new) < np.abs(f)
+            z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
+        residual = np.abs(f)
     growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
     zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
 
-    s, line = _line_minimum(f_value, -coef * c, omega, z, eta)
+    s, line = _line_minimum(derivatives, -coef * c, omega, z, eta)
     line = np.minimum(line, 1.0)
     eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
     if zeros:

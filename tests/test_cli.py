@@ -953,8 +953,53 @@ def wrong_values(kind):
     return hst.one_of(values)
 
 
+# pytest names a parameter it cannot print (a union type, a tuple default)
+# by its position, entryNN, which renumbers whenever a key is added or
+# removed.  The positional ids it gave are pinned here; any other key whose
+# entry it cannot print is named command-section-key.
+PINNED_ENTRY_IDS = {
+    ("simulate", "state", "file"): "entry7",
+    ("simulate", "state", "preset"): "entry8",
+    ("simulate", "state", "band"): "entry10",
+    ("simulate", "state", "name"): "entry13",
+    ("penrose", "physics", "p"): "entry16",
+    ("penrose", "physics", "q"): "entry17",
+    ("penrose", "penrose", "background"): "entry18",
+    ("penrose", "penrose", "c_bilinear"): "entry20",
+    ("perturb", "physics", "p"): "entry28",
+    ("perturb", "physics", "q"): "entry29",
+    ("perturb", "perturb", "background"): "entry32",
+    ("perturb", "perturb", "c_bilinear"): "entry34",
+    ("perturb", "perturb", "kappa"): "entry38",
+    ("perturb", "perturb", "T"): "entry39",
+    ("perturb", "perturb", "seed_band"): "entry41",
+    ("perturb", "perturb", "record_every"): "entry43",
+    ("perturb", "perturb", "fit_window"): "entry44",
+    ("inequalities", "ensemble", "rank_range"): "entry51",
+    ("inequalities", "ensemble", "checks"): "entry54",
+    ("convergence", "state", "file"): "entry60",
+    ("convergence", "state", "preset"): "entry61",
+    ("convergence", "state", "band"): "entry63",
+    ("convergence", "state", "name"): "entry66",
+    ("convergence", "convergence", "dts"): "entry71",
+    ("convergence", "convergence", "dt_ref"): "entry72",
+    ("convergence", "convergence", "Ns"): "entry73",
+}
+
+
+def schema_params():
+    """schema_keys() as pytest params with ids that do not move when the schema changes."""
+    for command, section, key, entry in schema_keys():
+        if isinstance(entry, (type, str, int, float, bool)):  # pytest's id names the type or default
+            yield pytest.param(command, section, key, entry)
+        else:
+            name = f"{command}-{section}-{key}"
+            pinned = PINNED_ENTRY_IDS.get((command, section, key))
+            yield pytest.param(command, section, key, entry, id=name if pinned is None else f"{name}-{pinned}")
+
+
 class TestSchemaProperty:
-    @pytest.mark.parametrize("command, section, key, entry", list(schema_keys()))
+    @pytest.mark.parametrize("command, section, key, entry", list(schema_params()))
     @settings(max_examples=12, deadline=None)
     @given(data=hst.data())
     def test_wrong_type_exits_2(self, command, section, key, entry, data):
@@ -964,6 +1009,15 @@ class TestSchemaProperty:
         assert code == 2
         assert (key if section is None else f"{section}.{key}") in err
         assert written == []
+
+    def test_ids_stay_when_a_key_is_added(self, monkeypatch):
+        def named():
+            return {param.id for param in schema_params() if param.id is not None}
+
+        before = named()
+        assert len(before) == len(PINNED_ENTRY_IDS)
+        monkeypatch.setitem(cli.CONFIG_SCHEMA, "simulate", {"extra": int | None, **cli.CONFIG_SCHEMA["simulate"]})
+        assert named() == before | {"simulate-None-extra"}
 
 
 def readme_reference() -> dict:

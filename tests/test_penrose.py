@@ -379,6 +379,145 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def golden_penrose_margin(bg, p, q, k, eta_min=1e-3):
+    """penrose_margin as it was with an 80-step golden-section search on
+    every bracket of the line minimum, frozen: the reference for the Newton
+    search.  Also returns Im(lambda) of the minimum on each of the three lines."""
+    c, omega = penrose_mod._kernel_terms(bg, p, k)
+    eta = eta_min * np.array([1.0, 2.0, 4.0])
+    if c.size == 0:
+        return al.PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta]), np.zeros(3)
+    coef = 1j * q / (2.0 * math.pi)
+
+    def f_value(lam):
+        return 1.0 - coef * np.sum(c / (np.asarray(lam, dtype=complex)[..., None] - 1j * omega), axis=-1)
+
+    z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
+    with np.errstate(all="ignore"):
+        for _ in range(penrose_mod.NEWTON_POLISH):
+            newton = z - f_value(z) / (coef * np.sum(c / (z[:, None] - 1j * omega) ** 2, axis=-1))
+            z = np.where(np.abs(f_value(newton)) < np.abs(f_value(z)), newton, z)
+        residual = np.abs(f_value(z))
+    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > penrose_mod.BOUNDARY_RE)
+    zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
+
+    residue, lines = -coef * c, eta[:, None]
+    centre = residue / (2.0 * lines)
+    shifted = f_value(lines + 1j * omega) - centre
+    with np.errstate(all="ignore"):
+        nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
+        beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
+    seeds = np.concatenate([np.broadcast_to(z.imag, beside.shape), omega + beside], axis=1)
+    half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
+    lo, hi = seeds - half, seeds + half
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = np.abs(f_value(lines + 1j * x1)), np.abs(f_value(lines + 1j * x2))
+    for _ in range(80):
+        left = f1 < f2
+        lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+        x = np.where(left, hi - g * (hi - lo), lo + g * (hi - lo))
+        fx = np.abs(f_value(lines + 1j * x))
+        x1, f1, x2, f2 = (
+            np.where(left, x, x2), np.where(left, fx, f2), np.where(left, x1, x), np.where(left, f1, fx)
+        )
+    s, line = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
+    best = np.argmin(line, axis=1)
+    s, line = s[np.arange(3), best], np.minimum(line[np.arange(3), best], 1.0)
+    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
+    if zeros:
+        i = int(np.argmin(np.where(growing, residual, np.inf)))
+        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines), s
+    return al.PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines), s
+
+
+def rounding_of_f(bg, p, q, k, lam):
+    """A bound on the rounding error of |F_k(lam)| summed term by term:
+    eps * (1 + sum_j |(q/2pi) c_j / (lam - i*omega_j)|).  Near a zero of a
+    strong symbol the terms cancel, and |F_k| is known to no better."""
+    c, omega = penrose_mod._kernel_terms(bg, p, k)
+    return np.finfo(float).eps * (1.0 + np.abs(q / (2.0 * math.pi) * c / (lam - 1j * omega)).sum())
+
+
+class TestNewtonLineMinimum:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        symbol=hst.integers(0, 8).flatmap(
+            lambda J: hst.lists(hst.floats(0.0, 1.0), min_size=2 * J + 1, max_size=2 * J + 1)
+        ),
+        log_scale=hst.floats(-4.0, 2.0),
+        k=hst.integers(1, 8),
+        p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        q=hst.sampled_from([1.0, -1.0]),
+        eta_min=hst.sampled_from([1e-3, 0.1]),
+    )
+    def test_matches_golden_section(self, symbol, log_scale, k, p, q, eta_min):
+        bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
+        report = al.penrose_margin(bg, p, q, k, eta_min)
+        frozen, s = golden_penrose_margin(bg, p, q, k, eta_min)
+        assert report.zeros == frozen.zeros
+        assert len(report.eta_line_margins) == 3
+        for (eta, line), (eta_frozen, line_frozen), s_line in zip(report.eta_line_margins, frozen.eta_line_margins, s):
+            assert eta == eta_frozen
+            if abs(line - line_frozen) > 1e-12 * line_frozen + 2.0 * rounding_of_f(bg, p, q, k, eta + 1j * s_line):
+                # golden section assumes one minimum per bracket; where a strong
+                # symbol puts two in one, it may stop in the higher one
+                c, omega = written_out_terms(bg, p, k)
+                grid_min = line_grid_minimum(c, omega, q, eta)
+                assert line < line_frozen
+                assert grid_min * (1.0 - 1e-4) <= line <= grid_min * (1.0 + 1e-9)
+        if frozen.zeros:
+            assert report.margin == frozen.margin and report.argmin_lambda == frozen.argmin_lambda
+        else:
+            assert report.margin == report.eta_line_margins[0][1]
+
+    def test_seed_below_both_ends_is_refined(self):
+        # the bracket seeded at a zero near the axis has |F_k| rising at both
+        # ends, so phi' changes sign twice inside it; its seed lies below both
+        bg = al.BackgroundSymbol(np.array([0.5984520494650267, 34.8355665046528, 12.62383569425889]))
+        p, q, k = -2.0, -1.0, 3
+        report = al.penrose_margin(bg, p, q, k)
+        frozen, _ = golden_penrose_margin(bg, p, q, k)
+        assert not report.zeros and report.margin < 1e-4
+        assert math.isclose(report.margin, frozen.margin, rel_tol=1e-12)
+
+    def test_random_family_takes_few_evaluations(self, monkeypatch):
+        # J = 4, 5, 6 as in the stability benchmark: 3 evaluations polish the
+        # zeros, 1 seeds the brackets, 1 reads their ends and seeds, and the
+        # rest are Newton steps (the golden search took 80 per line minimum)
+        calls = [0]
+        evaluate = penrose_mod._dispersion_derivatives
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(penrose_mod, "_dispersion_derivatives", counted)
+        most = 0
+        for seed in range(10):
+            for J, q, bg in random_family(seed):
+                for k in range(1, 9):
+                    for eta_min in (1e-3, 0.1):
+                        calls[0] = 0
+                        al.penrose_margin(bg, 1.0, q, k, eta_min)
+                        most = max(most, calls[0])
+        assert 5 < most <= 12
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e150])
+    def test_extreme_amplitudes_warn_nothing(self, scale):
+        backgrounds = [al.background_preset(name) for name in ("stable-broad", UNSTABLE)]
+        backgrounds += [(bg, 1.0, q) for _, q, bg in random_family(0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bg, p, q in backgrounds:
+                scaled = al.BackgroundSymbol(bg.symbol * scale)
+                for k in range(1, 9):
+                    for eta_min in (1e-3, 0.1):
+                        report = al.penrose_margin(scaled, p, q, k, eta_min)
+                        assert math.isfinite(report.margin) and 0.0 <= report.margin <= 1.0
+                        assert all(0.0 <= line <= 1.0 for _, line in report.eta_line_margins)
+
+
 class TestFreeDensity:
     def test_initial_time_is_diagonal_sum(self, grid8):
         u0 = seed_matrix(grid8, {(1, 0): 0.5, (3, 2): 0.25, (2, 2): 1.0})
