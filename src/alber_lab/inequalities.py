@@ -7,6 +7,21 @@ rounding slack; checks whose constants are not pinned down analytically
 empirical supremum of the defining ratio instead, and only the stability
 of that supremum under ensemble growth is an assertable property.
 
+One draw serves every check of a run_checks call (_draw): the states of
+the stream at the seed, 2n of them when a check reads pairs (pair i is
+states 2i and 2i+1) and n otherwise, and n field rows drawn at once from
+a second stream at the same seed.  The states come in blocks of
+STATE_BLOCK; in a block each rank group is orthonormalized by one stacked
+QR and held to the MixedState Gram rule as a whole, and every check reads
+the block's rank-grouped stacks through the leading-axis helpers of
+states and spectral.  Pairs go in (r1, r2) rank groups of at most
+PAIR_BLOCK, so the dense (2N+1)^2 matrices stay few; neither bound grows
+with n_samples.  The difference U = gamma1 - gamma2 of a pair is built,
+and checked Hermitian, once for both the trace and the Fourier-summation
+check.  Each result is that of a sample-by-sample loop over the same
+streams: the same violations, ratios and tail constants, and as offender
+the violating sample of lowest draw index.
+
 The H^s S^1 norms of a difference gamma1 - gamma2 (rank <= r1 + r2) and of
 a commutator [V, gamma2] (rank <= 2 r2) are taken in factor space: each is
 the trace norm of F C F* with F = <D>^s times orbital columns, computed by
@@ -17,22 +32,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, _check_finite, bessel_constant, diagonal_sums, lp_norm
+from .spectral import TWO_PI, SpectralGrid, _check_finite, bessel_constant, diagonal_sums
 from .spectral import sobolev_norm, synthesize_batch, toeplitz
 from .states import (
+    GramError,
     MixedState,
-    OperatorMatrix,
-    density_samples,
-    hs1_norm_nonneg,
-    mass,
-    kinetic_energy,
+    _check_hermitian,
+    _density,
     _factored_trace_norm,
+    _gram_deviation,
+    _matrices,
+    _orbital_sum,
     _singular_values,
+    _weighted,
     state_to_dict,
-    to_matrix,
     ybar_bound,
 )
 from .dynamics import (
@@ -45,6 +62,12 @@ from .dynamics import (
     _trusted,
 )
 
+# States per block of the draw, even so that no pair straddles two blocks:
+# the orbital stacks of a run_checks call hold at most this many states.
+STATE_BLOCK = 128
+# Pairs per stack of dense (2N+1)^2 matrices.
+PAIR_BLOCK = 2
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -55,8 +78,9 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        n = self.n_samples
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_samples must be an int >= 1, got {n!r}")
         ranks = tuple(self.rank_range) if isinstance(self.rank_range, (tuple, list)) else ()
         n_modes = self.grid.n_modes
         if not (
@@ -103,6 +127,31 @@ def _constant_result(name: str, cfg: "EnsembleConfig", ratios: list) -> CheckRes
     return CheckResult(name, cfg.n_samples, 0, worst, empirical_constant=_tail_mean(ratios))
 
 
+def _pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p by the float pow of one sample, element by element.
+
+    numpy's vectorized pow, and the product it takes for a square, can
+    round a last bit otherwise; the ratios keep the bits of a
+    sample-by-sample run.
+    """
+    return np.array([v**p for v in x.tolist()])
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den != 0)
+
+
+def _diagonal(v: np.ndarray, offset: int = 0) -> np.ndarray:
+    """np.diag(row, offset) of every row of v (g, k): shape (g, k + |offset|, k + |offset|)."""
+    k = v.shape[-1]
+    size = k + abs(offset)
+    out = np.zeros(v.shape[:-1] + (size, size), dtype=v.dtype)
+    i = np.arange(k)
+    out[..., i + max(-offset, 0), i + max(offset, 0)] = v
+    return out
+
+
 # ---- ensembles ----
 
 
@@ -111,74 +160,171 @@ def random_field_coeffs(rng: np.random.Generator, grid: SpectralGrid, decay: flo
     return (rng.standard_normal(grid.n_modes) + 1j * rng.standard_normal(grid.n_modes)) * shape
 
 
-def random_mixed_state(
-    rng: np.random.Generator, grid: SpectralGrid, rank: int, decay: float
-) -> MixedState:
-    """Orthonormalized complex-Gaussian orbitals with <n>^-decay coefficient
-    decay and geometrically decaying positive weights.
+def _raw_state(rng: np.random.Generator, grid: SpectralGrid, rank: int, decay: float) -> tuple:
+    """The draws of one state before orthonormalization: orbital rows (rank, 2N+1) and weights.
 
-    The orbitals come from one draw of shape (rank, 2, 2N+1): the stream of
+    The rows come from one draw of shape (rank, 2, 2N+1): the stream of
     `rank` calls of random_field_coeffs, real part before imaginary part.
     """
     gauss = rng.standard_normal((rank, 2, grid.n_modes))
     raw = (gauss[:, 0] + 1j * gauss[:, 1]) * grid.brackets_sq() ** (-0.5 * decay)
-    q_mat, _ = np.linalg.qr(raw.T)
-    orbitals = q_mat.T
     weights = np.abs(rng.standard_normal(rank)) * 0.5 ** np.arange(rank)
-    return MixedState(grid, weights, orbitals)
+    return raw, weights
 
 
-def _sample_state(rng: np.random.Generator, cfg: EnsembleConfig) -> MixedState:
+def random_mixed_state(
+    rng: np.random.Generator, grid: SpectralGrid, rank: int, decay: float
+) -> MixedState:
+    """Orthonormalized complex-Gaussian orbitals with <n>^-decay coefficient
+    decay and geometrically decaying positive weights (the draws of _raw_state)."""
+    raw, weights = _raw_state(rng, grid, rank, decay)
+    q_mat, _ = np.linalg.qr(raw.T)
+    return MixedState(grid, weights, q_mat.T)
+
+
+def _draw_state(rng: np.random.Generator, cfg: EnsembleConfig) -> tuple:
+    """The next state of an ensemble stream: its rank from cfg.rank_range, then _raw_state."""
     lo, hi = cfg.rank_range
-    rank = int(rng.integers(lo, hi + 1))
-    return random_mixed_state(rng, cfg.grid, rank, cfg.decay_exponent)
+    return _raw_state(rng, cfg.grid, int(rng.integers(lo, hi + 1)), cfg.decay_exponent)
+
+
+@dataclass
+class _Block:
+    """The states start..start+m-1 of one draw, grouped by rank.
+
+    Local state i is row slot[i] of the group of rank ranks[i]; a group
+    keeps its states in draw order, so the states of rank r among the
+    first k are the first rows of its group.  names are the checks that
+    read the block, and memo holds what two of them share.
+    """
+
+    grid: SpectralGrid
+    names: tuple
+    start: int
+    ranks: np.ndarray
+    slot: np.ndarray
+    weights: dict
+    orbitals: dict
+    memo: dict = field(default_factory=dict)
+
+    def state(self, i: int) -> MixedState:
+        """Local state i as a MixedState."""
+        r, row = int(self.ranks[i]), self.slot[i]
+        return MixedState(self.grid, self.weights[r][row], self.orbitals[r][row])
+
+
+def _stack(grid: SpectralGrid, names: tuple, start: int, drawn: list) -> _Block:
+    """The drawn (rows, weights) of the states from start on, orthonormalized.
+
+    Each rank group takes one stacked QR, whose matrices come out as
+    random_mixed_state's, and must pass the MixedState Gram rule: a
+    deviation within MixedState.gram_tol, a NaN failing.
+    """
+    ranks = np.array([weights.size for _, weights in drawn], dtype=int)
+    slot = np.zeros(len(drawn), dtype=int)
+    weights, orbitals = {}, {}
+    for r in sorted(set(ranks.tolist())):
+        members = np.flatnonzero(ranks == r)
+        slot[members] = np.arange(members.size)
+        q_mat, _ = np.linalg.qr(np.stack([drawn[i][0] for i in members]).swapaxes(-1, -2))
+        orbitals[r] = q_mat.swapaxes(-1, -2)
+        weights[r] = np.stack([drawn[i][1] for i in members])
+        dev = _gram_deviation(orbitals[r])
+        if not (dev <= MixedState.gram_tol).all():
+            raise GramError(f"orbital Gram matrix deviates from identity by {dev.max():.3e}")
+    return _Block(grid, names, start, ranks, slot, weights, orbitals)
+
+
+def _draw(cfg: EnsembleConfig, n_states: int, size: int, names: tuple = ()):
+    """The states 0..n_states-1 of the stream at cfg.seed, as _Blocks of `size` states read by the checks names."""
+    rng = np.random.default_rng(cfg.seed)
+    for start in range(0, n_states, size):
+        drawn = [_draw_state(rng, cfg) for _ in range(min(size, n_states - start))]
+        yield _stack(cfg.grid, names, start, drawn)
+
+
+def _draw_fields(cfg: EnsembleConfig, count: int) -> np.ndarray:
+    """count rows of random_field_coeffs from the stream at cfg.seed, in one draw."""
+    gauss = np.random.default_rng(cfg.seed).standard_normal((count, 2, cfg.grid.n_modes))
+    return (gauss[:, 0] + 1j * gauss[:, 1]) * cfg.grid.brackets_sq() ** (-0.5 * cfg.decay_exponent)
+
+
+def _over_states(blk: _Block, count: int, quantity: Callable) -> tuple:
+    """quantity(weights, orbitals) of the first count states of blk (all, if it holds fewer) in draw
+    order, one call per rank group.
+
+    quantity maps stacks (g, r) and (g, r, 2N+1) to a tuple of arrays (g,).
+    """
+    count = min(count, blk.ranks.size)
+    out = None
+    for r, mu in blk.weights.items():
+        index = np.flatnonzero(blk.ranks[:count] == r)
+        if index.size:
+            values = quantity(mu[: index.size], blk.orbitals[r][: index.size])
+            if out is None:
+                out = tuple(np.empty(count) for _ in values)
+            for o, v in zip(out, values):
+                o[index] = v
+    return out
+
+
+def _pair_stacks(blk: _Block):
+    """The pairs (2i, 2i+1) of blk by rank group (r1, r2), in stacks of at most PAIR_BLOCK.
+
+    Yields (local pair indices, mu1, orbitals1, mu2, orbitals2) per stack.
+    """
+    r1, r2 = blk.ranks[0::2], blk.ranks[1::2]
+    for a, b in sorted(set(zip(r1.tolist(), r2.tolist()))):
+        pairs = np.flatnonzero((r1 == a) & (r2 == b))
+        for start in range(0, pairs.size, PAIR_BLOCK):
+            stack = pairs[start : start + PAIR_BLOCK]
+            one, two = blk.slot[2 * stack], blk.slot[2 * stack + 1]
+            yield stack, blk.weights[a][one], blk.orbitals[a][one], blk.weights[b][two], blk.orbitals[b][two]
+
+
+def _violations(ratio: np.ndarray, bad: np.ndarray, offender: Callable) -> tuple:
+    """Terms of an explicit-constant check: ratios, violation flags and offender(i) of the first violator."""
+    hits = np.flatnonzero(bad)
+    return ratio, bad, offender(int(hits[0])) if hits.size else None
 
 
 # ---- explicit-constant checks ----
 
 
-def check_bessel(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+def _bessel(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||rho||_inf <= B_s ||gamma||_{H^s S1}, slack 1 + 1e-8."""
-    rng = np.random.default_rng(cfg.seed)
     b_s = bessel_constant(s, 1e-12)
-    violations, worst, offender = 0, 0.0, None
-    for _ in range(cfg.n_samples):
-        state = _sample_state(rng, cfg)
-        lhs = float(density_samples(state).max())
-        rhs = b_s * hs1_norm_nonneg(state, s)
-        ratio = lhs / rhs if rhs else 0.0
-        worst = max(worst, ratio)
-        if lhs > rhs * (1.0 + 1e-8):
-            violations += 1
-            offender = offender or state_to_dict(state)
-    return CheckResult("bessel", cfg.n_samples, violations, worst, offender=offender)
+    w = cfg.grid.brackets_sq() ** s
+    lhs, norm = _over_states(
+        blk, cfg.n_samples - blk.start, lambda mu, c: (_density(cfg.grid, mu, c).max(axis=-1), _orbital_sum(mu, c, w))
+    )
+    rhs = b_s * norm
+    return _violations(_ratio(lhs, rhs), lhs > rhs * (1.0 + 1e-8), lambda i: state_to_dict(blk.state(i)))
 
 
-def check_gn(cfg: EnsembleConfig) -> CheckResult:
+def _gn(cfg: EnsembleConfig, coeffs: np.ndarray, s: float) -> tuple:
     """||u||_L4^4 <= (1/2pi)||u||_L2^4 + 2||u||_L2^3||u'||_L2, and the
-    matching L-infinity form; absolute slack 1e-10 times the right side."""
-    rng = np.random.default_rng(cfg.seed)
+    matching L-infinity form; absolute slack 1e-10 times the right side.
+
+    The norms are lp_norm's rectangle rule on each row of the field stack.
+    """
     n = cfg.grid.modes().astype(float)
-    violations, worst, offender = 0, 0.0, None
-    for _ in range(cfg.n_samples):
-        coeffs = random_field_coeffs(rng, cfg.grid, cfg.decay_exponent)
-        u = synthesize_batch(cfg.grid, coeffs)
-        l2 = lp_norm(u, 2)
-        l4 = lp_norm(u, 4)
-        linf = lp_norm(u, math.inf)
-        grad = math.sqrt(float(np.sum(n * n * np.abs(coeffs) ** 2)))
-        rhs4 = l2**4 / TWO_PI + 2.0 * l2**3 * grad
-        rhs_inf = l2**2 / TWO_PI + 2.0 * l2 * grad
-        bad = l4**4 > rhs4 + 1e-10 * rhs4 or linf**2 > rhs_inf + 1e-10 * rhs_inf
-        ratio = max(l4**4 / rhs4 if rhs4 else 0.0, linf**2 / rhs_inf if rhs_inf else 0.0)
-        worst = max(worst, ratio)
-        if bad:
-            violations += 1
-            offender = offender or {"coeffs_re": coeffs.real.tolist(), "coeffs_im": coeffs.imag.tolist()}
-    return CheckResult("gn", cfg.n_samples, violations, worst, offender=offender)
+    a = np.abs(synthesize_batch(cfg.grid, coeffs))
+    dx = TWO_PI / cfg.grid.M
+    l2 = np.sqrt(np.sum(a**2, axis=-1) * dx)
+    l4_4 = _pow(_pow(np.sum(a**4, axis=-1) * dx, 0.25), 4)
+    linf_2 = _pow(a.max(axis=-1), 2)
+    grad = np.sqrt(np.sum(n * n * np.abs(coeffs) ** 2, axis=-1))
+    rhs4 = _pow(l2, 4) / TWO_PI + 2.0 * _pow(l2, 3) * grad
+    rhs_inf = _pow(l2, 2) / TWO_PI + 2.0 * l2 * grad
+    bad = (l4_4 > rhs4 + 1e-10 * rhs4) | (linf_2 > rhs_inf + 1e-10 * rhs_inf)
+    ratio = np.maximum(_ratio(l4_4, rhs4), _ratio(linf_2, rhs_inf))
+    return _violations(
+        ratio, bad, lambda i: {"coeffs_re": coeffs[i].real.tolist(), "coeffs_im": coeffs[i].imag.tolist()}
+    )
 
 
-def check_hoffmann_ostenhof(cfg: EnsembleConfig) -> CheckResult:
+def _hoffmann_ostenhof(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||grad sqrt(rho + eps)||_L2^2 <= K with eps = 1e-12 * ||rho||_inf.
 
     grad sqrt(rho + eps) is evaluated pointwise as grad(rho) / (2 sqrt(rho+eps))
@@ -186,25 +332,20 @@ def check_hoffmann_ostenhof(cfg: EnsembleConfig) -> CheckResult:
     resolved on the oversampled grid, so the pointwise Cauchy-Schwarz step
     of the estimate carries over to the quadrature sum.
     """
-    rng = np.random.default_rng(cfg.seed)
-    n = cfg.grid.modes()
-    violations, worst, offender = 0, 0.0, None
-    for _ in range(cfg.n_samples):
-        state = _sample_state(rng, cfg)
-        psi = synthesize_batch(cfg.grid, state.orbitals)
-        dpsi = synthesize_batch(cfg.grid, state.orbitals * (1j * n)[None, :])
-        rho = (np.abs(psi) ** 2).T @ state.weights
-        drho = (2.0 * np.real(np.conj(psi) * dpsi)).T @ state.weights
-        eps = 1e-12 * float(rho.max())
-        integrand = drho**2 / (4.0 * (rho + eps))
-        lhs = float(np.sum(integrand)) * TWO_PI / cfg.grid.M
-        rhs = kinetic_energy(state)
-        ratio = lhs / rhs if rhs else 0.0
-        worst = max(worst, ratio)
-        if lhs > rhs + 1e-8 * rhs:
-            violations += 1
-            offender = offender or state_to_dict(state)
-    return CheckResult("hoffmann_ostenhof", cfg.n_samples, violations, worst, offender=offender)
+    grid = cfg.grid
+    n = grid.modes()
+
+    def sides(mu: np.ndarray, c: np.ndarray) -> tuple:
+        psi = synthesize_batch(grid, c)
+        dpsi = synthesize_batch(grid, c * (1j * n))
+        rho = _weighted(mu, np.abs(psi) ** 2)
+        drho = _weighted(mu, 2.0 * np.real(np.conj(psi) * dpsi))
+        eps = 1e-12 * rho.max(axis=-1, keepdims=True)
+        lhs = np.sum(drho**2 / (4.0 * (rho + eps)), axis=-1) * TWO_PI / grid.M
+        return lhs, _orbital_sum(mu, c, n.astype(float) ** 2)
+
+    lhs, rhs = _over_states(blk, cfg.n_samples - blk.start, sides)
+    return _violations(_ratio(lhs, rhs), lhs > rhs + 1e-8 * rhs, lambda i: state_to_dict(blk.state(i)))
 
 
 def check_apriori(records: list[TrajectoryRecord], ybar: float) -> CheckResult:
@@ -223,74 +364,95 @@ def check_apriori_ensemble(
 ) -> CheckResult:
     """Short evolutions of random states, each tested against its own Ybar.
 
-    Every sample and its Ybar are drawn first, in the order of one draw
-    per sample; the evolution draws nothing, so the samples are those of
-    a sample-by-sample run.  The samples are then grouped by rank, so no
-    padding is needed, and each group is evolved as one batch through
-    the split-step kernel, its record scalars taken in one pass.  As in
+    The samples are the states 0..n-1 of _draw in one block, grouped by
+    rank, so no
+    padding is needed; their Ybar comes from the stacked mass, kinetic
+    energy and density.  Each group is evolved as one batch through the
+    split-step kernel, its record scalars taken in one pass.  As in
     check_apriori, every record with h1s1 > Ybar (1 + 1e-6) counts as a
     violation.  Raises DivergenceError, with no records, at the first
     record where a sample of a group leaves the trust region (the rule of
     evolve).
     """
-    rng = np.random.default_rng(cfg.seed)
+    grid, n = cfg.grid, cfg.n_samples
     focusing = p * q > 0
     run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=max(1, int(round(T / dt)) // 10))
-    states = [_sample_state(rng, cfg) for _ in range(cfg.n_samples)]
-    ybars = np.array([
-        ybar_bound(mass(st), kinetic_energy(st), lp_norm(density_samples(st), 2), p, q, focusing)
-        for st in states
-    ])
+    (blk,) = _draw(cfg, n, n)
+    kinetic_w = grid.modes().astype(float) ** 2
+
+    def conserved(mu: np.ndarray, c: np.ndarray) -> tuple:
+        rho = np.abs(_density(grid, mu, c))
+        rho_l2 = np.sqrt(np.sum(rho**2, axis=-1) * (TWO_PI / grid.M))  # lp_norm(rho, 2) per state
+        return _orbital_sum(mu, c, 1.0), _orbital_sum(mu, c, kinetic_w), rho_l2
+
+    mass_, kinetic, rho_l2 = (v.tolist() for v in _over_states(blk, n, conserved))
+    ybars = np.array([ybar_bound(m, k, r, p, q, focusing) for m, k, r in zip(mass_, kinetic, rho_l2)])
     violations, worst = 0, 0.0
-    for rank in sorted({st.rank for st in states}):
-        group = [i for i, st in enumerate(states) if st.rank == rank]
-        mu = np.stack([states[i].weights for i in group])
-        orbitals0 = np.stack([states[i].orbitals for i in group])
-        ybar = ybars[group]
-        for t, orbitals in _split_step(cfg.grid, mu, orbitals0, run_cfg):
-            mass_v, s2, energy, kin, _, h1s1, _ = _record_scalars(cfg.grid, mu, orbitals, p, q)
+    for rank, mu in blk.weights.items():
+        ybar = ybars[blk.ranks == rank]
+        for t, orbitals in _split_step(grid, mu, blk.orbitals[rank], run_cfg):
+            mass_v, s2, energy, kin, _, h1s1, _ = _record_scalars(grid, mu, orbitals, p, q)
             if not _trusted(mass_v, s2, energy, kin, h1s1).all():
                 raise DivergenceError(t, [])
             ratio = np.divide(h1s1, ybar, out=np.full_like(h1s1, math.inf), where=ybar != 0)
             worst = max(worst, float(ratio.max()))
             violations += int(np.count_nonzero(h1s1 > ybar * (1.0 + 1e-6)))
-    return CheckResult("apriori", cfg.n_samples, violations, worst)
+    return CheckResult("apriori", n, violations, worst)
 
 
 # ---- empirical-constant checks ----
 
 
-def _matrix_density_sobolev(u: OperatorMatrix, s: float) -> float:
-    """||rho_U||_{H^s} for a general (possibly sign-indefinite) matrix."""
-    return sobolev_norm(diagonal_sums(u.entries) / math.sqrt(TWO_PI), s)  # on k = -2N..2N
+def _matrix_density_sobolev(entries: np.ndarray, s: float):
+    """||rho_U||_{H^s} of general (possibly sign-indefinite) matrices (..., nm, nm), on k = -2N..2N."""
+    return sobolev_norm(diagonal_sums(entries) / math.sqrt(TWO_PI), s)
 
 
-def _difference(g1: MixedState, g2: MixedState, d: np.ndarray) -> tuple:
-    """U = gamma1 - gamma2 as a checked matrix, and ||<D>^s U <D>^s||_S1 for d = <n>^s.
+def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
+    """Per pair of blk, the terms of the checks among blk.names that read U = gamma1 - gamma2.
 
-    The norm is the trace norm of F C F* with F = d [psi1^T psi2^T] and
-    C = diag(mu1, -mu2).  An exactly zero U (gamma1 == gamma2) has norm 0,
-    the dense route's value, not the rounding left by the factors.
+    "trace": ||rho_U||_{H^s} and ||U||_{H^s S1}; "fourier_summation": the
+    left side of its estimate and ||U||_{H1 S1}^2.  U is built, and checked
+    Hermitian, once per pair for both; with s = 1 they share one norm.
+    Each norm is the trace norm of F C F* with F = <D>^s [psi1^T psi2^T]
+    and C = diag(mu1, -mu2), and an exactly zero U (gamma1 == gamma2) has
+    norm 0, the dense route's value, not the rounding left by the factors.
     """
-    u = OperatorMatrix(g1.grid, to_matrix(g1).entries - to_matrix(g2).entries, hermitian=True)
-    if not u.entries.any():
-        return u, 0.0
-    factors = d[:, None] * np.concatenate((g1.orbitals.T, g2.orbitals.T), axis=1)
-    core = np.diag(np.concatenate((g1.weights, -g2.weights)))
-    return u, _factored_trace_norm(factors, core)
+    if s in blk.memo:
+        return blk.memo[s]
+    grid, nm, n_pairs = cfg.grid, cfg.grid.n_modes, blk.ranks.size // 2
+    trace, fourier = "trace" in blk.names, "fourier_summation" in blk.names
+    exponents = {0.5 * s} if trace else set()
+    exponents |= {0.5} if fourier else set()
+    d = {e: grid.brackets_sq() ** e for e in exponents}
+    norm = {e: np.empty(n_pairs) for e in exponents}
+    density, lhs = np.empty(n_pairs), np.empty(n_pairs)
+    wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
+    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk):
+        u = _matrices(mu1, c1) - _matrices(mu2, c2)
+        _check_hermitian(u)
+        zero = ~u.any(axis=(-2, -1))
+        columns = np.concatenate((c1, c2), axis=-2).swapaxes(-1, -2)
+        core = _diagonal(np.concatenate((mu1, -mu2), axis=-1))
+        for e, weight in d.items():
+            norm[e][pairs] = np.where(zero, 0.0, _factored_trace_norm(weight[:, None] * columns, core))
+        if trace:
+            density[pairs] = _matrix_density_sobolev(u, s)
+        if fourier:
+            sums = diagonal_sums(np.abs(u)).real
+            lhs[pairs] = np.sum(wk * sums**2, axis=-1) - _pow(sums[:, nm - 1], 2)  # drop k = 0
+    terms = {}
+    if trace:
+        terms["trace"] = density, norm[0.5 * s], None
+    if fourier:
+        terms["fourier_summation"] = lhs, _pow(norm[0.5], 2), None
+    blk.memo[s] = terms
+    return terms
 
 
-def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+def _trace(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||rho_U||_{H^s} <= C ||U||_{H^s S1} on sign-indefinite differences."""
-    rng = np.random.default_rng(cfg.seed)
-    d = cfg.grid.brackets_sq() ** (0.5 * s)
-    ratios = []
-    for _ in range(cfg.n_samples):
-        u, denom = _difference(_sample_state(rng, cfg), _sample_state(rng, cfg), d)
-        if denom < 1e-14:
-            continue
-        ratios.append(_matrix_density_sobolev(u, s) / denom)
-    return _constant_result("trace", cfg, ratios)
+    return _differences(cfg, blk, s)["trace"]
 
 
 def _multiplier_matrix(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -298,66 +460,48 @@ def _multiplier_matrix(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return toeplitz(np.pad(coeffs, grid.N)) / math.sqrt(TWO_PI)
 
 
-def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """op-norm of <D>^s M_f <D>^-s <= C ||f||_{H^s}."""
-    rng = np.random.default_rng(cfg.seed)
+def _conjugation(cfg: EnsembleConfig, coeffs: np.ndarray, s: float) -> tuple:
+    """op-norm of <D>^s M_f <D>^-s <= C ||f||_{H^s}.
+
+    The SVDs go one matrix at a time: they are LAPACK-bound, and a stack
+    of them only adds to the peak memory.
+    """
     d = cfg.grid.brackets_sq() ** (0.5 * s)
-    ratios = []
-    for _ in range(cfg.n_samples):
-        coeffs = random_field_coeffs(rng, cfg.grid, cfg.decay_exponent)
-        fnorm = sobolev_norm(coeffs, s)
-        if fnorm < 1e-14:
-            continue
-        m = _multiplier_matrix(cfg.grid, coeffs)
-        conj = d[:, None] * m / d[None, :]
-        opnorm = float(_singular_values(conj)[0])
-        ratios.append(opnorm / fnorm)
-    return _constant_result("conjugation", cfg, ratios)
+    fnorm = sobolev_norm(coeffs, s)
+    opnorm = np.zeros_like(fnorm)
+    for i in np.flatnonzero(~(fnorm < 1e-14)):
+        conj = d[:, None] * _multiplier_matrix(cfg.grid, coeffs[i]) / d[None, :]
+        opnorm[i] = _singular_values(conj)[0]
+    return opnorm, fnorm, None
 
 
-def check_bilinear(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+def _bilinear(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1}.
 
     With A = psi2^T and M = diag(mu2), gamma2 = A M A* and V is self-adjoint,
     so [V, gamma2] = F C F* with F = [V A, A] and C = [[0, M], [-M, 0]].
     """
-    rng = np.random.default_rng(cfg.seed)
     d = cfg.grid.brackets_sq() ** (0.5 * s)
-    ratios = []
-    for _ in range(cfg.n_samples):
-        g1 = _sample_state(rng, cfg)
-        g2 = _sample_state(rng, cfg)
-        denom = hs1_norm_nonneg(g1, s) * hs1_norm_nonneg(g2, s)
-        if denom < 1e-14:
-            continue
-        a = g2.orbitals.T
-        factors = d[:, None] * np.concatenate((_potential_matrix(to_matrix(g1).entries) @ a, a), axis=1)
-        core = np.diag(g2.weights, g2.rank) - np.diag(g2.weights, -g2.rank)
-        ratios.append(_factored_trace_norm(factors, core) / denom)
-    return _constant_result("bilinear", cfg, ratios)
+    w = cfg.grid.brackets_sq() ** s
+    (hs1,) = _over_states(blk, blk.ranks.size, lambda mu, c: (_orbital_sum(mu, c, w),))
+    norm = np.empty(blk.ranks.size // 2)
+    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk):
+        # C order, as the single-state operands: a stacked product of another layout rounds otherwise
+        v, a = (np.ascontiguousarray(x) for x in (_potential_matrix(_matrices(mu1, c1)), c2.swapaxes(-1, -2)))
+        factors = d[:, None] * np.concatenate((v @ a, a), axis=-1)
+        rank = mu2.shape[-1]
+        norm[pairs] = _factored_trace_norm(factors, _diagonal(mu2, rank) - _diagonal(mu2, -rank))
+    return norm, hs1[0::2] * hs1[1::2], None
 
 
-def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
+def _fourier_summation(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """sum_{k!=0} <k>^2 (sum_j |U_{j+k,j}|)^2 <= C ||U||_{H1 S1}^2.
 
     The empirical supremum is cross-checked in the tests against the
     semi-explicit constant 8 * sum_j <j>^-2 obtained by splitting the
     Cauchy-Schwarz weight at |j| = |k|/2.
     """
-    rng = np.random.default_rng(cfg.seed)
-    nm = cfg.grid.n_modes
-    wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
-    d = cfg.grid.brackets_sq() ** 0.5
-    ratios = []
-    for _ in range(cfg.n_samples):
-        u, norm = _difference(_sample_state(rng, cfg), _sample_state(rng, cfg), d)
-        sums = diagonal_sums(np.abs(u.entries)).real
-        lhs = float(np.sum(wk * sums**2) - sums[nm - 1] ** 2)  # drop k = 0
-        denom = norm**2
-        if denom < 1e-14:
-            continue
-        ratios.append(lhs / denom)
-    return _constant_result("fourier_summation", cfg, ratios)
+    return _differences(cfg, blk, s)["fourier_summation"]
 
 
 def fourier_summation_semi_explicit() -> float:
@@ -366,21 +510,101 @@ def fourier_summation_semi_explicit() -> float:
     return 8.0 * TWO_PI * bessel_constant(1.0, 1e-12)
 
 
-# name -> check(cfg, s), in the order of ALL_CHECKS; looked up at call time
+class _Check(NamedTuple):
+    """A check's per-sample terms and what it reads.
+
+    terms(cfg, source, s) returns, for the samples the source holds, either
+    (ratio, violation flag, offender of the first violator or None) of an
+    explicit-constant check or (numerator, denominator, None) of an
+    empirical one.  reads is "states" (sample i is state i of the draw),
+    "pairs" (states 2i and 2i+1) or "fields" (field row i); the source is
+    a _Block for the first two and the field rows for the last.
+    """
+
+    terms: Callable
+    reads: str
+    explicit: bool = False
+
+
+# name -> _Check, in the order of ALL_CHECKS
 _CHECKS = {
-    "bessel": lambda cfg, s: check_bessel(cfg, s),
-    "gn": lambda cfg, s: check_gn(cfg),
-    "hoffmann_ostenhof": lambda cfg, s: check_hoffmann_ostenhof(cfg),
-    "trace": lambda cfg, s: check_trace_estimate(cfg, s),
-    "conjugation": lambda cfg, s: check_conjugation(cfg, s),
-    "bilinear": lambda cfg, s: check_bilinear(cfg, s),
-    "fourier_summation": lambda cfg, s: check_fourier_summation(cfg),
+    "bessel": _Check(_bessel, "states", True),
+    "gn": _Check(_gn, "fields", True),
+    "hoffmann_ostenhof": _Check(_hoffmann_ostenhof, "states", True),
+    "trace": _Check(_trace, "pairs"),
+    "conjugation": _Check(_conjugation, "fields"),
+    "bilinear": _Check(_bilinear, "pairs"),
+    "fourier_summation": _Check(_fourier_summation, "pairs"),
 }
 ALL_CHECKS = tuple(_CHECKS)
 
 
+def _result(name: str, cfg: EnsembleConfig, parts: list) -> CheckResult:
+    """The CheckResult of a check from the terms of its samples, in draw order."""
+    a, b = (np.concatenate(x) for x in zip(*((p[0], p[1]) for p in parts)))
+    if _CHECKS[name].explicit:
+        offender = next((p[2] for p in parts if p[2] is not None), None)
+        return CheckResult(name, cfg.n_samples, int(np.count_nonzero(b)), float(a.max(initial=0.0)), offender=offender)
+    keep = ~(b < 1e-14)
+    return _constant_result(name, cfg, (a[keep] / b[keep]).tolist())
+
+
+def _run(cfg: EnsembleConfig, s: float, names: tuple) -> list[CheckResult]:
+    """The named checks at order s, all on one draw: the states in blocks, the field rows at once."""
+    n = cfg.n_samples
+    parts = {name: [] for name in names}
+    reads = {_CHECKS[name].reads for name in names}
+    n_states = 2 * n if "pairs" in reads else n if "states" in reads else 0
+    for blk in _draw(cfg, n_states, STATE_BLOCK, names):
+        for name in parts:
+            check = _CHECKS[name]
+            if check.reads == "pairs" or check.reads == "states" and blk.start < n:
+                parts[name].append(check.terms(cfg, blk, s))
+    if "fields" in reads:
+        fields = _draw_fields(cfg, n)
+        for name in parts:
+            if _CHECKS[name].reads == "fields":
+                parts[name].append(_CHECKS[name].terms(cfg, fields, s))
+    return [_result(name, cfg, parts[name]) for name in names]
+
+
+def check_bessel(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+    """||rho||_inf <= B_s ||gamma||_{H^s S1} on the states 0..n-1, slack 1 + 1e-8."""
+    return _run(cfg, s, ("bessel",))[0]
+
+
+def check_gn(cfg: EnsembleConfig) -> CheckResult:
+    """The Gagliardo-Nirenberg bounds on n random fields (see _gn)."""
+    return _run(cfg, 1.0, ("gn",))[0]
+
+
+def check_hoffmann_ostenhof(cfg: EnsembleConfig) -> CheckResult:
+    """||grad sqrt(rho + eps)||_L2^2 <= K on the states 0..n-1 (see _hoffmann_ostenhof)."""
+    return _run(cfg, 1.0, ("hoffmann_ostenhof",))[0]
+
+
+def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+    """||rho_U||_{H^s} <= C ||U||_{H^s S1} on the differences of the pairs (2i, 2i+1)."""
+    return _run(cfg, s, ("trace",))[0]
+
+
+def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+    """op-norm of <D>^s M_f <D>^-s <= C ||f||_{H^s} on n random fields."""
+    return _run(cfg, s, ("conjugation",))[0]
+
+
+def check_bilinear(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
+    """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1} on the pairs."""
+    return _run(cfg, s, ("bilinear",))[0]
+
+
+def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
+    """sum_{k!=0} <k>^2 (sum_j |U_{j+k,j}|)^2 <= C ||U||_{H1 S1}^2 on the pairs (see _fourier_summation)."""
+    return _run(cfg, 1.0, ("fourier_summation",))[0]
+
+
 def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -> list[CheckResult]:
-    """Run the named checks at Sobolev order s.
+    """Run the named checks at Sobolev order s, all on one draw of the ensemble.
 
     Before any sample is drawn, rejects unknown names (the message starts
     with "checks") and an s that is non-finite, negative, or <= 1/2 when
@@ -393,4 +617,4 @@ def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -
         raise ValueError(f"s must be finite and >= 0, got {s}")
     if "bessel" in names and s <= 0.5:
         raise ValueError(f"s={s}: the bessel check needs s > 1/2")
-    return [_CHECKS[n](cfg, s) for n in names]
+    return _run(cfg, s, tuple(names))

@@ -181,7 +181,16 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
     Zeros: every eigenvalue of the matrix below, given at most
     NEWTON_POLISH Newton steps and kept if |F_k| <= ZERO_RESIDUAL there.
     Kept zeros with Re(lambda) > BOUNDARY_RE are growth rates; zeros on
-    the imaginary axis are marginal modes, not growth.
+    the imaginary axis are marginal modes, not growth.  An eigenvalue left
+    with |F_k| above ZERO_RESIDUAL and above the rounding bound
+    eps (1 + sum |coef c_j / (lambda - i omega_j)|) of its evaluation, yet
+    with Re(lambda) - 2 |F_k / F_k'| > BOUNDARY_RE, so that Newton's method
+    is still heading for a zero inside the growing half-plane, is a growing
+    zero the polish did not resolve (strong coupling puts the eigenvalues
+    far from the zeros): a ValueError starting "background" names k and
+    the residual, rather than a stable verdict.  Other eigenvalues above
+    ZERO_RESIDUAL are dropped: there |F_k| is rounding, or Newton's method
+    points at the imaginary axis, where zeros are marginal.
 
     Margin: with a growing zero, the smallest residual at one.  Otherwise
     the minimum of |F_k| on the line Re(lambda) = eta_min, capped at 1, the
@@ -213,6 +222,16 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
             better = np.abs(f_new) < np.abs(f)
             z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
         residual = np.abs(f)
+        rounding = np.finfo(float).eps * (1.0 + np.abs(coef * c / (z[:, None] - 1j * omega)).sum(axis=-1))
+        reach = z.real - 2.0 * np.abs(f / df)  # the real part left after twice the next Newton step
+    unresolved = (residual > np.maximum(ZERO_RESIDUAL, rounding)) & (reach > BOUNDARY_RE)
+    if unresolved.any():
+        i = int(np.flatnonzero(unresolved)[0])
+        raise ValueError(
+            f"background: at k={k} F_k has a growing zero near {complex(z[i]):.6g} that {NEWTON_POLISH} Newton "
+            f"steps leave at residual |F_k| = {residual[i]:.3e} > ZERO_RESIDUAL = {ZERO_RESIDUAL:g}; the symbol "
+            "is too strongly coupled for its zeros to be resolved"
+        )
     growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
     zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
 

@@ -187,19 +187,23 @@ def from_diagonal_stack(stack: np.ndarray) -> np.ndarray:
     return stack[_stack_index(stack.shape[1])]
 
 
-def sobolev_norm(coeffs: np.ndarray, s: float) -> float:
+def sobolev_norm(coeffs: np.ndarray, s: float):
     """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2} of coefficients on modes -K..K.
 
-    K is read from the length, which must be odd; s must be finite and >= 0.
+    K is read from the length of the last axis, which must be odd; s must
+    be finite and >= 0.  One row gives a float, a stack of rows (..., 2K+1)
+    an array of their norms.
     """
     if not 0 <= s < math.inf:
         raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
-    if len(coeffs) % 2 != 1:
-        raise ValueError(f"coefficients must cover modes -K..K, got length {len(coeffs)}")
-    k = len(coeffs) // 2
+    coeffs = np.asarray(coeffs)
+    if coeffs.shape[-1] % 2 != 1:
+        raise ValueError(f"coefficients must cover modes -K..K, got length {coeffs.shape[-1]}")
+    k = coeffs.shape[-1] // 2
     n = np.arange(-k, k + 1)
     weights = (1.0 + n.astype(float) ** 2) ** s
-    return math.sqrt(float(np.sum(weights * np.abs(coeffs) ** 2)))
+    norms = np.sqrt(np.sum(weights * np.abs(coeffs) ** 2, axis=-1))
+    return float(norms) if coeffs.ndim == 1 else norms
 
 
 def lp_norm(samples: np.ndarray, p) -> float:

@@ -9,11 +9,15 @@ Each orbital formula has one home: _density (rho on the grid, the one
 density routine behind density_samples; potential_step, the split-step
 kernel and the Hoffmann-Ostenhof check write rho inline because they
 reuse psi), _orbital_sum (the weighted trace behind mass, kinetic energy
-and the H^s S^1 norm) and _energy (E = -p*K + (q/2)*||rho||^2, shared by
-the record scalars of dynamics).  These three act on raw weights (..., r)
-and orbitals (..., r, 2N+1) along any leading axes, every state through
-_weighted, the weighted sum over k; on one state they give the bits of
-the single-state forms rows.T @ mu and np.dot(mu, x).
+and the H^s S^1 norm), _energy (E = -p*K + (q/2)*||rho||^2, shared by
+the record scalars of dynamics) and _matrices (the matrix U behind
+to_matrix).  These act on raw weights (..., r) and orbitals
+(..., r, 2N+1) along any leading axes, every state through _weighted,
+the weighted sum over k; on one state they give the bits of the
+single-state forms rows.T @ mu and np.dot(mu, x).  The Gram and Hermitian
+checks of MixedState and OperatorMatrix (_gram_deviation,
+_check_hermitian) take stacks too, so the inequality lab checks a whole
+rank group at once.
 Schatten norms are taken from singular values.  sobolev_schatten_norm is
 the general dense route; _factored_trace_norm takes the trace norm of a
 finite-rank operator F C F* in factor space, from the QR of F, which is
@@ -94,11 +98,14 @@ def gram_matrix(state: MixedState) -> np.ndarray:
     return state.orbitals.conj() @ state.orbitals.T
 
 
+def _gram_deviation(orbitals: np.ndarray) -> np.ndarray:
+    """max |G - I| of the orbital rows (..., r, 2N+1) along leading axes; 0 at rank 0."""
+    g = orbitals.conj() @ orbitals.swapaxes(-1, -2)
+    return np.abs(g - np.eye(orbitals.shape[-2])).max(axis=(-2, -1), initial=0.0)
+
+
 def gram_deviation(state: MixedState) -> float:
-    if state.rank == 0:
-        return 0.0
-    g = gram_matrix(state)
-    return float(np.abs(g - np.eye(state.rank)).max())
+    return float(_gram_deviation(state.orbitals))
 
 
 @dataclass
@@ -115,10 +122,16 @@ class OperatorMatrix:
         if self.entries.shape != (nm, nm):
             raise ValueError(f"expected {(nm, nm)} matrix, got {self.entries.shape}")
         if self.hermitian:
-            scale = math.sqrt(float(np.sum(np.abs(self.entries) ** 2))) or 1.0
-            dev = float(np.abs(self.entries - self.entries.conj().T).max())
-            if dev > 1e-12 * scale:
-                raise ValueError(f"hermitian flag set but max|U - U*| = {dev:.3e}")
+            _check_hermitian(self.entries)
+
+
+def _check_hermitian(entries: np.ndarray) -> None:
+    """A ValueError unless max|U - U*| <= 1e-12 ||U||_F (1e-12 for U = 0), per matrix along leading axes."""
+    scale = np.sqrt((np.abs(entries) ** 2).sum(axis=(-2, -1)))
+    dev = np.abs(entries - entries.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
+    bad = dev > 1e-12 * np.where(scale == 0.0, 1.0, scale)
+    if bad.any():
+        raise ValueError(f"hermitian flag set but max|U - U*| = {np.max(dev[bad]):.3e}")
 
 
 @dataclass
@@ -179,12 +192,18 @@ def density_samples(state: MixedState) -> np.ndarray:
     return _density(state.grid, state.weights, state.orbitals)
 
 
+def _matrices(mu: np.ndarray, orbitals: np.ndarray) -> np.ndarray:
+    """U_mn = sum_k mu_k psihat_k(m) conj(psihat_k(n)) along leading axes, as 0.5 (U + U*).
+
+    The symmetrized form is exactly Hermitian in floating point.
+    """
+    u = (orbitals.swapaxes(-1, -2) * mu[..., None, :]) @ orbitals.conj()
+    return 0.5 * (u + u.swapaxes(-1, -2).conj())
+
+
 def to_matrix(state: MixedState) -> OperatorMatrix:
     """Matrix U_mn = sum_k mu_k psihat_k(m) conj(psihat_k(n))."""
-    c = state.orbitals
-    u = (c.T * state.weights) @ c.conj()
-    u = 0.5 * (u + u.conj().T)
-    return OperatorMatrix(state.grid, u, hermitian=True)
+    return OperatorMatrix(state.grid, _matrices(state.weights, state.orbitals), hermitian=True)
 
 
 def _band_symbol(bg: BackgroundSymbol, grid: SpectralGrid) -> np.ndarray:
@@ -245,16 +264,17 @@ def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     return float(_singular_values(weighted).sum())
 
 
-def _factored_trace_norm(factors: np.ndarray, core: np.ndarray) -> float:
-    """Trace norm of F C F* for factors F of shape (n, k) and a core C of shape (k, k).
+def _factored_trace_norm(factors: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Trace norm of F C F* for factors F of shape (..., n, k) and cores C of shape (..., k, k).
 
     With the economic QR F = Q R, Q has orthonormal columns, so F C F*
     = Q (R C R*) Q* and R C R* have the same nonzero singular values:
     one SVD of a k x k matrix instead of n x n.  For k > n, R is n x k
-    and the SVD is n x n, no smaller than the dense one.
+    and the SVD is n x n, no smaller than the dense one.  A stack of
+    operators takes one QR and one SVD call, each matrix as if alone.
     """
     r = np.linalg.qr(factors, mode="r")
-    return float(_singular_values(r @ core @ r.conj().T).sum())
+    return _singular_values(r @ core @ np.swapaxes(r, -1, -2).conj()).sum(axis=-1)
 
 
 def _orbital_sum(mu: np.ndarray, orbitals: np.ndarray, w) -> np.ndarray:

@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab.cli as cli
+from alber_lab.presets import background_preset
 from alber_lab.dynamics import DivergenceError, _trusted
 
 
@@ -597,6 +598,23 @@ class TestInputErrors:
     def test_ensemble_rank_above_modes(self, tmp_path, capsys):
         cfg = {"output_dir": str(tmp_path / "x"), "ensemble": {"n_samples": 2, "N": 1, "checks": ["bessel"]}}
         assert "ensemble.rank_range" in self.run(tmp_path, capsys, "inequalities", cfg)
+
+    @pytest.mark.parametrize("command", ["penrose", "perturb"])
+    def test_unresolved_zero(self, tmp_path, capsys, command):
+        # the unstable preset scaled by 1e15: its k=1 zero is left unresolved, so no stable verdict is written
+        bg, p, q = background_preset("remark-5-2-unstable")
+        background = {"symbol": (bg.symbol * 1e15).tolist()}
+        out = tmp_path / "x"
+        if command == "penrose":
+            cfg = {"output_dir": str(out), "penrose": {"background": background, "k_max": 2, "c_bilinear": 0.18}}
+        else:
+            cfg = perturb_input(out, background=background, k_max=2)
+            del cfg["perturb"]["kappa"]
+        cfg["physics"] = {"p": p, "q": q}
+        err = self.run(tmp_path, capsys, command, cfg).splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {command}.background: at k=1 ")
+        assert "ZERO_RESIDUAL" in err[0]
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("q", [1e150, 1e200])
     @pytest.mark.parametrize("command", ["penrose", "perturb"])

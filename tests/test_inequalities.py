@@ -6,6 +6,7 @@ are pinned only through the stability of their empirical tail statistic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,13 @@ from hypothesis import strategies as hst
 import alber_lab as al
 import alber_lab.dynamics as dyn
 import alber_lab.inequalities as ineq
+from alber_lab.dynamics import _potential_matrix
 from alber_lab.inequalities import (
     ALL_CHECKS,
+    CheckResult,
     EnsembleConfig,
     _constant_result,
     _multiplier_matrix,
-    _sample_state,
     _tail_mean,
     check_apriori,
     check_apriori_ensemble,
@@ -37,8 +39,172 @@ from alber_lab.inequalities import (
     run_checks,
 )
 from alber_lab.spectral import analyze_batch, synthesize_batch
+from alber_lab.states import _factored_trace_norm, _singular_values
 
 TWO_PI = 2.0 * math.pi
+
+
+# ---- the per-sample route, frozen as the oracle of the one-draw checks ----
+
+
+def sample_state(rng, cfg):
+    """The next state of an ensemble stream, drawn and orthonormalized alone."""
+    lo, hi = cfg.rank_range
+    rank = int(rng.integers(lo, hi + 1))
+    return random_mixed_state(rng, cfg.grid, rank, cfg.decay_exponent)
+
+
+def loop_bessel(cfg, s=1.0):
+    rng = np.random.default_rng(cfg.seed)
+    b_s = ineq.bessel_constant(s, 1e-12)
+    violations, worst, offender = 0, 0.0, None
+    for _ in range(cfg.n_samples):
+        state = sample_state(rng, cfg)
+        lhs = float(al.density_samples(state).max())
+        rhs = b_s * al.hs1_norm_nonneg(state, s)
+        ratio = lhs / rhs if rhs else 0.0
+        worst = max(worst, ratio)
+        if lhs > rhs * (1.0 + 1e-8):
+            violations += 1
+            offender = offender or al.state_to_dict(state)
+    return CheckResult("bessel", cfg.n_samples, violations, worst, offender=offender)
+
+
+def loop_gn(cfg, s=1.0):
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.grid.modes().astype(float)
+    violations, worst, offender = 0, 0.0, None
+    for _ in range(cfg.n_samples):
+        coeffs = random_field_coeffs(rng, cfg.grid, cfg.decay_exponent)
+        u = synthesize_batch(cfg.grid, coeffs)
+        l2, l4, linf = al.lp_norm(u, 2), al.lp_norm(u, 4), al.lp_norm(u, math.inf)
+        grad = math.sqrt(float(np.sum(n * n * np.abs(coeffs) ** 2)))
+        rhs4 = l2**4 / TWO_PI + 2.0 * l2**3 * grad
+        rhs_inf = l2**2 / TWO_PI + 2.0 * l2 * grad
+        bad = l4**4 > rhs4 + 1e-10 * rhs4 or linf**2 > rhs_inf + 1e-10 * rhs_inf
+        ratio = max(l4**4 / rhs4 if rhs4 else 0.0, linf**2 / rhs_inf if rhs_inf else 0.0)
+        worst = max(worst, ratio)
+        if bad:
+            violations += 1
+            offender = offender or {"coeffs_re": coeffs.real.tolist(), "coeffs_im": coeffs.imag.tolist()}
+    return CheckResult("gn", cfg.n_samples, violations, worst, offender=offender)
+
+
+def loop_hoffmann_ostenhof(cfg, s=1.0):
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.grid.modes()
+    violations, worst, offender = 0, 0.0, None
+    for _ in range(cfg.n_samples):
+        state = sample_state(rng, cfg)
+        psi = synthesize_batch(cfg.grid, state.orbitals)
+        dpsi = synthesize_batch(cfg.grid, state.orbitals * (1j * n)[None, :])
+        rho = (np.abs(psi) ** 2).T @ state.weights
+        drho = (2.0 * np.real(np.conj(psi) * dpsi)).T @ state.weights
+        eps = 1e-12 * float(rho.max())
+        lhs = float(np.sum(drho**2 / (4.0 * (rho + eps)))) * TWO_PI / cfg.grid.M
+        rhs = al.kinetic_energy(state)
+        ratio = lhs / rhs if rhs else 0.0
+        worst = max(worst, ratio)
+        if lhs > rhs + 1e-8 * rhs:
+            violations += 1
+            offender = offender or al.state_to_dict(state)
+    return CheckResult("hoffmann_ostenhof", cfg.n_samples, violations, worst, offender=offender)
+
+
+def loop_difference(g1, g2, d):
+    """U = gamma1 - gamma2 as a checked matrix, and its factor-space norm (0 for U = 0)."""
+    u = al.OperatorMatrix(g1.grid, al.to_matrix(g1).entries - al.to_matrix(g2).entries, hermitian=True)
+    if not u.entries.any():
+        return u, 0.0
+    factors = d[:, None] * np.concatenate((g1.orbitals.T, g2.orbitals.T), axis=1)
+    core = np.diag(np.concatenate((g1.weights, -g2.weights)))
+    return u, float(_factored_trace_norm(factors, core))
+
+
+def loop_trace(cfg, s=1.0, sample=sample_state):
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
+    ratios = []
+    for _ in range(cfg.n_samples):
+        u, denom = loop_difference(sample(rng, cfg), sample(rng, cfg), d)
+        if denom < 1e-14:
+            continue
+        density = al.sobolev_norm(al.diagonal_sums(u.entries) / math.sqrt(TWO_PI), s)
+        ratios.append(density / denom)
+    return _constant_result("trace", cfg, ratios)
+
+
+def loop_conjugation(cfg, s=1.0):
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
+    ratios = []
+    for _ in range(cfg.n_samples):
+        coeffs = random_field_coeffs(rng, cfg.grid, cfg.decay_exponent)
+        fnorm = al.sobolev_norm(coeffs, s)
+        if fnorm < 1e-14:
+            continue
+        conj = d[:, None] * _multiplier_matrix(cfg.grid, coeffs) / d[None, :]
+        ratios.append(float(_singular_values(conj)[0]) / fnorm)
+    return _constant_result("conjugation", cfg, ratios)
+
+
+def loop_bilinear(cfg, s=1.0):
+    rng = np.random.default_rng(cfg.seed)
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
+    ratios = []
+    for _ in range(cfg.n_samples):
+        g1, g2 = sample_state(rng, cfg), sample_state(rng, cfg)
+        denom = al.hs1_norm_nonneg(g1, s) * al.hs1_norm_nonneg(g2, s)
+        if denom < 1e-14:
+            continue
+        a = g2.orbitals.T
+        factors = d[:, None] * np.concatenate((_potential_matrix(al.to_matrix(g1).entries) @ a, a), axis=1)
+        core = np.diag(g2.weights, g2.rank) - np.diag(g2.weights, -g2.rank)
+        ratios.append(float(_factored_trace_norm(factors, core)) / denom)
+    return _constant_result("bilinear", cfg, ratios)
+
+
+def loop_fourier_summation(cfg, s=1.0, sample=sample_state):
+    rng = np.random.default_rng(cfg.seed)
+    nm = cfg.grid.n_modes
+    wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2
+    d = cfg.grid.brackets_sq() ** 0.5
+    ratios = []
+    for _ in range(cfg.n_samples):
+        u, norm = loop_difference(sample(rng, cfg), sample(rng, cfg), d)
+        sums = al.diagonal_sums(np.abs(u.entries)).real
+        lhs = float(np.sum(wk * sums**2) - sums[nm - 1] ** 2)
+        denom = norm**2
+        if denom < 1e-14:
+            continue
+        ratios.append(lhs / denom)
+    return _constant_result("fourier_summation", cfg, ratios)
+
+
+LOOPS = {
+    "bessel": loop_bessel,
+    "gn": loop_gn,
+    "hoffmann_ostenhof": loop_hoffmann_ostenhof,
+    "trace": loop_trace,
+    "conjugation": loop_conjugation,
+    "bilinear": loop_bilinear,
+    "fourier_summation": loop_fourier_summation,
+}
+
+
+def same_value(got, expected):
+    """Equal, both NaN, or within 1e-12 relative (a stacked sum may move a last bit)."""
+    if math.isnan(expected):
+        return math.isnan(got)
+    return got == expected or abs(got - expected) <= 1e-12 * abs(expected)
+
+
+def assert_same_result(got, expected):
+    assert got.name == expected.name and got.n_samples == expected.n_samples
+    assert got.violations == expected.violations
+    assert same_value(got.worst_ratio, expected.worst_ratio), (got.name, got.worst_ratio, expected.worst_ratio)
+    assert same_value(got.empirical_constant, expected.empirical_constant), got.name
+    assert got.offender == expected.offender
 
 
 def plane_wave_mixture(grid, modes, weights):
@@ -94,6 +260,15 @@ class TestEnsembleConfig:
     def test_rank_range_rejected(self, rank_range):
         with pytest.raises(ValueError, match="rank_range"):
             EnsembleConfig(5, al.SpectralGrid(2), rank_range=rank_range)
+
+    @pytest.mark.parametrize("n_samples", [2.5, 5.0, math.nan, math.inf, True, np.True_, 0, -3, "5", None])
+    def test_sample_count_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="^n_samples"):
+            EnsembleConfig(n_samples, al.SpectralGrid(4))
+
+    @pytest.mark.parametrize("n_samples", [1, 7, np.int64(3)])
+    def test_sample_count_accepted(self, n_samples):
+        assert EnsembleConfig(n_samples, al.SpectralGrid(4)).n_samples == n_samples
 
     @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf])
     def test_non_finite_decay_rejected(self, decay):
@@ -217,7 +392,7 @@ class TestApriori:
         run_cfg = al.EvolveConfig(p, q, 5e-3, 0.2, record_every=4)
         violations, worst = 0, 0.0
         for _ in range(cfg.n_samples):  # one evolve per sample, as before batching
-            st = _sample_state(rng, cfg)
+            st = sample_state(rng, cfg)
             rho_l2 = al.lp_norm(al.density_samples(st), 2)
             ybar = bound(al.mass(st), al.kinetic_energy(st), rho_l2, p, q, p * q > 0)
             part = check_apriori(al.evolve(st, run_cfg)[1], ybar)
@@ -239,7 +414,7 @@ class TestApriori:
         cfg = EnsembleConfig(30, al.SpectralGrid(8), rank_range=(1, 4), seed=5)
         check_apriori_ensemble(cfg, 1.0, 1.0, T=0.05, dt=1e-2)
         rng = np.random.default_rng(cfg.seed)
-        ranks = [_sample_state(rng, cfg).rank for _ in range(cfg.n_samples)]
+        ranks = [sample_state(rng, cfg).rank for _ in range(cfg.n_samples)]
         assert runs == [(ranks.count(r), r) for r in sorted(set(ranks))]
 
     def test_divergence_raises(self):
@@ -256,7 +431,7 @@ class TestTraceEstimate:
         u = al.OperatorMatrix(grid8, m)
         from alber_lab.inequalities import _matrix_density_sobolev
 
-        ratio = _matrix_density_sobolev(u, 1.0) / al.sobolev_schatten_norm(u, 1.0)
+        ratio = _matrix_density_sobolev(u.entries, 1.0) / al.sobolev_schatten_norm(u, 1.0)
         assert abs(ratio - 1.0 / math.sqrt(TWO_PI)) < 1e-12
 
     def test_ensemble_constant_recorded(self):
@@ -418,7 +593,7 @@ class TestRunChecks:
             assert drift <= 0.20 * small.empirical_constant
 
 
-def fourier_summation_by_loop(cfg: EnsembleConfig, sample=_sample_state) -> list:
+def fourier_summation_by_loop(cfg: EnsembleConfig, sample=sample_state) -> list:
     """The Fourier-summation ratios with every diagonal sum written out."""
     rng = np.random.default_rng(cfg.seed)
     nm = cfg.grid.n_modes
@@ -466,7 +641,7 @@ def density_coefficients(u: np.ndarray) -> np.ndarray:
     return np.array([np.trace(u, offset=-k) for k in range(1 - nm, nm)]) / math.sqrt(TWO_PI)
 
 
-def trace_by_svd(cfg: EnsembleConfig, s: float, sample=_sample_state) -> list:
+def trace_by_svd(cfg: EnsembleConfig, s: float, sample=sample_state) -> list:
     """The trace-estimate ratios, each denominator a dense SVD of <D>^s U <D>^s."""
     rng = np.random.default_rng(cfg.seed)
     ratios = []
@@ -485,7 +660,7 @@ def bilinear_by_svd(cfg: EnsembleConfig, s: float) -> list:
     lag = np.subtract.outer(np.arange(nm), np.arange(nm)) + nm - 1  # m - n, shifted to an index
     ratios = []
     for _ in range(cfg.n_samples):
-        g1, g2 = _sample_state(rng, cfg), _sample_state(rng, cfg)
+        g1, g2 = sample_state(rng, cfg), sample_state(rng, cfg)
         v = density_coefficients(al.to_matrix(g1).entries)[lag] / math.sqrt(TWO_PI)  # rhohat(m - n) / sqrt(2pi)
         u2 = al.to_matrix(g2).entries
         denom = al.hs1_norm_nonneg(g1, s) * al.hs1_norm_nonneg(g2, s)
@@ -494,16 +669,16 @@ def bilinear_by_svd(cfg: EnsembleConfig, s: float) -> list:
     return ratios
 
 
-def twin_sampler(twins):
-    """_sample_state, except that the second state of each sample in twins is its first state."""
+def twins_of(draw, twins):
+    """draw(rng, cfg), except that the second state of each sample in twins repeats its first state."""
     drawn = []
 
-    def sample(rng, cfg):
+    def twin_draw(rng, cfg):
         i = len(drawn)
-        drawn.append(drawn[-1] if i % 2 and i // 2 in twins else _sample_state(rng, cfg))
+        drawn.append(drawn[-1] if i % 2 and i // 2 in twins else draw(rng, cfg))
         return drawn[-1]
 
-    return sample
+    return twin_draw
 
 
 class TestFactorSpaceNorms:
@@ -545,7 +720,7 @@ class TestFactorSpaceNorms:
     def test_equal_states_skipped(self, monkeypatch, name, by_loop, twins):
         # rough orbitals at N=32: the factors of gamma - gamma leave rounding above 1e-14
         cfg = EnsembleConfig(4, al.SpectralGrid(32), decay_exponent=1.0, seed=0)
-        expected = by_loop(cfg, twin_sampler(twins))
+        expected = by_loop(cfg, twins_of(sample_state, twins))
         assert len(expected) == cfg.n_samples - len(twins)
         seen = []
 
@@ -553,7 +728,7 @@ class TestFactorSpaceNorms:
             seen.append(list(ratios))
             return _constant_result(name, cfg, ratios)
 
-        monkeypatch.setattr(ineq, "_sample_state", twin_sampler(twins))
+        monkeypatch.setattr(ineq, "_draw_state", twins_of(ineq._draw_state, twins))
         monkeypatch.setattr(ineq, "_constant_result", recording)
         (res,) = run_checks(cfg, 1.0, (name,))
         assert seen[0] == pytest.approx(expected, rel=1e-12)
@@ -561,3 +736,120 @@ class TestFactorSpaceNorms:
             assert res.worst_ratio == pytest.approx(max(expected), rel=1e-12)
         else:
             assert res.worst_ratio == 0.0 and math.isnan(res.empirical_constant)
+
+
+@hst.composite
+def ensembles(draw, max_n=8, max_samples=12):
+    """EnsembleConfigs over N 1..max_n, 1..max_samples samples, every valid rank range and a range of decays."""
+    n = draw(hst.integers(1, max_n))
+    top = min(5, 2 * n + 1)
+    lo = draw(hst.integers(1, top))
+    hi = draw(hst.integers(lo, top))
+    decay = draw(hst.sampled_from([0.5, 1.0, 2.0, 2.5, 3.5]))
+    seed = draw(hst.integers(0, 2**32 - 1))
+    return EnsembleConfig(draw(hst.integers(1, max_samples)), al.SpectralGrid(n), (lo, hi), decay, seed)
+
+
+class TestOneDraw:
+    """The checks on one rank-grouped draw against the frozen per-sample route."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=ensembles(), s=hst.sampled_from([0.0, 0.5, 1.0, 1.5]), block=hst.sampled_from([2, 6, 128]))
+    def test_matches_per_sample_route(self, cfg, s, block):
+        # blocks of 2 and 6 states split a small ensemble, 128 holds it whole
+        names = tuple(name for name in ALL_CHECKS if name != "bessel" or s > 0.5)
+        expected = [LOOPS[name](cfg, s) for name in names]
+        result = ineq._result
+
+        def counted(name, cfg, parts):  # every sample gets its terms once
+            assert sum(len(part[0]) for part in parts) == cfg.n_samples
+            return result(name, cfg, parts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ineq, "STATE_BLOCK", block)
+            patch.setattr(ineq, "_result", counted)
+            for name, exp in zip(names, expected):
+                (got,) = run_checks(cfg, s, (name,))
+                assert_same_result(got, exp)
+            for got, exp in zip(run_checks(cfg, s, names), expected):
+                assert_same_result(got, exp)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_benchmark_size_matches_per_sample_route(self, seed):
+        # N=32, 50 samples: the shape of the benchmark's ensemble calls
+        cfg = EnsembleConfig(50, al.SpectralGrid(32), seed=seed)
+        for got, name in zip(run_checks(cfg), ALL_CHECKS):
+            assert_same_result(got, LOOPS[name](cfg))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=ensembles(), block=hst.sampled_from([2, 4, 128]))
+    def test_one_draw_is_the_per_sample_stream(self, cfg, block):
+        n = cfg.n_samples
+        blocks = list(ineq._draw(cfg, 2 * n, block))
+        assert [blk.start for blk in blocks] == list(range(0, 2 * n, block))
+        rng = np.random.default_rng(cfg.seed)
+        for blk in blocks:
+            for i in range(blk.ranks.size):
+                got, expected = blk.state(i), sample_state(rng, cfg)
+                assert np.array_equal(got.orbitals, expected.orbitals)
+                assert np.array_equal(got.weights, expected.weights)
+        rng = np.random.default_rng(cfg.seed)
+        fields = ineq._draw_fields(cfg, n)
+        for row in fields:
+            assert np.array_equal(row, random_field_coeffs(rng, cfg.grid, cfg.decay_exponent))
+
+    @pytest.mark.parametrize("block", [4, 128])
+    def test_offender_is_the_lowest_index_violator(self, monkeypatch, block):
+        cfg = EnsembleConfig(30, al.SpectralGrid(8), seed=3)
+        rng = np.random.default_rng(cfg.seed)
+        b1 = al.bessel_constant(1.0, 1e-12)
+        states = [sample_state(rng, cfg) for _ in range(cfg.n_samples)]
+        ratios = [float(al.density_samples(st).max()) / (b1 * al.hs1_norm_nonneg(st, 1.0)) for st in states]
+        shrink = float(np.median(ratios))  # a constant shrunk by the median ratio: about half the samples violate
+        violators = [i for i, r in enumerate(ratios) if r / shrink > 1.0 + 1e-8]
+        assert 0 < violators[0] and len(violators) >= 5
+        monkeypatch.setattr(ineq, "bessel_constant", lambda s, tol: shrink * al.bessel_constant(s, tol))
+        monkeypatch.setattr(ineq, "STATE_BLOCK", block)
+        for res in (check_bessel(cfg), run_checks(cfg)[0]):
+            assert res.violations == len(violators)
+            assert res.offender == al.state_to_dict(states[violators[0]])
+            assert_same_result(res, loop_bessel(cfg))
+
+    @pytest.mark.parametrize(
+        "names, states", [(ALL_CHECKS, 2), (("bessel", "gn", "hoffmann_ostenhof"), 1), (("gn", "conjugation"), 0)]
+    )
+    def test_each_state_is_orthonormalized_once(self, monkeypatch, names, states):
+        qr, draw_state = np.linalg.qr, ineq._draw_state
+        stacks, drawn = [], []
+
+        def counting_qr(a, mode="reduced"):
+            if mode == "reduced":  # the factor-space norms take mode="r"
+                stacks.append(math.prod(np.shape(a)[:-2]))
+            return qr(a, mode=mode)
+
+        def counting_draw(rng, cfg):
+            drawn.append(1)
+            return draw_state(rng, cfg)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(ineq, "_draw_state", counting_draw)
+        cfg = EnsembleConfig(40, al.SpectralGrid(8), rank_range=(1, 4), seed=2)
+        run_checks(cfg, 1.0, names)
+        assert len(drawn) == sum(stacks) == states * cfg.n_samples
+        assert len(stacks) <= 4  # one stacked QR per rank group: 80 states are one block
+
+    def test_dense_stacks_are_blocked(self):
+        # the orbital stacks and the dense (2N+1)^2 stacks live per block: the peak hardly grows with the ensemble
+        names = ("trace", "fourier_summation", "bilinear")
+
+        def peak(n_samples):
+            cfg = EnsembleConfig(n_samples, al.SpectralGrid(16), seed=1)
+            tracemalloc.start()
+            try:
+                run_checks(cfg, 1.0, names)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(8)  # first-call allocations (FFT plans, offset tables) are not the ensemble's
+        assert peak(512) <= 1.5 * peak(64)

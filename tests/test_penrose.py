@@ -518,6 +518,28 @@ class TestNewtonLineMinimum:
                         assert all(0.0 <= line <= 1.0 for _, line in report.eta_line_margins)
 
 
+class TestUnresolvedZeros:
+    """A growing zero that the polish cannot resolve is an error, not a stable verdict."""
+
+    def scaled_unstable(self, scale):
+        bg, p, q = al.background_preset(UNSTABLE)
+        return al.BackgroundSymbol(bg.symbol * scale), p, q
+
+    def test_strong_coupling_raises(self):
+        # at 1e15 the eigenvalue lands at 4.47e7 + 4.7e3i and two Newton steps leave |F_1| = 2.3e-4
+        bg, p, q = self.scaled_unstable(1e15)
+        with pytest.raises(ValueError, match=r"^background: at k=1 .* residual \|F_k\| = 2\.\d+e-04 > ZERO_RESIDUAL"):
+            al.penrose_margin(bg, p, q, 1)
+
+    def test_resolvable_zero_still_reported(self):
+        # at 1e14 the zero sqrt(2) * 1e7 is resolved, as before
+        bg, p, q = self.scaled_unstable(1e14)
+        report = al.penrose_margin(bg, p, q, 1)
+        assert len(report.zeros) == 1
+        assert abs(report.zeros[0].real / (math.sqrt(2.0) * 1e7) - 1.0) < 1e-6
+        assert report.margin <= penrose_mod.ZERO_RESIDUAL
+
+
 class TestFreeDensity:
     def test_initial_time_is_diagonal_sum(self, grid8):
         u0 = seed_matrix(grid8, {(1, 0): 0.5, (3, 2): 0.25, (2, 2): 1.0})
