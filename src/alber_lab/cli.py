@@ -56,6 +56,7 @@ from .states import (
     MixedState,
     NotNonNegativeError,
     OperatorMatrix,
+    _matrices,
     background_to_matrix,
     background_to_state,
     eigendecompose,
@@ -468,7 +469,8 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
     code = 0
     rows = []
     for (t, state), lin_u in zip(iter_evolve(datum, run_cfg), lin.matrices):
-        diff = OperatorMatrix(grid, to_matrix(state).entries - gamma_mat.entries, hermitian=True)
+        # _matrices is exactly Hermitian and gamma_mat real diagonal, so the difference needs no check
+        diff = OperatorMatrix(grid, _matrices(state.weights, state.orbitals) - gamma_mat.entries)
         dev = sobolev_schatten_norm(diff, 1.0)
         # the explicit linearized step can overflow, and a matrix that is not finite has no SVD
         lin_dev = sobolev_schatten_norm(lin_u, 1.0) if np.isfinite(lin_u.entries).all() else math.inf

@@ -22,7 +22,10 @@ full free phase, so between records a step is one potential substep
 followed by one full free phase; the open half step is closed only at
 record points.  The loop allocates its working arrays once per run and
 writes every substep into them with out=, so only record points
-allocate.  iter_evolve wraps it for one MixedState, and evolve and
+allocate.  Its transforms are the raw pocketfft pair bound in spectral
+(_fft, _ifft: numpy >= 2.0), which skips np.fft's per-call argument
+handling (a quarter to a third of a step at the lab's sizes) and keeps
+np.fft's bits.  iter_evolve wraps it for one MixedState, and evolve and
 every other multi-step caller go through iter_evolve, except the
 a-priori ensemble of inequalities, which runs its samples through
 _split_step in groups of equal rank.  _record_scalars is the one formula
@@ -74,6 +77,8 @@ from .spectral import (
     TWO_PI,
     SpectralGrid,
     _check_finite,
+    _fft,
+    _ifft,
     analyze_batch,
     diagonal_stack,
     diagonal_sums,
@@ -243,10 +248,16 @@ def _split_step(
     multiplying by it also discards what the potential pushed past the
     cutoff.  The FFT normalizations cancel over a substep, except in the
     density, where they are folded into the potential constant.  The
-    buffer, the samples psi, their squared moduli, rho and the potential
-    phase are allocated once per run and every substep writes into them,
-    so only record points allocate; yielded arrays never share memory
-    with this workspace.
+    transforms are spectral's _ifft and _fft with np.fft's factors (1 / M
+    and 1), so every substep has the bits np.fft.ifft/fft give it.  The
+    potential's argument i*kick*rho is one real product kick*rho,
+    written into the imaginary part of a buffer whose real part stays
+    +0.0: bit for bit the complex product (1j*kick)*rho, whose real part
+    is +0.0 for either sign of q.  The buffer, the samples psi, their
+    squared moduli, rho and the potential argument and phase are
+    allocated once per run and every substep writes into them, so only
+    record points allocate; yielded arrays never share memory with this
+    workspace.
     """
     modes = grid.modes()
     band = modes % grid.M
@@ -254,9 +265,10 @@ def _split_step(
     half = np.exp(1j * cfg.p * n2 * (0.5 * cfg.dt))
     full = np.zeros(grid.M, dtype=complex)
     full[band] = np.exp(1j * cfg.p * n2 * cfg.dt)
-    kick = -1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI
+    kick = (-1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI).imag
+    inverse = 1.0 / grid.M  # np.fft.ifft's factor
     weights = mu[..., None, :]  # rho of every state as one stacked product, shape (..., 1, M)
-    steps = cfg.steps
+    steps, every = cfg.steps, cfg.record_every
 
     yield 0.0, orbitals
     buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
@@ -264,17 +276,18 @@ def _split_step(
     psi = np.empty_like(buf)
     dens = np.empty(buf.shape)
     rho = np.empty(buf.shape[:-2] + (1, grid.M))
-    phase = np.empty(rho.shape, dtype=complex)
+    arg = np.zeros(rho.shape, dtype=complex)  # i * kick * rho; its real part stays +0.0
+    phase = np.empty_like(arg)
     for i in range(1, steps + 1):
-        np.fft.ifft(buf, axis=-1, out=psi)
+        _ifft(buf, inverse, out=psi)
         np.abs(psi, out=dens)
         np.square(dens, out=dens)
         np.matmul(weights, dens, out=rho)
-        np.multiply(kick, rho, out=phase)
-        np.exp(phase, out=phase)
+        np.multiply(rho, kick, out=arg.imag)
+        np.exp(arg, out=phase)
         psi *= phase
-        np.fft.fft(psi, axis=-1, out=buf)
-        if i % cfg.record_every == 0 or i == steps:
+        _fft(psi, 1.0, out=buf)
+        if i % every == 0 or i == steps:
             yield i * cfg.dt, buf[..., band] * half
         buf *= full
 

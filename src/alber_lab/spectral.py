@@ -15,6 +15,16 @@ operations here are pure functions; only the offset table that the pair
 indexes is cached, one read-only copy per matrix size.  _check_finite is
 the one check that arguments are finite, for every module that takes
 numbers or arrays from outside.
+
+_fft and _ifft are the package's raw transforms: numpy's own pocketfft
+gufuncs (numpy >= 2.0; signature (n),()->(m) along the last axis), bound
+once here.  np.fft.fft and np.fft.ifft are Python wrappers around them
+that spend microseconds per call on argument handling (dtype, norm and
+axis resolution), a large share of a split-step substep at the lab's
+sizes.  Called with out= and np.fft's own factors, 1.0 forward and
+1.0 / M inverse, the gufuncs give exactly np.fft's bits.  The transform
+pair and the split-step loop in dynamics call them directly; nothing
+else in the package calls np.fft.
 """
 
 from __future__ import annotations
@@ -24,8 +34,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath
 
 TWO_PI = 2.0 * math.pi
+
+# _fft(a, 1.0, out=b) is b = np.fft.fft(a) and _ifft(a, 1.0 / M, out=b) is
+# b = np.fft.ifft(a), along the last axis of length M, bit for bit
+_fft = _pocketfft_umath.fft
+_ifft = _pocketfft_umath.ifft
 
 
 def _check_finite(**values) -> None:
@@ -112,7 +128,10 @@ def synthesize_batch(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected trailing axis {grid.n_modes}, got {coeffs.shape}")
     padded = np.zeros(coeffs.shape[:-1] + (grid.M,), dtype=complex)
     padded[..., grid.modes() % grid.M] = coeffs
-    return np.fft.ifft(padded, axis=-1) * (grid.M / math.sqrt(TWO_PI))
+    samples = np.empty_like(padded)
+    _ifft(padded, 1.0 / grid.M, out=samples)
+    samples *= grid.M / math.sqrt(TWO_PI)
+    return samples
 
 
 def analyze_batch(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
@@ -125,8 +144,11 @@ def analyze_batch(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=complex)
     if samples.shape[-1] != grid.M:
         raise ValueError(f"expected {grid.M} samples on this grid, got shape {samples.shape}")
-    spectrum = np.fft.fft(samples, axis=-1) * (math.sqrt(TWO_PI) / grid.M)
-    return spectrum[..., grid.modes() % grid.M]
+    spectrum = np.empty_like(samples)
+    _fft(samples, 1.0, out=spectrum)
+    band = spectrum[..., grid.modes() % grid.M]
+    band *= math.sqrt(TWO_PI) / grid.M
+    return band
 
 
 @lru_cache(maxsize=16)

@@ -347,6 +347,31 @@ class TestPerturb:
         assert len(loops) == 1
         assert len(rows) == loops[0].steps // loops[0].record_every + 1
 
+    def test_hermitian_checks_do_not_grow_with_records(self, tmp_path, monkeypatch):
+        # the recorded difference gamma(t) - Gamma is Hermitian by construction,
+        # so only the run's fixed inputs (datum, perturbation) are checked
+        import alber_lab.states as states
+
+        calls = []
+        original = states._check_hermitian
+
+        def counting(entries):
+            calls.append(entries.shape)
+            return original(entries)
+
+        monkeypatch.setattr(states, "_check_hermitian", counting)
+        counts = []
+        for record_every in (1, 10):
+            calls.clear()
+            out = tmp_path / f"every{record_every}"
+            cfg = self.perturb_config(out, 1e-3, record_every=record_every)
+            assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
+            _, rows = read_csv(out / "deviation.csv")
+            counts.append((len(rows), len(calls)))
+        (many, checks_many), (few, checks_few) = counts
+        assert many > few > 1
+        assert checks_many == checks_few
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf])
     def test_bad_step_rejected(self, tmp_path, dt):
         cfg = self.perturb_config(tmp_path / "x", 1e-3, dt=dt)

@@ -561,6 +561,41 @@ class TestTimeReversal:
         assert np.abs(al.to_matrix(back).entries - start).max() <= 1e-10 * np.abs(start).max()
 
 
+class TestHomogeneousSteadiness:
+    """A homogeneous state diag(G) is a steady state of the flow: its plane
+    waves have the constant density sum_n G(n) / 2pi, so the potential
+    substep is a constant phase and the free substep a phase per mode.
+    Criterion 9 checks the two presets; here the symbol is random, with
+    zeros, on any support J <= N, for both signs of p and q."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(1, 16),
+        p=hst.sampled_from([1.0, -0.7]),
+        q=hst.sampled_from([1.5, -1.0]),
+        steps=hst.integers(1, 40),
+        record_every=hst.integers(1, 10),
+        data=hst.data(),
+    )
+    def test_records_stay_the_background(self, n, p, q, steps, record_every, data):
+        grid = al.SpectralGrid(n)
+        j = data.draw(hst.integers(0, n), label="J")
+        value = hst.one_of(hst.just(0.0), hst.floats(1e-3, 10.0))
+        symbol = np.array(data.draw(hst.lists(value, min_size=2 * j + 1, max_size=2 * j + 1), label="symbol"))
+        bg = al.BackgroundSymbol(symbol)
+        support = np.arange(n - j, n + j + 1)  # modes -J..J in storage order
+        expected = np.zeros((grid.n_modes, grid.n_modes), dtype=complex)
+        expected[support, support] = symbol
+        scale = float(np.sqrt(np.sum(symbol**2)))
+        cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=record_every)
+        records = list(al.iter_evolve(al.background_to_state(bg, grid), cfg))
+        assert len(records) == -(-steps // record_every) + 1
+        for _, state in records:
+            assert np.abs(al.to_matrix(state).entries - expected).max() <= 1e-12 * scale
+            rho = al.density_samples(state)
+            assert np.abs(rho - symbol.sum() / TWO_PI).max() <= 1e-12 * scale
+
+
 class TestMonitor:
     def test_zero_state_record(self, grid8):
         rec = al.monitor(al.MixedState.empty(grid8), al.EvolveConfig(1.0, 1.0, 1e-3, 1.0))

@@ -17,6 +17,8 @@ import alber_lab as al
 from alber_lab.spectral import (
     TWO_PI,
     _check_finite,
+    _fft,
+    _ifft,
     _offsets,
     analyze_batch,
     diagonal_sums,
@@ -151,6 +153,36 @@ class TestSobolevNorm:
         for s in (-1.0, math.nan, math.inf):  # a non-finite order is rejected too, naming s
             with pytest.raises(ValueError, match="^s must be"):
                 al.sobolev_norm(np.zeros(grid8.n_modes, dtype=complex), s)
+
+
+class TestRawTransformPair:
+    """_fft/_ifft are numpy's private pocketfft gufuncs: called with out= and
+    np.fft's factors (1.0 forward, 1.0 / M inverse) they are np.fft.fft and
+    np.fft.ifft bit for bit.  A numpy release that changes that contract
+    fails here first."""
+
+    def test_pair_is_np_fft_bit_for_bit(self):
+        gen = np.random.default_rng(20)
+        for m in (50, 72, 135, 270):
+            for shape in ((m,), (3, m), (2, 4, m), (0, m), (2, 0, m)):
+                a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+                forward, inverse = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+                _fft(a, 1.0, out=forward)
+                _ifft(a, 1.0 / m, out=inverse)
+                assert np.array_equal(forward, np.fft.fft(a)), (m, shape)
+                assert np.array_equal(inverse, np.fft.ifft(a)), (m, shape)
+
+    @pytest.mark.parametrize("n", [12, 16, 64])
+    def test_batch_transforms_keep_the_np_fft_bits(self, n, rng):
+        grid = al.SpectralGrid(n)
+        band = grid.modes() % grid.M
+        c = rng.standard_normal((2, 3, grid.n_modes)) + 1j * rng.standard_normal((2, 3, grid.n_modes))
+        padded = np.zeros((2, 3, grid.M), dtype=complex)
+        padded[..., band] = c
+        samples = np.fft.ifft(padded, axis=-1) * (grid.M / math.sqrt(TWO_PI))
+        assert np.array_equal(synthesize_batch(grid, c), samples)
+        spectrum = np.fft.fft(samples, axis=-1) * (math.sqrt(TWO_PI) / grid.M)
+        assert np.array_equal(analyze_batch(grid, samples), spectrum[..., band])
 
 
 def non_five_smooth_m(n: int) -> int:
