@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -43,10 +45,12 @@ from .dynamics import (
 )
 from .inequalities import (
     ALL_CHECKS,
+    APRIORI_DT,
+    APRIORI_T,
     EnsembleConfig,
-    check_apriori_ensemble,
+    _apriori,
+    _run_checks,
     check_bilinear,
-    run_checks,
 )
 from .penrose import check_eta_min, penrose_margin, propagator_constants
 from .presets import background_preset, random_hermitian_perturbation, random_smooth_state
@@ -56,18 +60,20 @@ from .states import (
     MixedState,
     NotNonNegativeError,
     OperatorMatrix,
-    _matrices,
+    _check_hermitian,
+    _factored_trace_norm,
     background_to_matrix,
     background_to_state,
     eigendecompose,
     reorthonormalized,
-    sobolev_schatten_norm,
     state_from_dict,
     state_to_dict,
     to_matrix,
 )
 
 TRAJECTORY_HEADER = ("t", "mass", "s2", "energy", "kinetic", "gram_dev", "h1s1")
+# records of perturb's two flows per stack of norms
+PERTURB_BLOCK = 32
 
 
 class ConfigError(ValueError):
@@ -407,6 +413,13 @@ def cmd_penrose(cfg: dict, out: Path) -> int:
     return 0
 
 
+def _hermitian_trace_norm(stack: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, the sums of their |eigenvalues|; a
+    ValueError if one is not Hermitian (states._check_hermitian, one call per stack)."""
+    _check_hermitian(stack)
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+
+
 def cmd_perturb(cfg: dict, out: Path) -> int:
     """nonlinear vs linearized deviation from a background; deviation CSV"""
     section = cfg["perturb"]
@@ -466,20 +479,39 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         run_cfg,
         matrix_every=1,
     )
+    # <D>(gamma(t) - Gamma)<D> = F C F* with F = <D>[orbitals(t)^T | e_n, n in supp Gamma] and
+    # C = diag(mu, -Gamma_hat(supp)), whose trace norm is taken in factor space (rank r + |supp|)
+    weight = grid.brackets_sq() ** 0.5
+    gh = bg.gamma_hat(grid.modes()).astype(float)
+    supp = np.flatnonzero(gh)
+    waves = np.zeros((grid.n_modes, supp.size))
+    waves[supp, np.arange(supp.size)] = weight[supp]
+    core = np.diag(np.concatenate([datum.weights, -gh[supp]]))
+    records = zip(iter_evolve(datum, run_cfg), lin.matrices)
     code = 0
     rows = []
-    for (t, state), lin_u in zip(iter_evolve(datum, run_cfg), lin.matrices):
-        # _matrices is exactly Hermitian and gamma_mat real diagonal, so the difference needs no check
-        diff = OperatorMatrix(grid, _matrices(state.weights, state.orbitals) - gamma_mat.entries)
-        dev = sobolev_schatten_norm(diff, 1.0)
-        # the explicit linearized step can overflow, and a matrix that is not finite has no SVD
-        lin_dev = sobolev_schatten_norm(lin_u, 1.0) if np.isfinite(lin_u.entries).all() else math.inf
-        # the datum's own row is always kept, so there is a last good time
-        if t > 0.0 and not _trusted(dev, lin_dev):
-            print(f"divergence at t={t:.6g}; keeping records up to the last good time", file=sys.stderr)
-            code = 3
-            break
-        rows.append((t, dev, lin_dev, 2.0 * consts.c_star * (1.0 + t * t) * epsilon))
+    # both flows advance a block of records at a time; the norms of a block are two stacked calls,
+    # and the block bounds the stacks, so their memory does not grow with the number of records
+    while code == 0 and (block := list(itertools.islice(records, PERTURB_BLOCK))):
+        times = [t for (t, _), _ in block]
+        orbitals = np.stack([state.orbitals for (_, state), _ in block])
+        factors = np.concatenate(
+            [weight[:, None] * orbitals.swapaxes(-1, -2), np.broadcast_to(waves, (len(block), *waves.shape))], axis=-1
+        )
+        devs = _factored_trace_norm(factors, core)
+        # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin_weighted = weight[:, None] * np.stack([lin_u.entries for _, lin_u in block]) * weight
+            finite = np.isfinite(lin_weighted).all(axis=(-2, -1))
+            lin_devs = np.full(len(block), math.inf)
+            lin_devs[finite] = _hermitian_trace_norm(lin_weighted[finite])
+        for t, dev, lin_dev in zip(times, devs.tolist(), lin_devs.tolist()):
+            # the datum's own row is always kept, so there is a last good time
+            if t > 0.0 and not _trusted(dev, lin_dev):
+                print(f"divergence at t={t:.6g}; keeping records up to the last good time", file=sys.stderr)
+                code = 3
+                break
+            rows.append((t, dev, lin_dev, 2.0 * consts.c_star * (1.0 + t * t) * epsilon))
     fit_rate = None
     if window is not None:
         lo, hi = window
@@ -520,10 +552,11 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
         decay_exponent=section["decay_exponent"],
         seed=cfg["seed"],
     )
-    results = _call("ensemble", run_checks, ens, section["s"], tuple(section["checks"]))
+    drawn = []  # the checks' states 0..n-1, which the a-priori ensemble reuses
+    results = _call("ensemble", _run_checks, ens, section["s"], tuple(section["checks"]), drawn)
     if section["apriori"]:
         p, q = _physics(cfg)
-        results.append(check_apriori_ensemble(ens, p, q))
+        results.append(_apriori(ens, p, q, APRIORI_T, APRIORI_DT, drawn))
     rows = [
         (r.name, r.n_samples, r.violations, r.worst_ratio, r.empirical_constant, cfg["seed"])
         for r in results
@@ -611,7 +644,9 @@ HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="alber-lab",
         description="Simulation and stability analysis of mixed-state cubic NLS dynamics on the torus",
@@ -622,7 +657,11 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="path to the JSON configuration")
         sp.add_argument("--seed", type=int, default=None, help="override the config seed")
         sp.add_argument("--out", default=None, help="override the config output_dir")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     t0 = time.perf_counter()
     _written.clear()
     try:

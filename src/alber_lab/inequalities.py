@@ -20,7 +20,10 @@ with n_samples.  The difference U = gamma1 - gamma2 of a pair is built,
 and checked Hermitian, once for both the trace and the Fourier-summation
 check.  Each result is that of a sample-by-sample loop over the same
 streams: the same violations, ratios and tail constants, and as offender
-the violating sample of lowest draw index.
+the violating sample of lowest draw index.  The CLI runs the a-priori
+ensemble (_apriori) on the states 0..n-1 of that same draw, which
+_run_checks hands over as the blocks holding them, so a run draws and
+orthonormalizes each state once.
 
 The H^s S^1 norms of a difference gamma1 - gamma2 (rank <= r1 + r2) and of
 a commutator [V, gamma2] (rank <= 2 r2) are taken in factor space: each is
@@ -67,6 +70,9 @@ from .dynamics import (
 STATE_BLOCK = 128
 # Pairs per stack of dense (2N+1)^2 matrices.
 PAIR_BLOCK = 2
+# Horizon and step of the a-priori ensemble's evolutions.
+APRIORI_T = 0.5
+APRIORI_DT = 1e-2
 
 
 @dataclass(frozen=True)
@@ -360,7 +366,7 @@ def check_apriori(records: list[TrajectoryRecord], ybar: float) -> CheckResult:
 
 
 def check_apriori_ensemble(
-    cfg: EnsembleConfig, p: float, q: float, T: float = 0.5, dt: float = 1e-2
+    cfg: EnsembleConfig, p: float, q: float, T: float = APRIORI_T, dt: float = APRIORI_DT
 ) -> CheckResult:
     """Short evolutions of random states, each tested against its own Ybar.
 
@@ -374,10 +380,30 @@ def check_apriori_ensemble(
     record where a sample of a group leaves the trust region (the rule of
     evolve).
     """
+    return _apriori(cfg, p, q, T, dt, [])
+
+
+def _first_states(blocks: list, n: int) -> _Block:
+    """The states 0..n-1 of a draw's leading blocks as one block, each rank group in draw order."""
+    ranks = np.concatenate([blk.ranks[: n - blk.start] for blk in blocks])
+    slot = np.zeros(ranks.size, dtype=int)
+    weights, orbitals = {}, {}
+    for r in sorted(set(ranks.tolist())):
+        members = ranks == r
+        slot[members] = np.arange(np.count_nonzero(members))
+        held = [(blk, np.count_nonzero(blk.ranks[: n - blk.start] == r)) for blk in blocks]
+        weights[r] = np.concatenate([blk.weights[r][:c] for blk, c in held if c])
+        orbitals[r] = np.concatenate([blk.orbitals[r][:c] for blk, c in held if c])
+    return _Block(blocks[0].grid, (), 0, ranks, slot, weights, orbitals)
+
+
+def _apriori(cfg: EnsembleConfig, p: float, q: float, T: float, dt: float, blocks: list) -> CheckResult:
+    """check_apriori_ensemble on the states 0..n-1 held by blocks, the leading blocks of an
+    earlier draw at cfg.seed (as _run_checks leaves them), or of a fresh draw if blocks is empty."""
     grid, n = cfg.grid, cfg.n_samples
     focusing = p * q > 0
     run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=max(1, int(round(T / dt)) // 10))
-    (blk,) = _draw(cfg, n, n)
+    blk = _first_states(blocks or list(_draw(cfg, n, n)), n)
     kinetic_w = grid.modes().astype(float) ** 2
 
     def conserved(mu: np.ndarray, c: np.ndarray) -> tuple:
@@ -549,13 +575,17 @@ def _result(name: str, cfg: EnsembleConfig, parts: list) -> CheckResult:
     return _constant_result(name, cfg, (a[keep] / b[keep]).tolist())
 
 
-def _run(cfg: EnsembleConfig, s: float, names: tuple) -> list[CheckResult]:
-    """The named checks at order s, all on one draw: the states in blocks, the field rows at once."""
+def _run(cfg: EnsembleConfig, s: float, names: tuple, drawn: list | None = None) -> list[CheckResult]:
+    """The named checks at order s, all on one draw: the states in blocks, the field rows at once.
+
+    Appends to drawn, if given, the blocks that hold the states 0..n-1."""
     n = cfg.n_samples
     parts = {name: [] for name in names}
     reads = {_CHECKS[name].reads for name in names}
     n_states = 2 * n if "pairs" in reads else n if "states" in reads else 0
     for blk in _draw(cfg, n_states, STATE_BLOCK, names):
+        if drawn is not None and blk.start < n:
+            drawn.append(blk)
         for name in parts:
             check = _CHECKS[name]
             if check.reads == "pairs" or check.reads == "states" and blk.start < n:
@@ -610,6 +640,12 @@ def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -
     with "checks") and an s that is non-finite, negative, or <= 1/2 when
     bessel is named (the message starts with "s").
     """
+    return _run_checks(cfg, s, names)
+
+
+def _run_checks(cfg: EnsembleConfig, s: float, names: tuple, drawn: list | None = None) -> list[CheckResult]:
+    """run_checks, appending to drawn, if given, the blocks of its draw that hold the states
+    0..n-1, so that _apriori runs on them instead of drawing them again."""
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
         raise ValueError(f"checks: unknown checks {unknown}")
@@ -617,4 +653,4 @@ def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -
         raise ValueError(f"s must be finite and >= 0, got {s}")
     if "bessel" in names and s <= 0.5:
         raise ValueError(f"s={s}: the bessel check needs s > 1/2")
-    return _run(cfg, s, tuple(names))
+    return _run(cfg, s, tuple(names), drawn)

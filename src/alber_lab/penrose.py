@@ -21,6 +21,12 @@ F_k and its first two derivatives come from one pass over its pole terms
 (_dispersion_derivatives): they polish the zeros by Newton's method and
 find the line minimum by a safeguarded Newton iteration on the derivative
 of |F_k|^2.
+
+On the time side, volterra_solve marches the density equation as a
+linear recurrence with one running sum per kernel term.  Its forcing,
+free_density, is a sum of equally spaced frequencies p*k*(2j+k), so it is
+a Laurent polynomial in exp(2i*p*k*t) evaluated by Horner's rule: one
+complex exponential and about 2N+1-|k| multiply-adds per time point.
 """
 
 from __future__ import annotations
@@ -250,6 +256,17 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
 def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
     """rho_hat_free(k, t) = sum_j exp(i*p*k*(2j+k)*t) * U0_{j+k, j}.
 
+    The frequencies p*k*(2j+k) step by 2*p*k and are symmetric about 0,
+    so with w = exp(i*p*k*t) and z = w^2 the sum is a Laurent polynomial
+    in z, evaluated by Horner's rule outward from its centre: the upper
+    half of the diagonal in z, the lower half in conj(z), and for odd k a
+    last factor w or conj(w).  That is one complex exponential per time
+    point and about 2N+1-|k| complex multiply-adds, against one
+    exponential per (time point, entry) of the term-by-term sum.  No
+    phase is accumulated past the largest |p*k*(2j+k)*t|, so both routes
+    share one error scale: the rounding of that phase, eps*|p*k*(2j+k)*t|
+    relative to sum |U0_{j+k, j}|.
+
     Reads the diagonal with np.diagonal, not spectral's diagonal helpers,
     on purpose: it feeds the Volterra oracle that is checked against
     linearized_evolve, which uses spectral.diagonal_stack.
@@ -259,11 +276,21 @@ def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
     nm = u0.grid.n_modes
     if abs(k) >= nm:
         raise ValueError(f"|k|={abs(k)} outside the band of the matrix")
-    d = np.diagonal(u0.entries, offset=-k)
-    j = np.arange(-u0.grid.N + max(-k, 0), u0.grid.N - max(k, 0) + 1)
-    omega = p * k * (2 * j + k)
+    d = np.diagonal(u0.entries, offset=-k)  # d[m] has frequency p*k*(2m - (size - 1))
     t = np.asarray(t, dtype=float)
-    out = np.sum(d * np.exp(1j * np.multiply.outer(t, omega.astype(float))), axis=-1)
+    w = np.exp(1j * (p * k) * t)
+    z = w * w
+    zbar = z.conj()
+    centre, odd = divmod(d.size, 2)  # d[centre] has exponent 0 in z (odd size), else 1 in w
+    upper = np.zeros(t.shape, dtype=complex)  # sum over m >= centre of d[m] z^(m - centre)
+    lower = np.zeros(t.shape, dtype=complex)  # sum over m < centre of d[m] zbar^(centre - 1 - m)
+    for c in d[centre:][::-1]:
+        upper *= z
+        upper += c
+    for c in d[:centre]:
+        lower *= zbar
+        lower += c
+    out = upper + zbar * lower if odd else w * upper + w.conj() * lower
     return out if out.shape else complex(out)
 
 

@@ -23,8 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import alber_lab as al
 import alber_lab.cli as cli
+import alber_lab.dynamics as dyn
 from alber_lab.presets import background_preset
+from alber_lab.states import to_matrix
 from alber_lab.dynamics import DivergenceError, _trusted
 
 
@@ -401,6 +404,64 @@ class TestPerturb:
         assert 1 <= len(rows) < 51
         assert all(_trusted(float(row[1]), float(row[2])) for row in rows)
 
+    def test_linearized_trace_norms_need_hermitian_stacks(self):
+        gen = np.random.default_rng(0)
+        a = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
+        herm = a + a.swapaxes(-1, -2).conj()
+        expected = [np.linalg.svd(m, compute_uv=False).sum() for m in herm]
+        assert np.allclose(cli._hermitian_trace_norm(herm), expected, rtol=1e-13, atol=0.0)
+        with pytest.raises(ValueError, match="hermitian"):
+            cli._hermitian_trace_norm(a)
+
+    def run_against_dense_norms(self, tmp_path, monkeypatch, cfg):
+        """deviation.csv of cfg and, per record of the same two flows, the dense route's
+        norms: one sobolev_schatten_norm of gamma(t) - Gamma and of the linearized matrix."""
+        flows = {}
+
+        def kept_evolve(state, run_cfg):
+            flows["records"] = list(dyn.iter_evolve(state, run_cfg))
+            return iter(flows["records"])
+
+        def kept_linearized(*args, **kwargs):
+            flows["lin"] = dyn.linearized_evolve(*args, **kwargs)
+            return flows["lin"]
+
+        monkeypatch.setattr(cli, "iter_evolve", kept_evolve)
+        monkeypatch.setattr(cli, "linearized_evolve", kept_linearized)
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
+        _, rows = read_csv(Path(cfg["output_dir"]) / "deviation.csv")
+        grid = al.SpectralGrid(cfg["grid"]["N"])
+        bg, _, _ = background_preset(cfg["perturb"]["background"])
+        gamma = al.background_to_matrix(bg, grid).entries
+        dense = []
+        for (t, state), lin_u in zip(flows["records"], flows["lin"].matrices):
+            diff = al.OperatorMatrix(grid, to_matrix(state).entries - gamma)
+            dense.append((al.sobolev_schatten_norm(diff, 1.0), al.sobolev_schatten_norm(lin_u, 1.0)))
+        assert len(dense) == len(rows)
+        got = np.array([[float(r[1]), float(r[2])] for r in rows])
+        return got, np.array(dense), bg
+
+    def test_norms_match_dense_route_on_readme_config(self, tmp_path, monkeypatch):
+        cfg = {
+            "output_dir": str(tmp_path / "run"),
+            "seed": 7,
+            "grid": {"N": 12},
+            "perturb": {"background": "stable-broad", "epsilon": 1e-3, "dt": 1e-3, "seed_band": 2,
+                        "fit_window": [0.5, 2.0], "c_bilinear": 0.18},
+        }
+        got, dense, _ = self.run_against_dense_norms(tmp_path, monkeypatch, cfg)
+        assert (dense > 0.0).all()
+        assert (np.abs(got - dense) <= 1e-12 * dense).all()
+
+    def test_norms_match_dense_route_at_zero_epsilon(self, tmp_path, monkeypatch):
+        # gamma(t) - Gamma is rounding only, so the two routes are held to the scale of
+        # the terms whose difference they take, ||Gamma||_{H1 S1}, not to each other's rounding
+        cfg = self.perturb_config(tmp_path / "run", 0.0)
+        got, dense, bg = self.run_against_dense_norms(tmp_path, monkeypatch, cfg)
+        assert (got[:, 1] == 0.0).all() and (dense[:, 1] == 0.0).all()
+        assert got[:, 0].max() < 1e-10 and dense[:, 0].max() < 1e-10
+        assert np.abs(got[:, 0] - dense[:, 0]).max() <= 1e-12 * bg.h1s1_norm()
+
 
 class TestInequalities:
     def ineq_config(self, out_dir, **section):
@@ -437,6 +498,32 @@ class TestInequalities:
         assert err.getvalue() == "divergence at t=0; no data file written\n"
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
+    def test_one_draw_serves_checks_and_apriori(self, tmp_path, monkeypatch):
+        # 70 samples with pairs are 140 states, two blocks: the a-priori ensemble
+        # reads its states 0..69 from the checks' draw, and gets the public route's results
+        import alber_lab.inequalities as ineq
+
+        draws = []
+
+        def counting(*args, **kwargs):
+            draws.append(args[1:3])
+            return original(*args, **kwargs)
+
+        original = ineq._draw
+        monkeypatch.setattr(ineq, "_draw", counting)
+        out = tmp_path / "run"
+        names = ["bessel", "trace", "gn"]
+        cfg = self.ineq_config(out, n_samples=70, checks=names, apriori=True)
+        assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 0
+        assert draws == [(140, ineq.STATE_BLOCK)]
+        ens = cli.EnsembleConfig(70, cli.SpectralGrid(8), seed=3)
+        expected = [*ineq.run_checks(ens, 1.0, tuple(names)), ineq.check_apriori_ensemble(ens, 1.0, 1.0)]
+        _, rows = read_csv(out / "checks.csv")
+        assert rows == [
+            [r.name, str(r.n_samples), str(r.violations), cli._fmt(r.worst_ratio), cli._fmt(r.empirical_constant), "3"]
+            for r in expected
+        ]
+
     def test_unknown_check_rejected(self, tmp_path):
         cfg = self.ineq_config(tmp_path / "x", checks=["bessel", "nonsense"])
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 2
@@ -449,10 +536,10 @@ class TestInequalities:
         # no genuine violator is known; force one through the check table
         from alber_lab.inequalities import CheckResult
 
-        def fake_run_checks(cfg, s, names):
+        def fake_run_checks(cfg, s, names, drawn):
             return [CheckResult("bessel", 5, 1, 2.0, offender={"marker": 1})]
 
-        monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+        monkeypatch.setattr(cli, "_run_checks", fake_run_checks)
         out = tmp_path / "run"
         cfg = self.ineq_config(out)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4
@@ -910,10 +997,10 @@ class TestManifest:
     def test_contract_on_violation(self, tmp_path, monkeypatch):
         from alber_lab.inequalities import CheckResult
 
-        def fake_run_checks(cfg, s, names):
+        def fake_run_checks(cfg, s, names, drawn):
             return [CheckResult("bessel", 5, 1, 2.0, offender={"marker": 1})]
 
-        monkeypatch.setattr(cli, "run_checks", fake_run_checks)
+        monkeypatch.setattr(cli, "_run_checks", fake_run_checks)
         out = tmp_path / "run"
         cfg = ensemble_input(out)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4
@@ -948,6 +1035,19 @@ class TestManifest:
         out = tmp_path / "run"
         assert cli.main(["penrose", "--config", write_config(tmp_path, penrose_input(out))]) == 0
         assert json.loads((out / "manifest.json").read_text())["elapsed_s"] >= 0.2
+
+    def test_parser_built_once_across_calls(self, tmp_path, capsys):
+        cli._parser.cache_clear()
+        sim = tmp_path / "sim"
+        assert cli.main(["simulate", "--config", write_config(tmp_path, simulate_config(sim), "a.json")]) == 0
+        assert cli.main(["penrose", "--config", write_config(tmp_path, {"seed": 0}, "bad.json")]) == 2
+        assert "missing key penrose" in capsys.readouterr().err
+        pen = tmp_path / "pen"
+        assert cli.main(["penrose", "--config", write_config(tmp_path, penrose_input(pen), "b.json")]) == 0
+        assert json.loads((sim / "manifest.json").read_text())["subcommand"] == "simulate"
+        assert json.loads((pen / "manifest.json").read_text())["subcommand"] == "penrose"
+        info = cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_help_lines_are_handler_docstrings(self, capsys):
         with pytest.raises(SystemExit):

@@ -583,6 +583,38 @@ class TestFreeDensity:
         t = np.linspace(0, 20, 501)
         assert np.abs(al.free_density(u0, 0.9, k, t)).max() <= cap + 1e-12
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=hst.integers(1, 16),
+        p=hst.sampled_from([0.5, -0.5, 1.0, 1.7]),
+        seed=hst.integers(0, 2**32 - 1),
+        data=hst.data(),
+    )
+    def test_matches_term_by_term_sum(self, n, p, seed, data):
+        # the oracle's phases p*k*(2j+k)*t are formed in long double: in double
+        # their rounding alone is up to eps*|p*k*(2j+k)*t|, about 1e-12 at N = 16, t = 20
+        grid = al.SpectralGrid(n)
+        k = data.draw(hst.integers(1, 2 * n)) * data.draw(hst.sampled_from([1, -1]))
+        times = hst.floats(0.0, 20.0)
+        arrays = hst.lists(times, min_size=1, max_size=6).map(np.array)
+        t = data.draw(times | arrays | arrays.map(lambda v: v[:, None]))  # scalar, 1-d and 2-d t
+        gen = np.random.default_rng(seed)
+        u = gen.standard_normal((grid.n_modes,) * 2) + 1j * gen.standard_normal((grid.n_modes,) * 2)
+        t_long = np.asarray(t, dtype=np.longdouble)
+        brute = np.zeros(np.shape(t), dtype=np.clongdouble)
+        total = 0.0
+        for j in grid.modes():
+            if abs(j + k) <= grid.N:
+                entry = u[grid.N + j + k, grid.N + j]
+                brute += entry * np.exp(1j * (np.longdouble(p) * int(k * (2 * j + k)) * t_long))
+                total += abs(entry)
+        got = al.free_density(al.OperatorMatrix(grid, u), p, k, t)
+        if np.ndim(t) == 0:
+            assert type(got) is complex
+        else:
+            assert got.shape == np.shape(t) and got.dtype == complex
+        assert np.abs(got - brute.astype(complex)).max(initial=0.0) <= 1e-12 * total
+
 
 def per_step_volterra(bg, u0, p, q, k, t):
     """volterra_solve's recurrence in its per-step form, the reference for
