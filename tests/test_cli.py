@@ -351,29 +351,36 @@ class TestPerturb:
         assert len(rows) == loops[0].steps // loops[0].record_every + 1
 
     def test_hermitian_checks_do_not_grow_with_records(self, tmp_path, monkeypatch):
-        # the recorded difference gamma(t) - Gamma is Hermitian by construction,
-        # so only the run's fixed inputs (datum, perturbation) are checked
+        # the run's fixed inputs (datum, perturbation) are checked one by one, and
+        # the recorded differences gamma(t) - Gamma once per stack of PERTURB_BLOCK records
         import alber_lab.states as states
 
-        calls = []
-        original = states._check_hermitian
+        calls = {states: [], cli: []}
 
-        def counting(entries):
-            calls.append(entries.shape)
-            return original(entries)
+        def counting(module):
+            original = module._check_hermitian
 
-        monkeypatch.setattr(states, "_check_hermitian", counting)
+            def check(entries):
+                calls[module].append(entries.shape)
+                return original(entries)
+
+            return check
+
+        for module in calls:
+            monkeypatch.setattr(module, "_check_hermitian", counting(module))
         counts = []
         for record_every in (1, 10):
-            calls.clear()
+            for seen in calls.values():
+                seen.clear()
             out = tmp_path / f"every{record_every}"
-            cfg = self.perturb_config(out, 1e-3, record_every=record_every)
+            cfg = self.perturb_config(out, 1e-3, dt=1e-3, record_every=record_every)
             assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
             _, rows = read_csv(out / "deviation.csv")
-            counts.append((len(rows), len(calls)))
-        (many, checks_many), (few, checks_few) = counts
-        assert many > few > 1
-        assert checks_many == checks_few
+            assert len(calls[cli]) == math.ceil(len(rows) / cli.PERTURB_BLOCK)
+            counts.append((len(rows), len(calls[states])))
+        (many, fixed_many), (few, fixed_few) = counts
+        assert many > cli.PERTURB_BLOCK and few > 1
+        assert fixed_many == fixed_few > 0
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf])
     def test_bad_step_rejected(self, tmp_path, dt):

@@ -471,6 +471,157 @@ class TestConjugation:
         assert res.empirical_constant >= 1.0 / math.sqrt(TWO_PI) - 1e-9
 
 
+def dense_opnorms(cfg, coeffs, s):
+    """The op norm of every field row by a full SVD, as loop_conjugation takes it."""
+    d = cfg.grid.brackets_sq() ** (0.5 * s)
+    return np.array([_singular_values(d[:, None] * _multiplier_matrix(cfg.grid, c) / d[None, :])[0] for c in coeffs])
+
+
+def ratios_by_svd(cfg, coeffs, s):
+    """The CheckResult of loop_conjugation on given field rows."""
+    fnorm = al.sobolev_norm(coeffs, s)
+    keep = ~(fnorm < 1e-14)
+    return _constant_result("conjugation", cfg, (dense_opnorms(cfg, coeffs, s)[keep] / fnorm[keep]).tolist())
+
+
+def assert_bit_identical(got, expected):
+    assert got.name == expected.name and got.n_samples == expected.n_samples and got.violations == 0
+    assert got.worst_ratio == expected.worst_ratio
+    assert got.empirical_constant == expected.empirical_constant or (
+        math.isnan(got.empirical_constant) and math.isnan(expected.empirical_constant)
+    )
+
+
+def assert_numerators_bounded(cfg, coeffs, s):
+    """Every numerator is at most the dense op norm, and equal to it on the top decile."""
+    opnorm, fnorm, _ = ineq._conjugation(cfg, coeffs, s)
+    dense = dense_opnorms(cfg, coeffs, s)
+    keep = ~(fnorm < 1e-14)
+    assert (opnorm[~keep] == 0.0).all()
+    assert (opnorm[keep] <= dense[keep]).all()
+    ratios = dense[keep] / fnorm[keep]
+    k = max(1, math.ceil(ratios.size / 10))
+    if ratios.size:
+        top = ratios >= np.sort(ratios)[-k]
+        assert np.array_equal(opnorm[keep][top], dense[keep][top])
+
+
+def straddling_copies(coeffs, cfg, s):
+    """The field of the k-th largest ratio, copied over the fields ranked k+1, k+2 and last."""
+    ratios = dense_opnorms(cfg, coeffs, s) / al.sobolev_norm(coeffs, s)
+    order = np.argsort(-ratios)
+    k = math.ceil(coeffs.shape[0] / 10)
+    out = coeffs.copy()
+    out[order[[k, k + 1, -1]]] = coeffs[order[k - 1]]
+    return out
+
+
+def zero_fields(coeffs, cfg, s):
+    """Two fields set to zero among live ones."""
+    out = coeffs.copy()
+    out[[0, 7]] = 0.0
+    return out
+
+
+class TestCertifiedConjugation:
+    """An SVD only for the fields that can reach the top decile, the result bit for bit the dense one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=hst.integers(1, 24),
+        n_samples=hst.integers(1, 120),
+        s=hst.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        decay=hst.sampled_from([0.5, 1.0, 2.0, 2.5, 3.5]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_dense_route(self, n, n_samples, s, decay, seed):
+        cfg = EnsembleConfig(n_samples, al.SpectralGrid(n), (1, 1), decay, seed)
+        assert_bit_identical(check_conjugation(cfg, s), loop_conjugation(cfg, s))
+        assert_numerators_bounded(cfg, ineq._draw_fields(cfg, n_samples), s)
+
+    @pytest.mark.parametrize(
+        "n_samples, N, make",
+        [
+            pytest.param(30, 8, straddling_copies, id="ties-straddle-decile"),
+            pytest.param(30, 8, zero_fields, id="zero-fields"),
+            pytest.param(25, 6, lambda c, cfg, s: c * 1e150, id="amplitude-1e150"),
+            pytest.param(25, 6, lambda c, cfg, s: c * 1e-150, id="amplitude-1e-150"),
+            pytest.param(5, 8, None, id="n5"),
+            pytest.param(9, 16, None, id="n9"),
+            pytest.param(12, 128, None, id="N128"),
+        ],
+    )
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+    def test_hand_cases(self, monkeypatch, n_samples, N, make, s):
+        cfg = EnsembleConfig(n_samples, al.SpectralGrid(N), seed=11)
+        coeffs = ineq._draw_fields(cfg, n_samples)
+        if make is not None:
+            coeffs = make(coeffs, cfg, s)
+        monkeypatch.setattr(ineq, "_draw_fields", lambda cfg, count: coeffs)
+        assert_bit_identical(check_conjugation(cfg, s), ratios_by_svd(cfg, coeffs, s))
+        assert_numerators_bounded(cfg, coeffs, s)
+
+    def test_ties_with_the_decile_get_the_svd(self, monkeypatch):
+        # eight copies of the field of largest ratio: each ties the k-th ratio, so none can be certified
+        cfg = EnsembleConfig(20, al.SpectralGrid(8), seed=4)
+        coeffs = ineq._draw_fields(cfg, 20)
+        coeffs[12:] = coeffs[np.argmax(dense_opnorms(cfg, coeffs, 1.0) / al.sobolev_norm(coeffs, 1.0))]
+        calls = []
+        monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
+        assert_bit_identical(ineq._result("conjugation", cfg, [ineq._conjugation(cfg, coeffs, 1.0)]),
+                             ratios_by_svd(cfg, coeffs, 1.0))
+        assert len(calls) >= 9
+
+    def test_near_ties_within_rounding_get_the_svd(self, monkeypatch):
+        # one field scaled by 1 + j 2^-50: the ratios agree to rounding, inside the certificate's margin
+        cfg = EnsembleConfig(10, al.SpectralGrid(8), seed=5)
+        coeffs = ineq._draw_fields(cfg, 1) * (1.0 + np.arange(10)[:, None] * 2.0**-50)
+        calls = []
+        monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
+        monkeypatch.setattr(ineq, "_draw_fields", lambda cfg, count: coeffs)
+        got = check_conjugation(cfg)
+        assert len(calls) == 10
+        monkeypatch.undo()
+        assert_bit_identical(got, ratios_by_svd(cfg, coeffs, 1.0))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_few_svds(self, monkeypatch, seed):
+        calls = []
+        monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(m.shape) or _singular_values(m))
+        cfg = EnsembleConfig(50, al.SpectralGrid(32), seed=seed)
+        got = check_conjugation(cfg)
+        assert 5 <= len(calls) <= 15
+        monkeypatch.undo()
+        assert_bit_identical(got, loop_conjugation(cfg))
+
+    def test_failed_certificates_fall_back_to_the_svd(self, monkeypatch):
+        cfg = EnsembleConfig(50, al.SpectralGrid(16), seed=8)
+        expected = check_conjugation(cfg)
+        calls = []
+
+        def refuse(h, *args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
+        got = check_conjugation(cfg)
+        assert len(calls) == cfg.n_samples
+        assert_bit_identical(got, expected)
+        monkeypatch.undo()
+        assert_bit_identical(got, loop_conjugation(cfg))
+
+    @pytest.mark.parametrize("n", [65, 513])
+    def test_certificate_margin(self, n):
+        # a norm within the rounding margin of the threshold is refused; 1e-6 below it is proved
+        slack = ineq._slack(n)
+        work = np.empty((2, n, n), dtype=complex)
+        for gap, proved in ((1e-6, True), (slack, False), (0.0, False)):
+            a = (1.0 - gap) * np.eye(n, dtype=complex)
+            assert ineq._certified(a, 1.0, float(n), work) is proved
+        assert slack * (n + 1) > (1e-10 if n == 513 else 1e-12)
+        assert not ineq._certified(np.eye(n, dtype=complex), 0.0, float(n), work)
+
+
 class TestBilinear:
     def test_constant_density_commutes(self, grid8, rng):
         # gamma1 with constant density: V_rho is a multiple of the identity
