@@ -48,9 +48,7 @@ from .inequalities import (
     APRIORI_DT,
     APRIORI_T,
     EnsembleConfig,
-    _apriori,
-    _run_checks,
-    check_bilinear,
+    run_checks,
 )
 from .penrose import check_eta_min, penrose_margin, propagator_constants
 from .presets import background_preset, random_hermitian_perturbation, random_smooth_state
@@ -368,7 +366,7 @@ def _bilinear_constant(section: dict, seed: int) -> float:
     40-sample ensemble at N = 16."""
     c_bil = section.get("c_bilinear")
     if c_bil is None:
-        return check_bilinear(EnsembleConfig(40, SpectralGrid(16), seed=seed), 1.0).empirical_constant
+        return run_checks(EnsembleConfig(40, SpectralGrid(16), seed=seed), 1.0, ("bilinear",))[0].empirical_constant
     return float(c_bil)
 
 
@@ -479,14 +477,12 @@ def cmd_perturb(cfg: dict, out: Path) -> int:
         run_cfg,
         matrix_every=1,
     )
-    # <D>(gamma(t) - Gamma)<D> = F C F* with F = <D>[orbitals(t)^T | e_n, n in supp Gamma] and
+    # <D>(gamma(t) - Gamma)<D> = F C F* with F = <D>[orbitals(t)^T | plane waves of Gamma] and
     # C = diag(mu, -Gamma_hat(supp)), whose trace norm is taken in factor space (rank r + |supp|)
     weight = grid.brackets_sq() ** 0.5
-    gh = bg.gamma_hat(grid.modes()).astype(float)
-    supp = np.flatnonzero(gh)
-    waves = np.zeros((grid.n_modes, supp.size))
-    waves[supp, np.arange(supp.size)] = weight[supp]
-    core = np.diag(np.concatenate([datum.weights, -gh[supp]]))
+    bg_state = background_to_state(bg, grid)
+    waves = weight[:, None] * bg_state.orbitals.T
+    core = np.diag(np.concatenate([datum.weights, -bg_state.weights]))
     records = zip(iter_evolve(datum, run_cfg), lin.matrices)
     code = 0
     rows = []
@@ -552,11 +548,8 @@ def cmd_inequalities(cfg: dict, out: Path) -> int:
         decay_exponent=section["decay_exponent"],
         seed=cfg["seed"],
     )
-    drawn = []  # the checks' states 0..n-1, which the a-priori ensemble reuses
-    results = _call("ensemble", _run_checks, ens, section["s"], tuple(section["checks"]), drawn)
-    if section["apriori"]:
-        p, q = _physics(cfg)
-        results.append(_apriori(ens, p, q, APRIORI_T, APRIORI_DT, drawn))
+    apriori = (*_physics(cfg), APRIORI_T, APRIORI_DT) if section["apriori"] else None
+    results = _call("ensemble", run_checks, ens, section["s"], tuple(section["checks"]), apriori)
     rows = [
         (r.name, r.n_samples, r.violations, r.worst_ratio, r.empirical_constant, cfg["seed"])
         for r in results

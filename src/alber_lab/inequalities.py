@@ -20,10 +20,10 @@ with n_samples.  The difference U = gamma1 - gamma2 of a pair is built,
 and checked Hermitian, once for both the trace and the Fourier-summation
 check.  Each result is that of a sample-by-sample loop over the same
 streams: the same violations, ratios and tail constants, and as offender
-the violating sample of lowest draw index.  The CLI runs the a-priori
-ensemble (_apriori) on the states 0..n-1 of that same draw, which
-_run_checks hands over as the blocks holding them, so a run draws and
-orthonormalizes each state once.
+the violating sample of lowest draw index.  run_checks is the lab's one
+runner: given apriori=(p, q, T, dt) it also evolves the states 0..n-1 of
+that same draw (_apriori), block by block like any check that reads
+states, so a run draws and orthonormalizes each state once.
 
 The H^s S^1 norms of a difference gamma1 - gamma2 (rank <= r1 + r2) and of
 a commutator [V, gamma2] (rank <= 2 r2) are taken in factor space: each is
@@ -45,7 +45,7 @@ is its lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,9 +99,10 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        n = self.n_samples
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_samples must be an int >= 1, got {n!r}")
+        for key, least in (("n_samples", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{key} must be an int >= {least}, got {value!r}")
         ranks = tuple(self.rank_range) if isinstance(self.rank_range, (tuple, list)) else ()
         n_modes = self.grid.n_modes
         if not (
@@ -380,65 +381,37 @@ def check_apriori(records: list[TrajectoryRecord], ybar: float) -> CheckResult:
     return CheckResult("apriori", len(records), violations, worst)
 
 
-def check_apriori_ensemble(
-    cfg: EnsembleConfig, p: float, q: float, T: float = APRIORI_T, dt: float = APRIORI_DT
-) -> CheckResult:
-    """Short evolutions of random states, each tested against its own Ybar.
+def _apriori(cfg: EnsembleConfig, blk: _Block, run_cfg: EvolveConfig) -> tuple:
+    """Short evolutions of the states of blk among 0..n-1, each tested against its own Ybar.
 
-    The samples are the states 0..n-1 of _draw in one block, grouped by
-    rank, so no
-    padding is needed; their Ybar comes from the stacked mass, kinetic
-    energy and density.  Each group is evolved as one batch through the
-    split-step kernel, its record scalars taken in one pass.  As in
-    check_apriori, every record with h1s1 > Ybar (1 + 1e-6) counts as a
-    violation.  Raises DivergenceError, with no records, at the first
-    record where a sample of a group leaves the trust region (the rule of
-    evolve).
+    Ybar comes from the stacked mass, kinetic energy and density.  Each
+    rank group is evolved as one batch through the split-step kernel, its
+    record scalars taken in one pass.  Per state, the terms are the worst
+    h1s1 / Ybar over the records and the number of records with h1s1 >
+    Ybar (1 + 1e-6), the violations of check_apriori.  Raises
+    DivergenceError, with no records, at the first record where a state of
+    a group leaves the trust region (the rule of evolve).
     """
-    return _apriori(cfg, p, q, T, dt, [])
-
-
-def _first_states(blocks: list, n: int) -> _Block:
-    """The states 0..n-1 of a draw's leading blocks as one block, each rank group in draw order."""
-    ranks = np.concatenate([blk.ranks[: n - blk.start] for blk in blocks])
-    slot = np.zeros(ranks.size, dtype=int)
-    weights, orbitals = {}, {}
-    for r in sorted(set(ranks.tolist())):
-        members = ranks == r
-        slot[members] = np.arange(np.count_nonzero(members))
-        held = [(blk, np.count_nonzero(blk.ranks[: n - blk.start] == r)) for blk in blocks]
-        weights[r] = np.concatenate([blk.weights[r][:c] for blk, c in held if c])
-        orbitals[r] = np.concatenate([blk.orbitals[r][:c] for blk, c in held if c])
-    return _Block(blocks[0].grid, (), 0, ranks, slot, weights, orbitals)
-
-
-def _apriori(cfg: EnsembleConfig, p: float, q: float, T: float, dt: float, blocks: list) -> CheckResult:
-    """check_apriori_ensemble on the states 0..n-1 held by blocks, the leading blocks of an
-    earlier draw at cfg.seed (as _run_checks leaves them), or of a fresh draw if blocks is empty."""
-    grid, n = cfg.grid, cfg.n_samples
-    focusing = p * q > 0
-    run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T, record_every=max(1, int(round(T / dt)) // 10))
-    blk = _first_states(blocks or list(_draw(cfg, n, n)), n)
+    grid, p, q = cfg.grid, run_cfg.p, run_cfg.q
     kinetic_w = grid.modes().astype(float) ** 2
 
-    def conserved(mu: np.ndarray, c: np.ndarray) -> tuple:
+    def evolved(mu: np.ndarray, c: np.ndarray) -> tuple:
         rho = np.abs(_density(grid, mu, c))
         rho_l2 = np.sqrt(np.sum(rho**2, axis=-1) * (TWO_PI / grid.M))  # lp_norm(rho, 2) per state
-        return _orbital_sum(mu, c, 1.0), _orbital_sum(mu, c, kinetic_w), rho_l2
-
-    mass_, kinetic, rho_l2 = (v.tolist() for v in _over_states(blk, n, conserved))
-    ybars = np.array([ybar_bound(m, k, r, p, q, focusing) for m, k, r in zip(mass_, kinetic, rho_l2)])
-    violations, worst = 0, 0.0
-    for rank, mu in blk.weights.items():
-        ybar = ybars[blk.ranks == rank]
-        for t, orbitals in _split_step(grid, mu, blk.orbitals[rank], run_cfg):
+        conserved = zip(_orbital_sum(mu, c, 1.0).tolist(), _orbital_sum(mu, c, kinetic_w).tolist(), rho_l2.tolist())
+        ybar = np.array([ybar_bound(m, k, r, p, q, p * q > 0) for m, k, r in conserved])
+        worst, violations = np.zeros(ybar.size), np.zeros(ybar.size)
+        for t, orbitals in _split_step(grid, mu, c, run_cfg):
             mass_v, s2, energy, kin, _, h1s1, _ = _record_scalars(grid, mu, orbitals, p, q)
             if not _trusted(mass_v, s2, energy, kin, h1s1).all():
                 raise DivergenceError(t, [])
             ratio = np.divide(h1s1, ybar, out=np.full_like(h1s1, math.inf), where=ybar != 0)
-            worst = max(worst, float(ratio.max()))
-            violations += int(np.count_nonzero(h1s1 > ybar * (1.0 + 1e-6)))
-    return CheckResult("apriori", n, violations, worst)
+            np.maximum(worst, ratio, out=worst)
+            violations += h1s1 > ybar * (1.0 + 1e-6)
+        return worst, violations
+
+    worst, violations = _over_states(blk, cfg.n_samples - blk.start, evolved)
+    return worst, violations, None
 
 
 # ---- empirical-constant checks ----
@@ -689,9 +662,9 @@ class _Check(NamedTuple):
     """A check's per-sample terms and what it reads.
 
     terms(cfg, source, s) returns, for the samples the source holds, either
-    (ratio, violation flag, offender of the first violator or None) of an
-    explicit-constant check or (numerator, denominator, None) of an
-    empirical one.  reads is "states" (sample i is state i of the draw),
+    (ratio, violation flag or count, offender of the first violator or
+    None) of an explicit-constant check or (numerator, denominator, None)
+    of an empirical one.  reads is "states" (sample i is state i of the draw),
     "pairs" (states 2i and 2i+1) or "fields" (field row i); the source is
     a _Block for the first two and the field rows for the last.
     """
@@ -714,92 +687,59 @@ _CHECKS = {
 ALL_CHECKS = tuple(_CHECKS)
 
 
-def _result(name: str, cfg: EnsembleConfig, parts: list) -> CheckResult:
+def _result(name: str, cfg: EnsembleConfig, parts: list, explicit: bool) -> CheckResult:
     """The CheckResult of a check from the terms of its samples, in draw order."""
     a, b = (np.concatenate(x) for x in zip(*((p[0], p[1]) for p in parts)))
-    if _CHECKS[name].explicit:
+    if explicit:
         offender = next((p[2] for p in parts if p[2] is not None), None)
-        return CheckResult(name, cfg.n_samples, int(np.count_nonzero(b)), float(a.max(initial=0.0)), offender=offender)
+        return CheckResult(name, cfg.n_samples, int(b.sum()), float(a.max(initial=0.0)), offender=offender)
     keep = ~(b < 1e-14)
     return _constant_result(name, cfg, (a[keep] / b[keep]).tolist())
 
 
-def _run(cfg: EnsembleConfig, s: float, names: tuple, drawn: list | None = None) -> list[CheckResult]:
-    """The named checks at order s, all on one draw: the states in blocks, the field rows at once.
-
-    Appends to drawn, if given, the blocks that hold the states 0..n-1."""
-    n = cfg.n_samples
-    parts = {name: [] for name in names}
-    reads = {_CHECKS[name].reads for name in names}
-    n_states = 2 * n if "pairs" in reads else n if "states" in reads else 0
-    for blk in _draw(cfg, n_states, STATE_BLOCK, names):
-        if drawn is not None and blk.start < n:
-            drawn.append(blk)
-        for name in parts:
-            check = _CHECKS[name]
-            if check.reads == "pairs" or check.reads == "states" and blk.start < n:
-                parts[name].append(check.terms(cfg, blk, s))
-    if "fields" in reads:
-        fields = _draw_fields(cfg, n)
-        for name in parts:
-            if _CHECKS[name].reads == "fields":
-                parts[name].append(_CHECKS[name].terms(cfg, fields, s))
-    return [_result(name, cfg, parts[name]) for name in names]
-
-
-def check_bessel(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """||rho||_inf <= B_s ||gamma||_{H^s S1} on the states 0..n-1, slack 1 + 1e-8."""
-    return _run(cfg, s, ("bessel",))[0]
-
-
-def check_gn(cfg: EnsembleConfig) -> CheckResult:
-    """The Gagliardo-Nirenberg bounds on n random fields (see _gn)."""
-    return _run(cfg, 1.0, ("gn",))[0]
-
-
-def check_hoffmann_ostenhof(cfg: EnsembleConfig) -> CheckResult:
-    """||grad sqrt(rho + eps)||_L2^2 <= K on the states 0..n-1 (see _hoffmann_ostenhof)."""
-    return _run(cfg, 1.0, ("hoffmann_ostenhof",))[0]
-
-
-def check_trace_estimate(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """||rho_U||_{H^s} <= C ||U||_{H^s S1} on the differences of the pairs (2i, 2i+1)."""
-    return _run(cfg, s, ("trace",))[0]
-
-
-def check_conjugation(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """op-norm of <D>^s M_f <D>^-s <= C ||f||_{H^s} on n random fields."""
-    return _run(cfg, s, ("conjugation",))[0]
-
-
-def check_bilinear(cfg: EnsembleConfig, s: float = 1.0) -> CheckResult:
-    """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1} on the pairs."""
-    return _run(cfg, s, ("bilinear",))[0]
-
-
-def check_fourier_summation(cfg: EnsembleConfig) -> CheckResult:
-    """sum_{k!=0} <k>^2 (sum_j |U_{j+k,j}|)^2 <= C ||U||_{H1 S1}^2 on the pairs (see _fourier_summation)."""
-    return _run(cfg, 1.0, ("fourier_summation",))[0]
-
-
-def run_checks(cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS) -> list[CheckResult]:
+def run_checks(
+    cfg: EnsembleConfig, s: float = 1.0, names: tuple = ALL_CHECKS, apriori: tuple | None = None
+) -> list[CheckResult]:
     """Run the named checks at Sobolev order s, all on one draw of the ensemble.
 
-    Before any sample is drawn, rejects unknown names (the message starts
-    with "checks") and an s that is non-finite, negative, or <= 1/2 when
-    bessel is named (the message starts with "s").
+    The draw holds the states in blocks of STATE_BLOCK and the field rows
+    at once.  With apriori = (p, q, T, dt), the a-priori result comes last:
+    the states 0..n-1 of the same draw evolved to T in steps dt (_apriori),
+    with records every tenth of the steps.
+
+    Before any sample is drawn, rejects unknown or repeated names (the
+    message starts with "checks"), an s that is non-finite, negative, or
+    <= 1/2 when bessel is named (the message starts with "s"), and an
+    apriori that EvolveConfig rejects.
     """
-    return _run_checks(cfg, s, names)
-
-
-def _run_checks(cfg: EnsembleConfig, s: float, names: tuple, drawn: list | None = None) -> list[CheckResult]:
-    """run_checks, appending to drawn, if given, the blocks of its draw that hold the states
-    0..n-1, so that _apriori runs on them instead of drawing them again."""
+    names = tuple(names)
     unknown = [n for n in names if n not in _CHECKS]
     if unknown:
         raise ValueError(f"checks: unknown checks {unknown}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"checks: repeated checks {repeated}")
     if not (math.isfinite(s) and s >= 0.0):
         raise ValueError(f"s must be finite and >= 0, got {s}")
     if "bessel" in names and s <= 0.5:
         raise ValueError(f"s={s}: the bessel check needs s > 1/2")
-    return _run(cfg, s, tuple(names), drawn)
+    checks = {name: _CHECKS[name] for name in names}
+    if apriori is not None:
+        p, q, T, dt = apriori
+        run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T)
+        run_cfg = replace(run_cfg, record_every=max(1, run_cfg.steps // 10))
+        checks["apriori"] = _Check(lambda cfg, blk, s: _apriori(cfg, blk, run_cfg), "states", True)
+    n = cfg.n_samples
+    parts = {name: [] for name in checks}
+    reads = {check.reads for check in checks.values()}
+    n_states = 2 * n if "pairs" in reads else n if "states" in reads else 0
+    for blk in _draw(cfg, n_states, STATE_BLOCK, names):
+        for name, check in checks.items():
+            if check.reads == "pairs" or check.reads == "states" and blk.start < n:
+                parts[name].append(check.terms(cfg, blk, s))
+    if "fields" in reads:
+        fields = _draw_fields(cfg, n)
+        for name, check in checks.items():
+            if check.reads == "fields":
+                parts[name].append(check.terms(cfg, fields, s))
+    return [_result(name, cfg, parts[name], check.explicit) for name, check in checks.items()]

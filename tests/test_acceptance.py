@@ -13,16 +13,7 @@ import numpy as np
 import pytest
 
 import alber_lab as al
-from alber_lab.inequalities import (
-    EnsembleConfig,
-    check_apriori,
-    check_apriori_ensemble,
-    check_bessel,
-    check_bilinear,
-    check_gn,
-    check_hoffmann_ostenhof,
-    run_checks,
-)
+from alber_lab.inequalities import EnsembleConfig, check_apriori, run_checks
 
 UNSTABLE = "remark-5-2-unstable"
 STABLE = "stable-broad"
@@ -206,9 +197,8 @@ def test_criterion_7_inequality_lab():
     grid = al.SpectralGrid(32)
     big = EnsembleConfig(200, grid, seed=2024)
     small = EnsembleConfig(50, grid, seed=2024)
-    explicit = [check_bessel(big), check_gn(big), check_hoffmann_ostenhof(big)]
-    explicit.append(check_apriori_ensemble(big, 1.0, 1.0, T=0.5, dt=2e-3))
-    explicit.append(check_apriori_ensemble(big, 1.0, -1.0, T=0.5, dt=2e-3))
+    explicit = run_checks(big, 1.0, ("bessel", "gn", "hoffmann_ostenhof"), apriori=(1.0, 1.0, 0.5, 2e-3))
+    explicit += run_checks(big, 1.0, (), apriori=(1.0, -1.0, 0.5, 2e-3))
     violations = sum(r.violations for r in explicit)
 
     names = ("trace", "conjugation", "bilinear", "fourier_summation")
@@ -236,9 +226,7 @@ def test_criterion_8_stable_window():
     bg, p, q = al.background_preset(STABLE)
     kappa = min(al.penrose_margin(bg, p, q, k).margin for k in range(1, 7))
     assert kappa > 0.0
-    c_bil = check_bilinear(
-        EnsembleConfig(40, al.SpectralGrid(16), seed=2024), 1.0
-    ).empirical_constant
+    c_bil = run_checks(EnsembleConfig(40, al.SpectralGrid(16), seed=2024), 1.0, ("bilinear",))[0].empirical_constant
     grid = al.SpectralGrid(12)
     gamma_mat = al.background_to_matrix(bg, grid)
     u0 = al.random_hermitian_perturbation(grid, 2, np.random.default_rng(7))

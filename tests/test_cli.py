@@ -246,7 +246,7 @@ class TestPenrose:
     def test_bilinear_constant_helper(self):
         assert cli._bilinear_constant({"c_bilinear": 2}, 0) == 2.0
         ens = cli.EnsembleConfig(40, cli.SpectralGrid(16), seed=5)
-        expected = cli.check_bilinear(ens, 1.0).empirical_constant
+        expected = cli.run_checks(ens, 1.0, ("bilinear",))[0].empirical_constant
         assert cli._bilinear_constant({}, 5) == expected
 
 
@@ -506,25 +506,32 @@ class TestInequalities:
         assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_one_draw_serves_checks_and_apriori(self, tmp_path, monkeypatch):
-        # 70 samples with pairs are 140 states, two blocks: the a-priori ensemble
-        # reads its states 0..69 from the checks' draw, and gets the public route's results
+        # 70 samples with pairs are 140 states, two blocks: one run_checks call evolves
+        # the states 0..69 of the checks' draw, and gets the results of separate calls
         import alber_lab.inequalities as ineq
 
-        draws = []
+        draws, calls = [], []
 
         def counting(*args, **kwargs):
             draws.append(args[1:3])
             return original(*args, **kwargs)
 
-        original = ineq._draw
+        def recording(*args):
+            calls.append(args[1:])
+            return run_checks(*args)
+
+        original, run_checks = ineq._draw, cli.run_checks
         monkeypatch.setattr(ineq, "_draw", counting)
+        monkeypatch.setattr(cli, "run_checks", recording)
         out = tmp_path / "run"
         names = ["bessel", "trace", "gn"]
         cfg = self.ineq_config(out, n_samples=70, checks=names, apriori=True)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 0
+        apriori = (1.0, 1.0, cli.APRIORI_T, cli.APRIORI_DT)
+        assert calls == [(1.0, tuple(names), apriori)]
         assert draws == [(140, ineq.STATE_BLOCK)]
         ens = cli.EnsembleConfig(70, cli.SpectralGrid(8), seed=3)
-        expected = [*ineq.run_checks(ens, 1.0, tuple(names)), ineq.check_apriori_ensemble(ens, 1.0, 1.0)]
+        expected = [*run_checks(ens, 1.0, tuple(names)), *run_checks(ens, 1.0, (), apriori)]
         _, rows = read_csv(out / "checks.csv")
         assert rows == [
             [r.name, str(r.n_samples), str(r.violations), cli._fmt(r.worst_ratio), cli._fmt(r.empirical_constant), "3"]
@@ -535,6 +542,13 @@ class TestInequalities:
         cfg = self.ineq_config(tmp_path / "x", checks=["bessel", "nonsense"])
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_repeated_check_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        cfg = self.ineq_config(out, checks=["bessel", "gn", "bessel"])
+        assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "ensemble.checks: repeated checks ['bessel']" in capsys.readouterr().err
+        assert not (out / "checks.csv").exists()
+
     def test_bad_ensemble_rejected(self, tmp_path):
         cfg = self.ineq_config(tmp_path / "x", n_samples=0)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 2
@@ -543,10 +557,10 @@ class TestInequalities:
         # no genuine violator is known; force one through the check table
         from alber_lab.inequalities import CheckResult
 
-        def fake_run_checks(cfg, s, names, drawn):
+        def fake_run_checks(cfg, s, names, apriori):
             return [CheckResult("bessel", 5, 1, 2.0, offender={"marker": 1})]
 
-        monkeypatch.setattr(cli, "_run_checks", fake_run_checks)
+        monkeypatch.setattr(cli, "run_checks", fake_run_checks)
         out = tmp_path / "run"
         cfg = self.ineq_config(out)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4
@@ -1004,10 +1018,10 @@ class TestManifest:
     def test_contract_on_violation(self, tmp_path, monkeypatch):
         from alber_lab.inequalities import CheckResult
 
-        def fake_run_checks(cfg, s, names, drawn):
+        def fake_run_checks(cfg, s, names, apriori):
             return [CheckResult("bessel", 5, 1, 2.0, offender={"marker": 1})]
 
-        monkeypatch.setattr(cli, "_run_checks", fake_run_checks)
+        monkeypatch.setattr(cli, "run_checks", fake_run_checks)
         out = tmp_path / "run"
         cfg = ensemble_input(out)
         assert cli.main(["inequalities", "--config", write_config(tmp_path, cfg)]) == 4

@@ -406,7 +406,6 @@ class TestBatchKernel:
 
     def test_every_flow_reads_the_one_limit(self, grid8, monkeypatch, tmp_path):
         import alber_lab.cli as cli
-        from alber_lab.inequalities import check_apriori_ensemble
 
         bg, p, q = al.background_preset("stable-broad")
         u0 = al.random_hermitian_perturbation(grid8, 2, np.random.default_rng(3))
@@ -423,7 +422,7 @@ class TestBatchKernel:
             al.evolve(random_state(grid8, 2, seed=3, band=3), al.EvolveConfig(1.0, 1.0, 1e-2, 0.05))
         assert al.linearized_evolve(u0, bg, lin_cfg).growth_flag
         with pytest.raises(DivergenceError):
-            check_apriori_ensemble(al.EnsembleConfig(2, grid8), 1.0, 1.0, T=0.05, dt=1e-2)
+            al.run_checks(al.EnsembleConfig(2, grid8), 1.0, (), apriori=(1.0, 1.0, 0.05, 1e-2))
         assert cli.main(["perturb", "--config", str(path)]) == 3
 
 

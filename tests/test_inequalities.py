@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
@@ -25,14 +25,6 @@ from alber_lab.inequalities import (
     _multiplier_matrix,
     _tail_mean,
     check_apriori,
-    check_apriori_ensemble,
-    check_bessel,
-    check_bilinear,
-    check_conjugation,
-    check_fourier_summation,
-    check_gn,
-    check_hoffmann_ostenhof,
-    check_trace_estimate,
     fourier_summation_semi_explicit,
     random_field_coeffs,
     random_mixed_state,
@@ -270,6 +262,16 @@ class TestEnsembleConfig:
     def test_sample_count_accepted(self, n_samples):
         assert EnsembleConfig(n_samples, al.SpectralGrid(4)).n_samples == n_samples
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, np.True_, 2.0, "3", None])
+    def test_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed"):
+            EnsembleConfig(5, al.SpectralGrid(4), seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(7)])
+    def test_seed_accepted(self, seed):
+        cfg = EnsembleConfig(1, al.SpectralGrid(4), seed=seed)
+        assert run_checks(cfg, 1.0, ("gn",))[0].n_samples == 1
+
     @pytest.mark.parametrize("decay", [math.nan, math.inf, -math.inf])
     def test_non_finite_decay_rejected(self, decay):
         with pytest.raises(ValueError, match="decay_exponent"):
@@ -287,12 +289,12 @@ class TestBessel:
         assert abs(lhs / rhs - 1.0 / (TWO_PI * b1)) < 1e-10
 
     def test_ensemble_no_violations(self):
-        res = check_bessel(small_cfg(40))
+        res = run_checks(small_cfg(40), 1.0, ("bessel",))[0]
         assert res.violations == 0
         assert 0.0 < res.worst_ratio <= 1.0 + 1e-8
 
     def test_rougher_exponent_still_holds(self):
-        res = check_bessel(small_cfg(30, decay=1.5), s=0.8)
+        res = run_checks(small_cfg(30, decay=1.5), 0.8, ("bessel",))[0]
         assert res.violations == 0
 
 
@@ -315,7 +317,7 @@ class TestGagliardoNirenberg:
         assert l4**4 < l2**4 / TWO_PI + 2.0 * l2**3 * grad
 
     def test_ensemble_no_violations(self):
-        res = check_gn(small_cfg(60))
+        res = run_checks(small_cfg(60), 1.0, ("gn",))[0]
         assert res.violations == 0
 
 
@@ -328,9 +330,7 @@ class TestHoffmannOstenhof:
         coeffs[grid8.N + 2] = coeffs[grid8.N - 2] = 0.1
         coeffs /= math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
         state = al.MixedState(grid8, np.array([1.3]), coeffs[None, :])
-        res = check_hoffmann_ostenhof(
-            EnsembleConfig(1, grid8, rank_range=(1, 1), seed=0)
-        )
+        res = run_checks(EnsembleConfig(1, grid8, rank_range=(1, 1), seed=0), 1.0, ("hoffmann_ostenhof",))[0]
         # the ensemble draw is random; recompute the ratio on our state
         psi = synthesize_batch(grid8, coeffs)
         dpsi = synthesize_batch(grid8, coeffs * 1j * grid8.modes())
@@ -351,7 +351,7 @@ class TestHoffmannOstenhof:
         assert al.kinetic_energy(state) > 0.0
 
     def test_ensemble_no_violations(self):
-        res = check_hoffmann_ostenhof(small_cfg(40))
+        res = run_checks(small_cfg(40), 1.0, ("hoffmann_ostenhof",))[0]
         assert res.violations == 0
         assert res.worst_ratio <= 1.0 + 1e-8
 
@@ -376,7 +376,7 @@ class TestApriori:
     def test_short_evolution_both_signs(self):
         cfg = small_cfg(4, N=8, decay=3.0)
         for p, q in ((1.0, 1.0), (1.0, -1.0)):
-            res = check_apriori_ensemble(cfg, p, q, T=0.2, dt=5e-3)
+            res = run_checks(cfg, 1.0, (), apriori=(p, q, 0.2, 5e-3))[0]
             assert res.violations == 0
             assert res.worst_ratio < 1.0
 
@@ -398,7 +398,7 @@ class TestApriori:
             part = check_apriori(al.evolve(st, run_cfg)[1], ybar)
             violations += part.violations
             worst = max(worst, part.worst_ratio)
-        res = check_apriori_ensemble(cfg, p, q, T=0.2, dt=5e-3)
+        res = run_checks(cfg, 1.0, (), apriori=(p, q, 0.2, 5e-3))[0]
         assert res.violations == violations
         assert (violations > 0) == (shrink < 1.0)
         assert abs(res.worst_ratio - worst) <= 1e-15 * worst
@@ -412,14 +412,14 @@ class TestApriori:
 
         monkeypatch.setattr(ineq, "_split_step", counting)
         cfg = EnsembleConfig(30, al.SpectralGrid(8), rank_range=(1, 4), seed=5)
-        check_apriori_ensemble(cfg, 1.0, 1.0, T=0.05, dt=1e-2)
+        run_checks(cfg, 1.0, (), apriori=(1.0, 1.0, 0.05, 1e-2))
         rng = np.random.default_rng(cfg.seed)
         ranks = [sample_state(rng, cfg).rank for _ in range(cfg.n_samples)]
         assert runs == [(ranks.count(r), r) for r in sorted(set(ranks))]
 
     def test_divergence_raises(self):
         with pytest.raises(al.DivergenceError) as info:
-            check_apriori_ensemble(small_cfg(3, N=8), 1.0, 1e300)
+            run_checks(small_cfg(3, N=8), 1.0, (), apriori=(1.0, 1e300, ineq.APRIORI_T, ineq.APRIORI_DT))
         assert info.value.t == 0.0
 
 
@@ -435,7 +435,7 @@ class TestTraceEstimate:
         assert abs(ratio - 1.0 / math.sqrt(TWO_PI)) < 1e-12
 
     def test_ensemble_constant_recorded(self):
-        res = check_trace_estimate(small_cfg(50))
+        res = run_checks(small_cfg(50), 1.0, ("trace",))[0]
         assert res.violations == 0
         assert math.isfinite(res.empirical_constant)
         assert 0.0 < res.empirical_constant <= res.worst_ratio
@@ -455,18 +455,21 @@ class TestConjugation:
         assert abs(opnorm / fnorm - 1.0 / math.sqrt(TWO_PI)) < 1e-12
 
     @pytest.mark.parametrize(
-        "check", [check_conjugation, check_trace_estimate, check_bilinear, check_fourier_summation]
+        "name",
+        ["conjugation", "trace", "bilinear", "fourier_summation"],
+        # the ids keep the names these tests are tracked under
+        ids=["check_conjugation", "check_trace_estimate", "check_bilinear", "check_fourier_summation"],
     )
-    def test_svd_failure_is_a_numerical_error(self, monkeypatch, check):
+    def test_svd_failure_is_a_numerical_error(self, monkeypatch, name):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
         with pytest.raises(al.NumericalError, match="SVD failed"):
-            check(small_cfg(3))
+            run_checks(small_cfg(3), 1.0, (name,))
 
     def test_ensemble_constant_recorded(self):
-        res = check_conjugation(small_cfg(50))
+        res = run_checks(small_cfg(50), 1.0, ("conjugation",))[0]
         assert res.violations == 0
         assert res.empirical_constant >= 1.0 / math.sqrt(TWO_PI) - 1e-9
 
@@ -536,7 +539,7 @@ class TestCertifiedConjugation:
     )
     def test_equals_the_dense_route(self, n, n_samples, s, decay, seed):
         cfg = EnsembleConfig(n_samples, al.SpectralGrid(n), (1, 1), decay, seed)
-        assert_bit_identical(check_conjugation(cfg, s), loop_conjugation(cfg, s))
+        assert_bit_identical(run_checks(cfg, s, ("conjugation",))[0], loop_conjugation(cfg, s))
         assert_numerators_bounded(cfg, ineq._draw_fields(cfg, n_samples), s)
 
     @pytest.mark.parametrize(
@@ -558,7 +561,7 @@ class TestCertifiedConjugation:
         if make is not None:
             coeffs = make(coeffs, cfg, s)
         monkeypatch.setattr(ineq, "_draw_fields", lambda cfg, count: coeffs)
-        assert_bit_identical(check_conjugation(cfg, s), ratios_by_svd(cfg, coeffs, s))
+        assert_bit_identical(run_checks(cfg, s, ("conjugation",))[0], ratios_by_svd(cfg, coeffs, s))
         assert_numerators_bounded(cfg, coeffs, s)
 
     def test_ties_with_the_decile_get_the_svd(self, monkeypatch):
@@ -568,7 +571,7 @@ class TestCertifiedConjugation:
         coeffs[12:] = coeffs[np.argmax(dense_opnorms(cfg, coeffs, 1.0) / al.sobolev_norm(coeffs, 1.0))]
         calls = []
         monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
-        assert_bit_identical(ineq._result("conjugation", cfg, [ineq._conjugation(cfg, coeffs, 1.0)]),
+        assert_bit_identical(ineq._result("conjugation", cfg, [ineq._conjugation(cfg, coeffs, 1.0)], False),
                              ratios_by_svd(cfg, coeffs, 1.0))
         assert len(calls) >= 9
 
@@ -579,7 +582,7 @@ class TestCertifiedConjugation:
         calls = []
         monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
         monkeypatch.setattr(ineq, "_draw_fields", lambda cfg, count: coeffs)
-        got = check_conjugation(cfg)
+        got = run_checks(cfg, 1.0, ("conjugation",))[0]
         assert len(calls) == 10
         monkeypatch.undo()
         assert_bit_identical(got, ratios_by_svd(cfg, coeffs, 1.0))
@@ -589,14 +592,14 @@ class TestCertifiedConjugation:
         calls = []
         monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(m.shape) or _singular_values(m))
         cfg = EnsembleConfig(50, al.SpectralGrid(32), seed=seed)
-        got = check_conjugation(cfg)
+        got = run_checks(cfg, 1.0, ("conjugation",))[0]
         assert 5 <= len(calls) <= 15
         monkeypatch.undo()
         assert_bit_identical(got, loop_conjugation(cfg))
 
     def test_failed_certificates_fall_back_to_the_svd(self, monkeypatch):
         cfg = EnsembleConfig(50, al.SpectralGrid(16), seed=8)
-        expected = check_conjugation(cfg)
+        expected = run_checks(cfg, 1.0, ("conjugation",))[0]
         calls = []
 
         def refuse(h, *args, **kwargs):
@@ -604,7 +607,7 @@ class TestCertifiedConjugation:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         monkeypatch.setattr(ineq, "_singular_values", lambda m: calls.append(1) or _singular_values(m))
-        got = check_conjugation(cfg)
+        got = run_checks(cfg, 1.0, ("conjugation",))[0]
         assert len(calls) == cfg.n_samples
         assert_bit_identical(got, expected)
         monkeypatch.undo()
@@ -636,7 +639,7 @@ class TestBilinear:
         assert np.abs(comm).max() < 1e-12
 
     def test_ensemble_constant_recorded(self):
-        res = check_bilinear(small_cfg(30))
+        res = run_checks(small_cfg(30), 1.0, ("bilinear",))[0]
         assert res.violations == 0
         assert math.isfinite(res.empirical_constant)
 
@@ -662,7 +665,7 @@ class TestFourierSummation:
         assert abs(lhs / rhs - 1.0) < 1e-12
 
     def test_ensemble_below_semi_explicit_cap(self):
-        res = check_fourier_summation(small_cfg(60))
+        res = run_checks(small_cfg(60), 1.0, ("fourier_summation",))[0]
         assert res.violations == 0
         assert res.worst_ratio <= fourier_summation_semi_explicit()
 
@@ -707,6 +710,7 @@ class TestRunChecks:
             (-0.5, ("trace",), "s "),
             (0.5, ("trace", "bessel"), "s="),
             (0.3, ("bessel",), "s="),
+            (1.0, ("bessel", "gn", "bessel"), "checks"),
         ],
     )
     def test_bad_input_rejected_before_any_sample(self, monkeypatch, s, names, start):
@@ -719,6 +723,34 @@ class TestRunChecks:
             monkeypatch.setitem(ineq._CHECKS, name, no_sample)
         with pytest.raises(ValueError, match=f"^{start}"):
             run_checks(small_cfg(2), s, names)
+
+    @pytest.mark.parametrize(
+        "apriori, start",
+        [
+            ((0.0, 1.0, 0.5, 1e-2), "p and q"),
+            ((1.0, math.nan, 0.5, 1e-2), "q "),
+            ((1.0, 1.0, 0.5, -1e-2), "dt "),
+            ((1.0, 1.0, 1e-3, 1e-2), "T="),
+            ((1.0, 1.0, 0.5, 0.3), "T="),
+        ],
+    )
+    def test_bad_apriori_rejected_before_any_sample(self, monkeypatch, apriori, start):
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before apriori was validated")
+
+        monkeypatch.setattr(ineq, "_draw_state", no_sample)
+        monkeypatch.setattr(ineq, "_draw_fields", no_sample)
+        with pytest.raises(ValueError, match=f"^{start}"):
+            run_checks(small_cfg(2), 1.0, ("bessel", "gn"), apriori)
+
+    @pytest.mark.parametrize("names", [(), ("gn",), ("gn", "conjugation"), ("hoffmann_ostenhof",)])
+    def test_apriori_comes_last_on_n_states(self, monkeypatch, names):
+        # the a-priori ensemble reads states, so a call draws n of them even when no named check does
+        drawn, draw_state = [], ineq._draw_state
+        monkeypatch.setattr(ineq, "_draw_state", lambda rng, cfg: drawn.append(1) or draw_state(rng, cfg))
+        results = run_checks(small_cfg(5), 1.0, names, (1.0, 1.0, 0.05, 1e-2))
+        assert [r.name for r in results] == [*names, "apriori"]
+        assert len(drawn) == 5
 
     @pytest.mark.parametrize("s, names", [(0.0, ("trace",)), (0.5, ("trace", "gn")), (0.51, ("bessel",))])
     def test_edge_orders_accepted(self, s, names):
@@ -781,7 +813,7 @@ class TestPlaneWaveRoutes:
     def test_fourier_summation_matches_loop(self, n, samples, seed):
         cfg = small_cfg(samples, N=n, seed=seed)
         ratios = fourier_summation_by_loop(cfg)
-        res = check_fourier_summation(cfg)
+        res = run_checks(cfg, 1.0, ("fourier_summation",))[0]
         assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
         assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
 
@@ -832,11 +864,18 @@ def twins_of(draw, twins):
     return twin_draw
 
 
+# the ids keep the names these tests are tracked under
+SVD_ROUTES = [
+    pytest.param("trace", trace_by_svd, id="check_trace_estimate-trace_by_svd"),
+    pytest.param("bilinear", bilinear_by_svd, id="check_bilinear-bilinear_by_svd"),
+]
+
+
 class TestFactorSpaceNorms:
     """The factor-space trace norms of the trace and bilinear checks against dense SVDs."""
 
     # up to 8 factor columns against 2N+1 rows: F can be wide for N <= 3 and is tall from N = 4
-    @pytest.mark.parametrize("check, by_svd", [(check_trace_estimate, trace_by_svd), (check_bilinear, bilinear_by_svd)])
+    @pytest.mark.parametrize("name, by_svd", SVD_ROUTES)
     @settings(max_examples=15, deadline=None)
     @given(
         n=hst.integers(1, 8),
@@ -844,19 +883,19 @@ class TestFactorSpaceNorms:
         s=hst.sampled_from([0.0, 0.5, 1.0, 1.5]),
         seed=hst.integers(0, 2**32 - 1),
     )
-    def test_matches_svd(self, check, by_svd, n, samples, s, seed):
+    def test_matches_svd(self, name, by_svd, n, samples, s, seed):
         cfg = EnsembleConfig(samples, al.SpectralGrid(n), rank_range=(1, min(4, 2 * n + 1)), seed=seed)
         ratios = by_svd(cfg, s)
-        res = check(cfg, s)
+        (res,) = run_checks(cfg, s, (name,))
         assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
         assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
 
-    @pytest.mark.parametrize("check, by_svd", [(check_trace_estimate, trace_by_svd), (check_bilinear, bilinear_by_svd)])
-    def test_benchmark_size_matches_svd(self, check, by_svd):
+    @pytest.mark.parametrize("name, by_svd", SVD_ROUTES)
+    def test_benchmark_size_matches_svd(self, name, by_svd):
         # N=32: tall factors, 65 rows against at most 8 columns
         cfg = EnsembleConfig(12, al.SpectralGrid(32), seed=4)
         ratios = by_svd(cfg, 1.0)
-        res = check(cfg, 1.0)
+        (res,) = run_checks(cfg, 1.0, (name,))
         assert res.worst_ratio == pytest.approx(max(ratios), rel=1e-12)
         assert res.empirical_constant == pytest.approx(_tail_mean(ratios), rel=1e-12)
 
@@ -912,9 +951,9 @@ class TestOneDraw:
         expected = [LOOPS[name](cfg, s) for name in names]
         result = ineq._result
 
-        def counted(name, cfg, parts):  # every sample gets its terms once
+        def counted(name, cfg, parts, explicit):  # every sample gets its terms once
             assert sum(len(part[0]) for part in parts) == cfg.n_samples
-            return result(name, cfg, parts)
+            return result(name, cfg, parts, explicit)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ineq, "STATE_BLOCK", block)
@@ -924,6 +963,26 @@ class TestOneDraw:
                 assert_same_result(got, exp)
             for got, exp in zip(run_checks(cfg, s, names), expected):
                 assert_same_result(got, exp)
+
+    # n = 70 with a pair check and n = 130 with field checks only: draws of two blocks
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cfg=ensembles(max_samples=140),
+        names=hst.lists(hst.sampled_from(ALL_CHECKS), min_size=1, unique=True),
+        q=hst.sampled_from([1.0, -1.0]),
+        dt=hst.sampled_from([1e-2, 2e-2]),
+    )
+    @example(cfg=EnsembleConfig(70, al.SpectralGrid(4), seed=1), names=["bessel", "trace", "gn"], q=1.0, dt=1e-2)
+    @example(cfg=EnsembleConfig(130, al.SpectralGrid(3), seed=2), names=["gn", "conjugation"], q=-1.0, dt=1e-2)
+    def test_one_call_is_the_calls_it_joins(self, cfg, names, q, dt):
+        apriori = (1.0, q, 0.1, dt)
+        joint = run_checks(cfg, 1.0, tuple(names), apriori)
+        alone = [run_checks(cfg, 1.0, (name,))[0] for name in names] + run_checks(cfg, 1.0, (), apriori)
+        assert len(joint) == len(alone)
+        for got, expected in zip(joint, alone):
+            for key, value in vars(expected).items():
+                other = vars(got)[key]
+                assert other == value or value != value and other != other, (got.name, key)  # NaN matches NaN
 
     @pytest.mark.parametrize("seed", [0, 5])
     def test_benchmark_size_matches_per_sample_route(self, seed):
@@ -961,7 +1020,7 @@ class TestOneDraw:
         assert 0 < violators[0] and len(violators) >= 5
         monkeypatch.setattr(ineq, "bessel_constant", lambda s, tol: shrink * al.bessel_constant(s, tol))
         monkeypatch.setattr(ineq, "STATE_BLOCK", block)
-        for res in (check_bessel(cfg), run_checks(cfg)[0]):
+        for res in (run_checks(cfg, 1.0, ("bessel",))[0], run_checks(cfg)[0]):
             assert res.violations == len(violators)
             assert res.offender == al.state_to_dict(states[violators[0]])
             assert_same_result(res, loop_bessel(cfg))
