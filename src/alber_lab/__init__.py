@@ -58,6 +58,7 @@ from .penrose import (
     free_density,
     laplace_symbol,
     penrose_margin,
+    penrose_margins,
     propagator_constants,
     volterra_kernel,
     volterra_solve,

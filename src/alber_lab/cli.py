@@ -50,7 +50,7 @@ from .inequalities import (
     EnsembleConfig,
     run_checks,
 )
-from .penrose import check_eta_min, penrose_margin, propagator_constants
+from .penrose import check_eta_min, penrose_margins, propagator_constants
 from .presets import background_preset, random_hermitian_perturbation, random_smooth_state
 from .spectral import SpectralGrid
 from .states import (
@@ -355,10 +355,14 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
 
 
 def _margins(section: dict, where: str, bg: BackgroundSymbol, p: float, q: float) -> list:
-    """penrose_margin for k = 1..k_max, on the line Re(lambda) = the section's eta_min."""
+    """penrose_margins for k = 1..k_max, on the line Re(lambda) = the section's eta_min; an error
+    about p (kernel frequencies past the float range) names physics.p."""
     if section["k_max"] < 1:
         raise ConfigError(f"{where}.k_max must be >= 1, got {section['k_max']}")
-    return [_call(where, penrose_margin, bg, p, q, k, section["eta_min"]) for k in range(1, section["k_max"] + 1)]
+    try:
+        return penrose_margins(bg, p, q, range(1, section["k_max"] + 1), section["eta_min"])
+    except ValueError as exc:
+        raise ConfigError(f"{'physics' if str(exc).startswith('p ') else where}.{exc}") from exc
 
 
 def _bilinear_constant(section: dict, seed: int) -> float:

@@ -46,17 +46,19 @@ exp(i*p*(m^2 - n^2)*dt/2) (one exponential of the difference) and the
 coupling.  The flow holds the diagonals that are not zero at t=0 as one
 stack and advances them from record to record either by one batched
 product with M^record_every, a matrix power taken once, or by
-record_every rank-one steps, whichever takes fewer multiplies.  M_0 is
-exactly the identity, so the diagonal of U, hence its trace, is kept
-bit for bit.  Only powers of the scheme's own step are taken, never an
+record_every rank-one steps, whichever costs less, counting multiplies
+and a fixed cost per numpy call.  M_0 is exactly the identity, so the
+diagonal of U, hence its trace, is kept bit for bit.  Only powers of the scheme's own step are taken, never an
 eigenvalue or matrix exponential of the Penrose matrix: the growth rate
 the flow yields is checked against that matrix's eigenvalue.
 
 The Picard oracle iterates the mild (Duhamel) formula on a uniform
-trapezoid grid.  Its free phases are one exponential of m^2 - n^2 per
-node, and the trapezoid history sum is carried as one running sum with
-the step phase tabulated once, so an iterate costs O(n_quad) matrix
-products; the potentials V_rho of all nodes come from one stacked call.
+grid.  Its free phases are one exponential of m^2 - n^2 per node, and
+its history integral is a product trapezoid rule: the forcing is linear
+between nodes and the free phase over an interval is integrated exactly,
+with weights built once from the step phase.  The integral is carried
+as one running sum, so an iterate costs O(n_quad) matrix products; the
+potentials V_rho of all nodes come from one stacked call.
 
 Densities and the energy come from states and V_rho from the Toeplitz pair
 in spectral; potential_step and _split_step keep rho inline as they reuse
@@ -329,6 +331,38 @@ def _potential_matrix(entries: np.ndarray) -> np.ndarray:
     return toeplitz(diagonal_sums(entries)) / TWO_PI
 
 
+# |theta| below which _product_weights sums the Taylor series, and its
+# terms: there the remainder is below 1e-19, and above it the closed
+# form's cancellation costs at most a few eps
+SERIES_SWITCH = 1.0
+SERIES_TERMS = 20
+
+
+def _product_weights(theta: np.ndarray, phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = int_0^1 x e^(i theta x) dx and b = int_0^1 (1 - x) e^(i theta x) dx, given phase = e^(i theta).
+
+    Closed forms a = (e^(i theta)(1 - i theta) - 1)/theta^2 and
+    b = (1 + i theta - e^(i theta))/theta^2; where |theta| < SERIES_SWITCH
+    they cancel, and the series a = sum (i theta)^n/(n! (n+2)),
+    b = sum (i theta)^n/(n+2)! (Horner) is taken instead.
+    """
+    z = 1j * theta
+    small = np.abs(theta) < SERIES_SWITCH
+    # each branch sees only its own thetas, so neither overflows or divides
+    # by zero where the other is taken: the series sums at 0 where the
+    # closed form holds, and the closed form divides by 1 where a square
+    # could be 0 or subnormal (T near 1e-154)
+    zs = np.where(small, z, 0.0)
+    a = b = np.zeros_like(z)
+    for n in range(SERIES_TERMS - 1, -1, -1):
+        a = a * zs + 1.0 / (math.factorial(n) * (n + 2))
+        b = b * zs + 1.0 / math.factorial(n + 2)
+    square = np.where(small, 1.0, theta * theta)
+    a = np.where(small, a, (phase * (1.0 - z) - 1.0) / square)
+    b = np.where(small, b, (1.0 + z - phase) / square)
+    return a, b
+
+
 def picard_solve(
     gamma0: OperatorMatrix,
     p: float,
@@ -340,13 +374,16 @@ def picard_solve(
     """Short-time mild-solution oracle at the operator level.
 
     Iterates gamma -> S(t) gamma0 - i*q * int_0^t S(t-s)[V_rho(s), gamma(s)] ds
-    on an n_quad-point uniform grid t_i = i*h with composite-trapezoid
-    quadrature.  With S(h)_mn = exp(i*p*(m^2 - n^2)*h) tabulated once, the
-    history sum over the forcings F_i = [V_rho, gamma](t_i) is one running
-    sum, H <- S(h)(H + F_i) from H = S(h) F_0 / 2, and the new iterate is
-    gamma_i = S(t_i) gamma0 - i*q*h*(H + F_i / 2).  Independent of the
-    split-step integrator by construction.  Raises NoContractionError if
-    the iterate distances stop decreasing.
+    on an n_quad-point uniform grid t_i = i*h.  S(h) multiplies entry mn by
+    exp(i*theta), theta = p*(m^2 - n^2)*h.  The quadrature is a product
+    (Filon-type) trapezoid rule: the forcing F = [V_rho, gamma] is linear
+    between nodes and the phase is integrated exactly, so the integral is
+    one running sum I_i = S(h) I_(i-1) + h (a F_(i-1) + b F_i) from I_0 = 0,
+    with the weights a(theta), b(theta) of _product_weights, and the new
+    iterate is gamma_i = S(t_i) gamma0 - i*q*I_i.  At theta = 0 the weights
+    are 1/2, the plain trapezoid.  The weights come from the scheme's own
+    phases, so it stays independent of the split-step integrator.  Raises
+    NoContractionError if the iterate distances stop decreasing.
     """
     _check_finite(p=p, q=q, T=T, gamma0=gamma0.entries)
     if T < 0:
@@ -359,7 +396,9 @@ def picard_solve(
     d2 = n2[:, None] - n2[None, :]
     ts = np.linspace(0.0, T, n_quad)
     h = ts[1] - ts[0]
-    step = np.exp(1j * p * h * d2)
+    theta = p * h * d2
+    step = np.exp(1j * theta)
+    before, after = _product_weights(theta, step)
     free = np.exp(1j * p * ts[:, None, None] * d2) * gamma0.entries
     iterates = free.copy()
     scale = math.sqrt(float(np.sum(np.abs(gamma0.entries) ** 2))) or 1.0
@@ -368,10 +407,10 @@ def picard_solve(
         v = _potential_matrix(iterates)
         forcings = v @ iterates - iterates @ v
         new = free.copy()
-        history = 0.5 * step * forcings[0]
+        integral = np.zeros_like(forcings[0])
         for i in range(1, n_quad):
-            new[i] += (-1j * q * h) * (history + 0.5 * forcings[i])
-            history = step * (history + forcings[i])
+            integral = step * integral + before * forcings[i - 1] + after * forcings[i]
+            new[i] += (-1j * q * h) * integral
         dist = math.sqrt(float(np.sum(np.abs(new - iterates) ** 2, axis=(1, 2)).max()))
         iterates = new
         if dist >= prev_dist and dist > 1e-14 * scale:
@@ -398,17 +437,26 @@ class LinearizedTrajectory:
     growth_flag: bool
 
 
-def _power_pays(n: int, uses: int, nm: int) -> bool:
-    """Whether `uses` runs of n steps cost fewer multiplies as products with M^n.
+# the fixed cost of one numpy call on the diagonal stack, in multiplies: a
+# rank-one step's five calls take about 7 us on top of their arithmetic,
+# about 7000 multiplies of 1 ns, and a batched matrix product about as much
+CALL_COST = 7000
 
-    Counted per diagonal of length nm: np.linalg.matrix_power(M, n) takes
-    n.bit_length() - 1 squarings and popcount(n) - 1 further products of
-    nm^3 multiplies each, one product with M^n costs nm^2, and one
-    rank-one step costs 3 nm.  The power wins at small nm and long
-    strides; at large nm it also holds nm times the memory of the steps.
+
+def _power_pays(n: int, uses: int, nm: int, live: int) -> bool:
+    """Whether `uses` runs of n steps cost less as products with M^n.
+
+    Counted over the live diagonals of length nm, each call charged
+    CALL_COST on top of its multiplies: np.linalg.matrix_power(M, n) takes
+    n.bit_length() - 1 squarings and popcount(n) - 1 further products, each
+    one call of live nm^3 multiplies, one product with M^n is one call of
+    live nm^2, and one rank-one step is a call cost and 3 live nm.  The
+    power wins at small nm and long strides, where the steps' call cost
+    dominates; at large nm it also holds nm times the memory of the steps.
     """
     products = n.bit_length() + bin(n).count("1") - 2
-    return products * nm**3 + uses * nm**2 <= uses * n * 3 * nm
+    power = products * (live * nm**3 + CALL_COST) + uses * (live * nm**2 + CALL_COST)
+    return power <= uses * n * (3 * live * nm + CALL_COST)
 
 
 def linearized_evolve(
@@ -434,8 +482,8 @@ def linearized_evolve(
     zero at t=0 stays zero; the others are advanced as one zero-padded
     stack (spectral.diagonal_stack), record to record.  Each stride of n
     steps is one batched product with M^n, taken once per stride length,
-    where _power_pays counts that as fewer multiplies than n rank-one
-    steps x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  A
+    where _power_pays counts that as cheaper than n rank-one steps
+    x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  A
     matrix is rebuilt from the stack only where one is recorded.  M_0 is
     exactly the identity (h = 1 and c = 0 there), so every diagonal entry
     of U, hence tr U, keeps its initial value bit for bit.  Unbounded
@@ -463,7 +511,7 @@ def linearized_evolve(
     w = h + (0.5 * dhc.sum(axis=1))[:, None] * (h != 0)
     ends = [*range(0, cfg.steps, cfg.record_every), cfg.steps]
     uses = Counter(b - a for a, b in zip(ends, ends[1:]))  # record_every, and a partial last stride
-    pays = [n for n, count in uses.items() if _power_pays(n, count, nm)]
+    pays = [n for n, count in uses.items() if _power_pays(n, count, nm, live.size)]
     if pays:
         step = dhc[:, :, None] * w[:, None, :]
         step[:, np.arange(nm), np.arange(nm)] += h2

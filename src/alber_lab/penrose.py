@@ -20,7 +20,11 @@ line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960).
 F_k and its first two derivatives come from one pass over its pole terms
 (_dispersion_derivatives): they polish the zeros by Newton's method and
 find the line minimum by a safeguarded Newton iteration on the derivative
-of |F_k|^2.
+of |F_k|^2.  penrose_margins scans the modes of a background at once:
+each mode's pole terms are padded with c = 0 to one width, so the polish
+and the line minima of all modes run through one evaluator and one
+Newton loop, and only the eigenvalues are taken mode by mode.
+penrose_margin is the scan of one mode.
 
 On the time side, volterra_solve marches the density equation as a
 linear recurrence with one running sum per kernel term.  Its forcing,
@@ -34,7 +38,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -44,6 +47,8 @@ from .states import BackgroundSymbol, OperatorMatrix
 ZERO_RESIDUAL = 1e-8
 BOUNDARY_RE = 1e-9
 NEWTON_POLISH = 2
+# evaluator entries (points x pole terms) that one pass of penrose_margins may hold
+SCAN_ENTRIES = 2**17
 
 
 class UnstableBackgroundError(ValueError):
@@ -51,14 +56,18 @@ class UnstableBackgroundError(ValueError):
 
 
 def _kernel_terms(bg: BackgroundSymbol, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero coefficients c_j = Gh(j+k) - Gh(j) and frequencies p*k*(2j+k)."""
+    """Nonzero coefficients c_j = Gh(j+k) - Gh(j) and frequencies p*k*(2j+k); a
+    ValueError starting "p " if p*k*(2j+k) is past the float range for a j of the sum."""
     if k == 0:
         raise ValueError("the k = 0 mode is conserved; kernels are defined for k != 0")
     j = np.arange(-bg.J - abs(k), bg.J + abs(k) + 1)
     c = bg.gamma_hat(j + k) - bg.gamma_hat(j)
     keep = c != 0.0
-    omega = p * k * (2 * j + k)
-    return c[keep], omega[keep].astype(float)
+    with np.errstate(over="ignore"):
+        omega = float(p) * k * (2 * j + k)
+    if not np.isfinite(omega).all():
+        raise ValueError(f"p = {p:g} puts the kernel frequencies p*k*(2j+k) of mode k = {k} past the float range")
+    return c[keep], omega[keep]
 
 
 def volterra_kernel(bg: BackgroundSymbol, p: float, k: int, tau) -> np.ndarray:
@@ -111,14 +120,21 @@ def _dispersion_derivatives(c: np.ndarray, omega: np.ndarray, coef: complex, lam
     return 1.0 - coef * (c / gap).sum(axis=-1), coef * term2.sum(axis=-1), -2.0 * coef * (term2 / gap).sum(axis=-1)
 
 
-def _line_minimum(derivatives, residue, omega, zeros, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Im(lambda) and value of min |F_k| on each line Re(lambda) = eta[i].
+def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Im(lambda) and value of min |F_k| on each line Re(lambda) = eta[i], for
+    every mode of a pass: arrays of shape (modes, lines).
 
-    The local minima sit near the zeros of F_k or beside its poles.  Near
-    the pole i*omega_j the line sees F_k ~ B_j + residue_j/(lambda - i*omega_j),
-    whose pole term runs over a circle through 0 and residue_j/eta; the
-    seed there is the point where the shifted circle comes closest to 0.
-    Every seed is bracketed by half its distance to the nearest pole.
+    residue = -coef*c and omega hold each mode's pole terms padded to one
+    width, zeros its eigenvalues in the slots of its own terms, poles marks
+    those slots on every line, and level holds F_k at eta + i*omega there;
+    evaluate(modes, lam) gives F_k, F_k' and F_k'' of the mode of every
+    point.  The local minima sit near the zeros of F_k or beside its poles.
+    Near the pole i*omega_j the line sees
+    F_k ~ B_j + residue_j/(lambda - i*omega_j), whose pole term runs over a
+    circle through 0 and residue_j/eta; the seed there is the point where
+    the shifted circle comes closest to 0.  Every seed is bracketed by half
+    its distance to the nearest pole.  A padding slot seeds no bracket, and
+    its pole repeats one of the mode's own, so it moves no half-width.
 
     Along the line phi(s) = |F_k(eta + i*s)|^2 has phi' = -2 Im(conj(F) F')
     and phi'' = 2(|F'|^2 - Re(conj(F) F'')), F' = dF_k/dlambda; divided by
@@ -130,29 +146,34 @@ def _line_minimum(derivatives, residue, omega, zeros, eta) -> tuple[np.ndarray, 
     the end of its side of the minimum, a Newton point off the bracket
     falls back to bisection, and a bracket stops once its Newton step would
     lower phi by at most 1e-14 relative or move s by rounding only.  Any
-    other bracket keeps the smaller end.  All brackets of all lines take
-    their steps together, and each reports its smallest evaluated |F_k|.
+    other bracket keeps the smaller end.  All brackets of all lines of all
+    modes take their steps together, each one reports its smallest
+    evaluated |F_k|, and each line its first smallest bracket in the order
+    zeros, then poles.  No step reads another bracket, so a mode's minima
+    do not depend on the modes that share its pass.
     """
-    eta = eta[:, None]
-    centre = residue / (2.0 * eta)
+    centre = residue[:, None, :] / (2.0 * eta[:, None])  # (modes, lines, width)
     with np.errstate(all="ignore"):  # shifted may vanish, and gap**2 overflows once |lambda| > 1e154
-        shifted = derivatives(eta + 1j * omega)[0] - centre
+        shifted = np.zeros_like(centre)
+        shifted[poles] = level - centre[poles]
         nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
-        beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
-        seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
-        half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
-        points = (seeds[..., None] + half[..., None] * np.array([-1.0, 0.0, 1.0])).reshape(-1, 3)  # lo, seed, hi
-        row = np.repeat(eta, seeds.shape[1])  # the eta of every bracket
-        f, df, d2f = derivatives(row[:, None] + 1j * points)
+        beside = np.nan_to_num((residue[:, None, :] / nearest).imag, posinf=0.0, neginf=0.0)
+        seeds = np.concatenate([np.broadcast_to(zeros.imag[:, None, :], beside.shape), omega[:, None, :] + beside], -1)
+        half = 0.5 * np.abs(seeds[..., None] - omega[:, None, None, :]).min(axis=-1)
+        brackets = np.broadcast_to(np.concatenate([poles, poles], axis=-1), seeds.shape)
+        mode, line, _ = np.nonzero(brackets)
+        points = seeds[brackets][:, None] + half[brackets][:, None] * np.array([-1.0, 0.0, 1.0])  # lo, seed, hi
+        row = eta[line]  # the eta of every bracket
+        f, df, d2f = evaluate(mode[:, None], row[:, None] + 1j * points)
         value = np.abs(f)
         s = points[np.arange(len(points)), value.argmin(axis=1)]
-        line = value.min(axis=1)
+        least = value.min(axis=1)
         falling = (df / f).imag  # -phi'/(2 phi)
         dip = (falling[:, 0] > 0.0) & (falling[:, 2] < 0.0) | (value[:, 1] < np.minimum(value[:, 0], value[:, 2]))
         active = np.flatnonzero(dip)
-        row, (lo, t, hi) = row[active], points[active].T
+        mode, row, (lo, t, hi) = mode[active], row[active], points[active].T
         f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
-        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half.ravel()[active])
+        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half[brackets][active])
         for _ in range(64):  # bisection alone shrinks a bracket to rounding in 53 steps
             u, v = df / f, d2f / f
             lo, hi = np.where(u.imag > 0.0, t, lo), np.where(u.imag < 0.0, t, hi)
@@ -162,15 +183,15 @@ def _line_minimum(derivatives, residue, omega, zeros, eta) -> tuple[np.ndarray, 
             if done.all():
                 break
             t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
-            active, row, lo, hi, floor = active[~done], row[~done], lo[~done], hi[~done], floor[~done]
-            f, df, d2f = derivatives(row + 1j * t)
-            better = np.abs(f) < line[active]
+            active, mode, row, lo, hi, floor = (a[~done] for a in (active, mode, row, lo, hi, floor))
+            f, df, d2f = evaluate(mode, row + 1j * t)
+            better = np.abs(f) < least[active]
             s[active] = np.where(better, t, s[active])
-            line[active] = np.where(better, np.abs(f), line[active])
-    s, line = s.reshape(seeds.shape), line.reshape(seeds.shape)
-    best = np.argmin(line, axis=1)
-    rows = np.arange(line.shape[0])
-    return s[rows, best], line[rows, best]
+            least[active] = np.where(better, np.abs(f), least[active])
+    at, minimum = np.zeros(seeds.shape), np.full(seeds.shape, np.inf)
+    at[brackets], minimum[brackets] = s, least
+    best = np.argmin(minimum, axis=-1)[..., None]
+    return np.take_along_axis(at, best, -1)[..., 0], np.take_along_axis(minimum, best, -1)[..., 0]
 
 
 def check_eta_min(eta_min: float) -> float:
@@ -181,10 +202,75 @@ def check_eta_min(eta_min: float) -> float:
     return eta_min
 
 
-def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: float = 1e-3) -> PenroseReport:
-    """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros.
+def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> list[PenroseReport]:
+    """The PenroseReports of the modes ks, each with pole terms, in one pass;
+    see penrose_margins."""
+    # numpy sums a row of complex terms in blocks of four and adds the last
+    # n % 4 one by one; a mode's own terms take the leading blocks and the
+    # last slots of a row of width 3 mod 4, so the sums over its padded row
+    # are those over its n terms alone, bit for bit (while the row is at
+    # most 64 terms, which numpy does not split)
+    count = np.array([c.size for c, _ in terms])
+    slot = np.arange(width)
+    own = (slot < count[:, None] - count[:, None] % 4) | (slot >= width - count[:, None] % 4)
+    c, omega = np.zeros(own.shape), np.empty(own.shape)
+    for i, (ci, wi) in enumerate(terms):
+        c[i, own[i]], omega[i] = ci, wi[0]  # a padding term has c = 0 at the mode's first pole
+        omega[i, own[i]] = wi
 
-    Zeros: every eigenvalue of the matrix below, given at most
+    def evaluate(modes, lam):
+        return _dispersion_derivatives(c[modes], omega[modes], coef, lam)
+
+    # det(lambda - A) = prod_j (lambda - i*omega_j) * F_k(lambda) for the
+    # diagonal-plus-rank-one A below (its secular equation), and no c_j
+    # vanishes, so the eigenvalues of A are exactly the zeros of F_k
+    z = np.concatenate([np.linalg.eigvals(np.diag(1j * w) + coef * np.outer(ci, np.ones(ci.size))) for ci, w in terms])
+    owner = np.repeat(np.arange(len(ks)), count)
+    # the first evaluation also takes F_k level with every pole on every line, which seeds the brackets there
+    poles = np.broadcast_to(own[:, None, :], (len(ks), eta.size, width))
+    mode, line, slot = np.nonzero(poles)
+    with np.errstate(all="ignore"):
+        f, df, _ = evaluate(np.concatenate([owner, mode]), np.concatenate([z, eta[line] + 1j * omega[mode, slot]]))
+        f, df, level = f[: z.size], df[: z.size], f[z.size :]
+        for _ in range(NEWTON_POLISH):
+            newton = z - f / df
+            f_new, df_new, _ = evaluate(owner, newton)
+            better = np.abs(f_new) < np.abs(f)
+            z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
+        residual = np.abs(f)
+        size = np.abs(coef * c[owner] / (z[:, None] - 1j * omega[owner])).sum(axis=-1)
+        rounding = np.finfo(float).eps * (1.0 + size)
+        reach = z.real - 2.0 * np.abs(f / df)  # the real part left after twice the next Newton step
+    unresolved = (residual > np.maximum(ZERO_RESIDUAL, rounding)) & (reach > BOUNDARY_RE)
+    if unresolved.any():
+        i = int(np.flatnonzero(unresolved)[0])
+        raise ValueError(
+            f"background: at k={ks[owner[i]]} F_k has a growing zero near {complex(z[i]):.6g} that {NEWTON_POLISH} "
+            f"Newton steps leave at residual |F_k| = {residual[i]:.3e} > ZERO_RESIDUAL = {ZERO_RESIDUAL:g}; the "
+            "symbol is too strongly coupled for its zeros to be resolved"
+        )
+    growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
+    zeros = np.zeros(own.shape, dtype=complex)
+    zeros[own] = z
+    s, line = _line_minima(evaluate, -coef * c, omega, poles, zeros, level, eta)
+    line = np.minimum(line, 1.0)
+    reports = []
+    for i, k in enumerate(ks):
+        mine = owner == i
+        found = sorted((complex(w) for w in z[mine & growing]), key=lambda w: (-w.real, abs(w.imag)))
+        eta_lines = [(float(e), float(m)) for e, m in zip(eta, line[i])]
+        if found:
+            j = int(np.argmin(np.where(mine & growing, residual, np.inf)))
+            reports.append(PenroseReport(k, float(residual[j]), complex(z[j]), found, eta_lines))
+        else:
+            reports.append(PenroseReport(k, float(line[i, 0]), complex(eta[0], s[i, 0]), found, eta_lines))
+    return reports
+
+
+def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float = 1e-3) -> list[PenroseReport]:
+    """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros, for every k of ks.
+
+    Zeros: every eigenvalue of the matrix in _scan, given at most
     NEWTON_POLISH Newton steps and kept if |F_k| <= ZERO_RESIDUAL there.
     Kept zeros with Re(lambda) > BOUNDARY_RE are growth rates; zeros on
     the imaginary axis are marginal modes, not growth.  An eigenvalue left
@@ -193,61 +279,49 @@ def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: fl
     with Re(lambda) - 2 |F_k / F_k'| > BOUNDARY_RE, so that Newton's method
     is still heading for a zero inside the growing half-plane, is a growing
     zero the polish did not resolve (strong coupling puts the eigenvalues
-    far from the zeros): a ValueError starting "background" names k and
-    the residual, rather than a stable verdict.  Other eigenvalues above
-    ZERO_RESIDUAL are dropped: there |F_k| is rounding, or Newton's method
-    points at the imaginary axis, where zeros are marginal.
+    far from the zeros): a ValueError starting "background" names the first
+    such k of ks and its residual, rather than a stable verdict.  Other
+    eigenvalues above ZERO_RESIDUAL are dropped: there |F_k| is rounding,
+    or Newton's method points at the imaginary axis, where zeros are
+    marginal.
 
     Margin: with a growing zero, the smallest residual at one.  Otherwise
     the minimum of |F_k| on the line Re(lambda) = eta_min, capped at 1, the
-    limit at infinity: _line_minimum brackets it at the zeros and beside
+    limit at infinity: _line_minima brackets it at the zeros and beside
     the poles and runs Newton's method on d|F_k|^2/ds = 0 with the exact
     derivatives, falling back to bisection.  eta_line_margins holds the same
     capped line minimum at eta_min, 2*eta_min and 4*eta_min; a margin that
     doubles with eta_min shows zeros on the imaginary axis.
+
+    Only the eigenvalues are taken mode by mode.  Every mode's pole terms
+    are padded with c = 0 to one width, 2(2J+1) + 1, so the polish and the
+    line minima of all modes run as one batch, in passes of at most
+    SCAN_ENTRIES evaluator entries; each mode's report is the same whatever
+    modes share its pass, and (for J <= 15) the same as its own terms alone
+    give.
     """
     _check_finite(p=p, q=q)
     eta_min = check_eta_min(eta_min)
-    c, omega = _kernel_terms(bg, p, k)
+    ks = list(ks)
+    terms = [_kernel_terms(bg, p, k) for k in ks]
     eta = eta_min * np.array([1.0, 2.0, 4.0])
-    if c.size == 0:
-        return PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
+    reports = [PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta]) for k in ks]
+    live = [i for i, (c, _) in enumerate(terms) if c.size]
+    width = 4 * bg.J + 3  # the 2(2J+1) terms a mode can have, and one slot
+    # the largest evaluation reads the bracket ends: 3 lines x 2 width seeds x 3 points, each over width terms
+    per_pass = max(1, SCAN_ENTRIES // (18 * width * width))
     coef = 1j * q / TWO_PI
+    for start in range(0, len(live), per_pass):
+        batch = live[start : start + per_pass]
+        for i, report in zip(batch, _scan([ks[i] for i in batch], [terms[i] for i in batch], coef, eta, width)):
+            reports[i] = report
+    return reports
 
-    derivatives = partial(_dispersion_derivatives, c, omega, coef)
 
-    # det(lambda - A) = prod_j (lambda - i*omega_j) * F_k(lambda) for the
-    # diagonal-plus-rank-one A below (its secular equation), and no c_j
-    # vanishes, so the eigenvalues of A are exactly the zeros of F_k
-    z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
-    with np.errstate(all="ignore"):
-        f, df, _ = derivatives(z)
-        for _ in range(NEWTON_POLISH):
-            newton = z - f / df
-            f_new, df_new, _ = derivatives(newton)
-            better = np.abs(f_new) < np.abs(f)
-            z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
-        residual = np.abs(f)
-        rounding = np.finfo(float).eps * (1.0 + np.abs(coef * c / (z[:, None] - 1j * omega)).sum(axis=-1))
-        reach = z.real - 2.0 * np.abs(f / df)  # the real part left after twice the next Newton step
-    unresolved = (residual > np.maximum(ZERO_RESIDUAL, rounding)) & (reach > BOUNDARY_RE)
-    if unresolved.any():
-        i = int(np.flatnonzero(unresolved)[0])
-        raise ValueError(
-            f"background: at k={k} F_k has a growing zero near {complex(z[i]):.6g} that {NEWTON_POLISH} Newton "
-            f"steps leave at residual |F_k| = {residual[i]:.3e} > ZERO_RESIDUAL = {ZERO_RESIDUAL:g}; the symbol "
-            "is too strongly coupled for its zeros to be resolved"
-        )
-    growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
-    zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
-
-    s, line = _line_minimum(derivatives, -coef * c, omega, z, eta)
-    line = np.minimum(line, 1.0)
-    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
-    if zeros:
-        i = int(np.argmin(np.where(growing, residual, np.inf)))
-        return PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines)
-    return PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines)
+def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: float = 1e-3) -> PenroseReport:
+    """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros: the one
+    report of penrose_margins for (k,)."""
+    return penrose_margins(bg, p, q, (k,), eta_min)[0]
 
 
 # ---- time-side oracle ----

@@ -749,6 +749,22 @@ class TestInputErrors:
         assert "ZERO_RESIDUAL" in err[0]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("p", [1e306, 1e307])
+    @pytest.mark.parametrize("command", ["penrose", "perturb"])
+    def test_overflowing_frequencies(self, tmp_path, capsys, command, p):
+        # p * k * (2j + k) past the float range at k_max 8: once a warning and
+        # a stable verdict on infinite poles (1e306), or a LAPACK error (1e307)
+        out = tmp_path / "x"
+        if command == "penrose":
+            cfg = {"output_dir": str(out), "penrose": {"background": "stable-broad", "k_max": 8, "c_bilinear": 0.18}}
+        else:
+            cfg = perturb_input(out, k_max=8)
+            del cfg["perturb"]["kappa"]
+        cfg["physics"] = {"p": p}
+        err = self.run(tmp_path, capsys, command, cfg).splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: physics.p = {p:g} ")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("q", [1e150, 1e200])
     @pytest.mark.parametrize("command", ["penrose", "perturb"])
     def test_overflowing_constants(self, tmp_path, capsys, command, q):

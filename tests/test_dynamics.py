@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
@@ -613,17 +613,30 @@ class TestMonitor:
         assert np.abs(rec.density_spectrum - np.abs(rho_hat)).max() < 1e-12
 
 
-def picard_quadratic(gamma0, p, q, T, n_iter=8, n_quad=33):
-    """The Picard scheme with its trapezoid history summed afresh at every node.
+def product_weights_by_quadrature(theta):
+    """a = int_0^1 x e^(i theta x) dx and b = int_0^1 (1 - x) e^(i theta x) dx
+    by 40-point Gauss-Legendre quadrature, exact to rounding for |theta| <= 13."""
+    x, w = np.polynomial.legendre.leggauss(40)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    wave = w * np.exp(1j * np.multiply.outer(theta, x))
+    return (wave * x).sum(axis=-1), (wave * (1.0 - x)).sum(axis=-1)
 
-    Each term of the sum applies the free flow S(t_i - t_j) as a product of
-    two phase vectors exp(i p n^2 tau), recomputed for every pair of nodes:
-    O(n_quad^2) flows per iterate.  Returns the symmetrized last iterate,
-    or raises NoContractionError under the same rule as picard_solve.
+
+def picard_quadratic(gamma0, p, q, T, n_iter=8, n_quad=33):
+    """The Picard scheme with its product-trapezoid history summed afresh at every node.
+
+    The interval [t_(j-1), t_j] contributes S(t_i - t_j) h (a F_(j-1) + b F_j),
+    with the weights a, b of the step phase theta = p (m^2 - n^2) h taken by
+    Gauss-Legendre quadrature.  Each term applies the free flow
+    S(t_i - t_j) as a product of two phase vectors exp(i p n^2 tau),
+    recomputed for every pair of nodes: O(n_quad^2) flows per iterate.
+    Returns the symmetrized last iterate, or raises NoContractionError
+    under the same rule as picard_solve.
     """
     n2 = gamma0.grid.modes().astype(float) ** 2
     ts = np.linspace(0.0, T, n_quad)
     h = ts[1] - ts[0]
+    before, after = product_weights_by_quadrature(p * h * (n2[:, None] - n2[None, :]))
 
     def flow(entries, dtau):
         u = np.exp(1j * p * n2 * dtau)
@@ -640,10 +653,9 @@ def picard_quadratic(gamma0, p, q, T, n_iter=8, n_quad=33):
             forcings.append(v @ m - m @ v)
         new = [free[0].copy()]
         for i in range(1, n_quad):
-            acc = 0.5 * flow(forcings[0], ts[i])
-            for j in range(1, i):
-                acc += flow(forcings[j], ts[i] - ts[j])
-            acc += 0.5 * forcings[i]
+            acc = np.zeros_like(forcings[0])
+            for j in range(1, i + 1):
+                acc += flow(before * forcings[j - 1] + after * forcings[j], ts[i] - ts[j])
             new.append(free[i] + (-1j * q * h) * acc)
         dist = max(math.sqrt(float(np.sum(np.abs(a - b) ** 2))) for a, b in zip(new, iterates))
         iterates = new
@@ -696,8 +708,10 @@ class TestPicard:
         n_iter=hst.integers(1, 12),
         n_quad=hst.integers(2, 65),
     )
+    # a horizon whose step phases square to subnormals
+    @example(n=1, rank=1, seed=0, p=-1.0, q=-3.0, T=1.223580332795995e-154, n_iter=1, n_quad=3)
     def test_matches_quadratic_history_sum(self, n, rank, seed, p, q, T, n_iter, n_quad):
-        # the running sum is the trapezoid history sum, reordered exactly
+        # the running sum is the product-trapezoid history sum, reordered exactly
         grid = al.SpectralGrid(n)
         g0 = al.to_matrix(random_state(grid, min(rank, grid.n_modes), seed))
         try:
@@ -709,6 +723,36 @@ class TestPicard:
         got = al.picard_solve(g0, p, q, T, n_iter, n_quad)
         assert got.hermitian
         assert np.abs(got.entries - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_product_weights(self):
+        # the series and the closed form meet to rounding at the switch, and
+        # both are the integrals; at theta = 0 the rule is the trapezoid
+        eps = np.finfo(float).eps
+        edge = np.array([-1.0, np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), 1.0])
+        series = dyn._product_weights(np.array([np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)]),
+                                      np.exp(1j * np.array([np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0)])))
+        closed = dyn._product_weights(np.array([-1.0, 1.0]), np.exp(1j * np.array([-1.0, 1.0])))
+        for s, c in zip(series, closed):
+            assert np.abs(s - c).max() <= 4.0 * eps * np.abs(c).max()
+        theta = np.concatenate([edge, np.linspace(-13.0, 13.0, 261), [0.0, 1e-300, 1e-8, -1e-3]])
+        got = dyn._product_weights(theta, np.exp(1j * theta))
+        for g, want in zip(got, product_weights_by_quadrature(theta)):
+            assert np.abs(g - want).max() <= 1e-14  # the quadrature's own nodes and weights carry about 2e-15
+        assert got[0][-4] == 0.5 and got[1][-4] == 0.5
+
+    def test_benchmark_family_within_bound(self):
+        # the stability benchmark's Picard check: against split-step at dt = 1e-3
+        # the Frobenius distance stays below 1e-6 (the plain trapezoid gave
+        # 1.18e-6 at seed 1389)
+        worst = {}
+        for seed in [1389, *range(0, 400, 20)]:
+            st = al.random_smooth_state(al.SpectralGrid(16), rank=2, band=5, decay=2.5,
+                                        rng=np.random.default_rng(seed), total_mass=1.0)
+            ref, _ = al.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-3, 0.05, record_every=10**9))
+            pic = al.picard_solve(al.to_matrix(st), 1.0, 1.0, 0.05)
+            worst[seed] = math.sqrt(float(np.sum(np.abs(pic.entries - al.to_matrix(ref).entries) ** 2)))
+        assert max(worst.values()) <= 1e-6, worst
+        assert worst[1389] <= 5e-7
 
     @pytest.mark.parametrize("name", ["p", "q", "T"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -1107,8 +1151,13 @@ class TestLinearizedEvolve:
         [
             (6, 2, 2e-4, 2.0, 100, 1),  # criterion 4: small nm, long strides
             (3, 3, 1e-2, 1.0, 7, 1),  # M^7 pays for 14 strides, M^2 not for the last one
-            (3, 3, 1e-2, 0.5, 7, 0),  # M^7 does not pay for 7 strides
+            (3, 3, 1e-2, 0.5, 7, 1),  # M^7 pays for 7 strides once the steps' call cost counts
+            (3, 3, 1e-2, 0.07, 7, 0),  # M^7 does not pay for one stride
             (32, 32, 1e-3, 0.2, 100, 0),  # large nm: products with M^n cost more than the steps
+            (12, 2, 1e-3, 2.213, 11, 1),  # the README perturb example: 201 strides of 11, not the last 2
+            (16, 4, 1e-3, 2.0, 10, 1),
+            (64, 64, 1e-3, 0.2, 5, 0),
+            (64, 64, 1e-3, 0.2, 200, 0),
         ],
     )
     def test_power_only_where_it_pays(self, monkeypatch, n, band, dt, T, record_every, powers):

@@ -7,8 +7,10 @@ forms used as anchors throughout:
     F_1(lam)     = (lam^2-1)/(lam^2+1), zeros at lam = +-1
 """
 
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +22,7 @@ from hypothesis import strategies as hst
 
 import alber_lab as al
 import alber_lab.penrose as penrose_mod
+from alber_lab import cli
 
 UNSTABLE = "remark-5-2-unstable"
 
@@ -538,6 +541,264 @@ class TestUnresolvedZeros:
         assert len(report.zeros) == 1
         assert abs(report.zeros[0].real / (math.sqrt(2.0) * 1e7) - 1.0) < 1e-6
         assert report.margin <= penrose_mod.ZERO_RESIDUAL
+
+
+def loop_derivatives(c, omega, coef, lam):
+    """F_k, F_k' and F_k'' over one mode's own pole terms (the evaluator as it was)."""
+    gap = np.asarray(lam, dtype=complex)[..., None] - 1j * omega
+    term2 = c / gap**2
+    return 1.0 - coef * (c / gap).sum(axis=-1), coef * term2.sum(axis=-1), -2.0 * coef * (term2 / gap).sum(axis=-1)
+
+
+def loop_line_minimum(derivatives, residue, omega, zeros, eta):
+    """The per-mode safeguarded Newton line minimum as it was, frozen."""
+    eta = eta[:, None]
+    centre = residue / (2.0 * eta)
+    with np.errstate(all="ignore"):
+        shifted = derivatives(eta + 1j * omega)[0] - centre
+        nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
+        beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
+        seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
+        half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
+        points = (seeds[..., None] + half[..., None] * np.array([-1.0, 0.0, 1.0])).reshape(-1, 3)
+        row = np.repeat(eta, seeds.shape[1])
+        f, df, d2f = derivatives(row[:, None] + 1j * points)
+        value = np.abs(f)
+        s = points[np.arange(len(points)), value.argmin(axis=1)]
+        line = value.min(axis=1)
+        falling = (df / f).imag
+        dip = (falling[:, 0] > 0.0) & (falling[:, 2] < 0.0) | (value[:, 1] < np.minimum(value[:, 0], value[:, 2]))
+        active = np.flatnonzero(dip)
+        row, (lo, t, hi) = row[active], points[active].T
+        f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
+        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half.ravel()[active])
+        for _ in range(64):
+            u, v = df / f, d2f / f
+            lo, hi = np.where(u.imag > 0.0, t, lo), np.where(u.imag < 0.0, t, hi)
+            step = u.imag / (np.abs(u) ** 2 - v.real)
+            take = (lo <= t + step) & (t + step <= hi)
+            done = take & ((step * u.imag <= 1e-14) | (np.abs(step) <= floor)) | (hi - lo <= floor)
+            if done.all():
+                break
+            t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
+            active, row, lo, hi, floor = active[~done], row[~done], lo[~done], hi[~done], floor[~done]
+            f, df, d2f = derivatives(row + 1j * t)
+            better = np.abs(f) < line[active]
+            s[active] = np.where(better, t, s[active])
+            line[active] = np.where(better, np.abs(f), line[active])
+    s, line = s.reshape(seeds.shape), line.reshape(seeds.shape)
+    best = np.argmin(line, axis=1)
+    rows = np.arange(line.shape[0])
+    return s[rows, best], line[rows, best]
+
+
+def loop_penrose_margin(bg, p, q, k, eta_min=1e-3):
+    """penrose_margin as it was before the scan, one mode at a time with its
+    own eigen-step, polish and Newton line search, frozen: the scan's oracle."""
+    c, omega = penrose_mod._kernel_terms(bg, p, k)
+    eta = eta_min * np.array([1.0, 2.0, 4.0])
+    if c.size == 0:
+        return al.PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
+    coef = 1j * q / (2.0 * math.pi)
+
+    def derivatives(lam):
+        return loop_derivatives(c, omega, coef, lam)
+
+    z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
+    with np.errstate(all="ignore"):
+        f, df, _ = derivatives(z)
+        for _ in range(penrose_mod.NEWTON_POLISH):
+            newton = z - f / df
+            f_new, df_new, _ = derivatives(newton)
+            better = np.abs(f_new) < np.abs(f)
+            z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
+        residual = np.abs(f)
+        rounding = np.finfo(float).eps * (1.0 + np.abs(coef * c / (z[:, None] - 1j * omega)).sum(axis=-1))
+        reach = z.real - 2.0 * np.abs(f / df)
+    unresolved = (residual > np.maximum(penrose_mod.ZERO_RESIDUAL, rounding)) & (reach > penrose_mod.BOUNDARY_RE)
+    if unresolved.any():
+        raise ValueError(f"background: at k={k} F_k has an unresolved growing zero")
+    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > penrose_mod.BOUNDARY_RE)
+    zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
+    s, line = loop_line_minimum(derivatives, -coef * c, omega, z, eta)
+    line = np.minimum(line, 1.0)
+    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
+    if zeros:
+        i = int(np.argmin(np.where(growing, residual, np.inf)))
+        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines)
+    return al.PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines)
+
+
+def close(a, b, rel=1e-12):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+nonzero_modes = hst.integers(1, 10).flatmap(lambda k: hst.sampled_from([k, -k]))
+
+
+class TestScan:
+    """penrose_margins: the modes of a background in one batched pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        symbol=symbols,
+        log_scale=hst.floats(-4.0, 1.0),
+        ks=hst.lists(nonzero_modes, min_size=1, max_size=10),
+        p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        q=hst.sampled_from([1.0, -1.0]),
+        eta_min=hst.sampled_from([1e-3, 0.1]),
+    )
+    def test_matches_the_per_mode_loop(self, symbol, log_scale, ks, p, q, eta_min):
+        bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
+        try:
+            reports = al.penrose_margins(bg, p, q, ks, eta_min)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as want:
+                for k in ks:
+                    loop_penrose_margin(bg, p, q, k, eta_min)
+            assert str(exc).split(" F_k")[0] == str(want.value).split(" F_k")[0]  # the same first k
+            return
+        for k, report in zip(ks, reports):
+            frozen = loop_penrose_margin(bg, p, q, k, eta_min)
+            assert report.k == k
+            assert len(report.zeros) == len(frozen.zeros)
+            assert all(close(a, b) for a, b in zip(report.zeros, frozen.zeros))
+            for (eta, line), (eta_frozen, line_frozen) in zip(report.eta_line_margins, frozen.eta_line_margins):
+                assert eta == eta_frozen and close(line, line_frozen)
+            if not frozen.zeros:
+                assert close(report.margin, frozen.margin)
+            if not close(report.argmin_lambda, frozen.argmin_lambda):
+                # only where two brackets tie: F_k is as small at both points
+                at = [abs(al.dispersion(bg, p, q, k, lam)) for lam in (report.argmin_lambda, frozen.argmin_lambda)]
+                assert close(*at)
+
+    def test_bits_of_the_per_mode_loop(self):
+        # the padded rows sum a mode's own terms in numpy's order, so below
+        # J = 16 every report is the per-mode code's, bit for bit
+        backgrounds = [al.background_preset(name) for name in ("stable-broad", UNSTABLE)]
+        backgrounds += [(bg, 1.0, q) for seed in (0, 1) for _, q, bg in random_family(seed)]
+        symbol = np.random.default_rng(5).uniform(0.0, 1.0, 31) * 1e-3  # J = 15, rows of 63 terms
+        backgrounds.append((al.BackgroundSymbol(symbol), -1.0, 1.0))
+        for bg, p, q in backgrounds:
+            ks = [*range(1, 9), -3, 17]
+            got = [r.to_dict() for r in al.penrose_margins(bg, p, q, ks)]
+            assert got == [loop_penrose_margin(bg, p, q, k).to_dict() for k in ks]
+
+    def test_padding_seeds_no_bracket(self, monkeypatch):
+        # the brackets read at their ends and seeds are the per-mode code's:
+        # per line, one at each eigenvalue and one beside each pole of the
+        # mode's own terms, none for a padding slot
+        shapes = []
+        evaluate = penrose_mod._dispersion_derivatives
+        monkeypatch.setattr(penrose_mod, "_dispersion_derivatives",
+                            lambda c, omega, coef, lam: shapes.append(np.shape(lam)) or evaluate(c, omega, coef, lam))
+        bg = al.BackgroundSymbol(np.array([0.01, 0.05, 0.2, 0.05, 0.01]))  # J = 2: rows of 11 slots
+        al.penrose_margins(bg, 1.0, -1.0, (1, 2, 3))
+        sizes = [penrose_mod._kernel_terms(bg, 1.0, k)[0].size for k in (1, 2, 3)]
+        assert sizes == [6, 6, 8]
+        assert (3 * 2 * sum(sizes), 3) in shapes
+
+    def test_reports_are_the_modes_alone(self, monkeypatch):
+        # a mode's report is the same whatever modes share its pass, also
+        # when the modes of one call take two passes or one each
+        passes = []
+        scan = penrose_mod._scan
+        monkeypatch.setattr(penrose_mod, "_scan", lambda ks, *args: passes.append(list(ks)) or scan(ks, *args))
+        symbol = np.random.default_rng(3).uniform(0.0, 1.0, 13) * 0.1  # J = 6
+        bg = al.BackgroundSymbol(symbol)
+        ks = [1, -2, 3, 12, 5, -7, 8, 9, 4, 11, 6, 10]
+        alone = [al.penrose_margin(bg, 1.0, -1.0, k).to_dict() for k in ks]
+        passes.clear()
+        assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone
+        assert [len(ks) for ks in passes] == [9, 3]  # SCAN_ENTRIES holds 9 modes of J = 6
+        assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks[::-1])] == alone[::-1]
+        monkeypatch.setattr(penrose_mod, "SCAN_ENTRIES", 1)
+        assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone
+
+    def test_one_pass_for_the_benchmark_scans(self, monkeypatch):
+        passes = []
+        scan = penrose_mod._scan
+        monkeypatch.setattr(penrose_mod, "_scan", lambda ks, *args: passes.append(list(ks)) or scan(ks, *args))
+        for J in range(7):
+            al.penrose_margins(al.BackgroundSymbol(np.full(2 * J + 1, 0.01)), 1.0, 1.0, range(1, 9))
+        assert passes == [list(range(1, 9))] * 7
+
+    def test_random_family_takes_few_evaluations(self, monkeypatch):
+        # J = 4, 5, 6 as in the stability benchmark, k = 1..8 in one scan:
+        # 3 evaluations polish the zeros (the first also seeds the brackets
+        # beside the poles), 1 reads the bracket ends and seeds, and the rest
+        # are Newton steps of all brackets together (57 to 80 one mode at a time)
+        calls = [0]
+        evaluate = penrose_mod._dispersion_derivatives
+
+        def counted(*args):
+            calls[0] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(penrose_mod, "_dispersion_derivatives", counted)
+        most = 0
+        for seed in range(10):
+            for J, q, bg in random_family(seed):
+                for eta_min in (1e-3, 0.1):
+                    calls[0] = 0
+                    al.penrose_margins(bg, 1.0, q, range(1, 9), eta_min)
+                    most = max(most, calls[0])
+        assert 5 < most <= 14
+
+    def test_first_unresolved_mode_in_order(self):
+        # scaled by 1e15, k = 1 and 2 leave a growing zero unresolved and k = 3, 4 resolve theirs
+        bg, p, q = al.background_preset(UNSTABLE)
+        bg = al.BackgroundSymbol(bg.symbol * 1e15)
+        for ks, named in (((1, 2, 3), 1), ((4, 3, 2, 1), 2), ((3, 4), None)):
+            if named is None:
+                assert all(r.zeros for r in al.penrose_margins(bg, p, q, ks))
+            else:
+                with pytest.raises(ValueError, match=f"^background: at k={named} "):
+                    al.penrose_margins(bg, p, q, ks)
+
+    def test_empty_and_zero_modes(self, rank_one):
+        assert al.penrose_margins(*rank_one, ()) == []
+        with pytest.raises(ValueError, match="k = 0"):
+            al.penrose_margins(*rank_one, (1, 0))
+        zero = al.penrose_margins(al.BackgroundSymbol(np.array([0.0])), 1.0, 1.0, (1, 2))
+        assert [r.margin for r in zero] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("command", ["penrose", "perturb"])
+    def test_cli_makes_one_scan(self, tmp_path, monkeypatch, command):
+        calls = []
+        scan = cli.penrose_margins
+        monkeypatch.setattr(al.cli, "penrose_margins", lambda *args: calls.append(list(args[3])) or scan(*args))
+        section = {"background": "stable-broad", "k_max": 5, "c_bilinear": 0.18}
+        if command == "perturb":
+            section.update(epsilon=1e-3, T=0.02, dt=1e-2)
+        cfg = {"output_dir": str(tmp_path / "run"), "grid": {"N": 4}, command: section}
+        if command == "penrose":
+            del cfg["grid"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path)]) == 0
+        assert calls == [[1, 2, 3, 4, 5]]
+
+
+class TestFrequencyOverflow:
+    """Kernel frequencies p*k*(2j+k) past the float range are an input error."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_api_raises_without_warning(self, grid8):
+        bg, _, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(grid8, 2, np.random.default_rng(1))
+        entry_points = [
+            lambda p, k: al.penrose_margin(bg, p, q, k),
+            lambda p, k: al.penrose_margins(bg, p, q, (1, k)),
+            lambda p, k: al.volterra_solve(bg, u0, p, q, k, np.arange(3) * 1e-3),
+            lambda p, k: al.dispersion(bg, p, q, k, 1.0),
+            lambda p, k: al.volterra_kernel(bg, p, k, 0.5),
+        ]
+        for run in entry_points:
+            for p, k in ((1e306, 8), (1e307, 2), (-1e307, 3)):
+                with pytest.raises(ValueError, match=rf"^p = {re.escape(f'{p:g}')} .* of mode k = {k} "):
+                    run(p, k)
+        assert al.penrose_margin(bg, 1e300, q, 8).k == 8  # finite frequencies are taken
 
 
 class TestFreeDensity:
