@@ -57,7 +57,6 @@ from .penrose import (
     dispersion,
     free_density,
     laplace_symbol,
-    penrose_margin,
     penrose_margins,
     propagator_constants,
     volterra_kernel,

@@ -216,12 +216,11 @@ class _Block:
 
     Local state i is row slot[i] of the group of rank ranks[i]; a group
     keeps its states in draw order, so the states of rank r among the
-    first k are the first rows of its group.  names are the checks that
-    read the block, and memo holds what two of them share.
+    first k are the first rows of its group.  memo holds what two checks
+    share: the terms of the pair differences (_differences).
     """
 
     grid: SpectralGrid
-    names: tuple
     start: int
     ranks: np.ndarray
     slot: np.ndarray
@@ -235,7 +234,7 @@ class _Block:
         return MixedState(self.grid, self.weights[r][row], self.orbitals[r][row])
 
 
-def _stack(grid: SpectralGrid, names: tuple, start: int, drawn: list) -> _Block:
+def _stack(grid: SpectralGrid, start: int, drawn: list) -> _Block:
     """The drawn (rows, weights) of the states from start on, orthonormalized.
 
     Each rank group takes one stacked QR, whose matrices come out as
@@ -254,15 +253,15 @@ def _stack(grid: SpectralGrid, names: tuple, start: int, drawn: list) -> _Block:
         dev = _gram_deviation(orbitals[r])
         if not (dev <= MixedState.gram_tol).all():
             raise GramError(f"orbital Gram matrix deviates from identity by {dev.max():.3e}")
-    return _Block(grid, names, start, ranks, slot, weights, orbitals)
+    return _Block(grid, start, ranks, slot, weights, orbitals)
 
 
-def _draw(cfg: EnsembleConfig, n_states: int, size: int, names: tuple = ()):
-    """The states 0..n_states-1 of the stream at cfg.seed, as _Blocks of `size` states read by the checks names."""
+def _draw(cfg: EnsembleConfig, n_states: int, size: int):
+    """The states 0..n_states-1 of the stream at cfg.seed, as _Blocks of `size` states."""
     rng = np.random.default_rng(cfg.seed)
     for start in range(0, n_states, size):
         drawn = [_draw_state(rng, cfg) for _ in range(min(size, n_states - start))]
-        yield _stack(cfg.grid, names, start, drawn)
+        yield _stack(cfg.grid, start, drawn)
 
 
 def _draw_fields(cfg: EnsembleConfig, count: int) -> np.ndarray:
@@ -423,7 +422,7 @@ def _matrix_density_sobolev(entries: np.ndarray, s: float):
 
 
 def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
-    """Per pair of blk, the terms of the checks among blk.names that read U = gamma1 - gamma2.
+    """Per pair of blk, the terms of the two checks that read U = gamma1 - gamma2.
 
     "trace": ||rho_U||_{H^s} and ||U||_{H^s S1}; "fourier_summation": the
     left side of its estimate and ||U||_{H1 S1}^2.  U is built, and checked
@@ -435,11 +434,8 @@ def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
     if s in blk.memo:
         return blk.memo[s]
     grid, nm, n_pairs = cfg.grid, cfg.grid.n_modes, blk.ranks.size // 2
-    trace, fourier = "trace" in blk.names, "fourier_summation" in blk.names
-    exponents = {0.5 * s} if trace else set()
-    exponents |= {0.5} if fourier else set()
-    d = {e: grid.brackets_sq() ** e for e in exponents}
-    norm = {e: np.empty(n_pairs) for e in exponents}
+    d = {e: grid.brackets_sq() ** e for e in (0.5 * s, 0.5)}
+    norm = {e: np.empty(n_pairs) for e in d}
     density, lhs = np.empty(n_pairs), np.empty(n_pairs)
     wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
     for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk):
@@ -450,18 +446,11 @@ def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
         core = _diagonal(np.concatenate((mu1, -mu2), axis=-1))
         for e, weight in d.items():
             norm[e][pairs] = np.where(zero, 0.0, _factored_trace_norm(weight[:, None] * columns, core))
-        if trace:
-            density[pairs] = _matrix_density_sobolev(u, s)
-        if fourier:
-            sums = diagonal_sums(np.abs(u)).real
-            lhs[pairs] = np.sum(wk * sums**2, axis=-1) - _pow(sums[:, nm - 1], 2)  # drop k = 0
-    terms = {}
-    if trace:
-        terms["trace"] = density, norm[0.5 * s], None
-    if fourier:
-        terms["fourier_summation"] = lhs, _pow(norm[0.5], 2), None
-    blk.memo[s] = terms
-    return terms
+        density[pairs] = _matrix_density_sobolev(u, s)
+        sums = diagonal_sums(np.abs(u)).real
+        lhs[pairs] = np.sum(wk * sums**2, axis=-1) - _pow(sums[:, nm - 1], 2)  # drop k = 0
+    blk.memo[s] = {"trace": (density, norm[0.5 * s], None), "fourier_summation": (lhs, _pow(norm[0.5], 2), None)}
+    return blk.memo[s]
 
 
 def _trace(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
@@ -733,7 +722,7 @@ def run_checks(
     parts = {name: [] for name in checks}
     reads = {check.reads for check in checks.values()}
     n_states = 2 * n if "pairs" in reads else n if "states" in reads else 0
-    for blk in _draw(cfg, n_states, STATE_BLOCK, names):
+    for blk in _draw(cfg, n_states, STATE_BLOCK):
         for name, check in checks.items():
             if check.reads == "pairs" or check.reads == "states" and blk.start < n:
                 parts[name].append(check.terms(cfg, blk, s))

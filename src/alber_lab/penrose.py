@@ -23,8 +23,9 @@ find the line minimum by a safeguarded Newton iteration on the derivative
 of |F_k|^2.  penrose_margins scans the modes of a background at once:
 each mode's pole terms are padded with c = 0 to one width, so the polish
 and the line minima of all modes run through one evaluator and one
-Newton loop, and only the eigenvalues are taken mode by mode.
-penrose_margin is the scan of one mode.
+Newton loop, and only the eigenvalues are taken mode by mode.  It
+refuses a line Re(lambda) = eta_min finer than the float spacing of the
+kernel frequencies can resolve.
 
 On the time side, volterra_solve marches the density equation as a
 linear recurrence with one running sum per kernel term.  Its forcing,
@@ -49,6 +50,8 @@ BOUNDARY_RE = 1e-9
 NEWTON_POLISH = 2
 # evaluator entries (points x pole terms) that one pass of penrose_margins may hold
 SCAN_ENTRIES = 2**17
+# the largest float spacing of the kernel frequencies, relative to eta_min, that penrose_margins accepts
+ETA_RESOLUTION = 2.0**-9
 
 
 class UnstableBackgroundError(ValueError):
@@ -203,8 +206,7 @@ def check_eta_min(eta_min: float) -> float:
 
 
 def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> list[PenroseReport]:
-    """The PenroseReports of the modes ks, each with pole terms, in one pass;
-    see penrose_margins."""
+    """The PenroseReports of the modes ks in one pass; see penrose_margins."""
     # numpy sums a row of complex terms in blocks of four and adds the last
     # n % 4 one by one; a mode's own terms take the leading blocks and the
     # last slots of a row of width 3 mod 4, so the sums over its padded row
@@ -215,7 +217,7 @@ def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> 
     own = (slot < count[:, None] - count[:, None] % 4) | (slot >= width - count[:, None] % 4)
     c, omega = np.zeros(own.shape), np.empty(own.shape)
     for i, (ci, wi) in enumerate(terms):
-        c[i, own[i]], omega[i] = ci, wi[0]  # a padding term has c = 0 at the mode's first pole
+        c[i, own[i]], omega[i] = ci, wi[0] if wi.size else 0.0  # a padding term has c = 0 at the mode's first pole
         omega[i, own[i]] = wi
 
     def evaluate(modes, lam):
@@ -298,30 +300,34 @@ def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float
     line minima of all modes run as one batch, in passes of at most
     SCAN_ENTRIES evaluator entries; each mode's report is the same whatever
     modes share its pass, and (for J <= 15) the same as its own terms alone
-    give.
+    give.  Only the zero symbol has modes without pole terms; each has
+    margin 1 and no zeros.
+
+    Near a pole the dip of |F_k| on the line is about eta_min wide; once
+    the float spacing of the largest |p*k*(2j+k)| exceeds ETA_RESOLUTION *
+    eta_min, the scan cannot resolve it, and a ValueError starting
+    "eta_min" is raised instead of a margin.
     """
     _check_finite(p=p, q=q)
     eta_min = check_eta_min(eta_min)
     ks = list(ks)
     terms = [_kernel_terms(bg, p, k) for k in ks]
+    fastest = max((float(np.abs(w).max()) for _, w in terms if w.size), default=0.0)
+    if np.spacing(fastest) > ETA_RESOLUTION * eta_min:
+        raise ValueError(
+            f"eta_min = {eta_min:g} is below what the scan resolves at p = {p:g}: the frequencies p*k*(2j+k) "
+            f"reach {fastest:.6g}, where the float spacing {np.spacing(fastest):.3g} of Im(lambda) exceeds "
+            f"ETA_RESOLUTION * eta_min = {ETA_RESOLUTION * eta_min:.3g}"
+        )
     eta = eta_min * np.array([1.0, 2.0, 4.0])
-    reports = [PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta]) for k in ks]
-    live = [i for i, (c, _) in enumerate(terms) if c.size]
     width = 4 * bg.J + 3  # the 2(2J+1) terms a mode can have, and one slot
     # the largest evaluation reads the bracket ends: 3 lines x 2 width seeds x 3 points, each over width terms
     per_pass = max(1, SCAN_ENTRIES // (18 * width * width))
     coef = 1j * q / TWO_PI
-    for start in range(0, len(live), per_pass):
-        batch = live[start : start + per_pass]
-        for i, report in zip(batch, _scan([ks[i] for i in batch], [terms[i] for i in batch], coef, eta, width)):
-            reports[i] = report
+    reports = []
+    for start in range(0, len(ks), per_pass):
+        reports += _scan(ks[start : start + per_pass], terms[start : start + per_pass], coef, eta, width)
     return reports
-
-
-def penrose_margin(bg: BackgroundSymbol, p: float, q: float, k: int, eta_min: float = 1e-3) -> PenroseReport:
-    """inf |F_k| over Re(lambda) >= eta_min, and the growing zeros: the one
-    report of penrose_margins for (k,)."""
-    return penrose_margins(bg, p, q, (k,), eta_min)[0]
 
 
 # ---- time-side oracle ----

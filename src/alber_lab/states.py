@@ -132,7 +132,7 @@ def _check_hermitian(entries: np.ndarray) -> None:
     dev = np.abs(entries - entries.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
     bad = dev > 1e-12 * np.where(scale == 0.0, 1.0, scale)
     if bad.any():
-        raise ValueError(f"hermitian flag set but max|U - U*| = {np.max(dev[bad]):.3e}")
+        raise ValueError(f"not Hermitian: max|U - U*| = {np.max(dev[bad]):.3e}")
 
 
 @dataclass
@@ -350,15 +350,13 @@ def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
     """Spectral decomposition of a non-negative self-adjoint matrix.
 
     Eigenvalues in (-drop_tol, drop_tol) * ||U||_op are treated as zero;
-    anything below that window raises NotNonNegativeError.
+    anything below that window raises NotNonNegativeError.  U must pass
+    the Hermitian rule of OperatorMatrix(hermitian=True) (_check_hermitian).
     """
     if not (math.isfinite(drop_tol) and drop_tol >= 0.0):
         raise ValueError(f"drop_tol must be finite and >= 0, got {drop_tol}")
     entries = u.entries
-    scale = math.sqrt(float(np.sum(np.abs(entries) ** 2)))
-    dev = float(np.abs(entries - entries.conj().T).max())
-    if dev > 1e-10 * max(scale, 1e-300):
-        raise ValueError(f"matrix is not self-adjoint: max|U - U*| = {dev:.3e}")
+    _check_hermitian(entries)
     try:
         evals, evecs = np.linalg.eigh(0.5 * (entries + entries.conj().T))
     except np.linalg.LinAlgError as exc:

@@ -103,7 +103,7 @@ def test_criterion_3_unstable_growth_anchor():
     y = np.abs(traj.density_modes[:, k_idx])
     sel = (t >= 5.0) & (t <= 15.0)
     rate = float(np.polyfit(t[sel], np.log(y[sel]), 1)[0])
-    zeros = al.penrose_margin(bg, p, q, 1).zeros
+    zeros = al.penrose_margins(bg, p, q, (1,))[0].zeros
     zero_err = min(abs(z - 1.0) for z in zeros) if zeros else math.inf
     ok = abs(rate - 1.0) <= 0.05 and zero_err <= 1e-6
     report(3, f"unstable anchor: fit rate {rate:.6f}, zero offset {zero_err:.2e}", ok)
@@ -224,7 +224,7 @@ def test_criterion_7_inequality_lab():
 
 def test_criterion_8_stable_window():
     bg, p, q = al.background_preset(STABLE)
-    kappa = min(al.penrose_margin(bg, p, q, k).margin for k in range(1, 7))
+    kappa = min(al.penrose_margins(bg, p, q, (k,))[0].margin for k in range(1, 7))
     assert kappa > 0.0
     c_bil = run_checks(EnsembleConfig(40, al.SpectralGrid(16), seed=2024), 1.0, ("bilinear",))[0].empirical_constant
     grid = al.SpectralGrid(12)

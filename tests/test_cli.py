@@ -417,7 +417,7 @@ class TestPerturb:
         herm = a + a.swapaxes(-1, -2).conj()
         expected = [np.linalg.svd(m, compute_uv=False).sum() for m in herm]
         assert np.allclose(cli._hermitian_trace_norm(herm), expected, rtol=1e-13, atol=0.0)
-        with pytest.raises(ValueError, match="hermitian"):
+        with pytest.raises(ValueError, match="^not Hermitian: max"):
             cli._hermitian_trace_norm(a)
 
     def run_against_dense_norms(self, tmp_path, monkeypatch, cfg):
@@ -763,6 +763,21 @@ class TestInputErrors:
         cfg["physics"] = {"p": p}
         err = self.run(tmp_path, capsys, command, cfg).splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: physics.p = {p:g} ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["penrose", "perturb"])
+    def test_unresolved_eta_min(self, tmp_path, capsys, command):
+        # at p = 1e12 and k_max 8 the kernel frequencies reach 1e14, whose float
+        # spacing is 15.6 eta_min: the dip beside a pole is not resolved
+        out = tmp_path / "x"
+        if command == "penrose":
+            cfg = {"output_dir": str(out), "penrose": {"background": "stable-broad", "k_max": 8, "c_bilinear": 0.18}}
+        else:
+            cfg = perturb_input(out, k_max=8)
+            del cfg["perturb"]["kappa"]
+        cfg["physics"] = {"p": 1e12}
+        err = self.run(tmp_path, capsys, command, cfg).splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {command}.eta_min = 0.001 is below what the scan")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("q", [1e150, 1e200])

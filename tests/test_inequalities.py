@@ -984,6 +984,16 @@ class TestOneDraw:
                 other = vars(got)[key]
                 assert other == value or value != value and other != other, (got.name, key)  # NaN matches NaN
 
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("names", [("trace",), ("fourier_summation",), ("trace", "fourier_summation")])
+    def test_difference_checks_alone_or_together(self, s, names):
+        # _differences takes both checks' terms whatever is named (at s != 1,
+        # one norm more for either alone), so each result is the all-checks one
+        cfg = EnsembleConfig(24, al.SpectralGrid(6), seed=4)
+        every = dict(zip(ALL_CHECKS, run_checks(cfg, s)))
+        for got in run_checks(cfg, s, names):
+            assert got == every[got.name] == LOOPS[got.name](cfg, s)
+
     @pytest.mark.parametrize("seed", [0, 5])
     def test_benchmark_size_matches_per_sample_route(self, seed):
         # N=32, 50 samples: the shape of the benchmark's ensemble calls

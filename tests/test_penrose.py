@@ -124,7 +124,7 @@ class TestDispersion:
 class TestPenroseMargin:
     def test_unstable_anchor(self, rank_one):
         bg, p, q = rank_one
-        report = al.penrose_margin(bg, p, q, 1)
+        report = al.penrose_margins(bg, p, q, (1,))[0]
         assert report.margin <= 1e-6
         assert report.zeros, "the k=1 mode must be flagged unstable"
         assert min(abs(z - 1.0) for z in report.zeros) <= 1e-6
@@ -132,34 +132,34 @@ class TestPenroseMargin:
     def test_zero_background_margin_one(self):
         bg = al.BackgroundSymbol(np.array([0.0]))
         for k in (1, 2, 5):
-            report = al.penrose_margin(bg, 1.0, 1.0, k)
+            report = al.penrose_margins(bg, 1.0, 1.0, (k,))[0]
             assert report.margin == 1.0
             assert not report.zeros
 
     def test_broad_defocusing_stable(self):
         n = np.arange(-8, 9, dtype=float)
         bg = al.BackgroundSymbol(0.05 * (1.0 + n * n) ** (-2.0))
-        report = al.penrose_margin(bg, 1.0, -1.0, 1)
+        report = al.penrose_margins(bg, 1.0, -1.0, (1,))[0]
         assert report.margin > 0.0
         assert not report.zeros
 
     def test_stable_preset(self):
         bg, p, q = al.background_preset("stable-broad")
         for k in (1, 2):
-            report = al.penrose_margin(bg, p, q, k)
+            report = al.penrose_margins(bg, p, q, (k,))[0]
             assert report.margin > 0.01
             assert not report.zeros
 
     def test_mode_sign_symmetry(self):
         bg, p, q = al.background_preset("stable-broad")
         for k in (1, 3):
-            a = al.penrose_margin(bg, p, q, k).margin
-            b = al.penrose_margin(bg, p, q, -k).margin
+            a = al.penrose_margins(bg, p, q, (k,))[0].margin
+            b = al.penrose_margins(bg, p, q, (-k,))[0].margin
             assert abs(a - b) <= 1e-6 * max(a, b)
 
     def test_eta_line_diagnostics(self, rank_one):
         bg, p, q = rank_one
-        report = al.penrose_margin(bg, p, q, 1)
+        report = al.penrose_margins(bg, p, q, (1,))[0]
         assert len(report.eta_line_margins) == 3
         etas = [e for e, _ in report.eta_line_margins]
         assert etas == sorted(etas)
@@ -168,9 +168,9 @@ class TestPenroseMargin:
         # stable-broad has zeros on the imaginary axis, so its margin grows
         # linearly with the line it is taken on
         bg, p, q = al.background_preset("stable-broad")
-        report = al.penrose_margin(bg, p, q, 1, 2e-3)
+        report = al.penrose_margins(bg, p, q, (1,), 2e-3)[0]
         assert [e for e, _ in report.eta_line_margins] == [2e-3, 4e-3, 8e-3]
-        lines = [m for _, m in al.penrose_margin(bg, p, q, 1).eta_line_margins]
+        lines = [m for _, m in al.penrose_margins(bg, p, q, (1,))[0].eta_line_margins]
         assert [round(m, 4) for m in lines] == [0.0433, 0.0861, 0.1686]
         assert report.margin == lines[1]
 
@@ -178,7 +178,7 @@ class TestPenroseMargin:
         import json
 
         bg, p, q = rank_one
-        blob = json.dumps(al.penrose_margin(bg, p, q, 1).to_dict())
+        blob = json.dumps(al.penrose_margins(bg, p, q, (1,))[0].to_dict())
         assert "margin" in blob
 
     @pytest.mark.parametrize("name", ["p", "q"])
@@ -187,7 +187,7 @@ class TestPenroseMargin:
         bg, p, q = rank_one
         args = {"p": p, "q": q, name: bad}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            al.penrose_margin(bg, k=1, **args)
+            al.penrose_margins(bg, ks=(1,), **args)
 
 
 # Margins of the parent grid + Nelder-Mead + Newton search, frozen:
@@ -311,7 +311,7 @@ class TestExactPenrose:
         # weak coupling (small symbols) puts the line minimum beside a pole
         bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
         eta_min = 1e-3
-        report = al.penrose_margin(bg, p, q, k)
+        report = al.penrose_margins(bg, p, q, (k,))[0]
         for z in report.zeros:
             assert z.real > 0.0
             assert abs(al.dispersion(bg, p, q, k, z)) <= 1e-8
@@ -331,7 +331,7 @@ class TestExactPenrose:
         # the zeros sit within 3e-4 of the poles i*omega = +-18i, and the line
         # minimum lies beside a pole, where no zero-seeded bracket reaches
         bg, p, q, k = al.BackgroundSymbol(np.array([0.0015586265119682452])), 2.0, 1.0, 3
-        report = al.penrose_margin(bg, p, q, k)
+        report = al.penrose_margins(bg, p, q, (k,))[0]
         c, omega = written_out_terms(bg, p, k)
         grid_min = line_grid_minimum(c, omega, q, 1e-3)
         assert not report.zeros and grid_min < 0.9
@@ -341,7 +341,7 @@ class TestExactPenrose:
     def test_presets_match_parent(self, name):
         bg, p, q = al.background_preset(name)
         for k, old in enumerate(PARENT_PRESET_MARGINS[name], start=1):
-            report = al.penrose_margin(bg, p, q, k)
+            report = al.penrose_margins(bg, p, q, (k,))[0]
             assert math.isclose(report.margin, old, rel_tol=1e-9, abs_tol=1e-15)
             if name == UNSTABLE and k == 1:
                 assert len(report.zeros) == 1 and abs(report.zeros[0] - 1.0) <= 1e-9
@@ -353,7 +353,7 @@ class TestExactPenrose:
         for seed in (0, 1):
             for J, q, bg in random_family(seed):
                 for k, old in enumerate(PARENT_RANDOM_MARGINS[(seed, J)], start=1):
-                    report = al.penrose_margin(bg, 1.0, q, k)
+                    report = al.penrose_margins(bg, 1.0, q, (k,))[0]
                     assert not report.zeros
                     assert report.margin <= old * (1.0 + 1e-9)
                     below += report.margin < old * (1.0 - 1e-6)
@@ -362,11 +362,11 @@ class TestExactPenrose:
     @pytest.mark.parametrize("eta_min", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])  # 4e308 overflows
     def test_rejects_bad_eta_min(self, rank_one, eta_min):
         with pytest.raises(ValueError, match="^eta_min"):
-            al.penrose_margin(*rank_one, 1, eta_min)
+            al.penrose_margins(*rank_one, (1,), eta_min)
 
     def test_eta_lines_are_line_minima(self, rank_one):
         bg, p, q = rank_one
-        report = al.penrose_margin(bg, p, q, 2)
+        report = al.penrose_margins(bg, p, q, (2,))[0]
         c, omega = written_out_terms(bg, p, 2)
         for eta, line in report.eta_line_margins:
             grid_min = line_grid_minimum(c, omega, q, eta)
@@ -456,7 +456,7 @@ class TestNewtonLineMinimum:
     )
     def test_matches_golden_section(self, symbol, log_scale, k, p, q, eta_min):
         bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
-        report = al.penrose_margin(bg, p, q, k, eta_min)
+        report = al.penrose_margins(bg, p, q, (k,), eta_min)[0]
         frozen, s = golden_penrose_margin(bg, p, q, k, eta_min)
         assert report.zeros == frozen.zeros
         assert len(report.eta_line_margins) == 3
@@ -479,7 +479,7 @@ class TestNewtonLineMinimum:
         # ends, so phi' changes sign twice inside it; its seed lies below both
         bg = al.BackgroundSymbol(np.array([0.5984520494650267, 34.8355665046528, 12.62383569425889]))
         p, q, k = -2.0, -1.0, 3
-        report = al.penrose_margin(bg, p, q, k)
+        report = al.penrose_margins(bg, p, q, (k,))[0]
         frozen, _ = golden_penrose_margin(bg, p, q, k)
         assert not report.zeros and report.margin < 1e-4
         assert math.isclose(report.margin, frozen.margin, rel_tol=1e-12)
@@ -502,7 +502,7 @@ class TestNewtonLineMinimum:
                 for k in range(1, 9):
                     for eta_min in (1e-3, 0.1):
                         calls[0] = 0
-                        al.penrose_margin(bg, 1.0, q, k, eta_min)
+                        al.penrose_margins(bg, 1.0, q, (k,), eta_min)[0]
                         most = max(most, calls[0])
         assert 5 < most <= 12
 
@@ -516,7 +516,7 @@ class TestNewtonLineMinimum:
                 scaled = al.BackgroundSymbol(bg.symbol * scale)
                 for k in range(1, 9):
                     for eta_min in (1e-3, 0.1):
-                        report = al.penrose_margin(scaled, p, q, k, eta_min)
+                        report = al.penrose_margins(scaled, p, q, (k,), eta_min)[0]
                         assert math.isfinite(report.margin) and 0.0 <= report.margin <= 1.0
                         assert all(0.0 <= line <= 1.0 for _, line in report.eta_line_margins)
 
@@ -532,12 +532,12 @@ class TestUnresolvedZeros:
         # at 1e15 the eigenvalue lands at 4.47e7 + 4.7e3i and two Newton steps leave |F_1| = 2.3e-4
         bg, p, q = self.scaled_unstable(1e15)
         with pytest.raises(ValueError, match=r"^background: at k=1 .* residual \|F_k\| = 2\.\d+e-04 > ZERO_RESIDUAL"):
-            al.penrose_margin(bg, p, q, 1)
+            al.penrose_margins(bg, p, q, (1,))[0]
 
     def test_resolvable_zero_still_reported(self):
         # at 1e14 the zero sqrt(2) * 1e7 is resolved, as before
         bg, p, q = self.scaled_unstable(1e14)
-        report = al.penrose_margin(bg, p, q, 1)
+        report = al.penrose_margins(bg, p, q, (1,))[0]
         assert len(report.zeros) == 1
         assert abs(report.zeros[0].real / (math.sqrt(2.0) * 1e7) - 1.0) < 1e-6
         assert report.margin <= penrose_mod.ZERO_RESIDUAL
@@ -639,6 +639,23 @@ nonzero_modes = hst.integers(1, 10).flatmap(lambda k: hst.sampled_from([k, -k]))
 class TestScan:
     """penrose_margins: the modes of a background in one batched pass."""
 
+    def test_zero_symbol_passes_without_terms(self, monkeypatch):
+        # only the zero symbol has modes without pole terms; at J = 15 a pass
+        # holds one mode, so no pass has any, and each report is the one the
+        # scan gave before it took such modes: margin 1 at eta_min, no zeros
+        passes = []
+        scan = penrose_mod._scan
+        monkeypatch.setattr(penrose_mod, "_scan", lambda ks, *args: passes.append(list(ks)) or scan(ks, *args))
+        bg = al.BackgroundSymbol(np.zeros(31))
+        for p, q, eta_min in ((1.0, 1.0, 1e-3), (-1.0, -2.0, 0.25)):
+            lines = [[eta_min, 1.0], [2 * eta_min, 1.0], [4 * eta_min, 1.0]]
+            frozen = [
+                {"k": k, "margin": 1.0, "argmin_lambda": [eta_min, 0.0], "zeros": [], "eta_line_margins": lines}
+                for k in (1, 2, 3)
+            ]
+            assert [r.to_dict() for r in al.penrose_margins(bg, p, q, (1, 2, 3), eta_min)] == frozen
+        assert passes == [[1], [2], [3]] * 2
+
     @settings(max_examples=60, deadline=None)
     @given(
         symbol=symbols,
@@ -707,7 +724,7 @@ class TestScan:
         symbol = np.random.default_rng(3).uniform(0.0, 1.0, 13) * 0.1  # J = 6
         bg = al.BackgroundSymbol(symbol)
         ks = [1, -2, 3, 12, 5, -7, 8, 9, 4, 11, 6, 10]
-        alone = [al.penrose_margin(bg, 1.0, -1.0, k).to_dict() for k in ks]
+        alone = [al.penrose_margins(bg, 1.0, -1.0, (k,))[0].to_dict() for k in ks]
         passes.clear()
         assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone
         assert [len(ks) for ks in passes] == [9, 3]  # SCAN_ENTRIES holds 9 modes of J = 6
@@ -788,7 +805,7 @@ class TestFrequencyOverflow:
         bg, _, q = al.background_preset("stable-broad")
         u0 = al.random_hermitian_perturbation(grid8, 2, np.random.default_rng(1))
         entry_points = [
-            lambda p, k: al.penrose_margin(bg, p, q, k),
+            lambda p, k: al.penrose_margins(bg, p, q, (k,))[0],
             lambda p, k: al.penrose_margins(bg, p, q, (1, k)),
             lambda p, k: al.volterra_solve(bg, u0, p, q, k, np.arange(3) * 1e-3),
             lambda p, k: al.dispersion(bg, p, q, k, 1.0),
@@ -798,7 +815,52 @@ class TestFrequencyOverflow:
             for p, k in ((1e306, 8), (1e307, 2), (-1e307, 3)):
                 with pytest.raises(ValueError, match=rf"^p = {re.escape(f'{p:g}')} .* of mode k = {k} "):
                     run(p, k)
-        assert al.penrose_margin(bg, 1e300, q, 8).k == 8  # finite frequencies are taken
+        with pytest.raises(ValueError, match="^eta_min = 0.001 is below what the scan resolves at p = 1e[+]300"):
+            al.penrose_margins(bg, 1e300, q, (8,))  # finite frequencies, but far too fast for the line
+
+
+class TestResolution:
+    """A line Re(lambda) = eta_min finer than the float spacing of the kernel
+    frequencies can resolve is refused, not scanned."""
+
+    P_SCAN = np.logspace(6, 12, 49)  # 8 per decade, so 2 or 3 in each binade of max|p k (2j+k)|
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_every_accepted_p_reads_the_large_p_margin(self, seed):
+        # kappa settles by p = 1e6; beyond ETA_RESOLUTION the dip beside a pole
+        # falls between floats and kappa drifts (stable-broad: 2e-6 off at
+        # p = 1e10, 5.7 % at 1e12), so those p are refused
+        if seed is None:
+            bg, _, q = al.background_preset("stable-broad")
+            cases = [(bg, q)]
+        else:
+            cases = [(bg, q) for _, q, bg in random_family(seed)]
+        for bg, q in cases:
+            for sign in (1.0, -1.0):
+                ref = min(r.margin for r in al.penrose_margins(bg, sign * 1e6, q, range(1, 9)))
+                refused = []
+                for p in sign * self.P_SCAN:
+                    try:
+                        kappa = min(r.margin for r in al.penrose_margins(bg, p, q, range(1, 9)))
+                    except ValueError as exc:
+                        assert str(exc).startswith("eta_min = 0.001 is below what the scan resolves")
+                        refused.append(p)
+                        continue
+                    assert not refused, (p, refused)  # refused from one p on
+                    assert abs(kappa / ref - 1.0) <= 1e-6, (p, kappa, ref)
+                assert refused and abs(refused[0]) < 1e9 and refused[-1] == sign * 1e12
+
+    def test_threshold_follows_eta_min_and_the_frequencies(self):
+        bg, _, q = al.background_preset("stable-broad")
+        fastest = max(float(np.abs(penrose_mod._kernel_terms(bg, 1.0, k)[1]).max()) for k in range(1, 9))
+        for eta_min in (1e-3, 0.3):
+            # the floats of [2^e, 2^(e+1)) are 2^(e-52) apart: the last binade taken ends at this edge
+            edge = 2.0 ** (math.floor(math.log2(penrose_mod.ETA_RESOLUTION * eta_min)) + 53)
+            al.penrose_margins(bg, edge * (1.0 - 1e-12) / fastest, q, range(1, 9), eta_min)
+            with pytest.raises(ValueError, match="^eta_min"):
+                al.penrose_margins(bg, edge * (1.0 + 1e-12) / fastest, q, range(1, 9), eta_min)
+        # the zero symbol has no frequencies, so any finite p is taken
+        assert al.penrose_margins(al.BackgroundSymbol(np.zeros(3)), 1e300, q, (1, 2))[0].margin == 1.0
 
 
 class TestFreeDensity:
@@ -1097,7 +1159,7 @@ class TestVolterraSolve:
         # ||U0||_{H1S1}^2/(kappa^2 eta) times a bounded prefactor
         bg, p, q = al.background_preset("stable-broad")
         grid = al.SpectralGrid(8)
-        kappa = min(al.penrose_margin(bg, p, q, k).margin for k in (1, 2, 3, 4))
+        kappa = min(al.penrose_margins(bg, p, q, (k,))[0].margin for k in (1, 2, 3, 4))
         eta, T, dt = 1.0, 8.0, 1e-3
         cfg = al.EvolveConfig(p, q, dt, T, record_every=10)
         ratios = []

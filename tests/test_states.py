@@ -391,6 +391,24 @@ class TestEigendecompose:
         with pytest.raises(ValueError):
             al.eigendecompose(al.OperatorMatrix(grid8, m))
 
+    def test_one_hermitian_rule(self, grid8):
+        # OperatorMatrix(hermitian=True) and eigendecompose hold a matrix to
+        # the same rule, max|U - U*| <= 1e-12 ||U||_F, with the same message
+        m = np.eye(grid8.n_modes, dtype=complex)
+        scale = np.linalg.norm(m)
+        messages = []
+        for make in (
+            lambda: al.OperatorMatrix(grid8, m, hermitian=True),
+            lambda: al.eigendecompose(al.OperatorMatrix(grid8, m)),
+        ):
+            m[0, 1] = 1e-13 * scale
+            make()
+            m[0, 1] = 1e-11 * scale
+            with pytest.raises(ValueError, match=r"^not Hermitian: max\|U - U\*\| = ") as info:
+                make()
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == f"not Hermitian: max|U - U*| = {1e-11 * scale:.3e}"
+
     def test_zero_matrix_gives_empty(self, grid8):
         u = al.OperatorMatrix(grid8, np.zeros((grid8.n_modes, grid8.n_modes), dtype=complex))
         st = al.eigendecompose(u)
