@@ -41,6 +41,7 @@ from .dynamics import (
     EvolveConfig,
     NoContractionError,
     TrajectoryRecord,
+    convergence_study,
     evolve,
     free_step,
     iter_evolve,
@@ -57,7 +58,9 @@ from .penrose import (
     dispersion,
     free_density,
     laplace_symbol,
+    margin_report,
     penrose_margins,
+    perturbation_run,
     propagator_constants,
     volterra_kernel,
     volterra_solve,

@@ -34,9 +34,8 @@ state's from it, the ensemble a whole group's.
 
 _trusted (all values finite and within DIVERGENCE_LIMIT) is the one
 divergence rule for every flow: evolve and the a-priori ensemble raise
-DivergenceError on it, linearized_evolve sets growth_flag by it, and the
-CLI's perturb stops on it when either of its two flows leaves the trust
-region.
+DivergenceError on it, linearized_evolve sets growth_flag by it, and
+penrose.perturbation_run stops once either of its two flows breaks it.
 
 The linearized flow uses the integrating-factor midpoint rule.  In the
 lab frame its step is one fixed linear map that never mixes the
@@ -97,6 +96,8 @@ from .states import (
     _energy,
     _orbital_sum,
     _weighted,
+    reorthonormalized,
+    to_matrix,
 )
 
 DIVERGENCE_LIMIT = 1e12
@@ -321,6 +322,77 @@ def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[Traje
             raise DivergenceError(t, records)
         records.append(rec)
     return state, records
+
+
+@dataclass
+class ConvergenceStudy:
+    """The (dt or N, error_s2, ratio) rows of a refinement study in mode "dt" or "N"."""
+
+    mode: str
+    rows: list[tuple]
+
+
+def _truncated(state: MixedState, n: int) -> MixedState:
+    """state cut to the modes |k| <= n and re-orthonormalized."""
+    sel = np.abs(state.grid.modes()) <= n
+    cut = MixedState(SpectralGrid(n), state.weights, state.orbitals[:, sel], gram_tol=math.inf)
+    return reorthonormalized(cut)
+
+
+def convergence_study(
+    state: MixedState, p: float, q: float, mode: str = "dt", T: float = 1.0, dts: list[float] | None = None,
+    dt_ref: float | None = None, Ns: list[int] | None = None, dt: float = 1e-3,
+) -> ConvergenceStudy:
+    """Hilbert-Schmidt errors at T of refined evolve runs of state against a reference run.
+
+    Mode "dt" runs each step of dts against the step dt_ref, at least as fine as
+    all of them; a row's ratio is the previous row's error over its own.  Mode "N"
+    runs state cut to each cutoff of Ns against state itself, at the step dt.
+    """
+    if mode not in ("dt", "N"):
+        raise ValueError(f"mode must be 'dt' or 'N', got {mode!r}")
+
+    def endpoints(step: float, key: str) -> EvolveConfig:
+        # a run that records only its endpoints; an error about its step names the key of the step
+        try:
+            return EvolveConfig(p, q, step, T, record_every=10**9)
+        except ValueError as exc:
+            raise ValueError(f"{key}{str(exc)[2:]}" if str(exc).startswith("dt") else str(exc)) from exc
+
+    grid = state.grid
+    # (label, start state, EvolveConfig) per refinement, and the reference's EvolveConfig
+    if mode == "dt":
+        if not dts:
+            raise ValueError("dts is missing or empty; mode 'dt' needs at least one step")
+        if dt_ref is None:
+            raise ValueError("dt_ref is required in mode 'dt'")
+        runs = [(step, state, endpoints(step, f"dts[{i}]")) for i, step in enumerate(dts)]
+        ref_cfg = endpoints(dt_ref, "dt_ref")
+        if dt_ref > min(dts):
+            raise ValueError(
+                f"dt_ref={dt_ref:g} is coarser than the finest step min(dts)={min(dts):g}; "
+                "the reference must be at least as fine as every step it judges"
+            )
+    else:
+        if not Ns:
+            raise ValueError("Ns is missing or empty; mode 'N' needs at least one cutoff")
+        bad = [n for n in Ns if not 1 <= n <= grid.N]
+        if bad:
+            raise ValueError(f"Ns {bad} outside 1..{grid.N} (the grid N)")
+        ref_cfg = endpoints(dt, "dt")
+        runs = [(n, _truncated(state, n), ref_cfg) for n in Ns]
+    ref, _ = evolve(state, ref_cfg)
+    ref_mat = to_matrix(ref).entries
+    rows = []
+    for label, start, run_cfg in runs:
+        final, _ = evolve(start, run_cfg)
+        sel = np.abs(grid.modes()) <= start.grid.N
+        embedded = np.zeros_like(ref_mat)  # the final matrix on the reference grid
+        embedded[np.ix_(sel, sel)] = to_matrix(final).entries
+        err = float(np.sqrt(np.sum(np.abs(embedded - ref_mat) ** 2)))
+        ratio = rows[-1][1] / err if mode == "dt" and rows and err else math.nan
+        rows.append((label, err, ratio))
+    return ConvergenceStudy(mode, rows)
 
 
 # ---- operator-level helpers ----

@@ -1,6 +1,7 @@
 """Linear stability of homogeneous backgrounds: Volterra kernels, the
-dispersion function on the Laplace side, its Penrose margin, and the
-constants entering the polynomial-propagator and stable-window estimates.
+dispersion function on the Laplace side, its Penrose margin, the constants
+entering the polynomial-propagator and stable-window estimates (margin_report
+runs both), and perturbation_run, which measures the window on a perturbed run.
 
 For a background symbol Gh and mode k != 0 the density perturbation obeys
 the scalar Volterra equation
@@ -36,14 +37,19 @@ complex exponential and about 2N+1-|k| multiply-adds per time point.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TWO_PI, _check_finite
-from .states import BackgroundSymbol, OperatorMatrix
+from .dynamics import EvolveConfig, _trusted, iter_evolve, linearized_evolve
+from .inequalities import EnsembleConfig, run_checks
+from .presets import random_hermitian_perturbation
+from .spectral import TWO_PI, SpectralGrid, _check_finite
+from .states import BackgroundSymbol, NotNonNegativeError, OperatorMatrix, _check_hermitian, _factored_trace_norm
+from .states import background_to_matrix, background_to_state, eigendecompose
 
 ZERO_RESIDUAL = 1e-8
 BOUNDARY_RE = 1e-9
@@ -52,6 +58,8 @@ NEWTON_POLISH = 2
 SCAN_ENTRIES = 2**17
 # the largest float spacing of the kernel frequencies, relative to eta_min, that penrose_margins accepts
 ETA_RESOLUTION = 2.0**-9
+# records of perturbation_run's two flows per stack of norms
+PERTURB_BLOCK = 32
 
 
 class UnstableBackgroundError(ValueError):
@@ -479,6 +487,13 @@ class PropagatorConstants:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
+def _check_positive(**values) -> None:
+    """A ValueError "<name> must be positive" for the first given value (not None) that is not > 0."""
+    for name, value in values.items():
+        if value is not None and not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
 def propagator_constants(
     gamma_h1s1: float,
     gamma_l1: float,
@@ -502,9 +517,7 @@ def propagator_constants(
         raise UnstableBackgroundError(f"kappa must be a positive Penrose margin, got {kappa}")
     if min(gamma_h1s1, gamma_l1) < 0.0:
         raise ValueError("background norms must be >= 0")
-    for name in ("eta", "epsilon", "c_bilinear"):
-        if inputs[name] <= 0.0:
-            raise ValueError(f"{name} must be positive, got {inputs[name]}")
+    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear)
     if q == 0.0:
         raise ValueError("q must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars overflow to inf, as floats do
@@ -538,3 +551,151 @@ def propagator_constants(
         c_gamma=c_gamma,
         t_star=t_star,
     )
+
+
+# ---- the stable window: the scan and the perturbed run ----
+
+
+@dataclass
+class MarginReport:
+    """margin_report's scan, its least margin, its verdict and, if stable, the window constants."""
+
+    reports: list[PenroseReport]
+    kappa: float
+    stable: bool
+    constants: PropagatorConstants | None
+
+
+def _window_constants(bg: BackgroundSymbol, kappa, q, eta, epsilon, c_bilinear, seed: int) -> PropagatorConstants:
+    """propagator_constants of bg, c_bilinear estimated when None (see margin_report)."""
+    if c_bilinear is None:
+        ensemble = EnsembleConfig(40, SpectralGrid(16), seed=seed)
+        c_bilinear = run_checks(ensemble, 1.0, ("bilinear",))[0].empirical_constant
+    return propagator_constants(bg.h1s1_norm(), bg.l1_norm(), kappa, q, eta, epsilon, float(c_bilinear))
+
+
+def margin_report(
+    bg: BackgroundSymbol, p: float, q: float, k_max: int = 8, eta_min: float = 1e-3, eta: float = 1.0,
+    epsilon: float = 1e-2, c_bilinear: float | None = None, seed: int = 0,
+) -> MarginReport:
+    """The Penrose scan of k = 1..k_max on the line Re(lambda) = eta_min (penrose_margins).
+
+    Only a stable background (no growing zero) gets the window constants at eta and epsilon,
+    c_bilinear defaulting to the bilinear constant of a 40-sample ensemble at N = 16 drawn from
+    seed; eta, epsilon and a given c_bilinear are checked before the scan, whatever its verdict.
+    """
+    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear, k_max=k_max)
+    reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
+    kappa = min(r.margin for r in reports)
+    stable = not any(r.zeros for r in reports)
+    constants = _window_constants(bg, kappa, q, eta, epsilon, c_bilinear, seed) if stable else None
+    return MarginReport(reports, kappa, stable, constants)
+
+
+def _hermitian_trace_norm(stack: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of Hermitian matrices, the sums of their |eigenvalues|; a
+    ValueError if one is not Hermitian (states._check_hermitian, one call per stack)."""
+    _check_hermitian(stack)
+    return np.abs(np.linalg.eigvalsh(stack)).sum(axis=-1)
+
+
+@dataclass
+class PerturbationRun:
+    """perturbation_run's (t, deviation, linearized deviation, bound) rows, fit, divergence time and
+    the constants (with kappa) of the bound."""
+
+    rows: list[tuple[float, float, float, float]]
+    horizon: float
+    fit_rate: float | None
+    diverged_at: float | None
+    constants: PropagatorConstants
+
+
+def perturbation_run(
+    bg: BackgroundSymbol, p: float, q: float, grid: SpectralGrid, epsilon: float, T: float | None = None,
+    dt: float = 1e-3, kappa: float | None = None, seed_band: int | None = None, drop_tol: float = 1e-12,
+    record_every: int | None = None, fit_window: list[float] | None = None, k_max: int = 6, eta: float = 1.0,
+    eta_min: float = 1e-3, c_bilinear: float | None = None, seed: int = 0,
+) -> PerturbationRun:
+    """Nonlinear against linearized H^1 S^1 deviation from bg of the datum Gamma + epsilon*U0.
+
+    U0 is random Hermitian on |n| <= seed_band (default max(J, 1)), drawn from seed.  kappa
+    defaults to the least margin of k = 1..k_max on Re(lambda) = eta_min; the constants
+    (c_bilinear as in margin_report) are taken at epsilon, or at 1 for epsilon = 0, which has
+    no horizon t_star and needs T.  Both flows run T in whole steps dt, PERTURB_BLOCK records
+    at a time, and stop at the first record after t = 0 outside the trust region (_trusted);
+    the bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of log(deviation) in fit_window.
+    """
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if T is not None and T <= 0.0:
+        raise ValueError(f"T must be > 0, got {T}")
+    if epsilon == 0 and T is None:
+        raise ValueError("T is required when epsilon is 0 (no intrinsic horizon)")
+    if fit_window is not None and not (len(fit_window) == 2 and fit_window[0] < fit_window[1]):
+        raise ValueError(f"fit_window must be [t_lo, t_hi] with t_lo < t_hi, got {fit_window}")
+    if grid.N < bg.J:
+        raise ValueError(f"grid.N={grid.N} cannot hold the support J={bg.J} of the background")
+    check_eta_min(eta_min)  # also when a given kappa leaves it unread
+    seed_band = max(bg.J, 1) if seed_band is None else seed_band
+    if not 0 <= seed_band <= grid.N:
+        raise ValueError(f"seed_band={seed_band} outside 0..{grid.N} (the grid N)")
+    u0 = random_hermitian_perturbation(grid, seed_band, np.random.default_rng(seed))
+    if kappa is None:
+        _check_positive(k_max=k_max)
+        kappa = min(r.margin for r in penrose_margins(bg, p, q, range(1, k_max + 1), eta_min))
+    consts = _window_constants(bg, kappa, q, eta, epsilon if epsilon > 0 else 1.0, c_bilinear, seed)
+
+    gamma_mat = background_to_matrix(bg, grid)
+    datum_entries = gamma_mat.entries + epsilon * u0.entries
+    try:
+        datum = eigendecompose(OperatorMatrix(grid, datum_entries, hermitian=True), drop_tol=drop_tol)
+    except NotNonNegativeError as exc:
+        raise ValueError(f"epsilon: the perturbed datum is not a state: {exc}") from exc
+    horizon = consts.t_star if T is None else T
+    if not (dt > 0.0 and math.isfinite(horizon / dt)):
+        raise ValueError(f"dt must be > 0 with a finite number of steps, got T={horizon}, dt={dt}")
+    # the run takes whole steps, so the horizon it reports is steps * dt
+    steps = max(1, int(round(horizon / dt)))
+    horizon = steps * dt
+    record_every = max(1, steps // 200) if record_every is None else record_every
+    run_cfg = EvolveConfig(p, q, dt, horizon, record_every)
+
+    lin = linearized_evolve(OperatorMatrix(grid, epsilon * u0.entries, hermitian=True), bg, run_cfg, matrix_every=1)
+    # <D>(gamma(t) - Gamma)<D> = F C F* with F = <D>[orbitals(t)^T | plane waves of Gamma] and
+    # C = diag(mu, -Gamma_hat(supp)), whose trace norm is taken in factor space (rank r + |supp|)
+    weight = grid.brackets_sq() ** 0.5
+    bg_state = background_to_state(bg, grid)
+    waves = weight[:, None] * bg_state.orbitals.T
+    core = np.diag(np.concatenate([datum.weights, -bg_state.weights]))
+    records = zip(iter_evolve(datum, run_cfg), lin.matrices)
+    rows, diverged_at = [], None
+    # both flows advance a block of records at a time; the norms of a block are two stacked calls,
+    # and the block bounds the stacks, so their memory does not grow with the number of records
+    while diverged_at is None and (block := list(itertools.islice(records, PERTURB_BLOCK))):
+        times = [t for (t, _), _ in block]
+        orbitals = np.stack([state.orbitals for (_, state), _ in block])
+        factors = np.concatenate(
+            [weight[:, None] * orbitals.swapaxes(-1, -2), np.broadcast_to(waves, (len(block), *waves.shape))], axis=-1
+        )
+        devs = _factored_trace_norm(factors, core)
+        # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum
+        with np.errstate(over="ignore", invalid="ignore"):
+            lin_weighted = weight[:, None] * np.stack([lin_u.entries for _, lin_u in block]) * weight
+            finite = np.isfinite(lin_weighted).all(axis=(-2, -1))
+            lin_devs = np.full(len(block), math.inf)
+            lin_devs[finite] = _hermitian_trace_norm(lin_weighted[finite])
+        for t, dev, lin_dev in zip(times, devs.tolist(), lin_devs.tolist()):
+            # the datum's own row is always kept, so there is a last good time
+            if t > 0.0 and not _trusted(dev, lin_dev):
+                diverged_at = t
+                break
+            rows.append((t, dev, lin_dev, 2.0 * consts.c_star * (1.0 + t * t) * epsilon))
+    fit_rate = None
+    if fit_window is not None:
+        lo, hi = fit_window
+        pts = [(t, math.log(dev)) for t, dev, *_ in rows if dev > 0 and lo <= t <= hi]
+        if len(pts) >= 2:
+            ts, ys = zip(*pts)
+            fit_rate = float(np.polyfit(ts, ys, 1)[0])
+    return PerturbationRun(rows, horizon, fit_rate, diverged_at, consts)

@@ -22,7 +22,7 @@ Schatten norms are taken from singular values.  sobolev_schatten_norm is
 the general dense route; _factored_trace_norm takes the trace norm of a
 finite-rank operator F C F* in factor space, from the QR of F, which is
 how the inequality lab measures differences and commutators of states,
-and the CLI's perturb the deviation gamma(t) - Gamma from its background.
+and perturbation_run the deviation gamma(t) - Gamma from its background.
 """
 
 from __future__ import annotations

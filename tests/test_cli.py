@@ -26,6 +26,7 @@ from hypothesis import strategies as hst
 import alber_lab as al
 import alber_lab.cli as cli
 import alber_lab.dynamics as dyn
+import alber_lab.penrose as penrose
 from alber_lab.presets import background_preset
 from alber_lab.states import to_matrix
 from alber_lab.dynamics import DivergenceError, _trusted
@@ -124,6 +125,35 @@ class TestSimulate:
         cfg["state"] = {"file": str(out1 / "final_state.json")}
         code = cli.main(["simulate", "--config", write_config(tmp_path, cfg, "two.json")])
         assert code == 0
+
+
+def state_file_on_another_grid(tmp_path, command, capsys, **section) -> list[str]:
+    """stderr lines of command on a grid N=16 from a state.file saved at N=8, checking no file was written."""
+    saved = tmp_path / "saved"
+    assert cli.main(["simulate", "--config", write_config(tmp_path, simulate_config(saved), "saved.json")]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    cfg = simulate_config(out, grid={"N": 16}, state={"file": str(saved / "final_state.json")}, **section)
+    if command == "convergence":
+        del cfg["time"]
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    assert not out.exists() or list(out.iterdir()) == []
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("simulate", {}),
+        ("convergence", {"convergence": {"mode": "dt", "T": 0.02, "dts": [0.01], "dt_ref": 0.005}}),
+        ("convergence", {"convergence": {"mode": "N", "T": 0.02, "dt": 0.01, "Ns": [4, 8]}}),
+    ],
+)
+def test_state_file_on_another_grid_rejected(tmp_path, capsys, command, section):
+    # simulate once wrote density spectra of two sizes, and convergence raised a traceback
+    err = state_file_on_another_grid(tmp_path, command, capsys, **section)
+    assert len(err) == 1 and err[0].startswith("config error: state.file: ")
+    assert "N=8, M=" in err[0] and "N=16, M=" in err[0]
 
 
 class TestConfigErrors:
@@ -235,6 +265,15 @@ class TestPenrose:
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
         assert "penrose.eta_min" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("eta", -5.0), ("epsilon", -1.0), ("c_bilinear", -3.0)])
+    def test_window_inputs_checked_whatever_the_verdict(self, tmp_path, capsys, key, value):
+        # an unstable background takes no constants, yet its bad inputs once exited 0
+        out = tmp_path / "run"
+        cfg = self.penrose_config(out, "remark-5-2-unstable", **{key: value})
+        assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: penrose.{key} must be positive, got {value}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_margin_taken_on_eta_min(self, tmp_path):
         # eta_min above the old grid's default top of 10 once moved the line to 10
         out = tmp_path / "run"
@@ -242,12 +281,6 @@ class TestPenrose:
         assert cli.main(["penrose", "--config", write_config(tmp_path, cfg)]) == 0
         _, rows = read_csv(out / "margins.csv")
         assert [float(row[2]) for row in rows] == [20.0, 20.0]
-
-    def test_bilinear_constant_helper(self):
-        assert cli._bilinear_constant({"c_bilinear": 2}, 0) == 2.0
-        ens = cli.EnsembleConfig(40, cli.SpectralGrid(16), seed=5)
-        expected = cli.run_checks(ens, 1.0, ("bilinear",))[0].empirical_constant
-        assert cli._bilinear_constant({}, 5) == expected
 
 
 class TestPerturb:
@@ -342,8 +375,8 @@ class TestPerturb:
             loops.append(cfg)
             return dyn.iter_evolve(state, cfg)
 
-        monkeypatch.setattr(cli, "iter_evolve", counting)
-        assert not hasattr(cli, "strang_step")
+        monkeypatch.setattr(penrose, "iter_evolve", counting)
+        assert not hasattr(penrose, "strang_step")
         out = tmp_path / "run"
         assert cli.main(["perturb", "--config", write_config(tmp_path, self.perturb_config(out, 1e-3))]) == 0
         _, rows = read_csv(out / "deviation.csv")
@@ -355,7 +388,7 @@ class TestPerturb:
         # the recorded differences gamma(t) - Gamma once per stack of PERTURB_BLOCK records
         import alber_lab.states as states
 
-        calls = {states: [], cli: []}
+        calls = {states: [], penrose: []}
 
         def counting(module):
             original = module._check_hermitian
@@ -376,10 +409,10 @@ class TestPerturb:
             cfg = self.perturb_config(out, 1e-3, dt=1e-3, record_every=record_every)
             assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
             _, rows = read_csv(out / "deviation.csv")
-            assert len(calls[cli]) == math.ceil(len(rows) / cli.PERTURB_BLOCK)
+            assert len(calls[penrose]) == math.ceil(len(rows) / penrose.PERTURB_BLOCK)
             counts.append((len(rows), len(calls[states])))
         (many, fixed_many), (few, fixed_few) = counts
-        assert many > cli.PERTURB_BLOCK and few > 1
+        assert many > penrose.PERTURB_BLOCK and few > 1
         assert fixed_many == fixed_few > 0
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf])
@@ -411,15 +444,6 @@ class TestPerturb:
         assert 1 <= len(rows) < 51
         assert all(_trusted(float(row[1]), float(row[2])) for row in rows)
 
-    def test_linearized_trace_norms_need_hermitian_stacks(self):
-        gen = np.random.default_rng(0)
-        a = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
-        herm = a + a.swapaxes(-1, -2).conj()
-        expected = [np.linalg.svd(m, compute_uv=False).sum() for m in herm]
-        assert np.allclose(cli._hermitian_trace_norm(herm), expected, rtol=1e-13, atol=0.0)
-        with pytest.raises(ValueError, match="^not Hermitian: max"):
-            cli._hermitian_trace_norm(a)
-
     def run_against_dense_norms(self, tmp_path, monkeypatch, cfg):
         """deviation.csv of cfg and, per record of the same two flows, the dense route's
         norms: one sobolev_schatten_norm of gamma(t) - Gamma and of the linearized matrix."""
@@ -433,8 +457,8 @@ class TestPerturb:
             flows["lin"] = dyn.linearized_evolve(*args, **kwargs)
             return flows["lin"]
 
-        monkeypatch.setattr(cli, "iter_evolve", kept_evolve)
-        monkeypatch.setattr(cli, "linearized_evolve", kept_linearized)
+        monkeypatch.setattr(penrose, "iter_evolve", kept_evolve)
+        monkeypatch.setattr(penrose, "linearized_evolve", kept_linearized)
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
         _, rows = read_csv(Path(cfg["output_dir"]) / "deviation.csv")
         grid = al.SpectralGrid(cfg["grid"]["N"])
@@ -619,7 +643,7 @@ class TestConvergence:
         def no_evolution(*args, **kwargs):
             raise AssertionError("an evolution ran before the empty list was rejected")
 
-        monkeypatch.setattr(cli, "evolve", no_evolution)
+        monkeypatch.setattr(dyn, "evolve", no_evolution)
         out = tmp_path / "run"
         cfg = self.conv_config(out, section)
         assert cli.main(["convergence", "--config", write_config(tmp_path, cfg)]) == 2

@@ -5,6 +5,7 @@ free phase e^{+i p n^2 dt} on psihat(n) and the potential phase
 e^{-i q rho(x) dt} pointwise.
 """
 
+import csv
 import json
 import math
 import warnings
@@ -20,7 +21,7 @@ import alber_lab.dynamics as dyn
 from alber_lab.dynamics import DivergenceError, diagonal_sums
 from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch, toeplitz
 
-from conftest import random_state
+from conftest import named_first, random_state, run_cli
 
 
 def plane_wave_state(grid, n, weight):
@@ -1231,3 +1232,52 @@ class TestLinearizedEvolve:
         u0 = al.random_hermitian_perturbation(al.SpectralGrid(4), 2, np.random.default_rng(1))
         with pytest.raises(ValueError, match="^matrix_every must be >= 0"):
             al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 0.1), matrix_every=-1)
+
+
+class TestConvergenceStudy:
+    STATE = {"preset": "random-smooth", "rank": 3, "band": 6, "decay": 2.5}
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"mode": "dt", "T": 0.1, "dts": [0.02, 0.01], "dt_ref": 0.0025},
+            {"mode": "N", "T": 0.5, "Ns": [4, 8, 12]},
+        ],
+    )
+    def test_rows_equal_the_errors_file(self, tmp_path, section):
+        from alber_lab import cli
+
+        cfg = {"output_dir": str(tmp_path / "run"), "seed": 4, "grid": {"N": 16}, "physics": {"p": 1.0, "q": 1.0},
+               "state": self.STATE, "convergence": section}
+        with open(run_cli(tmp_path, "convergence", cfg) / "errors.csv", newline="") as fh:
+            header, *written = list(csv.reader(fh))
+        state = al.random_smooth_state(al.SpectralGrid(16), rank=3, band=6, decay=2.5, rng=np.random.default_rng(4))
+        study = al.convergence_study(state, 1.0, 1.0, **section)
+        assert header[0] == study.mode == section["mode"]
+        assert [[cli._fmt(c) for c in row] for row in study.rows] == written
+        assert len(study.rows) == len(section.get("dts") or section["Ns"])
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("mode", {"mode": "banana"}),
+            ("dts", {"dts": None}),
+            ("dt_ref", {"dt_ref": None}),
+            ("dts", {"dts": []}),
+            ("dts[1]", {"dts": [0.02, -0.01]}),
+            ("dt_ref", {"dt_ref": 0.05}),  # coarser than the finest step
+            ("T", {"T": 0.03}),  # not a whole number of steps 0.02
+            ("Ns", {"mode": "N", "Ns": None}),
+            ("Ns", {"mode": "N", "Ns": []}),
+            ("Ns", {"mode": "N", "Ns": [2, 9]}),
+            ("dt", {"mode": "N", "Ns": [2], "dt": 0.0}),
+        ],
+    )
+    def test_bad_input_named_first(self, grid8, monkeypatch, name, bad):
+        def no_evolution(*args, **kwargs):
+            raise AssertionError("an evolution ran before the inputs were checked")
+
+        monkeypatch.setattr(dyn, "evolve", no_evolution)
+        args = {"mode": "dt", "T": 0.1, "dts": [0.02, 0.01], "dt_ref": 0.005, **bad}
+        with pytest.raises(ValueError, match=named_first(name)):
+            al.convergence_study(random_state(grid8, 2, seed=1, band=3), 1.0, 1.0, **args)

@@ -7,6 +7,7 @@ forms used as anchors throughout:
     F_1(lam)     = (lam^2-1)/(lam^2+1), zeros at lam = +-1
 """
 
+import csv
 import json
 import math
 import os
@@ -23,6 +24,9 @@ from hypothesis import strategies as hst
 import alber_lab as al
 import alber_lab.penrose as penrose_mod
 from alber_lab import cli
+from alber_lab.dynamics import _trusted
+
+from conftest import named_first, readme_example, run_cli
 
 UNSTABLE = "remark-5-2-unstable"
 
@@ -783,8 +787,8 @@ class TestScan:
     @pytest.mark.parametrize("command", ["penrose", "perturb"])
     def test_cli_makes_one_scan(self, tmp_path, monkeypatch, command):
         calls = []
-        scan = cli.penrose_margins
-        monkeypatch.setattr(al.cli, "penrose_margins", lambda *args: calls.append(list(args[3])) or scan(*args))
+        scan = penrose_mod.penrose_margins
+        monkeypatch.setattr(penrose_mod, "penrose_margins", lambda *args: calls.append(list(args[3])) or scan(*args))
         section = {"background": "stable-broad", "k_max": 5, "c_bilinear": 0.18}
         if command == "perturb":
             section.update(epsilon=1e-3, T=0.02, dt=1e-2)
@@ -1248,3 +1252,108 @@ class TestPropagatorConstants:
 
         c = al.propagator_constants(0.5, 0.3, 0.05, -1.0, 0.7, 1e-3, 0.2)
         assert "t_star" in json.dumps(c.to_dict())
+
+
+def section_args(cfg: dict, section: str) -> dict:
+    """The keys of a config section that its API function takes by name: all but background."""
+    return {key: value for key, value in cfg[section].items() if key != "background"}
+
+
+class TestMarginReport:
+    def test_equals_the_penrose_files(self, tmp_path):
+        cfg = readme_example("penrose", tmp_path / "run")
+        written = json.loads((run_cli(tmp_path, "penrose", cfg) / "constants.json").read_text())
+        bg, p, q = al.background_preset(cfg["penrose"]["background"])
+        report = al.margin_report(bg, p, q, **section_args(cfg, "penrose"))
+        assert report.stable and written["stable_in_scan"] is True
+        assert written["kappa_scanned"] == report.kappa == min(r.margin for r in report.reports)
+        assert written["per_mode"] == json.loads(json.dumps([r.to_dict() for r in report.reports]))
+        assert written["constants"] == report.constants.to_dict()
+
+    def test_bilinear_constant_default(self):
+        bg, p, q = al.background_preset("stable-broad")
+        assert al.margin_report(bg, p, q, 2, c_bilinear=2).constants.c_bilinear == 2.0
+        ens = al.EnsembleConfig(40, al.SpectralGrid(16), seed=5)
+        expected = al.run_checks(ens, 1.0, ("bilinear",))[0].empirical_constant
+        assert al.margin_report(bg, p, q, 2, seed=5).constants.c_bilinear == expected
+
+    def test_unstable_background_takes_no_constants(self, monkeypatch, rank_one):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the bilinear constant was estimated for an unstable background")
+
+        monkeypatch.setattr(penrose_mod, "run_checks", no_estimate)
+        report = al.margin_report(*rank_one, 2)
+        assert not report.stable and report.constants is None
+        assert report.kappa == min(r.margin for r in al.penrose_margins(*rank_one, (1, 2)))
+
+    @pytest.mark.parametrize("background", [UNSTABLE, "stable-broad"])
+    @pytest.mark.parametrize(
+        "name, bad", [("k_max", 0), ("eta_min", 0.0), ("eta", -5.0), ("epsilon", 0.0), ("c_bilinear", -3.0)]
+    )
+    def test_bad_input_named_first(self, background, name, bad):
+        bg, p, q = al.background_preset(background)
+        with pytest.raises(ValueError, match=named_first(name)):
+            al.margin_report(bg, p, q, **{name: bad})
+
+
+class TestPerturbationRun:
+    def test_rows_equal_the_deviation_file(self, tmp_path):
+        cfg = readme_example("perturb", tmp_path / "run")
+        out = run_cli(tmp_path, "perturb", cfg)
+        bg, p, q = al.background_preset(cfg["perturb"]["background"])
+        grid = al.SpectralGrid(cfg["grid"]["N"])
+        run = al.perturbation_run(bg, p, q, grid, seed=cfg["seed"], **section_args(cfg, "perturb"))
+        with open(out / "deviation.csv", newline="") as fh:
+            written = list(csv.reader(fh))[1:]
+        assert run.diverged_at is None and run.fit_rate is not None
+        assert [[cli._fmt(c) for c in (*row, run.fit_rate)] for row in run.rows] == written
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["horizon"], summary["fit_rate"]) == (run.horizon, run.fit_rate)
+        assert summary["constants"] == run.constants.to_dict()
+
+    def test_stops_at_the_first_untrusted_record(self):
+        # at q = 1e8 the linearized flow overflows; the rows end before the time it did
+        bg, _, _ = al.background_preset("stable-broad")
+        run = al.perturbation_run(
+            bg, 1.0, 1e8, al.SpectralGrid(6), 1e-3, T=0.5, dt=1e-2, kappa=0.1, c_bilinear=0.18, seed=3
+        )
+        assert run.diverged_at is not None and 1 <= len(run.rows) < 51
+        assert run.rows[-1][0] < run.diverged_at
+        assert all(_trusted(dev, lin) for _, dev, lin, _ in run.rows)
+
+    def test_linearized_trace_norms_need_hermitian_stacks(self):
+        gen = np.random.default_rng(0)
+        a = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
+        herm = a + a.swapaxes(-1, -2).conj()
+        expected = [np.linalg.svd(m, compute_uv=False).sum() for m in herm]
+        assert np.allclose(penrose_mod._hermitian_trace_norm(herm), expected, rtol=1e-13, atol=0.0)
+        with pytest.raises(ValueError, match="^not Hermitian: max"):
+            penrose_mod._hermitian_trace_norm(a)
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("epsilon", {"epsilon": -1.0}),
+            ("epsilon", {"epsilon": math.nan}),
+            ("epsilon", {"epsilon": 5.0}),  # the datum leaves the nonnegative cone
+            ("T", {"T": 0.0}),
+            ("T", {"epsilon": 0.0, "T": None}),  # no intrinsic horizon
+            ("fit_window", {"fit_window": [0.2, 0.1]}),
+            ("grid", {"grid": al.SpectralGrid(1)}),
+            ("eta_min", {"eta_min": 0.0}),
+            ("seed_band", {"seed_band": 7}),
+            ("k_max", {"k_max": 0}),
+            ("kappa", {"kappa": -1.0}),
+            ("dt", {"dt": 0.0}),
+            ("drop_tol", {"drop_tol": -1.0}),
+            ("record_every", {"record_every": 0}),
+        ],
+    )
+    def test_bad_input_named_first(self, name, bad):
+        bg, p, q = al.background_preset("stable-broad")
+        args = {"grid": al.SpectralGrid(6), "epsilon": 1e-3, "T": 0.2, "dt": 0.01, "kappa": 0.03,
+                "c_bilinear": 0.18, "seed_band": 2, "seed": 7}
+        if name == "k_max":
+            del args["kappa"]
+        with pytest.raises(ValueError, match=named_first(name)):
+            al.perturbation_run(bg, p, q, **{**args, **bad})
