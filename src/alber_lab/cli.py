@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import sys
@@ -58,30 +59,31 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-# the data files the run in progress has written, for its manifest; main empties it
-_written: list[Path] = []
+# the data files the run in progress has written, with the sha256 of their bytes, for its manifest; main empties it
+_written: dict[Path, str] = {}
+
+
+def _write(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    _written[path] = hashlib.sha256(data).hexdigest()
 
 
 def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)  # RFC 4180 line endings
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
-    _written.append(path)
+    text = io.StringIO()
+    writer = csv.writer(text)  # RFC 4180 line endings
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    _write(path, text.getvalue().encode())
 
 
 def write_json(path: Path, payload: dict) -> None:
     """payload as strict JSON (RFC 8259): a NaN or infinity in it is a ValueError."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    _written.append(path)
+    _write(path, (json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n").encode())
 
 
 def write_manifest(out_dir: Path, subcommand: str, config: dict, t0: float) -> None:
-    """manifest.json of the run started at t0, listing the data files it wrote."""
-    outputs = sorted(_written)
+    """manifest.json of the run started at t0, listing the data files it wrote with the sha256 of their bytes."""
     write_json(
         out_dir / "manifest.json",
         {
@@ -92,7 +94,7 @@ def write_manifest(out_dir: Path, subcommand: str, config: dict, t0: float) -> N
             "version": __version__,
             "wall_clock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "elapsed_s": round(time.perf_counter() - t0, 3),
-            "outputs": [{"path": p.name, "sha256": hashlib.sha256(p.read_bytes()).hexdigest()} for p in outputs],
+            "outputs": [{"path": p.name, "sha256": digest} for p, digest in sorted(_written.items())],
         },
     )
 

@@ -26,9 +26,10 @@ allocate.  Its transforms are the raw pocketfft pair bound in spectral
 (_fft, _ifft: numpy >= 2.0), which skips np.fft's per-call argument
 handling (a quarter to a third of a step at the lab's sizes) and keeps
 np.fft's bits.  iter_evolve wraps it for one MixedState, and evolve and
-every other multi-step caller go through iter_evolve, except the
-a-priori ensemble of inequalities, which runs its samples through
-_split_step in groups of equal rank.  _record_scalars is the one formula
+every other multi-step caller go through iter_evolve, except two that
+read _split_step's raw records: the a-priori ensemble of inequalities,
+which runs its samples in groups of equal rank, and
+penrose.perturbation_run.  _record_scalars is the one formula
 for the record channels, over the same leading axes: monitor takes one
 state's from it, the ensemble a whole group's.
 
@@ -49,7 +50,10 @@ record_every rank-one steps, whichever costs less, counting multiplies
 and a fixed cost per numpy call.  M_0 is exactly the identity, so the
 diagonal of U, hence its trace, is kept bit for bit.  Only powers of the scheme's own step are taken, never an
 eigenvalue or matrix exponential of the Penrose matrix: the growth rate
-the flow yields is checked against that matrix's eigenvalue.
+the flow yields is checked against that matrix's eigenvalue.  Its
+records come a block at a time (_linearized_blocks), with no object per
+record: per block one buffer of at most BLOCK_ENTRIES stack entries, one
+density sum, one trust test and one gather of the recorded matrices.
 
 The Picard oracle iterates the mild (Duhamel) formula on a uniform
 grid.  Its free phases are one exponential of m^2 - n^2 per node, and
@@ -80,10 +84,10 @@ from .spectral import (
     _check_finite,
     _fft,
     _ifft,
+    _stack_index,
     analyze_batch,
     diagonal_stack,
     diagonal_sums,
-    from_diagonal_stack,
     synthesize_batch,
     toeplitz,
 )
@@ -513,6 +517,9 @@ class LinearizedTrajectory:
 # rank-one step's five calls take about 7 us on top of their arithmetic,
 # about 7000 multiplies of 1 ns, and a batched matrix product about as much
 CALL_COST = 7000
+# entries (records x diagonal stack) of one block of linearized records; penrose.perturbation_run
+# reads its split-step records in blocks of the same count
+BLOCK_ENTRIES = 2**16
 
 
 def _power_pays(n: int, uses: int, nm: int, live: int) -> bool:
@@ -529,6 +536,77 @@ def _power_pays(n: int, uses: int, nm: int, live: int) -> bool:
     products = n.bit_length() + bin(n).count("1") - 2
     power = products * (live * nm**3 + CALL_COST) + uses * (live * nm**2 + CALL_COST)
     return power <= uses * n * (3 * live * nm + CALL_COST)
+
+
+def _linearized_blocks(
+    u0: OperatorMatrix, bg: BackgroundSymbol, cfg: EvolveConfig, matrix_every: int = 0
+) -> Iterator[tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]]:
+    """The records of linearized_evolve, a block of them at a time.
+
+    Per block: the record times, the density modes (one row of d(k),
+    k = -N..N, per record), whether all of them are _trusted, and the
+    times and stacked entries of the matrices recorded among them.  Each
+    record's live diagonals are written into a block buffer, so a block is
+    one sum of them, one _trusted, one copy into a padded diagonal stack
+    and one gather through _stack_index.  The stack holds at most
+    BLOCK_ENTRIES entries (or one record), so it does not grow with N.
+    """
+    grid = u0.grid
+    if grid.N < bg.J:
+        raise TruncationError(f"grid cutoff N={grid.N} below background support J={bg.J}")
+    if matrix_every < 0:
+        raise ValueError(f"matrix_every must be >= 0, got {matrix_every}")
+    _check_finite(u0=u0.entries)
+    modes = grid.modes()
+    nm = grid.n_modes
+    n2 = modes.astype(float) ** 2
+    gh = bg.gamma_hat(modes).astype(float)
+    x = diagonal_stack(u0.entries)
+    live = np.flatnonzero(x.any(axis=1))
+    x = x[live]
+    h = diagonal_stack(np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :])))[live]
+    dhc = cfg.dt * h * diagonal_stack(1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :]))[live]
+    h2 = h * h
+    # the padding (h == 0) stays zero in every row and column of M_k
+    w = h + (0.5 * dhc.sum(axis=1))[:, None] * (h != 0)
+    ends = np.array([*range(0, cfg.steps, cfg.record_every), cfg.steps])
+    uses = Counter(np.diff(ends).tolist())  # record_every, and a partial last stride
+    pays = [n for n, count in uses.items() if _power_pays(n, count, nm, live.size)]
+    if pays:
+        step = dhc[:, :, None] * w[:, None, :]
+        step[:, np.arange(nm), np.arange(nm)] += h2
+
+    def advance(x: np.ndarray, n: int) -> np.ndarray:
+        if n in powers:
+            return (powers[n] @ x[:, :, None])[:, :, 0]
+        for _ in range(n):
+            x = h2 * x + dhc * (w * x).sum(axis=1)[:, None]
+        return x
+
+    recorded = (ends == 0) | (ends == cfg.steps)
+    if matrix_every:
+        recorded |= ends // cfg.record_every % matrix_every == 0
+    band = (live >= grid.N) & (live <= 3 * grid.N)  # the live diagonals k = -N..N of d(k), k = -2N..2N
+    diagonals = np.empty((max(1, BLOCK_ENTRIES // ((2 * nm - 1) * nm)), live.size, nm), dtype=complex)
+    stack = np.zeros((len(diagonals), 2 * nm - 1, nm), dtype=complex)
+    rows, cols = _stack_index(nm)
+    prev = 0
+    # growth is flagged, not raised, so overflow on the way is no error; the errstate
+    # is left before every yield, so it never holds in the caller's code
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {n: np.linalg.matrix_power(step, n) for n in pays}
+    for start in range(0, ends.size, len(diagonals)):
+        block = ends[start : start + len(diagonals)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, i in enumerate(block.tolist()):
+                x = diagonals[j] = advance(x, i - prev)
+                prev = i
+            d = np.zeros((block.size, 2 * grid.N + 1), dtype=complex)
+            d[:, live[band] - grid.N] = diagonals[: block.size, band].sum(axis=-1)
+            trusted = bool(_trusted(d).all())
+        stack[: block.size, live] = diagonals[: block.size]
+        kept = recorded[start : start + block.size]
+        yield block * cfg.dt, d, trusted, block[kept] * cfg.dt, stack[: block.size][kept][:, rows, cols]
 
 
 def linearized_evolve(
@@ -555,69 +633,21 @@ def linearized_evolve(
     stack (spectral.diagonal_stack), record to record.  Each stride of n
     steps is one batched product with M^n, taken once per stride length,
     where _power_pays counts that as cheaper than n rank-one steps
-    x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  A
-    matrix is rebuilt from the stack only where one is recorded.  M_0 is
+    x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  The records
+    come a block at a time (_linearized_blocks), and a matrix is rebuilt
+    from the stack only where one is recorded.  M_0 is
     exactly the identity (h = 1 and c = 0 there), so every diagonal entry
     of U, hence tr U, keeps its initial value bit for bit.  Unbounded
     growth is expected for spectrally unstable backgrounds and is
     flagged, not raised: growth_flag is set once a record of d(k) fails
     _trusted, and overflow on the way warns nothing.
     """
-    grid = u0.grid
-    if grid.N < bg.J:
-        raise TruncationError(f"grid cutoff N={grid.N} below background support J={bg.J}")
-    if matrix_every < 0:
-        raise ValueError(f"matrix_every must be >= 0, got {matrix_every}")
-    _check_finite(u0=u0.entries)
-    modes = grid.modes()
-    nm = grid.n_modes
-    n2 = modes.astype(float) ** 2
-    gh = bg.gamma_hat(modes).astype(float)
-    x = diagonal_stack(u0.entries)
-    live = np.flatnonzero(x.any(axis=1))
-    x = x[live]
-    h = diagonal_stack(np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :])))[live]
-    dhc = cfg.dt * h * diagonal_stack(1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :]))[live]
-    h2 = h * h
-    # the padding (h == 0) stays zero in every row and column of M_k
-    w = h + (0.5 * dhc.sum(axis=1))[:, None] * (h != 0)
-    ends = [*range(0, cfg.steps, cfg.record_every), cfg.steps]
-    uses = Counter(b - a for a, b in zip(ends, ends[1:]))  # record_every, and a partial last stride
-    pays = [n for n, count in uses.items() if _power_pays(n, count, nm, live.size)]
-    if pays:
-        step = dhc[:, :, None] * w[:, None, :]
-        step[:, np.arange(nm), np.arange(nm)] += h2
-
-    def advance(x: np.ndarray, n: int) -> np.ndarray:
-        if n in powers:
-            return (powers[n] @ x[:, :, None])[:, :, 0]
-        for _ in range(n):
-            x = h2 * x + dhc * (w * x).sum(axis=1)[:, None]
-        return x
-
-    half_band = slice(grid.N, 3 * grid.N + 1)  # k = -N..N inside d(k), k = -2N..2N
-    full = np.zeros((2 * nm - 1, nm), dtype=complex)
-    times, spectra = [], []
-    matrices, matrix_times = [], []
-    growth = False
-    # growth is flagged, not raised, so overflow on the way is no error
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = {n: np.linalg.matrix_power(step, n) for n in pays}
-        for prev, i in zip([0, *ends], ends):
-            x = advance(x, i - prev)
-            full[live] = x
-            d = full.sum(axis=1)[half_band]
-            growth = growth or not _trusted(d).all()
-            times.append(i * cfg.dt)
-            spectra.append(d)
-            if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, cfg.steps):
-                matrices.append(OperatorMatrix(grid, from_diagonal_stack(full)))
-                matrix_times.append(i * cfg.dt)
+    times, spectra, trusted, matrix_times, matrices = zip(*_linearized_blocks(u0, bg, cfg, matrix_every))
     return LinearizedTrajectory(
-        times=np.asarray(times),
-        k_modes=modes.copy(),
-        density_modes=np.asarray(spectra),
-        matrices=matrices,
-        matrix_times=np.asarray(matrix_times),
-        growth_flag=growth,
+        times=np.concatenate(times),
+        k_modes=u0.grid.modes().copy(),
+        density_modes=np.concatenate(spectra),
+        matrices=[OperatorMatrix(u0.grid, m) for block in matrices for m in block],
+        matrix_times=np.concatenate(matrix_times),
+        growth_flag=not all(trusted),
     )

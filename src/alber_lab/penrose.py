@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolveConfig, _trusted, iter_evolve, linearized_evolve
+from .dynamics import EvolveConfig, _linearized_blocks, _split_step, _trusted
 from .inequalities import EnsembleConfig, run_checks
 from .presets import random_hermitian_perturbation
 from .spectral import TWO_PI, SpectralGrid, _check_finite
@@ -58,8 +58,6 @@ NEWTON_POLISH = 2
 SCAN_ENTRIES = 2**17
 # the largest float spacing of the kernel frequencies, relative to eta_min, that penrose_margins accepts
 ETA_RESOLUTION = 2.0**-9
-# records of perturbation_run's two flows per stack of norms
-PERTURB_BLOCK = 32
 
 
 class UnstableBackgroundError(ValueError):
@@ -620,11 +618,14 @@ def perturbation_run(
     """Nonlinear against linearized H^1 S^1 deviation from bg of the datum Gamma + epsilon*U0.
 
     U0 is random Hermitian on |n| <= seed_band (default max(J, 1)), drawn from seed.  kappa
-    defaults to the least margin of k = 1..k_max on Re(lambda) = eta_min; the constants
-    (c_bilinear as in margin_report) are taken at epsilon, or at 1 for epsilon = 0, which has
-    no horizon t_star and needs T.  Both flows run T in whole steps dt, PERTURB_BLOCK records
-    at a time, and stop at the first record after t = 0 outside the trust region (_trusted);
-    the bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of log(deviation) in fit_window.
+    defaults to the least margin of k = 1..k_max on Re(lambda) = eta_min; a scan that finds a
+    growing zero leaves no margin, and an UnstableBackgroundError starting "kappa" names k and the
+    zero.  The constants (c_bilinear as in margin_report) are taken at epsilon, or at 1 for
+    epsilon = 0, which has no horizon t_star and needs T.  Both flows run T in whole steps dt and
+    are read side by side a block of records at a time (dynamics._linearized_blocks and
+    _split_step, no object per record); the run stops at the first record after t = 0 outside
+    the trust region (_trusted).  The bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of
+    log(deviation) in fit_window.
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
@@ -643,7 +644,14 @@ def perturbation_run(
     u0 = random_hermitian_perturbation(grid, seed_band, np.random.default_rng(seed))
     if kappa is None:
         _check_positive(k_max=k_max)
-        kappa = min(r.margin for r in penrose_margins(bg, p, q, range(1, k_max + 1), eta_min))
+        reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
+        growing = next((r for r in reports if r.zeros), None)
+        if growing is not None:
+            raise UnstableBackgroundError(
+                f"kappa: the background has no Penrose margin: F_k has the growing zero {growing.zeros[0]:.6g} "
+                f"at k={growing.k}; pass kappa to run it anyway"
+            )
+        kappa = min(r.margin for r in reports)
     consts = _window_constants(bg, kappa, q, eta, epsilon if epsilon > 0 else 1.0, c_bilinear, seed)
 
     gamma_mat = background_to_matrix(bg, grid)
@@ -661,36 +669,38 @@ def perturbation_run(
     record_every = max(1, steps // 200) if record_every is None else record_every
     run_cfg = EvolveConfig(p, q, dt, horizon, record_every)
 
-    lin = linearized_evolve(OperatorMatrix(grid, epsilon * u0.entries, hermitian=True), bg, run_cfg, matrix_every=1)
     # <D>(gamma(t) - Gamma)<D> = F C F* with F = <D>[orbitals(t)^T | plane waves of Gamma] and
     # C = diag(mu, -Gamma_hat(supp)), whose trace norm is taken in factor space (rank r + |supp|)
     weight = grid.brackets_sq() ** 0.5
     bg_state = background_to_state(bg, grid)
     waves = weight[:, None] * bg_state.orbitals.T
     core = np.diag(np.concatenate([datum.weights, -bg_state.weights]))
-    records = zip(iter_evolve(datum, run_cfg), lin.matrices)
+    records = _split_step(grid, datum.weights, datum.orbitals, run_cfg)
+    lin_u0 = OperatorMatrix(grid, epsilon * u0.entries, hermitian=True)
     rows, diverged_at = [], None
     # both flows advance a block of records at a time; the norms of a block are two stacked calls,
     # and the block bounds the stacks, so their memory does not grow with the number of records
-    while diverged_at is None and (block := list(itertools.islice(records, PERTURB_BLOCK))):
-        times = [t for (t, _), _ in block]
-        orbitals = np.stack([state.orbitals for (_, state), _ in block])
+    for times, _, _, _, lin_stack in _linearized_blocks(lin_u0, bg, run_cfg, matrix_every=1):
+        orbitals = np.stack([orb for _, orb in itertools.islice(records, times.size)])
         factors = np.concatenate(
-            [weight[:, None] * orbitals.swapaxes(-1, -2), np.broadcast_to(waves, (len(block), *waves.shape))], axis=-1
+            [weight[:, None] * orbitals.swapaxes(-1, -2), np.broadcast_to(waves, (times.size, *waves.shape))], axis=-1
         )
         devs = _factored_trace_norm(factors, core)
         # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum
         with np.errstate(over="ignore", invalid="ignore"):
-            lin_weighted = weight[:, None] * np.stack([lin_u.entries for _, lin_u in block]) * weight
+            lin_weighted = weight[:, None] * lin_stack * weight
             finite = np.isfinite(lin_weighted).all(axis=(-2, -1))
-            lin_devs = np.full(len(block), math.inf)
+            lin_devs = np.full(times.size, math.inf)
             lin_devs[finite] = _hermitian_trace_norm(lin_weighted[finite])
-        for t, dev, lin_dev in zip(times, devs.tolist(), lin_devs.tolist()):
-            # the datum's own row is always kept, so there is a last good time
-            if t > 0.0 and not _trusted(dev, lin_dev):
-                diverged_at = t
-                break
-            rows.append((t, dev, lin_dev, 2.0 * consts.c_star * (1.0 + t * t) * epsilon))
+        # the datum's own row is always kept, so there is a last good time
+        bad = np.flatnonzero(~_trusted(devs, lin_devs) & (times > 0.0))
+        good = bad[0] if bad.size else times.size
+        t = times[:good]
+        bound = 2.0 * consts.c_star * (1.0 + t * t) * epsilon
+        rows += zip(t.tolist(), devs[:good].tolist(), lin_devs[:good].tolist(), bound.tolist())
+        if bad.size:
+            diverged_at = float(times[good])
+            break
     fit_rate = None
     if fit_window is not None:
         lo, hi = fit_window

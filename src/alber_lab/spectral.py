@@ -204,11 +204,6 @@ def diagonal_stack(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_diagonal_stack(stack: np.ndarray) -> np.ndarray:
-    """The nm x nm matrix whose diagonal_stack is stack; the padding is not read."""
-    return stack[_stack_index(stack.shape[1])]
-
-
 def sobolev_norm(coeffs: np.ndarray, s: float):
     """H^s norm (sum_n <n>^{2s} |f_hat(n)|^2)^{1/2} of coefficients on modes -K..K.
 

@@ -361,6 +361,28 @@ class TestPerturb:
         cfg = self.perturb_config(tmp_path / "x", -0.5)
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "background, physics, section",
+        [
+            ("remark-5-2-unstable", {}, {"c_bilinear": 0.3}),  # the scan's residual there is 0.0
+            ({"symbol": [6.0]}, {"p": 1.0, "q": 0.9}, {"seed_band": 0}),  # and 1.1e-16 here
+        ],
+    )
+    def test_unstable_background_needs_kappa(self, tmp_path, capsys, background, physics, section):
+        # a growing zero leaves no Penrose margin to default kappa to; a given kappa runs
+        # (seed 4 draws a perturbation that keeps the datum of remark-5-2-unstable a state)
+        out = tmp_path / "run"
+        cfg = {"output_dir": str(out), "seed": 4, "grid": {"N": 6}, "physics": physics,
+               "perturb": {"background": background, "epsilon": 1e-4, "T": 1.0, **section}}
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: perturb.kappa: ")
+        assert "growing zero" in err[0] and "k=1" in err[0] and "pass kappa" in err[0]
+        assert not (out / "deviation.csv").exists()
+        cfg["perturb"]["kappa"] = 0.1
+        assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
+        assert json.loads((out / "summary.json").read_text())["kappa"] == 0.1
+
     def test_shares_the_evolution_loop(self, tmp_path, monkeypatch):
         import alber_lab.dynamics as dyn
 
@@ -371,11 +393,11 @@ class TestPerturb:
             monkeypatch.setattr(dyn, name, forbidden)
         loops = []
 
-        def counting(state, cfg):
+        def counting(grid, mu, orbitals, cfg):
             loops.append(cfg)
-            return dyn.iter_evolve(state, cfg)
+            return dyn._split_step(grid, mu, orbitals, cfg)
 
-        monkeypatch.setattr(penrose, "iter_evolve", counting)
+        monkeypatch.setattr(penrose, "_split_step", counting)
         assert not hasattr(penrose, "strang_step")
         out = tmp_path / "run"
         assert cli.main(["perturb", "--config", write_config(tmp_path, self.perturb_config(out, 1e-3))]) == 0
@@ -384,9 +406,12 @@ class TestPerturb:
         assert len(rows) == loops[0].steps // loops[0].record_every + 1
 
     def test_hermitian_checks_do_not_grow_with_records(self, tmp_path, monkeypatch):
-        # the run's fixed inputs (datum, perturbation) are checked one by one, and
-        # the recorded differences gamma(t) - Gamma once per stack of PERTURB_BLOCK records
+        # the run's fixed inputs (datum, perturbation) are checked one by one, and the recorded
+        # differences gamma(t) - Gamma once per block of records, here 32 on the grid N=6
         import alber_lab.states as states
+
+        block = 32
+        monkeypatch.setattr(dyn, "BLOCK_ENTRIES", block * 25 * 13)  # a record's diagonal stack at N=6 is 25 x 13
 
         calls = {states: [], penrose: []}
 
@@ -409,10 +434,10 @@ class TestPerturb:
             cfg = self.perturb_config(out, 1e-3, dt=1e-3, record_every=record_every)
             assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
             _, rows = read_csv(out / "deviation.csv")
-            assert len(calls[penrose]) == math.ceil(len(rows) / penrose.PERTURB_BLOCK)
+            assert len(calls[penrose]) == math.ceil(len(rows) / block)
             counts.append((len(rows), len(calls[states])))
         (many, fixed_many), (few, fixed_few) = counts
-        assert many > penrose.PERTURB_BLOCK and few > 1
+        assert many > block and few > 1
         assert fixed_many == fixed_few > 0
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf])
@@ -444,35 +469,33 @@ class TestPerturb:
         assert 1 <= len(rows) < 51
         assert all(_trusted(float(row[1]), float(row[2])) for row in rows)
 
-    def run_against_dense_norms(self, tmp_path, monkeypatch, cfg):
-        """deviation.csv of cfg and, per record of the same two flows, the dense route's
-        norms: one sobolev_schatten_norm of gamma(t) - Gamma and of the linearized matrix."""
-        flows = {}
-
-        def kept_evolve(state, run_cfg):
-            flows["records"] = list(dyn.iter_evolve(state, run_cfg))
-            return iter(flows["records"])
-
-        def kept_linearized(*args, **kwargs):
-            flows["lin"] = dyn.linearized_evolve(*args, **kwargs)
-            return flows["lin"]
-
-        monkeypatch.setattr(penrose, "iter_evolve", kept_evolve)
-        monkeypatch.setattr(penrose, "linearized_evolve", kept_linearized)
+    def run_against_dense_norms(self, tmp_path, cfg):
+        """deviation.csv of cfg and, per record of the same two flows rebuilt through the public
+        iter_evolve and linearized_evolve, the dense route's norms: one sobolev_schatten_norm
+        of gamma(t) - Gamma and of the linearized matrix."""
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
-        _, rows = read_csv(Path(cfg["output_dir"]) / "deviation.csv")
+        out = Path(cfg["output_dir"])
+        _, rows = read_csv(out / "deviation.csv")
+        sec = cfg["perturb"]
         grid = al.SpectralGrid(cfg["grid"]["N"])
-        bg, _, _ = background_preset(cfg["perturb"]["background"])
+        bg, p, q = background_preset(sec["background"])
         gamma = al.background_to_matrix(bg, grid).entries
+        u0 = al.random_hermitian_perturbation(grid, sec["seed_band"], np.random.default_rng(cfg["seed"]))
+        u0 = sec["epsilon"] * u0.entries
+        datum = al.eigendecompose(al.OperatorMatrix(grid, gamma + u0, hermitian=True), drop_tol=1e-12)
+        horizon = json.loads((out / "summary.json").read_text())["horizon"]
+        record_every = sec.get("record_every") or max(1, round(horizon / sec["dt"]) // 200)
+        run_cfg = al.EvolveConfig(p, q, sec["dt"], horizon, record_every)
+        lin = al.linearized_evolve(al.OperatorMatrix(grid, u0, hermitian=True), bg, run_cfg, matrix_every=1)
         dense = []
-        for (t, state), lin_u in zip(flows["records"], flows["lin"].matrices):
+        for (t, state), lin_u in zip(al.iter_evolve(datum, run_cfg), lin.matrices, strict=True):
             diff = al.OperatorMatrix(grid, to_matrix(state).entries - gamma)
             dense.append((al.sobolev_schatten_norm(diff, 1.0), al.sobolev_schatten_norm(lin_u, 1.0)))
         assert len(dense) == len(rows)
         got = np.array([[float(r[1]), float(r[2])] for r in rows])
         return got, np.array(dense), bg
 
-    def test_norms_match_dense_route_on_readme_config(self, tmp_path, monkeypatch):
+    def test_norms_match_dense_route_on_readme_config(self, tmp_path):
         cfg = {
             "output_dir": str(tmp_path / "run"),
             "seed": 7,
@@ -480,15 +503,15 @@ class TestPerturb:
             "perturb": {"background": "stable-broad", "epsilon": 1e-3, "dt": 1e-3, "seed_band": 2,
                         "fit_window": [0.5, 2.0], "c_bilinear": 0.18},
         }
-        got, dense, _ = self.run_against_dense_norms(tmp_path, monkeypatch, cfg)
+        got, dense, _ = self.run_against_dense_norms(tmp_path, cfg)
         assert (dense > 0.0).all()
         assert (np.abs(got - dense) <= 1e-12 * dense).all()
 
-    def test_norms_match_dense_route_at_zero_epsilon(self, tmp_path, monkeypatch):
+    def test_norms_match_dense_route_at_zero_epsilon(self, tmp_path):
         # gamma(t) - Gamma is rounding only, so the two routes are held to the scale of
         # the terms whose difference they take, ||Gamma||_{H1 S1}, not to each other's rounding
         cfg = self.perturb_config(tmp_path / "run", 0.0)
-        got, dense, bg = self.run_against_dense_norms(tmp_path, monkeypatch, cfg)
+        got, dense, bg = self.run_against_dense_norms(tmp_path, cfg)
         assert (got[:, 1] == 0.0).all() and (dense[:, 1] == 0.0).all()
         assert got[:, 0].max() < 1e-10 and dense[:, 0].max() < 1e-10
         assert np.abs(got[:, 0] - dense[:, 0]).max() <= 1e-12 * bg.h1s1_norm()

@@ -9,17 +9,18 @@ import csv
 import json
 import math
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
 import alber_lab.dynamics as dyn
 from alber_lab.dynamics import DivergenceError, diagonal_sums
-from alber_lab.spectral import TWO_PI, analyze_batch, synthesize_batch, toeplitz
+from alber_lab.spectral import TWO_PI, _stack_index, analyze_batch, diagonal_stack, synthesize_batch, toeplitz
 
 from conftest import named_first, random_state, run_cli
 
@@ -925,6 +926,70 @@ def stride_case(data, kind):
     return steps, stride
 
 
+def per_record_linearized_evolve(u0, bg, cfg, matrix_every=0):
+    """linearized_evolve as it was before it took its records in blocks, frozen:
+    the same powers or rank-one steps, and per record one sum, one _trusted
+    and one gather.  The bit-identity reference."""
+    grid = u0.grid
+    modes = grid.modes()
+    nm = grid.n_modes
+    n2 = modes.astype(float) ** 2
+    gh = bg.gamma_hat(modes).astype(float)
+    x = diagonal_stack(u0.entries)
+    live = np.flatnonzero(x.any(axis=1))
+    x = x[live]
+    h = diagonal_stack(np.exp(0.5j * cfg.p * cfg.dt * (n2[:, None] - n2[None, :])))[live]
+    dhc = cfg.dt * h * diagonal_stack(1j * (cfg.q / TWO_PI) * (gh[:, None] - gh[None, :]))[live]
+    h2 = h * h
+    w = h + (0.5 * dhc.sum(axis=1))[:, None] * (h != 0)
+    ends = [*range(0, cfg.steps, cfg.record_every), cfg.steps]
+    uses = Counter(b - a for a, b in zip(ends, ends[1:]))
+    pays = [n for n, count in uses.items() if dyn._power_pays(n, count, nm, live.size)]
+    if pays:
+        step = dhc[:, :, None] * w[:, None, :]
+        step[:, np.arange(nm), np.arange(nm)] += h2
+
+    def advance(x, n):
+        if n in powers:
+            return (powers[n] @ x[:, :, None])[:, :, 0]
+        for _ in range(n):
+            x = h2 * x + dhc * (w * x).sum(axis=1)[:, None]
+        return x
+
+    half_band = slice(grid.N, 3 * grid.N + 1)
+    full = np.zeros((2 * nm - 1, nm), dtype=complex)
+    times, spectra = [], []
+    matrices, matrix_times = [], []
+    growth = False
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = {n: np.linalg.matrix_power(step, n) for n in pays}
+        for prev, i in zip([0, *ends], ends):
+            x = advance(x, i - prev)
+            full[live] = x
+            d = full.sum(axis=1)[half_band]
+            growth = growth or not dyn._trusted(d).all()
+            times.append(i * cfg.dt)
+            spectra.append(d)
+            if matrix_every and (i // cfg.record_every) % matrix_every == 0 or i in (0, cfg.steps):
+                matrices.append(al.OperatorMatrix(grid, full[_stack_index(nm)]))
+                matrix_times.append(i * cfg.dt)
+    return dyn.LinearizedTrajectory(
+        times=np.asarray(times),
+        k_modes=modes.copy(),
+        density_modes=np.asarray(spectra),
+        matrices=matrices,
+        matrix_times=np.asarray(matrix_times),
+        growth_flag=growth,
+    )
+
+
+def assert_same_bits(a, b):
+    """Equal shapes and == entries, a NaN matching a NaN in the same real or imaginary part."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a.real, b.real, equal_nan=True) and np.array_equal(a.imag, b.imag, equal_nan=True)
+
+
 class TestLinearizedEvolve:
     @staticmethod
     def _seed_matrix(grid, entries_at):
@@ -1232,6 +1297,66 @@ class TestLinearizedEvolve:
         u0 = al.random_hermitian_perturbation(al.SpectralGrid(4), 2, np.random.default_rng(1))
         with pytest.raises(ValueError, match="^matrix_every must be >= 0"):
             al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 0.1), matrix_every=-1)
+
+
+class TestLinearizedBlocks:
+    """linearized_evolve takes its records a block at a time (_linearized_blocks):
+    every output is the bits of the per-record loop, whatever the block's
+    record count and wherever in a block the records first overflow."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hst.data(),
+        n=hst.integers(1, 6),
+        background=hst.sampled_from(["stable-broad", "remark-5-2-unstable"]),
+        layout=hst.sampled_from(["single", "one block", "blocks and a remainder", "overflow first", "overflow last"]),
+        matrix_every=hst.integers(0, 3),
+        power=hst.sampled_from([True, False, None]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_blocks_are_the_per_record_bits(self, data, n, background, layout, matrix_every, power, seed):
+        bg, p, q = al.background_preset(background)
+        grid = al.SpectralGrid(max(n, bg.J))
+        overflow = layout.startswith("overflow")
+        if overflow:
+            # the explicit midpoint step is unstable at this coupling, so the records overflow
+            q = data.draw(hst.sampled_from([1e5, -1e6, 1e7]))
+            record_every = data.draw(hst.integers(1, 3))
+            steps = 30 * record_every
+        else:
+            steps, record_every = stride_case(data, data.draw(hst.sampled_from(["one", "divisor", "partial"])))
+        cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=record_every)
+        band = data.draw(hst.integers(1 if overflow else 0, grid.N))
+        u0 = al.random_hermitian_perturbation(grid, band, np.random.default_rng(seed))
+        pays = dyn._power_pays if power is None else (lambda *args: power)
+        with mock.patch.object(dyn, "_power_pays", pays):
+            want = per_record_linearized_evolve(u0, bg, cfg, matrix_every)
+        records = len(want.times)
+        if layout == "single":
+            per = 1
+        elif layout == "one block":
+            per = records
+        elif layout == "blocks and a remainder":
+            assume(records >= 3)
+            per = data.draw(hst.integers(2, records - 1).filter(lambda per: records % per))
+        else:
+            first = next((i for i, d in enumerate(want.density_modes) if not dyn._trusted(d).all()), None)
+            assume(first is not None)
+            # the first overflowing record opens a block, or closes one
+            edge = first if layout == "overflow first" else first + 1
+            per = data.draw(hst.sampled_from([d for d in range(1, edge + 1) if edge % d == 0]))
+        nm = grid.n_modes
+        with mock.patch.object(dyn, "_power_pays", pays), mock.patch.object(
+            dyn, "BLOCK_ENTRIES", per * (2 * nm - 1) * nm
+        ):
+            got = al.linearized_evolve(u0, bg, cfg, matrix_every=matrix_every)
+            assert len(list(dyn._linearized_blocks(u0, bg, cfg, matrix_every))) == -(-records // per)
+        assert got.growth_flag == want.growth_flag
+        for name in ("times", "k_modes", "density_modes", "matrix_times"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert len(got.matrices) == len(want.matrices)
+        for g, w in zip(got.matrices, want.matrices):
+            assert_same_bits(g.entries, w.entries)
 
 
 class TestConvergenceStudy:
