@@ -14,16 +14,17 @@ a second stream at the same seed.  The states come in blocks of
 STATE_BLOCK; in a block each rank group is orthonormalized by one stacked
 QR and held to the MixedState Gram rule as a whole, and every check reads
 the block's rank-grouped stacks through the leading-axis helpers of
-states and spectral.  Pairs go in (r1, r2) rank groups of at most
-PAIR_BLOCK, so the dense (2N+1)^2 matrices stay few; neither bound grows
-with n_samples.  The difference U = gamma1 - gamma2 of a pair is built,
-and checked Hermitian, once for both the trace and the Fourier-summation
-check.  Each result is that of a sample-by-sample loop over the same
-streams: the same violations, ratios and tail constants, and as offender
-the violating sample of lowest draw index.  run_checks is the lab's one
-runner: given apriori=(p, q, T, dt) it also evolves the states 0..n-1 of
-that same draw (_apriori), block by block like any check that reads
-states, so a run draws and orthonormalizes each state once.
+states and spectral.  Pairs go in (r1, r2) rank groups.  The trace and
+Fourier-summation checks share the dense (2N+1)^2 difference U = gamma1 -
+gamma2 of a pair, built and checked Hermitian once, PAIR_BLOCK pairs at a
+time; the bilinear check builds no dense matrix (_potential_rows) and
+reads each rank group whole.  Neither bound grows with n_samples.  Each
+result is that of a sample-by-sample loop over the same streams (bilinear
+ratios to 1e-12): the same violations, ratios and tail constants, and as
+offender the violating sample of lowest draw index.  run_checks is the
+lab's one runner: given apriori=(p, q, T, dt) it also evolves the states
+0..n-1 of that same draw (_apriori), block by block like any check that
+reads states, so a run draws and orthonormalizes each state once.
 
 The H^s S^1 norms of a difference gamma1 - gamma2 (rank <= r1 + r2) and of
 a commutator [V, gamma2] (rank <= 2 r2) are taken in factor space: each is
@@ -51,7 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .spectral import TWO_PI, SpectralGrid, _check_finite, bessel_constant, diagonal_sums
-from .spectral import sobolev_norm, synthesize_batch, toeplitz
+from .spectral import analyze_batch, sobolev_norm, synthesize_batch, toeplitz
 from .states import (
     GramError,
     MixedState,
@@ -70,7 +71,6 @@ from .dynamics import (
     DivergenceError,
     EvolveConfig,
     TrajectoryRecord,
-    _potential_matrix,
     _record_scalars,
     _split_step,
     _trusted,
@@ -79,7 +79,7 @@ from .dynamics import (
 # States per block of the draw, even so that no pair straddles two blocks:
 # the orbital stacks of a run_checks call hold at most this many states.
 STATE_BLOCK = 128
-# Pairs per stack of dense (2N+1)^2 matrices.
+# Pairs per stack of the dense (2N+1)^2 differences.
 PAIR_BLOCK = 2
 # Fields per stack of the conjugation check's (2N+1)^2 matrices.
 FIELD_BLOCK = 8
@@ -289,16 +289,16 @@ def _over_states(blk: _Block, count: int, quantity: Callable) -> tuple:
     return out
 
 
-def _pair_stacks(blk: _Block):
-    """The pairs (2i, 2i+1) of blk by rank group (r1, r2), in stacks of at most PAIR_BLOCK.
+def _pair_stacks(blk: _Block, size: int):
+    """The pairs (2i, 2i+1) of blk by rank group (r1, r2), in stacks of at most size.
 
     Yields (local pair indices, mu1, orbitals1, mu2, orbitals2) per stack.
     """
     r1, r2 = blk.ranks[0::2], blk.ranks[1::2]
     for a, b in sorted(set(zip(r1.tolist(), r2.tolist()))):
         pairs = np.flatnonzero((r1 == a) & (r2 == b))
-        for start in range(0, pairs.size, PAIR_BLOCK):
-            stack = pairs[start : start + PAIR_BLOCK]
+        for start in range(0, pairs.size, size):
+            stack = pairs[start : start + size]
             one, two = blk.slot[2 * stack], blk.slot[2 * stack + 1]
             yield stack, blk.weights[a][one], blk.orbitals[a][one], blk.weights[b][two], blk.orbitals[b][two]
 
@@ -438,7 +438,7 @@ def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
     norm = {e: np.empty(n_pairs) for e in d}
     density, lhs = np.empty(n_pairs), np.empty(n_pairs)
     wk = 1.0 + np.arange(1 - nm, nm).astype(float) ** 2  # <k>^2 on the 2nm-1 diagonals, k = -2N..2N
-    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk):
+    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk, PAIR_BLOCK):
         u = _matrices(mu1, c1) - _matrices(mu2, c2)
         _check_hermitian(u)
         zero = ~u.any(axis=(-2, -1))
@@ -447,7 +447,7 @@ def _differences(cfg: EnsembleConfig, blk: _Block, s: float) -> dict:
         for e, weight in d.items():
             norm[e][pairs] = np.where(zero, 0.0, _factored_trace_norm(weight[:, None] * columns, core))
         density[pairs] = _matrix_density_sobolev(u, s)
-        sums = diagonal_sums(np.abs(u)).real
+        sums = diagonal_sums(np.abs(u))
         lhs[pairs] = np.sum(wk * sums**2, axis=-1) - _pow(sums[:, nm - 1], 2)  # drop k = 0
     blk.memo[s] = {"trace": (density, norm[0.5 * s], None), "fourier_summation": (lhs, _pow(norm[0.5], 2), None)}
     return blk.memo[s]
@@ -612,20 +612,24 @@ def _certified(a: np.ndarray, t: float, frob2: float, work: np.ndarray) -> bool:
     return True
 
 
+def _potential_rows(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """V_rho rows, rho the density of (mu, orbitals), as a product on the grid: exact to rounding, since
+    M >= 4N + 2 points resolve rho (band 2N) and the product (band 3N) aliases onto no mode |n| <= N."""
+    return analyze_batch(grid, _density(grid, mu, orbitals)[..., None, :] * synthesize_batch(grid, rows))
+
+
 def _bilinear(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||[V_rho(gamma1), gamma2]||_{H^s S1} <= C ||gamma1||_{H^s S1} ||gamma2||_{H^s S1}.
 
     With A = psi2^T and M = diag(mu2), gamma2 = A M A* and V is self-adjoint,
-    so [V, gamma2] = F C F* with F = [V A, A] and C = [[0, M], [-M, 0]].
+    so [V, gamma2] = F C F* with F = [V A, A] and C = [[0, M], [-M, 0]], V A on the grid.
     """
     d = cfg.grid.brackets_sq() ** (0.5 * s)
     w = cfg.grid.brackets_sq() ** s
     (hs1,) = _over_states(blk, blk.ranks.size, lambda mu, c: (_orbital_sum(mu, c, w),))
     norm = np.empty(blk.ranks.size // 2)
-    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk):
-        # C order, as the single-state operands: a stacked product of another layout rounds otherwise
-        v, a = (np.ascontiguousarray(x) for x in (_potential_matrix(_matrices(mu1, c1)), c2.swapaxes(-1, -2)))
-        factors = d[:, None] * np.concatenate((v @ a, a), axis=-1)
+    for pairs, mu1, c1, mu2, c2 in _pair_stacks(blk, blk.ranks.size):
+        factors = d[:, None] * np.concatenate((_potential_rows(cfg.grid, mu1, c1, c2), c2), axis=-2).swapaxes(-1, -2)
         rank = mu2.shape[-1]
         norm[pairs] = _factored_trace_norm(factors, _diagonal(mu2, rank) - _diagonal(mu2, -rank))
     return norm, hs1[0::2] * hs1[1::2], None
@@ -655,23 +659,26 @@ class _Check(NamedTuple):
     None) of an explicit-constant check or (numerator, denominator, None)
     of an empirical one.  reads is "states" (sample i is state i of the draw),
     "pairs" (states 2i and 2i+1) or "fields" (field row i); the source is
-    a _Block for the first two and the field rows for the last.
+    a _Block for the first two and the field rows for the last.  weight
+    (j, e) says that the terms read weights up to <jN>^(e s).
     """
 
     terms: Callable
     reads: str
     explicit: bool = False
+    weight: tuple | None = None
 
 
-# name -> _Check, in the order of ALL_CHECKS
+# name -> _Check, in the order of ALL_CHECKS; the pair differences take H^s norms of
+# densities on k = -2N..2N, and bilinear's denominator is a product of two H^s S1 norms
 _CHECKS = {
-    "bessel": _Check(_bessel, "states", True),
+    "bessel": _Check(_bessel, "states", True, (1, 2)),
     "gn": _Check(_gn, "fields", True),
     "hoffmann_ostenhof": _Check(_hoffmann_ostenhof, "states", True),
-    "trace": _Check(_trace, "pairs"),
-    "conjugation": _Check(_conjugation, "fields"),
-    "bilinear": _Check(_bilinear, "pairs"),
-    "fourier_summation": _Check(_fourier_summation, "pairs"),
+    "trace": _Check(_trace, "pairs", weight=(2, 2)),
+    "conjugation": _Check(_conjugation, "fields", weight=(1, 2)),
+    "bilinear": _Check(_bilinear, "pairs", weight=(1, 4)),
+    "fourier_summation": _Check(_fourier_summation, "pairs", weight=(2, 2)),
 }
 ALL_CHECKS = tuple(_CHECKS)
 
@@ -697,9 +704,10 @@ def run_checks(
     with records every tenth of the steps.
 
     Before any sample is drawn, rejects unknown or repeated names (the
-    message starts with "checks"), an s that is non-finite, negative, or
-    <= 1/2 when bessel is named (the message starts with "s"), and an
-    apriori that EvolveConfig rejects.
+    message starts with "checks"), an s that is non-finite, negative,
+    <= 1/2 when bessel is named, or so large that the largest weight a
+    named check reads is past the float range (the message starts with
+    "s"), and an apriori that EvolveConfig rejects.
     """
     names = tuple(names)
     unknown = [n for n in names if n not in _CHECKS]
@@ -713,6 +721,10 @@ def run_checks(
     if "bessel" in names and s <= 0.5:
         raise ValueError(f"s={s}: the bessel check needs s > 1/2")
     checks = {name: _CHECKS[name] for name in names}
+    for name, (j, e) in ((name, check.weight) for name, check in checks.items() if check.weight):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(1.0 + (j * cfg.grid.N) ** 2) ** (0.5 * e * s)):
+                raise ValueError(f"s={s}: {name} reads the weight <{j * cfg.grid.N}>^({e}s), past the float range")
     if apriori is not None:
         p, q, T, dt = apriori
         run_cfg = EvolveConfig(p=p, q=q, dt=dt, T=T)

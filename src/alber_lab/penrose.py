@@ -501,15 +501,9 @@ def propagator_constants(
     epsilon: float,
     c_bilinear: float,
 ) -> PropagatorConstants:
-    inputs = {
-        "gamma_h1s1": gamma_h1s1,
-        "gamma_l1": gamma_l1,
-        "kappa": kappa,
-        "q": q,
-        "eta": eta,
-        "epsilon": epsilon,
-        "c_bilinear": c_bilinear,
-    }
+    inputs = dict(
+        gamma_h1s1=gamma_h1s1, gamma_l1=gamma_l1, kappa=kappa, q=q, eta=eta, epsilon=epsilon, c_bilinear=c_bilinear
+    )
     _check_finite(**inputs)
     if kappa <= 0.0:
         raise UnstableBackgroundError(f"kappa must be a positive Penrose margin, got {kappa}")
@@ -535,19 +529,9 @@ def propagator_constants(
             raise ValueError(f"constants are not finite: {name} = {value} from {given}")
     c_gamma = window ** (-0.2)
     t_star = c_gamma * epsilon ** (-0.2)
+    fields = {key: value for key, value in inputs.items() if key != "q"}
     return PropagatorConstants(
-        gamma_h1s1=gamma_h1s1,
-        gamma_l1=gamma_l1,
-        kappa=kappa,
-        q_abs=abs(q),
-        c_bilinear=c_bilinear,
-        eta=eta,
-        epsilon=epsilon,
-        c_gamma_eta=c_gamma_eta,
-        c_star=c_star,
-        c_q=c_q,
-        c_gamma=c_gamma,
-        t_star=t_star,
+        **fields, q_abs=abs(q), c_gamma_eta=c_gamma_eta, c_star=c_star, c_q=c_q, c_gamma=c_gamma, t_star=t_star
     )
 
 

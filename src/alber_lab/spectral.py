@@ -167,11 +167,14 @@ def diagonal_sums(entries: np.ndarray) -> np.ndarray:
     d(k) is (2*pi)**0.5 times the unitary Fourier coefficient of the
     position density of U.  One bincount sums every matrix, matrix i in
     bins i*(2nm-1) on, each diagonal in the order of a single-matrix call.
+    Real entries give real sums, with no bincount over a zero imaginary part.
     """
     *lead, nm, _ = entries.shape
     width, count = 2 * nm - 1, math.prod(lead)
     bins = (_offsets(nm).ravel() + width * np.arange(count)[:, None]).ravel()
     re = np.bincount(bins, weights=entries.real.ravel(), minlength=count * width)
+    if not np.iscomplexobj(entries):
+        return re.reshape(*lead, width)
     im = np.bincount(bins, weights=entries.imag.ravel(), minlength=count * width)
     return (re + 1j * im).reshape(*lead, width)
 
@@ -259,8 +262,8 @@ def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
         raise ValueError(f"sum_n <n>^(-2s) diverges for s={s} <= 1/2")
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    K = int(math.ceil((s / (6.0 * TWO_PI * tail_tol)) ** (1.0 / (2.0 * s + 1.0))))
-    K = max(K, 16)
+    # K = (s / (6 2pi tail_tol))^(1 / (2s + 1)), in logs so that no large s overflows
+    K = max(math.ceil(math.exp((math.log(s) - math.log(6.0 * TWO_PI * tail_tol)) / (2.0 * s + 1.0))), 16)
     n = np.arange(1, K + 1, dtype=float)
     partial = 1.0 + 2.0 * float(np.sum((1.0 + n * n) ** (-s)))
     # Tail integral expanded in x^-2: (1+x^2)^-s = x^-2s * sum_i binom(-s,i) x^-2i.
@@ -268,6 +271,7 @@ def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
     tail = 0.0
     c = 1.0
     for i in range(4):
-        tail += c * a ** (1.0 - 2.0 * s - 2.0 * i) / (2.0 * s + 2.0 * i - 1.0)
+        power = a ** (1.0 - 2.0 * s - 2.0 * i)
+        tail += c * power / (2.0 * s + 2.0 * i - 1.0) if power else 0.0  # c may overflow where power underflows
         c *= -(s + i) / (i + 1.0)
     return (partial + 2.0 * tail) / TWO_PI

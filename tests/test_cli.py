@@ -989,6 +989,21 @@ class TestBadValues:
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "s, checks",
+        [(200.0, ["bessel", "trace"]), (400.0, ["conjugation"]), (400.0, ["bilinear"]), (1e300, ["bessel"])],
+    )
+    def test_overflowing_s_exits_2(self, tmp_path, s, checks):
+        # weights <2N>^(2s) or <N>^(2s) past the float range: an inf or 0 ratio, or a traceback, if run
+        out = tmp_path / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["inequalities", "--config", write_config(tmp_path, ensemble_input(out, s=s, checks=checks))])
+        assert code == 2
+        assert err.getvalue().startswith(f"config error: ensemble.s={s}: ")
+        assert err.getvalue().count("\n") == 1
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "key, value, named",
         [
             ("dts", [1e-300, 0.01], "convergence.dts[0]=1e-300"),

@@ -643,6 +643,29 @@ class TestBilinear:
         assert res.violations == 0
         assert math.isfinite(res.empirical_constant)
 
+    # the smallest default grids (N=1: M=6, N=2: M=10, N=7: M=30) and explicit M = 4N + 2
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(1, 16),
+        ranks=hst.tuples(hst.integers(1, 4), hst.integers(1, 4)),
+        tight=hst.booleans(),
+        decay=hst.sampled_from([0.0, 2.0]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    @example(n=1, ranks=(3, 3), tight=False, decay=0.0, seed=0)
+    @example(n=2, ranks=(4, 4), tight=False, decay=0.0, seed=1)
+    @example(n=7, ranks=(4, 1), tight=False, decay=0.0, seed=2)
+    @example(n=3, ranks=(2, 4), tight=True, decay=0.0, seed=3)
+    @example(n=16, ranks=(4, 4), tight=True, decay=0.0, seed=4)
+    def test_grid_product_is_the_potential_matrix(self, n, ranks, tight, decay, seed):
+        # V_rho(gamma1) psi2 on the grid against the dense Toeplitz matrix of gamma1's diagonal sums
+        grid = al.SpectralGrid(n, 4 * n + 2) if tight else al.SpectralGrid(n)
+        rng = np.random.default_rng(seed)
+        g1, g2 = (random_mixed_state(rng, grid, min(r, grid.n_modes), decay) for r in ranks)
+        expected = _potential_matrix(al.to_matrix(g1).entries) @ g2.orbitals.T
+        got = ineq._potential_rows(grid, g1.weights[None], g1.orbitals[None], g2.orbitals[None])[0].T
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
 
 class TestFourierSummation:
     def test_diagonal_matrix_gives_zero(self, grid8):
@@ -751,6 +774,33 @@ class TestRunChecks:
         results = run_checks(small_cfg(5), 1.0, names, (1.0, 1.0, 0.05, 1e-2))
         assert [r.name for r in results] == [*names, "apriori"]
         assert len(drawn) == 5
+
+    # at N=4: <4>^(2s) = 17^s, <8>^(2s) = 65^s and bilinear's <4>^(4s) = 17^(2s) leave the float range
+    @pytest.mark.parametrize(
+        "name, largest, first_past",
+        [
+            ("bessel", 250.0, 251.0),
+            ("conjugation", 250.0, 251.0),
+            ("trace", 170.0, 171.0),
+            ("fourier_summation", 170.0, 171.0),
+            ("bilinear", 125.0, 126.0),
+        ],
+    )
+    def test_overflowing_weights_rejected_before_any_sample(self, monkeypatch, name, largest, first_past):
+        (res,) = run_checks(small_cfg(2, N=4), largest, (name,))
+        assert math.isfinite(res.worst_ratio)
+
+        def no_sample(*args):
+            raise AssertionError("a sample was drawn before s was validated")
+
+        monkeypatch.setattr(ineq, "_draw_state", no_sample)
+        monkeypatch.setattr(ineq, "_draw_fields", no_sample)
+        with pytest.raises(ValueError, match=f"^s={first_past}: {name} reads the weight "):
+            run_checks(small_cfg(2, N=4), first_past, ("gn", name))
+
+    def test_unweighted_checks_take_any_order(self):
+        names = ("gn", "hoffmann_ostenhof")
+        assert [r.name for r in run_checks(small_cfg(2, N=4), 1e300, names)] == list(names)
 
     @pytest.mark.parametrize("s, names", [(0.0, ("trace",)), (0.5, ("trace", "gn")), (0.51, ("bessel",))])
     def test_edge_orders_accepted(self, s, names):

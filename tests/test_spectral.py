@@ -269,6 +269,11 @@ class TestBesselConstant:
         values = [al.bessel_constant(s) for s in (0.6, 0.8, 1.0, 2.0, 5.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("s", [200.0, 1e10, 1e102, 1e300, 1.7e308])
+    def test_huge_order_is_the_zero_mode(self, s):
+        # every term but n = 0 underflows; K and the tail neither overflow nor turn NaN
+        assert al.bessel_constant(s, 1e-12) == 1.0 / TWO_PI
+
     def test_divergent_order_rejected(self):
         with pytest.raises(ValueError):
             al.bessel_constant(0.5)
@@ -288,6 +293,18 @@ class TestToeplitzPair:
         rhs = np.vdot(d, diagonal_sums(u))
         scale = math.sqrt(nm) * np.linalg.norm(d) * np.linalg.norm(u)
         assert abs(lhs - rhs) <= 1e-13 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lead=hst.lists(hst.integers(1, 3), max_size=2),
+        nm=hst.integers(1, 13),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_real_entries_give_real_sums(self, lead, nm, seed):
+        x = np.random.default_rng(seed).standard_normal((*lead, nm, nm))
+        sums = diagonal_sums(x)
+        assert sums.dtype == np.float64
+        assert np.array_equal(sums, diagonal_sums(x + 0j).real)
 
     def test_toeplitz_entries(self):
         nm = 5
