@@ -244,7 +244,7 @@ def _build_state(cfg: dict, grid: SpectralGrid) -> MixedState:
         try:
             with open(spec["file"]) as fh:
                 state = state_from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+        except (OSError, json.JSONDecodeError, ValueError) as exc:
             raise ConfigError(f"state.file: cannot load {spec['file']}: {exc}") from exc
         if state.grid != grid:
             raise ConfigError(f"state.file: {spec['file']} holds a state on {state.grid}, not on the grid {grid}")

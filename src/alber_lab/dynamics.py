@@ -60,8 +60,15 @@ grid.  Its free phases are one exponential of m^2 - n^2 per node, and
 its history integral is a product trapezoid rule: the forcing is linear
 between nodes and the free phase over an interval is integrated exactly,
 with weights built once from the step phase.  The integral is carried
-as one running sum, so an iterate costs O(n_quad) matrix products; the
-potentials V_rho of all nodes come from one stacked call.
+as one running sum, so an iterate costs O(n_quad) entrywise products;
+the potentials V_rho of all nodes come from one stacked call.  The datum
+must be Hermitian and is symmetrized once; the phases and weights are
+conjugate-symmetric, so every iterate is Hermitian bit for bit and the
+commutator [V_rho, gamma] is A - A* with A = V_rho gamma, one stacked
+matrix product per iterate.  Like _split_step, a call allocates its
+working arrays once and writes every iterate into them with out=.  The
+iteration stops once an iterate moves by no more than the rounding
+floor 1e-14 ||gamma0||_F, so n_iter is a cap.
 
 Densities and the energy come from states and V_rho from the Toeplitz pair
 in spectral; potential_step and _split_step keep rho inline as they reuse
@@ -96,6 +103,7 @@ from .states import (
     MixedState,
     OperatorMatrix,
     TruncationError,
+    _check_hermitian,
     _density,
     _energy,
     _orbital_sum,
@@ -403,8 +411,12 @@ def convergence_study(
 
 
 def _potential_matrix(entries: np.ndarray) -> np.ndarray:
-    """V(rho_U) in the plane-wave basis, V_mn = (2*pi)**-1 * d(m - n), per matrix along leading axes."""
-    return toeplitz(diagonal_sums(entries)) / TWO_PI
+    """V(rho_U) in the plane-wave basis, V_mn = (2*pi)**-1 * d(m - n), per matrix along leading axes.
+
+    The 2nm - 1 sums are divided before the gather, which copies them, so
+    the matrix is bit for bit the gathered sums divided entry by entry.
+    """
+    return toeplitz(diagonal_sums(entries) / TWO_PI)
 
 
 # |theta| below which _product_weights sums the Taylor series, and its
@@ -458,10 +470,25 @@ def picard_solve(
     with the weights a(theta), b(theta) of _product_weights, and the new
     iterate is gamma_i = S(t_i) gamma0 - i*q*I_i.  At theta = 0 the weights
     are 1/2, the plain trapezoid.  The weights come from the scheme's own
-    phases, so it stays independent of the split-step integrator.  Raises
-    NoContractionError if the iterate distances stop decreasing.
+    phases, so it stays independent of the split-step integrator.
+
+    gamma0 must pass the Hermitian rule of OperatorMatrix(hermitian=True);
+    it is symmetrized once, and since the phases and weights are
+    conjugate-symmetric every iterate is then Hermitian bit for bit, so
+    F = A - A* with A = V_rho gamma.  The working arrays are allocated
+    once per call and written with out=: two iterate buffers that swap,
+    the products and forcings, whose first n_quad - 1 rows then hold the
+    node terms a F_(i-1) + b F_i (h is folded into the final factor).
+    n_iter is a cap: the iteration stops at the first iterate whose
+    largest Frobenius move over the nodes is at most 1e-14 ||gamma0||_F,
+    the rounding floor of the contraction test.  Raises NoContractionError
+    if the iterate distances stop decreasing above that floor.
     """
     _check_finite(p=p, q=q, T=T, gamma0=gamma0.entries)
+    try:
+        _check_hermitian(gamma0.entries)
+    except ValueError as exc:
+        raise ValueError(f"gamma0 is {exc}") from None
     if T < 0:
         raise ValueError("horizon must be >= 0")
     if n_quad < 2 or n_iter < 1:
@@ -475,29 +502,40 @@ def picard_solve(
     theta = p * h * d2
     step = np.exp(1j * theta)
     before, after = _product_weights(theta, step)
-    free = np.exp(1j * p * ts[:, None, None] * d2) * gamma0.entries
-    iterates = free.copy()
-    scale = math.sqrt(float(np.sum(np.abs(gamma0.entries) ** 2))) or 1.0
+    entries = gamma0.entries
+    free = np.exp(1j * p * ts[:, None, None] * d2) * (0.5 * (entries + entries.conj().T))
+    kick = -1j * q * h
+    floor = 1e-14 * (math.sqrt(float(np.sum(np.abs(entries) ** 2))) or 1.0)
+    iterate, new = free.copy(), np.empty_like(free)
+    prod, forcing = np.empty_like(free), np.empty_like(free)
+    moves = prod.view(float).reshape(n_quad, -1)  # prod's real and imaginary parts, one row per node
     prev_dist = math.inf
     for _ in range(n_iter):
-        v = _potential_matrix(iterates)
-        forcings = v @ iterates - iterates @ v
-        new = free.copy()
-        integral = np.zeros_like(forcings[0])
+        np.matmul(_potential_matrix(iterate), iterate, out=prod)
+        np.conjugate(prod.swapaxes(-1, -2), out=forcing)
+        np.subtract(prod, forcing, out=forcing)
+        np.multiply(after, forcing[1:], out=prod[1:])
+        np.multiply(before, forcing[:-1], out=forcing[:-1])
+        forcing[:-1] += prod[1:]
+        # new[i] holds I_i / h until the kick and the free term make it gamma_i
+        new[0] = 0.0
         for i in range(1, n_quad):
-            integral = step * integral + before * forcings[i - 1] + after * forcings[i]
-            new[i] += (-1j * q * h) * integral
-        dist = math.sqrt(float(np.sum(np.abs(new - iterates) ** 2, axis=(1, 2)).max()))
-        iterates = new
-        if dist >= prev_dist and dist > 1e-14 * scale:
+            np.multiply(step, new[i - 1], out=new[i])
+            new[i] += forcing[i - 1]
+        new *= kick
+        new += free
+        np.subtract(new, iterate, out=prod)
+        dist = math.sqrt(float(np.einsum("ij,ij->i", moves, moves).max()))
+        if dist >= prev_dist and dist > floor:
             raise NoContractionError(
                 f"Picard iterates stopped contracting ({prev_dist:.3e} -> {dist:.3e}); "
                 "shorten the horizon"
             )
+        iterate, new = new, iterate
+        if dist <= floor:
+            break
         prev_dist = dist
-    final = iterates[-1]
-    final = 0.5 * (final + final.conj().T)
-    return OperatorMatrix(gamma0.grid, final, hermitian=True)
+    return OperatorMatrix(gamma0.grid, iterate[-1].copy(), hermitian=True)
 
 
 # ---- linearized flow around a homogeneous background ----

@@ -250,13 +250,19 @@ def lp_norm(samples: np.ndarray, p) -> float:
     raise ValueError(f"unsupported exponent p={p}; use 1, 2, 4 or math.inf")
 
 
+# most terms bessel_constant sums, a 128 MiB array of floats; the tail_tol
+# 1e-12 of the checks needs about 1.2e5 at any s > 1/2
+BESSEL_MAX_TERMS = 2**24
+
+
 def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
     """B_s = (2*pi)**-1 * sum_{n in Z} <n>^{-2s}, valid for s > 1/2.
 
     Partial summation over |n| <= K plus an integral estimate of the
     remainder.  The midpoint integral int_{K+1/2}^inf (1+x^2)^{-s} dx
     matches the tail sum with Euler-Maclaurin error O(s * K^{-2s-1});
-    K is chosen adaptively so that error stays below tail_tol.
+    K is chosen adaptively so that error stays below tail_tol; a tail_tol
+    that would need more than BESSEL_MAX_TERMS terms is refused.
     """
     if s <= 0.5:
         raise ValueError(f"sum_n <n>^(-2s) diverges for s={s} <= 1/2")
@@ -264,6 +270,10 @@ def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
         raise ValueError("tail_tol must be positive")
     # K = (s / (6 2pi tail_tol))^(1 / (2s + 1)), in logs so that no large s overflows
     K = max(math.ceil(math.exp((math.log(s) - math.log(6.0 * TWO_PI * tail_tol)) / (2.0 * s + 1.0))), 16)
+    if K > BESSEL_MAX_TERMS:
+        raise ValueError(
+            f"tail_tol={tail_tol:g} at s={s:g} needs {K:.3g} terms, above the cap of {BESSEL_MAX_TERMS}"
+        )
     n = np.arange(1, K + 1, dtype=float)
     partial = 1.0 + 2.0 * float(np.sum((1.0 + n * n) ** (-s)))
     # Tail integral expanded in x^-2: (1+x^2)^-s = x^-2s * sum_i binom(-s,i) x^-2i.

@@ -423,11 +423,23 @@ def state_to_dict(state: MixedState) -> dict:
 
 
 def state_from_dict(payload: dict) -> MixedState:
+    """The state of a state_to_dict payload.
+
+    A payload that is not a state document (not a JSON object, another
+    schema, a grid, weights or orbitals of the wrong type or shape) raises
+    a ValueError starting "state"; orbitals that are not orthonormal raise
+    MixedState's GramError.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"state document must be a JSON object, got a {type(payload).__name__}")
     if payload.get("schema") != STATE_SCHEMA:
-        raise ValueError(f"unexpected state schema {payload.get('schema')!r}")
-    grid = SpectralGrid(int(payload["grid"]["N"]), int(payload["grid"]["M"]))
-    weights = np.asarray(payload["weights"], dtype=float)
-    flat = np.asarray(payload["orbitals"], dtype=float)
-    flat = flat.reshape(weights.size, 2 * grid.n_modes)
+        raise ValueError(f"state schema {payload.get('schema')!r} is not {STATE_SCHEMA!r}")
+    try:
+        grid = SpectralGrid(int(payload["grid"]["N"]), int(payload["grid"]["M"]))
+        weights = np.asarray(payload["weights"], dtype=float)
+        flat = np.asarray(payload["orbitals"], dtype=float)
+        flat = flat.reshape(weights.size, 2 * grid.n_modes)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"state document is malformed: {type(exc).__name__}: {exc}") from exc
     orbitals = flat[:, 0::2] + 1j * flat[:, 1::2]
     return MixedState(grid, weights, orbitals)

@@ -28,7 +28,7 @@ import alber_lab.cli as cli
 import alber_lab.dynamics as dyn
 import alber_lab.penrose as penrose
 from alber_lab.presets import background_preset
-from alber_lab.states import to_matrix
+from alber_lab.states import STATE_SCHEMA, to_matrix
 from alber_lab.dynamics import DivergenceError, _trusted
 
 
@@ -154,6 +154,31 @@ def test_state_file_on_another_grid_rejected(tmp_path, capsys, command, section)
     err = state_file_on_another_grid(tmp_path, command, capsys, **section)
     assert len(err) == 1 and err[0].startswith("config error: state.file: ")
     assert "N=8, M=" in err[0] and "N=16, M=" in err[0]
+
+
+NOT_A_STATE = {
+    "list": [1, 2],
+    "null grid": {"schema": STATE_SCHEMA, "grid": None, "weights": [], "orbitals": []},
+    "list N": {"schema": STATE_SCHEMA, "grid": {"N": [1], "M": 6}, "weights": [], "orbitals": []},
+    "dict weights": {"schema": STATE_SCHEMA, "grid": {"N": 1, "M": 6}, "weights": {"a": 1}, "orbitals": []},
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+@pytest.mark.parametrize("shape", NOT_A_STATE)
+def test_state_file_not_a_state_rejected(tmp_path, capsys, command, shape):
+    # valid JSON that is no state document once ended in an AttributeError or TypeError traceback
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(NOT_A_STATE[shape]))
+    out = tmp_path / "run"
+    cfg = simulate_config(out, grid={"N": 1}, state={"file": str(path)})
+    if command == "convergence":
+        del cfg["time"]
+        cfg["convergence"] = {"mode": "dt", "T": 0.02, "dts": [0.01], "dt_ref": 0.005}
+    assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: state.file: cannot load {path}: state "), err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 class TestConfigErrors:

@@ -792,6 +792,63 @@ class TestPicard:
         al.picard_solve(al.to_matrix(random_state(grid8, 2, seed=3)), 1.0, 1.0, 0.05, n_iter=4, n_quad=9)
         assert shapes == [(9, grid8.n_modes, grid8.n_modes)] * 4
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=hst.integers(1, 8),
+        rank=hst.integers(1, 3),
+        seed=hst.integers(0, 2**32 - 1),
+        p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        q=hst.sampled_from([-3.0, -1.0, 1.0, 3.0]),
+        T=hst.floats(0.0, 0.1, exclude_min=True),
+        n_iter=hst.integers(1, 12),
+        n_quad=hst.integers(2, 65),
+    )
+    @example(n=1, rank=1, seed=0, p=-1.0, q=-3.0, T=1.223580332795995e-154, n_iter=1, n_quad=3)
+    def test_output_exactly_hermitian(self, n, rank, seed, p, q, T, n_iter, n_quad):
+        # the datum is symmetrized once and the phases and weights are
+        # conjugate-symmetric, so no iterate leaves the Hermitian matrices
+        grid = al.SpectralGrid(n)
+        g0 = al.to_matrix(random_state(grid, min(rank, grid.n_modes), seed))
+        try:
+            out = al.picard_solve(g0, p, q, T, n_iter, n_quad).entries
+        except al.NoContractionError:
+            return
+        assert np.array_equal(out, out.conj().T)
+
+    @pytest.mark.parametrize("T", [0.05, 0.0])
+    def test_non_hermitian_datum_refused(self, grid8, monkeypatch, T):
+        # it was once accepted, and the output was the Hermitian part of the last iterate
+        def no_work(entries):
+            raise AssertionError("picard_solve started work on a non-Hermitian datum")
+
+        monkeypatch.setattr(dyn, "_potential_matrix", no_work)
+        gen = np.random.default_rng(4)
+        u = gen.standard_normal((grid8.n_modes,) * 2) + 1j * gen.standard_normal((grid8.n_modes,) * 2)
+        with pytest.raises(ValueError, match=r"^gamma0 is not Hermitian: max\|U - U\*\| = "):
+            al.picard_solve(al.OperatorMatrix(grid8, u), 1.0, 1.0, T)
+
+    def test_stops_at_the_rounding_floor(self, grid8, monkeypatch):
+        # n_iter is a cap: on the benchmark family the iterates reach the floor
+        # 1e-14 ||gamma0||_F before the default 8, and a datum that does not
+        # contract is still refused
+        calls = []
+
+        def counting(entries):
+            calls.append(entries.shape)
+            return potential(entries)
+
+        potential = dyn._potential_matrix
+        monkeypatch.setattr(dyn, "_potential_matrix", counting)
+        for seed in [1389, *range(0, 400, 20)]:
+            st = al.random_smooth_state(al.SpectralGrid(16), rank=2, band=5, decay=2.5,
+                                        rng=np.random.default_rng(seed), total_mass=1.0)
+            calls.clear()
+            al.picard_solve(al.to_matrix(st), 1.0, 1.0, 0.05)
+            assert 1 <= len(calls) < 8, (seed, len(calls))
+        heavy = al.random_smooth_state(grid8, 2, 3, 1.0, np.random.default_rng(12), total_mass=80.0)
+        with pytest.raises(al.NoContractionError):
+            al.picard_solve(al.to_matrix(heavy), p=1e-3, q=5.0, T=3.0, n_iter=10, n_quad=33)
+
 
 class TestDiagonalSums:
     def test_brute_force_oracle(self, grid8, rng):
@@ -807,6 +864,14 @@ class TestDiagonalSums:
                 if modes[i] - modes[j] == k
             )
             assert abs(d[k + nm - 1] - brute) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(nm=hst.integers(1, 17), lead=hst.lists(hst.integers(1, 4), max_size=2), seed=hst.integers(0, 2**32 - 1))
+    def test_potential_matrix_bits_on_stacks(self, nm, lead, seed):
+        # the sums are divided before the gather: the bits of dividing the gathered matrix
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((*lead, nm, nm)) + 1j * gen.standard_normal((*lead, nm, nm))
+        assert np.array_equal(dyn._potential_matrix(x), toeplitz(diagonal_sums(x)) / TWO_PI)
 
     @settings(max_examples=40, deadline=None)
     @given(n=hst.integers(1, 8), rank=hst.integers(0, 3), seed=hst.integers(0, 2**32 - 1))

@@ -7,6 +7,8 @@ Expected values are closed forms computed by hand and frozen here:
 """
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +275,24 @@ class TestBesselConstant:
     def test_huge_order_is_the_zero_mode(self, s):
         # every term but n = 0 underflows; K and the tail neither overflow nor turn NaN
         assert al.bessel_constant(s, 1e-12) == 1.0 / TWO_PI
+
+    @pytest.mark.parametrize("s, tail_tol, terms", [(0.51, 1e-30, "8.44e+13"), (0.6, 1e-20, "1.88e+08")])
+    def test_tail_tolerance_past_the_term_cap_refused(self, s, tail_tol, terms):
+        # the first once raised MemoryError for 614 TiB, the second sized 187 739 046 terms;
+        # both are refused before the partial sum is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^" + re.escape(f"tail_tol={tail_tol:g} at s={s:g} needs {terms} terms")):
+                al.bessel_constant(s, tail_tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_tight_tolerances_below_the_term_cap_accepted(self):
+        # 524 195 terms, and about 1.2e5 for the tail 1e-12 the checks use, next to s = 1/2
+        assert al.bessel_constant(0.75, 1e-16) > al.bessel_constant(0.8, 1e-16)
+        assert al.bessel_constant(0.5 + 1e-9, 1e-12) > 1e8
 
     def test_divergent_order_rejected(self):
         with pytest.raises(ValueError):

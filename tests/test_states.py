@@ -528,6 +528,25 @@ class TestSerialization:
         with pytest.raises(ValueError):
             al.state_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda d: [d],
+            lambda d: {**d, "grid": None},
+            lambda d: {**d, "grid": {"N": [1], "M": 6}},
+            lambda d: {**d, "grid": {"N": math.inf, "M": 6}},
+            lambda d: {**d, "weights": {"a": 1}},
+            lambda d: {key: value for key, value in d.items() if key != "weights"},
+            lambda d: {**d, "orbitals": [[0.0, 1.0]]},
+        ],
+        ids=["list", "null grid", "list N", "infinite N", "dict weights", "no weights", "short orbitals"],
+    )
+    def test_not_a_state_document_rejected(self, change):
+        # each of these once escaped as an AttributeError, TypeError, KeyError or OverflowError
+        d = al.state_to_dict(plane_wave_state(al.SpectralGrid(1), 0, 1.0))
+        with pytest.raises(ValueError, match="^state "):
+            al.state_from_dict(change(d))
+
 
 def state_of_rank(n: int, rank: int, seed: int) -> al.MixedState:
     grid = al.SpectralGrid(n)
