@@ -152,8 +152,9 @@ class EvolveConfig:
             )
         if abs(self.T / self.dt - self.steps) > 1e-9 * self.steps:
             raise ValueError(f"T={self.T} is not a whole number of steps dt={self.dt}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        every = self.record_every
+        if isinstance(every, (bool, np.bool_)) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
 
     @property
     def steps(self) -> int:

@@ -17,7 +17,8 @@ zeros of F_k with Re(lambda) > 0 are exponential growth rates.
 F_k is rational: its zeros are the eigenvalues of one small matrix.
 Without a zero in Re(lambda) >= eta_min, 1/F_k is analytic there and
 tends to 1 at infinity, so inf |F_k| over that half-plane lies on the one
-line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960).
+line Re(lambda) = eta_min (maximum modulus principle; Penrose 1960),
+the only line the scan reads; another line is a scan at another eta_min.
 F_k and its first two derivatives come from one pass over its pole terms
 (_dispersion_derivatives): they polish the zeros by Newton's method and
 find the line minimum by a safeguarded Newton iteration on the derivative
@@ -108,7 +109,6 @@ class PenroseReport:
     margin: float
     argmin_lambda: complex
     zeros: list
-    eta_line_margins: list
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +116,6 @@ class PenroseReport:
             "margin": self.margin,
             "argmin_lambda": [self.argmin_lambda.real, self.argmin_lambda.imag],
             "zeros": [[z.real, z.imag] for z in self.zeros],
-            "eta_line_margins": [[e, m] for e, m in self.eta_line_margins],
         }
 
 
@@ -130,15 +129,15 @@ def _dispersion_derivatives(c: np.ndarray, omega: np.ndarray, coef: complex, lam
 
 
 def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Im(lambda) and value of min |F_k| on each line Re(lambda) = eta[i], for
-    every mode of a pass: arrays of shape (modes, lines).
+    """Im(lambda) and value of min |F_k| on the line Re(lambda) = eta, for
+    every mode of a pass: arrays of shape (modes,).
 
     residue = -coef*c and omega hold each mode's pole terms padded to one
     width, zeros its eigenvalues in the slots of its own terms, poles marks
-    those slots on every line, and level holds F_k at eta + i*omega there;
-    evaluate(modes, lam) gives F_k, F_k' and F_k'' of the mode of every
-    point.  The local minima sit near the zeros of F_k or beside its poles.
-    Near the pole i*omega_j the line sees
+    those slots, and level holds F_k at eta + i*omega there; all are
+    (modes, width) arrays, and evaluate(modes, lam) gives F_k, F_k' and
+    F_k'' of the mode of every point.  The local minima sit near the zeros
+    of F_k or beside its poles.  Near the pole i*omega_j the line sees
     F_k ~ B_j + residue_j/(lambda - i*omega_j), whose pole term runs over a
     circle through 0 and residue_j/eta; the seed there is the point where
     the shifted circle comes closest to 0.  Every seed is bracketed by half
@@ -155,32 +154,31 @@ def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np
     the end of its side of the minimum, a Newton point off the bracket
     falls back to bisection, and a bracket stops once its Newton step would
     lower phi by at most 1e-14 relative or move s by rounding only.  Any
-    other bracket keeps the smaller end.  All brackets of all lines of all
-    modes take their steps together, each one reports its smallest
-    evaluated |F_k|, and each line its first smallest bracket in the order
-    zeros, then poles.  No step reads another bracket, so a mode's minima
-    do not depend on the modes that share its pass.
+    other bracket keeps the smaller end.  All brackets of all modes take
+    their steps together, each one reports its smallest evaluated |F_k|,
+    and each mode its first smallest bracket in the order zeros, then
+    poles.  No step reads another bracket, so a mode's minimum does not
+    depend on the modes that share its pass.
     """
-    centre = residue[:, None, :] / (2.0 * eta[:, None])  # (modes, lines, width)
+    centre = residue / (2.0 * eta)  # (modes, width)
     with np.errstate(all="ignore"):  # shifted may vanish, and gap**2 overflows once |lambda| > 1e154
         shifted = np.zeros_like(centre)
         shifted[poles] = level - centre[poles]
         nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
-        beside = np.nan_to_num((residue[:, None, :] / nearest).imag, posinf=0.0, neginf=0.0)
-        seeds = np.concatenate([np.broadcast_to(zeros.imag[:, None, :], beside.shape), omega[:, None, :] + beside], -1)
-        half = 0.5 * np.abs(seeds[..., None] - omega[:, None, None, :]).min(axis=-1)
-        brackets = np.broadcast_to(np.concatenate([poles, poles], axis=-1), seeds.shape)
-        mode, line, _ = np.nonzero(brackets)
+        beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
+        seeds = np.concatenate([zeros.imag, omega + beside], -1)
+        half = 0.5 * np.abs(seeds[..., None] - omega[:, None, :]).min(axis=-1)
+        brackets = np.concatenate([poles, poles], axis=-1)
+        mode, _ = np.nonzero(brackets)
         points = seeds[brackets][:, None] + half[brackets][:, None] * np.array([-1.0, 0.0, 1.0])  # lo, seed, hi
-        row = eta[line]  # the eta of every bracket
-        f, df, d2f = evaluate(mode[:, None], row[:, None] + 1j * points)
+        f, df, d2f = evaluate(mode[:, None], eta + 1j * points)
         value = np.abs(f)
         s = points[np.arange(len(points)), value.argmin(axis=1)]
         least = value.min(axis=1)
         falling = (df / f).imag  # -phi'/(2 phi)
         dip = (falling[:, 0] > 0.0) & (falling[:, 2] < 0.0) | (value[:, 1] < np.minimum(value[:, 0], value[:, 2]))
         active = np.flatnonzero(dip)
-        mode, row, (lo, t, hi) = mode[active], row[active], points[active].T
+        mode, (lo, t, hi) = mode[active], points[active].T
         f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
         floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half[brackets][active])
         for _ in range(64):  # bisection alone shrinks a bracket to rounding in 53 steps
@@ -192,26 +190,27 @@ def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np
             if done.all():
                 break
             t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
-            active, mode, row, lo, hi, floor = (a[~done] for a in (active, mode, row, lo, hi, floor))
-            f, df, d2f = evaluate(mode, row + 1j * t)
+            active, mode, lo, hi, floor = (a[~done] for a in (active, mode, lo, hi, floor))
+            f, df, d2f = evaluate(mode, eta + 1j * t)
             better = np.abs(f) < least[active]
             s[active] = np.where(better, t, s[active])
             least[active] = np.where(better, np.abs(f), least[active])
     at, minimum = np.zeros(seeds.shape), np.full(seeds.shape, np.inf)
     at[brackets], minimum[brackets] = s, least
-    best = np.argmin(minimum, axis=-1)[..., None]
-    return np.take_along_axis(at, best, -1)[..., 0], np.take_along_axis(minimum, best, -1)[..., 0]
+    best = np.argmin(minimum, axis=-1)[:, None]
+    return np.take_along_axis(at, best, -1)[:, 0], np.take_along_axis(minimum, best, -1)[:, 0]
 
 
 def check_eta_min(eta_min: float) -> float:
-    """eta_min as a float; a ValueError starting "eta_min" unless it is finite and > 0 with 4*eta_min finite."""
+    """eta_min as a float; a ValueError starting "eta_min" unless it is finite and > 0 with 2*eta_min finite
+    (the scan reads residue / (2*eta_min))."""
     eta_min = float(eta_min)
-    if not (eta_min > 0.0 and math.isfinite(4.0 * eta_min)):
-        raise ValueError(f"eta_min must be finite and > 0, with 4*eta_min finite, got {eta_min}")
+    if not (eta_min > 0.0 and math.isfinite(2.0 * eta_min)):
+        raise ValueError(f"eta_min must be finite and > 0, with 2*eta_min finite, got {eta_min}")
     return eta_min
 
 
-def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> list[PenroseReport]:
+def _scan(ks: list, terms: list, coef: complex, eta: float, width: int) -> list[PenroseReport]:
     """The PenroseReports of the modes ks in one pass; see penrose_margins."""
     # numpy sums a row of complex terms in blocks of four and adds the last
     # n % 4 one by one; a mode's own terms take the leading blocks and the
@@ -234,11 +233,10 @@ def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> 
     # vanishes, so the eigenvalues of A are exactly the zeros of F_k
     z = np.concatenate([np.linalg.eigvals(np.diag(1j * w) + coef * np.outer(ci, np.ones(ci.size))) for ci, w in terms])
     owner = np.repeat(np.arange(len(ks)), count)
-    # the first evaluation also takes F_k level with every pole on every line, which seeds the brackets there
-    poles = np.broadcast_to(own[:, None, :], (len(ks), eta.size, width))
-    mode, line, slot = np.nonzero(poles)
+    # the first evaluation also takes F_k level with every pole on the line, which seeds the brackets there
+    mode, slot = np.nonzero(own)
     with np.errstate(all="ignore"):
-        f, df, _ = evaluate(np.concatenate([owner, mode]), np.concatenate([z, eta[line] + 1j * omega[mode, slot]]))
+        f, df, _ = evaluate(np.concatenate([owner, mode]), np.concatenate([z, eta + 1j * omega[mode, slot]]))
         f, df, level = f[: z.size], df[: z.size], f[z.size :]
         for _ in range(NEWTON_POLISH):
             newton = z - f / df
@@ -260,18 +258,17 @@ def _scan(ks: list, terms: list, coef: complex, eta: np.ndarray, width: int) -> 
     growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
     zeros = np.zeros(own.shape, dtype=complex)
     zeros[own] = z
-    s, line = _line_minima(evaluate, -coef * c, omega, poles, zeros, level, eta)
+    s, line = _line_minima(evaluate, -coef * c, omega, own, zeros, level, eta)
     line = np.minimum(line, 1.0)
     reports = []
     for i, k in enumerate(ks):
         mine = owner == i
         found = sorted((complex(w) for w in z[mine & growing]), key=lambda w: (-w.real, abs(w.imag)))
-        eta_lines = [(float(e), float(m)) for e, m in zip(eta, line[i])]
         if found:
             j = int(np.argmin(np.where(mine & growing, residual, np.inf)))
-            reports.append(PenroseReport(k, float(residual[j]), complex(z[j]), found, eta_lines))
+            reports.append(PenroseReport(k, float(residual[j]), complex(z[j]), found))
         else:
-            reports.append(PenroseReport(k, float(line[i, 0]), complex(eta[0], s[i, 0]), found, eta_lines))
+            reports.append(PenroseReport(k, float(line[i]), complex(eta, s[i]), found))
     return reports
 
 
@@ -297,9 +294,10 @@ def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float
     the minimum of |F_k| on the line Re(lambda) = eta_min, capped at 1, the
     limit at infinity: _line_minima brackets it at the zeros and beside
     the poles and runs Newton's method on d|F_k|^2/ds = 0 with the exact
-    derivatives, falling back to bisection.  eta_line_margins holds the same
-    capped line minimum at eta_min, 2*eta_min and 4*eta_min; a margin that
-    doubles with eta_min shows zeros on the imaginary axis.
+    derivatives, falling back to bisection.  F_k(-conj(lambda)) =
+    conj(F_k(lambda)), so a mode without a growing zero has all its zeros
+    on the imaginary axis and its margin grows about linearly with eta_min;
+    the margin on another line is a scan at that eta_min.
 
     Only the eigenvalues are taken mode by mode.  Every mode's pole terms
     are padded with c = 0 to one width, 2(2J+1) + 1, so the polish and the
@@ -325,14 +323,13 @@ def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float
             f"reach {fastest:.6g}, where the float spacing {np.spacing(fastest):.3g} of Im(lambda) exceeds "
             f"ETA_RESOLUTION * eta_min = {ETA_RESOLUTION * eta_min:.3g}"
         )
-    eta = eta_min * np.array([1.0, 2.0, 4.0])
     width = 4 * bg.J + 3  # the 2(2J+1) terms a mode can have, and one slot
-    # the largest evaluation reads the bracket ends: 3 lines x 2 width seeds x 3 points, each over width terms
-    per_pass = max(1, SCAN_ENTRIES // (18 * width * width))
+    # the largest evaluation reads the bracket ends: 2 width seeds x 3 points, each over width terms
+    per_pass = max(1, SCAN_ENTRIES // (6 * width * width))
     coef = 1j * q / TWO_PI
     reports = []
     for start in range(0, len(ks), per_pass):
-        reports += _scan(ks[start : start + per_pass], terms[start : start + per_pass], coef, eta, width)
+        reports += _scan(ks[start : start + per_pass], terms[start : start + per_pass], coef, eta_min, width)
     return reports
 
 

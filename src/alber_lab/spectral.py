@@ -264,6 +264,7 @@ def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
     K is chosen adaptively so that error stays below tail_tol; a tail_tol
     that would need more than BESSEL_MAX_TERMS terms is refused.
     """
+    _check_finite(s=s, tail_tol=tail_tol)
     if s <= 0.5:
         raise ValueError(f"sum_n <n>^(-2s) diverges for s={s} <= 1/2")
     if tail_tol <= 0:

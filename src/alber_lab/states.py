@@ -57,9 +57,10 @@ class MixedState:
     """Weights and orthonormal orbital coefficients on a shared grid.
 
     orbitals is a (rank, 2N+1) complex array; row k holds psihat_k on
-    modes -N..N.  Construction rejects non-finite or negative weights and,
-    for a finite gram_tol, a Gram deviation (NaN included) not within it;
-    use reorthonormalized() to repair a drifted state.
+    modes -N..N.  Construction rejects weights that are not 1-d, finite
+    and non-negative and, for a finite gram_tol, a Gram deviation (NaN
+    included) not within it; use reorthonormalized() to repair a drifted
+    state.
     """
 
     grid: SpectralGrid
@@ -70,6 +71,8 @@ class MixedState:
     def __post_init__(self) -> None:
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         self.orbitals = np.asarray(self.orbitals, dtype=complex)
+        if self.weights.ndim != 1:
+            raise ValueError(f"weights must be 1-d, got shape {self.weights.shape}")
         if self.orbitals.ndim != 2 or self.orbitals.shape != (self.weights.size, self.grid.n_modes):
             raise ValueError(
                 f"orbitals shape {self.orbitals.shape} does not match "
@@ -426,16 +429,21 @@ def state_from_dict(payload: dict) -> MixedState:
     """The state of a state_to_dict payload.
 
     A payload that is not a state document (not a JSON object, another
-    schema, a grid, weights or orbitals of the wrong type or shape) raises
-    a ValueError starting "state"; orbitals that are not orthonormal raise
-    MixedState's GramError.
+    schema, a grid N or M that is not integral or is a bool, weights or
+    orbitals of the wrong type or shape) raises a ValueError starting
+    "state"; weights that are not 1-d raise MixedState's ValueError
+    starting "weights", and orbitals that are not orthonormal its GramError.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"state document must be a JSON object, got a {type(payload).__name__}")
     if payload.get("schema") != STATE_SCHEMA:
         raise ValueError(f"state schema {payload.get('schema')!r} is not {STATE_SCHEMA!r}")
     try:
-        grid = SpectralGrid(int(payload["grid"]["N"]), int(payload["grid"]["M"]))
+        sizes = [payload["grid"][key] for key in ("N", "M")]
+        # type(), not isinstance: a bool is not a size, and a float counts only if integral
+        if not all(type(v) is int or type(v) is float and v.is_integer() for v in sizes):
+            raise ValueError(f"grid N and M must be integers, got {sizes}")
+        grid = SpectralGrid(*map(int, sizes))
         weights = np.asarray(payload["weights"], dtype=float)
         flat = np.asarray(payload["orbitals"], dtype=float)
         flat = flat.reshape(weights.size, 2 * grid.n_modes)

@@ -161,24 +161,42 @@ NOT_A_STATE = {
     "null grid": {"schema": STATE_SCHEMA, "grid": None, "weights": [], "orbitals": []},
     "list N": {"schema": STATE_SCHEMA, "grid": {"N": [1], "M": 6}, "weights": [], "orbitals": []},
     "dict weights": {"schema": STATE_SCHEMA, "grid": {"N": 1, "M": 6}, "weights": {"a": 1}, "orbitals": []},
+    "fractional N": {"schema": STATE_SCHEMA, "grid": {"N": 1.5, "M": 6}, "weights": [], "orbitals": []},
+    "bool N": {"schema": STATE_SCHEMA, "grid": {"N": True, "M": 6}, "weights": [], "orbitals": []},
 }
 
 
-@pytest.mark.parametrize("command", ["simulate", "convergence"])
-@pytest.mark.parametrize("shape", NOT_A_STATE)
-def test_state_file_not_a_state_rejected(tmp_path, capsys, command, shape):
-    # valid JSON that is no state document once ended in an AttributeError or TypeError traceback
+def state_file_errors(tmp_path, capsys, command, document) -> list[str]:
+    """stderr lines of command on a grid N=1 from a state.file holding document, checking exit 2 and no data file."""
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(NOT_A_STATE[shape]))
+    path.write_text(json.dumps(document))
     out = tmp_path / "run"
     cfg = simulate_config(out, grid={"N": 1}, state={"file": str(path)})
     if command == "convergence":
         del cfg["time"]
         cfg["convergence"] = {"mode": "dt", "T": 0.02, "dts": [0.01], "dt_ref": 0.005}
     assert cli.main([command, "--config", write_config(tmp_path, cfg)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: state.file: cannot load {path}: state "), err
     assert not out.exists() or list(out.iterdir()) == []
+    return capsys.readouterr().err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+@pytest.mark.parametrize("shape", NOT_A_STATE)
+def test_state_file_not_a_state_rejected(tmp_path, capsys, command, shape):
+    # valid JSON that is no state document once ended in an AttributeError or TypeError traceback
+    err = state_file_errors(tmp_path, capsys, command, NOT_A_STATE[shape])
+    path = tmp_path / "state.json"
+    assert len(err) == 1 and err[0].startswith(f"config error: state.file: cannot load {path}: state "), err
+
+
+@pytest.mark.parametrize("command", ["simulate", "convergence"])
+def test_state_file_nested_weights_rejected(tmp_path, capsys, command):
+    # (2, 1) weights once ended in a matmul traceback (simulate) or named convergence.matmul
+    orbitals = [[0.0, 0.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]]  # modes 0 and 1 of N = 1
+    document = {"schema": STATE_SCHEMA, "grid": {"N": 1, "M": 6}, "weights": [[0.5], [0.5]], "orbitals": orbitals}
+    err = state_file_errors(tmp_path, capsys, command, document)
+    path = tmp_path / "state.json"
+    assert len(err) == 1 and err[0].startswith(f"config error: state.file: cannot load {path}: weights "), err
 
 
 class TestConfigErrors:

@@ -42,6 +42,15 @@ class TestEvolveConfig:
         with pytest.raises(ValueError):
             al.EvolveConfig(p=1.0, q=1.0, dt=1e-3, T=1.0, record_every=0)
 
+    @pytest.mark.parametrize("record_every", [2.5, 2.0, np.float64(2.0), True, False, 0, np.int64(0)])
+    def test_record_every_must_be_an_int(self, record_every):
+        # 2.5 once recorded at the steps where i % 2.5 == 0, and True was taken as 1
+        with pytest.raises(ValueError, match="^record_every must be an int >= 1"):
+            al.EvolveConfig(p=1.0, q=1.0, dt=1e-3, T=1.0, record_every=record_every)
+
+    def test_record_every_numpy_int_accepted(self):
+        assert al.EvolveConfig(p=1.0, q=1.0, dt=1e-3, T=1.0, record_every=np.int64(3)).record_every == 3
+
     @pytest.mark.parametrize("field", ["p", "q", "dt", "T"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):

@@ -161,22 +161,19 @@ class TestPenroseMargin:
             b = al.penrose_margins(bg, p, q, (-k,))[0].margin
             assert abs(a - b) <= 1e-6 * max(a, b)
 
-    def test_eta_line_diagnostics(self, rank_one):
+    def test_report_keys(self, rank_one):
         bg, p, q = rank_one
-        report = al.penrose_margins(bg, p, q, (1,))[0]
-        assert len(report.eta_line_margins) == 3
-        etas = [e for e, _ in report.eta_line_margins]
-        assert etas == sorted(etas)
+        for k in (1, 2):  # a growing zero at k = 1, none at k = 2
+            report = al.penrose_margins(bg, p, q, (k,))[0]
+            assert list(report.to_dict()) == ["k", "margin", "argmin_lambda", "zeros"]
 
-    def test_eta_ladder_doubles(self):
+    def test_margin_doubles_with_eta_min(self):
         # stable-broad has zeros on the imaginary axis, so its margin grows
-        # linearly with the line it is taken on
+        # linearly with the line it is taken on; the line minima at 1e-3,
+        # 2e-3 and 4e-3 of the scan that once took three lines, frozen
         bg, p, q = al.background_preset("stable-broad")
-        report = al.penrose_margins(bg, p, q, (1,), 2e-3)[0]
-        assert [e for e, _ in report.eta_line_margins] == [2e-3, 4e-3, 8e-3]
-        lines = [m for _, m in al.penrose_margins(bg, p, q, (1,))[0].eta_line_margins]
-        assert [round(m, 4) for m in lines] == [0.0433, 0.0861, 0.1686]
-        assert report.margin == lines[1]
+        margins = [al.penrose_margins(bg, p, q, (1,), eta_min)[0].margin for eta_min in (1e-3, 2e-3, 4e-3)]
+        assert margins == [0.04327304743745109, 0.08608208371803072, 0.1686399194376325]
 
     def test_report_serializable(self, rank_one):
         import json
@@ -370,12 +367,31 @@ class TestExactPenrose:
 
     def test_eta_lines_are_line_minima(self, rank_one):
         bg, p, q = rank_one
-        report = al.penrose_margins(bg, p, q, (2,))[0]
         c, omega = written_out_terms(bg, p, 2)
-        for eta, line in report.eta_line_margins:
+        for eta in (1e-3, 2e-3, 4e-3):
+            report = al.penrose_margins(bg, p, q, (2,), eta)[0]
             grid_min = line_grid_minimum(c, omega, q, eta)
-            assert grid_min * (1.0 - 1e-4) <= line <= grid_min * (1.0 + 1e-9)
-        assert report.margin == report.eta_line_margins[0][1]
+            assert not report.zeros and report.argmin_lambda.real == eta
+            assert grid_min * (1.0 - 1e-4) <= report.margin <= grid_min * (1.0 + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        symbol=symbols,
+        log_scale=hst.floats(-4.0, 2.0),
+        k=hst.integers(1, 8).flatmap(lambda k: hst.sampled_from([k, -k])),
+        p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
+        q=hst.sampled_from([1.0, -1.0]),
+        re=hst.floats(1e-6, 10.0).flatmap(lambda x: hst.sampled_from([x, -x])),
+        im=hst.floats(-100.0, 100.0),
+    )
+    def test_dispersion_reflects_across_the_imaginary_axis(self, symbol, log_scale, k, p, q, re, im):
+        # F_k(-conj(lambda)) = conj(F_k(lambda)) for a real symbol: the zeros
+        # pair across the imaginary axis, so a mode without a growing zero has
+        # them all on it, and a line Re(lambda) = eta_min reads every margin
+        bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
+        c, omega = written_out_terms(bg, p, k)
+        lam = complex(re, im)
+        assert written_out_f(c, omega, q, -lam.conjugate()) == np.conj(written_out_f(c, omega, q, lam))
 
 
 def test_import_loads_no_scipy():
@@ -389,11 +405,11 @@ def test_import_loads_no_scipy():
 def golden_penrose_margin(bg, p, q, k, eta_min=1e-3):
     """penrose_margin as it was with an 80-step golden-section search on
     every bracket of the line minimum, frozen: the reference for the Newton
-    search.  Also returns Im(lambda) of the minimum on each of the three lines."""
+    search.  Also returns Im(lambda) of the minimum on the line Re(lambda) = eta_min."""
     c, omega = penrose_mod._kernel_terms(bg, p, k)
-    eta = eta_min * np.array([1.0, 2.0, 4.0])
+    eta = np.array([eta_min])  # the search runs over an axis of lines; it takes one
     if c.size == 0:
-        return al.PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta]), np.zeros(3)
+        return al.PenroseReport(k, 1.0, complex(eta_min), []), 0.0
     coef = 1j * q / (2.0 * math.pi)
 
     def f_value(lam):
@@ -430,12 +446,11 @@ def golden_penrose_margin(bg, p, q, k, eta_min=1e-3):
         )
     s, line = np.where(f1 <= f2, x1, x2), np.minimum(f1, f2)
     best = np.argmin(line, axis=1)
-    s, line = s[np.arange(3), best], np.minimum(line[np.arange(3), best], 1.0)
-    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
+    s, line = s[0, best[0]], min(line[0, best[0]], 1.0)
     if zeros:
         i = int(np.argmin(np.where(growing, residual, np.inf)))
-        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines), s
-    return al.PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines), s
+        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros), s
+    return al.PenroseReport(k, float(line), complex(eta_min, s), zeros), s
 
 
 def rounding_of_f(bg, p, q, k, lam):
@@ -456,27 +471,25 @@ class TestNewtonLineMinimum:
         k=hst.integers(1, 8),
         p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
         q=hst.sampled_from([1.0, -1.0]),
-        eta_min=hst.sampled_from([1e-3, 0.1]),
+        eta_min=hst.sampled_from([1e-3, 2e-3, 4e-3, 0.1]),
     )
     def test_matches_golden_section(self, symbol, log_scale, k, p, q, eta_min):
         bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
         report = al.penrose_margins(bg, p, q, (k,), eta_min)[0]
         frozen, s = golden_penrose_margin(bg, p, q, k, eta_min)
         assert report.zeros == frozen.zeros
-        assert len(report.eta_line_margins) == 3
-        for (eta, line), (eta_frozen, line_frozen), s_line in zip(report.eta_line_margins, frozen.eta_line_margins, s):
-            assert eta == eta_frozen
-            if abs(line - line_frozen) > 1e-12 * line_frozen + 2.0 * rounding_of_f(bg, p, q, k, eta + 1j * s_line):
-                # golden section assumes one minimum per bracket; where a strong
-                # symbol puts two in one, it may stop in the higher one
-                c, omega = written_out_terms(bg, p, k)
-                grid_min = line_grid_minimum(c, omega, q, eta)
-                assert line < line_frozen
-                assert grid_min * (1.0 - 1e-4) <= line <= grid_min * (1.0 + 1e-9)
         if frozen.zeros:
             assert report.margin == frozen.margin and report.argmin_lambda == frozen.argmin_lambda
-        else:
-            assert report.margin == report.eta_line_margins[0][1]
+            return
+        assert report.argmin_lambda.real == eta_min
+        line, line_frozen = report.margin, frozen.margin
+        if abs(line - line_frozen) > 1e-12 * line_frozen + 2.0 * rounding_of_f(bg, p, q, k, eta_min + 1j * s):
+            # golden section assumes one minimum per bracket; where a strong
+            # symbol puts two in one, it may stop in the higher one
+            c, omega = written_out_terms(bg, p, k)
+            grid_min = line_grid_minimum(c, omega, q, eta_min)
+            assert line < line_frozen
+            assert grid_min * (1.0 - 1e-4) <= line <= grid_min * (1.0 + 1e-9)
 
     def test_seed_below_both_ends_is_refined(self):
         # the bracket seeded at a zero near the axis has |F_k| rising at both
@@ -522,7 +535,6 @@ class TestNewtonLineMinimum:
                     for eta_min in (1e-3, 0.1):
                         report = al.penrose_margins(scaled, p, q, (k,), eta_min)[0]
                         assert math.isfinite(report.margin) and 0.0 <= report.margin <= 1.0
-                        assert all(0.0 <= line <= 1.0 for _, line in report.eta_line_margins)
 
 
 class TestUnresolvedZeros:
@@ -600,9 +612,9 @@ def loop_penrose_margin(bg, p, q, k, eta_min=1e-3):
     """penrose_margin as it was before the scan, one mode at a time with its
     own eigen-step, polish and Newton line search, frozen: the scan's oracle."""
     c, omega = penrose_mod._kernel_terms(bg, p, k)
-    eta = eta_min * np.array([1.0, 2.0, 4.0])
+    eta = np.array([eta_min])  # loop_line_minimum runs over an axis of lines; it takes one
     if c.size == 0:
-        return al.PenroseReport(k, 1.0, complex(eta[0]), [], [(float(e), 1.0) for e in eta])
+        return al.PenroseReport(k, 1.0, complex(eta_min), [])
     coef = 1j * q / (2.0 * math.pi)
 
     def derivatives(lam):
@@ -626,11 +638,10 @@ def loop_penrose_margin(bg, p, q, k, eta_min=1e-3):
     zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
     s, line = loop_line_minimum(derivatives, -coef * c, omega, z, eta)
     line = np.minimum(line, 1.0)
-    eta_lines = [(float(e), float(m)) for e, m in zip(eta, line)]
     if zeros:
         i = int(np.argmin(np.where(growing, residual, np.inf)))
-        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros, eta_lines)
-    return al.PenroseReport(k, float(line[0]), complex(eta[0], s[0]), zeros, eta_lines)
+        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros)
+    return al.PenroseReport(k, float(line[0]), complex(eta_min, s[0]), zeros)
 
 
 def close(a, b, rel=1e-12):
@@ -644,19 +655,17 @@ class TestScan:
     """penrose_margins: the modes of a background in one batched pass."""
 
     def test_zero_symbol_passes_without_terms(self, monkeypatch):
-        # only the zero symbol has modes without pole terms; at J = 15 a pass
-        # holds one mode, so no pass has any, and each report is the one the
-        # scan gave before it took such modes: margin 1 at eta_min, no zeros
+        # only the zero symbol has modes without pole terms; at J = 15 (rows of
+        # 63 slots) this budget holds one mode a pass, so no pass has any, and
+        # each report is the one the scan gave before it took such modes:
+        # margin 1 at eta_min, no zeros
         passes = []
         scan = penrose_mod._scan
         monkeypatch.setattr(penrose_mod, "_scan", lambda ks, *args: passes.append(list(ks)) or scan(ks, *args))
+        monkeypatch.setattr(penrose_mod, "SCAN_ENTRIES", 6 * 63**2)
         bg = al.BackgroundSymbol(np.zeros(31))
         for p, q, eta_min in ((1.0, 1.0, 1e-3), (-1.0, -2.0, 0.25)):
-            lines = [[eta_min, 1.0], [2 * eta_min, 1.0], [4 * eta_min, 1.0]]
-            frozen = [
-                {"k": k, "margin": 1.0, "argmin_lambda": [eta_min, 0.0], "zeros": [], "eta_line_margins": lines}
-                for k in (1, 2, 3)
-            ]
+            frozen = [{"k": k, "margin": 1.0, "argmin_lambda": [eta_min, 0.0], "zeros": []} for k in (1, 2, 3)]
             assert [r.to_dict() for r in al.penrose_margins(bg, p, q, (1, 2, 3), eta_min)] == frozen
         assert passes == [[1], [2], [3]] * 2
 
@@ -667,7 +676,7 @@ class TestScan:
         ks=hst.lists(nonzero_modes, min_size=1, max_size=10),
         p=hst.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]),
         q=hst.sampled_from([1.0, -1.0]),
-        eta_min=hst.sampled_from([1e-3, 0.1]),
+        eta_min=hst.sampled_from([1e-3, 2e-3, 4e-3, 0.1]),
     )
     def test_matches_the_per_mode_loop(self, symbol, log_scale, ks, p, q, eta_min):
         bg = al.BackgroundSymbol(np.array(symbol) * 10.0**log_scale)
@@ -684,8 +693,6 @@ class TestScan:
             assert report.k == k
             assert len(report.zeros) == len(frozen.zeros)
             assert all(close(a, b) for a, b in zip(report.zeros, frozen.zeros))
-            for (eta, line), (eta_frozen, line_frozen) in zip(report.eta_line_margins, frozen.eta_line_margins):
-                assert eta == eta_frozen and close(line, line_frozen)
             if not frozen.zeros:
                 assert close(report.margin, frozen.margin)
             if not close(report.argmin_lambda, frozen.argmin_lambda):
@@ -707,8 +714,8 @@ class TestScan:
 
     def test_padding_seeds_no_bracket(self, monkeypatch):
         # the brackets read at their ends and seeds are the per-mode code's:
-        # per line, one at each eigenvalue and one beside each pole of the
-        # mode's own terms, none for a padding slot
+        # one at each eigenvalue and one beside each pole of the mode's own
+        # terms, none for a padding slot
         shapes = []
         evaluate = penrose_mod._dispersion_derivatives
         monkeypatch.setattr(penrose_mod, "_dispersion_derivatives",
@@ -717,7 +724,7 @@ class TestScan:
         al.penrose_margins(bg, 1.0, -1.0, (1, 2, 3))
         sizes = [penrose_mod._kernel_terms(bg, 1.0, k)[0].size for k in (1, 2, 3)]
         assert sizes == [6, 6, 8]
-        assert (3 * 2 * sum(sizes), 3) in shapes
+        assert (2 * sum(sizes), 3) in shapes
 
     def test_reports_are_the_modes_alone(self, monkeypatch):
         # a mode's report is the same whatever modes share its pass, also
@@ -731,7 +738,11 @@ class TestScan:
         alone = [al.penrose_margins(bg, 1.0, -1.0, (k,))[0].to_dict() for k in ks]
         passes.clear()
         assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone
-        assert [len(ks) for ks in passes] == [9, 3]  # SCAN_ENTRIES holds 9 modes of J = 6
+        assert [len(ks) for ks in passes] == [12]
+        passes.clear()
+        monkeypatch.setattr(penrose_mod, "SCAN_ENTRIES", 9 * 6 * 27**2)  # 9 modes of J = 6 (rows of 27 slots)
+        assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone
+        assert [len(ks) for ks in passes] == [9, 3]
         assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks[::-1])] == alone[::-1]
         monkeypatch.setattr(penrose_mod, "SCAN_ENTRIES", 1)
         assert [r.to_dict() for r in al.penrose_margins(bg, 1.0, -1.0, ks)] == alone

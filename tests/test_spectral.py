@@ -294,6 +294,16 @@ class TestBesselConstant:
         assert al.bessel_constant(0.75, 1e-16) > al.bessel_constant(0.8, 1e-16)
         assert al.bessel_constant(0.5 + 1e-9, 1e-12) > 1e8
 
+    @pytest.mark.parametrize(
+        "s, tail_tol, name",
+        [(0.75, math.nan, "tail_tol"), (math.nan, 1e-10, "s"), (math.inf, 1e-10, "s"), (0.75, math.inf, "tail_tol")],
+    )
+    def test_non_finite_argument_named(self, s, tail_tol, name):
+        # NaN and an infinite s once raised "cannot convert float NaN to integer",
+        # and tail_tol = inf gave a value from 16 terms with no tolerance at all
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            al.bessel_constant(s, tail_tol)
+
     def test_divergent_order_rejected(self):
         with pytest.raises(ValueError):
             al.bessel_constant(0.5)

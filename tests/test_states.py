@@ -44,6 +44,13 @@ class TestMixedStateConstruction:
         with pytest.raises(ValueError):
             al.MixedState(grid8, np.array([-0.5]), coeffs)
 
+    def test_weights_must_be_1d(self, grid8):
+        # a (2, 1) array once passed, and simulate then failed inside matmul
+        coeffs = np.zeros((2, grid8.n_modes), dtype=complex)
+        coeffs[0, grid8.N] = coeffs[1, grid8.N + 1] = 1.0
+        with pytest.raises(ValueError, match=r"^weights must be 1-d, got shape \(2, 1\)"):
+            al.MixedState(grid8, np.array([[0.5], [0.5]]), coeffs)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, grid8, value):
         coeffs = np.zeros((2, grid8.n_modes), dtype=complex)
@@ -538,14 +545,29 @@ class TestSerialization:
             lambda d: {**d, "weights": {"a": 1}},
             lambda d: {key: value for key, value in d.items() if key != "weights"},
             lambda d: {**d, "orbitals": [[0.0, 1.0]]},
+            lambda d: {**d, "grid": {"N": 1.9, "M": 6}},
+            lambda d: {**d, "grid": {"N": 1, "M": 6.5}},
+            lambda d: {**d, "grid": {"N": True, "M": 6}},
         ],
-        ids=["list", "null grid", "list N", "infinite N", "dict weights", "no weights", "short orbitals"],
+        ids=["list", "null grid", "list N", "infinite N", "dict weights", "no weights", "short orbitals",
+             "fractional N", "fractional M", "bool N"],
     )
     def test_not_a_state_document_rejected(self, change):
         # each of these once escaped as an AttributeError, TypeError, KeyError or OverflowError
         d = al.state_to_dict(plane_wave_state(al.SpectralGrid(1), 0, 1.0))
         with pytest.raises(ValueError, match="^state "):
             al.state_from_dict(change(d))
+
+    def test_integral_float_grid_accepted(self):
+        # the CLI schema's int rule: an integral float is an int, as JSON may write it
+        d = al.state_to_dict(plane_wave_state(al.SpectralGrid(1), 0, 1.0))
+        assert al.state_from_dict({**d, "grid": {"N": 1.0, "M": 6.0}}).grid == al.SpectralGrid(1, 6)
+
+    def test_nested_weights_rejected(self):
+        grid = al.SpectralGrid(1)
+        d = al.state_to_dict(al.MixedState(grid, np.array([0.5, 0.5]), np.eye(2, grid.n_modes)))
+        with pytest.raises(ValueError, match="^weights must be 1-d"):
+            al.state_from_dict({**d, "weights": [[0.5], [0.5]]})
 
 
 def state_of_rank(n: int, rank: int, seed: int) -> al.MixedState:
