@@ -25,17 +25,17 @@ writes every substep into them with out=, so only record points
 allocate.  Its transforms are the raw pocketfft pair bound in spectral
 (_fft, _ifft: numpy >= 2.0), which skips np.fft's per-call argument
 handling (a quarter to a third of a step at the lab's sizes) and keeps
-np.fft's bits.  iter_evolve wraps it for one MixedState, and evolve and
-every other multi-step caller go through iter_evolve, except two that
-read _split_step's raw records: the a-priori ensemble of inequalities,
-which runs its samples in groups of equal rank, and
-penrose.perturbation_run.  _record_scalars is the one formula
+np.fft's bits.  iter_evolve wraps it for one MixedState.  evolve and the
+a-priori ensemble of inequalities (its samples in groups of equal rank)
+read it through _observed, a block of records at a time on a leading
+record axis; penrose.perturbation_run reads its raw records beside the
+linearized flow's blocks.  _record_scalars is the one formula
 for the record channels, over the same leading axes: monitor takes one
-state's from it, the ensemble a whole group's.
+state's from it, _observed a whole block's.
 
 _trusted (all values finite and within DIVERGENCE_LIMIT) is the one
-divergence rule for every flow: evolve and the a-priori ensemble raise
-DivergenceError on it, linearized_evolve sets growth_flag by it, and
+divergence rule for every flow: _observed raises DivergenceError on it,
+linearized_evolve sets growth_flag by it, and
 penrose.perturbation_run stops once either of its two flows breaks it.
 
 The linearized flow uses the integrating-factor midpoint rule.  In the
@@ -78,6 +78,7 @@ phases, so the three solvers the oracle tests compare stay independent.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Iterator
@@ -118,7 +119,7 @@ MAX_STEPS = 10**8
 
 
 class DivergenceError(RuntimeError):
-    """An observable left the trust region during evolve()."""
+    """An observable of a split-step run (evolve, the a-priori ensemble) left the trust region."""
 
     def __init__(self, t: float, records: list):
         super().__init__(f"evolution diverged at t={t:.6g}")
@@ -217,9 +218,9 @@ def strang_step(state: MixedState, cfg: EvolveConfig) -> MixedState:
 def _record_scalars(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, p: float, q: float) -> tuple:
     """The record channels of states along leading axes, and their densities.
 
-    mu has shape (..., r) and orbitals (..., r, 2N+1).  Returns mass,
-    s2_norm, energy, kinetic, gram_dev and h1s1 (each of shape (...)) and
-    the density samples rho (shape (..., M)).  Mass and the
+    mu has shape (..., r) and orbitals (..., r, 2N+1) or more leading axes (records).
+    Returns mass, s2_norm, energy, kinetic, gram_dev and h1s1 (each of shape (...))
+    and the density samples rho (shape (..., M)).  Mass and the
     Hilbert-Schmidt norm are read off the orbital Gram matrix, so
     integrator-induced orbital drift shows up instead of being hidden by
     the constant weights.  A state in a stack may get other last bits
@@ -244,10 +245,7 @@ def monitor(state: MixedState, cfg: EvolveConfig, t: float = 0.0) -> TrajectoryR
 
 def _trusted(*values) -> np.ndarray:
     """Whether all values are finite and within DIVERGENCE_LIMIT, elementwise."""
-    ok = True
-    for v in values:  # builtin abs and one & per value, so on plain floats it stays sub-microsecond
-        ok = ok & (abs(v) <= DIVERGENCE_LIMIT)
-    return ok
+    return np.all([np.abs(v) <= DIVERGENCE_LIMIT for v in values], axis=0)
 
 
 def _split_step(
@@ -321,20 +319,43 @@ def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, M
         yield t, MixedState(state.grid, state.weights, orbitals, gram_tol=math.inf)
 
 
+def _observed(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, cfg: EvolveConfig) -> Iterator[tuple]:
+    """_split_step's records in blocks of at most BLOCK_ENTRIES // 4 samples (records x orbitals x M) or one record.
+
+    Yields times, orbitals (records, ..., r, 2N+1), channels and rho of one _record_scalars call per block, and
+    tests one _trusted over every state's mass, s2, energy, kinetic and h1s1: the records before the first it
+    fails are yielded, then DivergenceError(t, []) raised.  A run past it warns nothing (errstate, left at a yield).
+    """
+    records = _split_step(grid, mu, orbitals, cfg)
+    size = max(1, BLOCK_ENTRIES // 4 // max(1, mu.size * grid.M))
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not (block := list(itertools.islice(records, size))):
+                return
+            times, stack = np.array([t for t, _ in block]), np.stack([orb for _, orb in block])
+            *channels, rho = _record_scalars(grid, mu, stack, cfg.p, cfg.q)
+            trusted = _trusted(*channels[:4], channels[5]).reshape(times.size, -1).all(axis=1)
+        good = times.size if trusted.all() else int(trusted.argmin())
+        yield times[:good], stack[:good], [c[:good] for c in channels], rho[:good]
+        if good < times.size:
+            raise DivergenceError(float(times[good]), [])
+
+
 def evolve(state: MixedState, cfg: EvolveConfig) -> tuple[MixedState, list[TrajectoryRecord]]:
-    """Strang split-step run over [0, T]; records every record_every steps.
+    """Strang split-step run over [0, T]; records every record_every steps, read by _observed.
 
     Raises DivergenceError (carrying the records up to the last good
     time) at the first record with an observable that is non-finite or
     above DIVERGENCE_LIMIT (_trusted).
     """
     records: list[TrajectoryRecord] = []
-    for t, state in iter_evolve(state, cfg):
-        rec = monitor(state, cfg, t)
-        if not _trusted(rec.mass, rec.s2_norm, rec.energy, rec.kinetic, rec.h1s1):
-            raise DivergenceError(t, records)
-        records.append(rec)
-    return state, records
+    try:
+        for times, orbitals, channels, rho in _observed(state.grid, state.weights, state.orbitals, cfg):
+            spectra = np.abs(analyze_batch(state.grid, rho))
+            records += map(TrajectoryRecord, times.tolist(), *(c.tolist() for c in channels), spectra)
+    except DivergenceError as exc:
+        raise DivergenceError(exc.t, records) from None
+    return MixedState(state.grid, state.weights, orbitals[-1], gram_tol=math.inf), records
 
 
 @dataclass

@@ -67,14 +67,7 @@ from .states import (
     state_to_dict,
     ybar_bound,
 )
-from .dynamics import (
-    DivergenceError,
-    EvolveConfig,
-    TrajectoryRecord,
-    _record_scalars,
-    _split_step,
-    _trusted,
-)
+from .dynamics import EvolveConfig, TrajectoryRecord, _observed
 
 # States per block of the draw, even so that no pair straddles two blocks:
 # the orbital stacks of a run_checks call hold at most this many states.
@@ -384,10 +377,10 @@ def _apriori(cfg: EnsembleConfig, blk: _Block, run_cfg: EvolveConfig) -> tuple:
     """Short evolutions of the states of blk among 0..n-1, each tested against its own Ybar.
 
     Ybar comes from the stacked mass, kinetic energy and density.  Each
-    rank group is evolved as one batch through the split-step kernel, its
-    record scalars taken in one pass.  Per state, the terms are the worst
-    h1s1 / Ybar over the records and the number of records with h1s1 >
-    Ybar (1 + 1e-6), the violations of check_apriori.  Raises
+    rank group is evolved as one batch, read by dynamics._observed a block
+    of records at a time and its h1s1 joined.  Per state, the terms are the
+    worst h1s1 / Ybar over the records and the number of records with h1s1
+    > Ybar (1 + 1e-6), the violations of check_apriori.  The reader raises
     DivergenceError, with no records, at the first record where a state of
     a group leaves the trust region (the rule of evolve).
     """
@@ -399,15 +392,9 @@ def _apriori(cfg: EnsembleConfig, blk: _Block, run_cfg: EvolveConfig) -> tuple:
         rho_l2 = np.sqrt(np.sum(rho**2, axis=-1) * (TWO_PI / grid.M))  # lp_norm(rho, 2) per state
         conserved = zip(_orbital_sum(mu, c, 1.0).tolist(), _orbital_sum(mu, c, kinetic_w).tolist(), rho_l2.tolist())
         ybar = np.array([ybar_bound(m, k, r, p, q, p * q > 0) for m, k, r in conserved])
-        worst, violations = np.zeros(ybar.size), np.zeros(ybar.size)
-        for t, orbitals in _split_step(grid, mu, c, run_cfg):
-            mass_v, s2, energy, kin, _, h1s1, _ = _record_scalars(grid, mu, orbitals, p, q)
-            if not _trusted(mass_v, s2, energy, kin, h1s1).all():
-                raise DivergenceError(t, [])
-            ratio = np.divide(h1s1, ybar, out=np.full_like(h1s1, math.inf), where=ybar != 0)
-            np.maximum(worst, ratio, out=worst)
-            violations += h1s1 > ybar * (1.0 + 1e-6)
-        return worst, violations
+        h1s1 = np.concatenate([channels[-1] for _, _, channels, _ in _observed(grid, mu, c, run_cfg)])
+        ratio = np.divide(h1s1, ybar, out=np.full_like(h1s1, math.inf), where=ybar != 0)
+        return ratio.max(axis=0, initial=0.0), np.count_nonzero(h1s1 > ybar * (1.0 + 1e-6), axis=0)
 
     worst, violations = _over_states(blk, cfg.n_samples - blk.start, evolved)
     return worst, violations, None

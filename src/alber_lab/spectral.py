@@ -59,19 +59,15 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _is_five_smooth(m: int) -> bool:
-    for p in (2, 3, 5):
-        while m % p == 0:
-            m //= p
-    return m == 1
-
-
 def fft_friendly_size(m: int) -> int:
-    """Smallest 5-smooth integer >= m (keeps FFTs at O(M log M))."""
-    candidate = max(int(m), 1)
-    while not _is_five_smooth(candidate):
-        candidate += 1
-    return candidate
+    """Smallest 5-smooth integer >= m (keeps FFTs at O(M log M)): each 3^b 5^c times the least 2^a reaching m."""
+    m, best, five = max(int(m), 1), math.inf, 1
+    while five < best:
+        odd = five
+        while odd < best:
+            best, odd = min(best, odd << (-(-m // odd) - 1).bit_length()), 3 * odd
+        five *= 5
+    return best
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,8 @@ class SpectralGrid:
             raise ValueError(f"N must be >= 1 (the mode cutoff), got {self.N}")
         if self.M == 0:
             object.__setattr__(self, "M", fft_friendly_size(2 * (2 * self.N + 1)))
+        if self.M > np.iinfo(np.intp).max:  # M >= 2(2N+1) follows, so the modes fit too
+            raise ValueError(f"N={self.N} with M={self.M} points is past numpy's largest index {np.iinfo(np.intp).max}")
         if self.M < 2 * (2 * self.N + 1):
             raise ValueError(
                 f"M={self.M} undersamples cutoff N={self.N}; need M >= {2 * (2 * self.N + 1)}"

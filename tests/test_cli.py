@@ -234,6 +234,13 @@ class TestConfigErrors:
         assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "whole number of steps" in capsys.readouterr().err
 
+    def test_huge_grid_refused(self, tmp_path, capsys):
+        # more modes than numpy can index: one config error line naming grid.N
+        cfg = simulate_config(tmp_path / "x", grid={"N": 1e300})
+        assert cli.main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: grid.N=")
+
     def test_missing_cli_args(self):
         with pytest.raises(SystemExit):
             cli.main(["simulate"])

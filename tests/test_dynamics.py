@@ -185,26 +185,20 @@ class TestEvolve:
         assert 3.4 < errs[0] / errs[1] < 4.6
 
     def test_divergence_reports_last_good(self, grid8, monkeypatch):
-        import alber_lab.dynamics as dyn
-
         st = plane_wave_state(grid8, 0, 1.0)
-        original = dyn.monitor
-        calls = {"n": 0}
+        original = dyn._record_scalars
 
-        def poisoned(state, cfg, t=0.0):
-            rec = original(state, cfg, t)
-            calls["n"] += 1
-            if calls["n"] >= 3:
-                rec = dyn.TrajectoryRecord(
-                    rec.t, math.inf, rec.s2_norm, rec.energy, rec.kinetic,
-                    rec.gram_dev, rec.h1s1, rec.density_spectrum,
-                )
-            return rec
+        def poisoned(grid, mu, orbitals, p, q):
+            # the reader passes a block of records on a leading axis: poison the mass from the third on
+            mass, *rest = original(grid, mu, orbitals, p, q)
+            mass[2:] = math.inf
+            return mass, *rest
 
-        monkeypatch.setattr(dyn, "monitor", poisoned)
+        monkeypatch.setattr(dyn, "_record_scalars", poisoned)
         with pytest.raises(DivergenceError) as info:
             dyn.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-2, 0.1, record_every=1))
         assert len(info.value.records) == 2  # records before the poisoned one
+        assert info.value.t == 2 * 1e-2
 
 
 def reference_evolve(state, cfg):
@@ -258,8 +252,9 @@ class TestFusedKernel:
         record_every=hst.integers(1, 12),
         q=hst.sampled_from([-2.0, -0.5, 0.7, 1.5]),
         seed=hst.integers(0, 2**16),
+        per_block=hst.integers(1, 8),
     )
-    def test_property_matches_reference(self, n, rank, steps, record_every, q, seed):
+    def test_property_matches_reference(self, n, rank, steps, record_every, q, seed, per_block):
         grid = al.SpectralGrid(n)
         rank = min(rank, grid.n_modes)
         if rank:
@@ -267,7 +262,17 @@ class TestFusedKernel:
         else:
             st = al.MixedState.empty(grid)
         cfg = al.EvolveConfig(1.0, q, 5e-3, steps * 5e-3, record_every=record_every)
-        assert_same_run(al.evolve(st, cfg), reference_evolve(st, cfg))
+        final, records = al.evolve(st, cfg)
+        assert_same_run((final, records), reference_evolve(st, cfg))
+        # under another block bound of the reader (per_block records) the run is the same, and its
+        # times and densities keep their bits; a Gram product may round differently in a larger stack
+        with mock.patch.object(dyn, "BLOCK_ENTRIES", 4 * per_block * max(rank, 1) * grid.M):
+            blocked = al.evolve(st, cfg)
+        assert_same_run(blocked, reference_evolve(st, cfg))
+        assert np.array_equal(blocked[0].orbitals, final.orbitals)
+        assert [r.t for r in blocked[1]] == [r.t for r in records]
+        for a, b in zip(blocked[1], records):
+            assert np.array_equal(a.density_spectrum, b.density_spectrum)
 
     def test_iter_evolve_records_match_evolve(self, grid8):
         st = random_state(grid8, 2, seed=30, band=3)
@@ -308,7 +313,7 @@ class TestFusedKernel:
         monkeypatch.setattr(al.MixedState, "__post_init__", counting)
         _, records = al.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-2, 0.6, record_every=20))
         assert len(records) == 4
-        assert calls["n"] == len(records) - 1  # the initial state is the caller's
+        assert calls["n"] == 1  # the final state; the records are read as arrays
 
     def test_independent_of_the_composition_steps(self, grid8, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -320,6 +325,76 @@ class TestFusedKernel:
         for name in ("strang_step", "free_step", "potential_step"):
             monkeypatch.setattr(dyn, name, forbidden)
         assert_same_run(dyn.evolve(st, cfg), expected)
+
+
+def poisoning_split_step(record: int, value: float):
+    """dyn._split_step with one orbital entry of record `record` set to value, and the times it poisons."""
+    original = dyn._split_step
+    poisoned_at = []
+
+    def poisoned(grid, mu, orbitals, cfg):
+        for i, (t, orb) in enumerate(original(grid, mu, orbitals, cfg)):
+            if i == record:
+                orb = orb.copy()
+                orb[(0,) * (orb.ndim - 1) + (grid.N,)] = value
+                poisoned_at.append(t)
+            yield t, orb
+
+    return poisoned, poisoned_at
+
+
+class TestObserved:
+    """evolve and the a-priori ensemble read the split-step loop through one
+    reader (_observed): a block of records at a time under one trust rule,
+    the same records whatever the block bound."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("record", [0, 1, 4, 11, 15])
+    @pytest.mark.parametrize("per_block", [1, 4, 6, None])  # None: the default bound, one block
+    def test_poisoned_record_stops_evolve(self, grid8, monkeypatch, value, record, per_block):
+        st = random_state(grid8, 2, seed=40, band=3)
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-2, 0.15, record_every=1)
+        if per_block is not None:
+            monkeypatch.setattr(dyn, "BLOCK_ENTRIES", 4 * per_block * st.rank * grid8.M)
+        poisoned, poisoned_at = poisoning_split_step(record, value)
+        monkeypatch.setattr(dyn, "_split_step", poisoned)
+        with pytest.raises(DivergenceError) as info:
+            al.evolve(st, cfg)
+        assert info.value.t == poisoned_at[0] == record * cfg.dt
+        assert [r.t for r in info.value.records] == [i * cfg.dt for i in range(record)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("record", [0, 3, 10])
+    @pytest.mark.parametrize("entries", [1, 4 * 3 * 36, None])  # one record per block, a few, the default
+    def test_poisoned_record_stops_the_apriori_ensemble(self, monkeypatch, value, record, entries):
+        if entries is not None:
+            monkeypatch.setattr(dyn, "BLOCK_ENTRIES", entries)
+        poisoned, poisoned_at = poisoning_split_step(record, value)
+        monkeypatch.setattr(dyn, "_split_step", poisoned)
+        cfg = al.EnsembleConfig(12, al.SpectralGrid(8), rank_range=(1, 3), seed=3)
+        with pytest.raises(DivergenceError) as info:
+            al.run_checks(cfg, 1.0, (), apriori=(1.0, 1.0, 0.5, 1e-2))  # 50 steps, a record every 5
+        assert info.value.t == poisoned_at[0] == 5 * record * 1e-2
+        assert info.value.records == []
+
+    def test_blocks_within_the_sample_bound(self, monkeypatch):
+        # the bound that keeps a run's memory flat: records x orbitals x M per _record_scalars call
+        original = dyn._record_scalars
+        samples = []
+
+        def measured(grid, mu, orbitals, p, q):
+            samples.append(orbitals[..., 0].size * grid.M)
+            return original(grid, mu, orbitals, p, q)
+
+        monkeypatch.setattr(dyn, "_record_scalars", measured)
+        grid = al.SpectralGrid(16)  # M = 72
+        st = random_state(grid, 3, seed=41, band=6)
+        _, records = al.evolve(st, al.EvolveConfig(1.0, 1.0, 1e-3, 0.2))
+        assert len(records) == 201
+        assert samples == [75 * 3 * 72, 75 * 3 * 72, 51 * 3 * 72]  # full blocks of 75 records, and the rest
+        al.run_checks(al.EnsembleConfig(60, grid, seed=2), 1.0, (), apriori=(1.0, 1.0, 0.5, 1e-2))
+        assert len(samples) > 3
+        assert max(samples) <= dyn.BLOCK_ENTRIES // 4
 
 
 class TestBatchKernel:

@@ -7,6 +7,7 @@ are pinned only through the stability of their empirical tail statistic.
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,14 +404,44 @@ class TestApriori:
         assert (violations > 0) == (shrink < 1.0)
         assert abs(res.worst_ratio - worst) <= 1e-15 * worst
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        entries=hst.sampled_from([1, 4 * 5 * 36, 4 * 20 * 36, None]),  # None: the default bound
+        shrink=hst.sampled_from([1.0, 0.8]),
+        q=hst.sampled_from([1.0, -1.0]),
+        seed=hst.integers(0, 2**16),
+    )
+    def test_property_any_block_bound(self, entries, shrink, q, seed):
+        # the oracle reads each sample's records one by one (iter_evolve and monitor), not through the reader
+        def bound(*args):
+            return shrink * al.ybar_bound(*args)
+
+        cfg = EnsembleConfig(12, al.SpectralGrid(8), rank_range=(1, 4), seed=seed)
+        run_cfg = al.EvolveConfig(1.0, q, 1e-2, 0.2, record_every=2)
+        rng = np.random.default_rng(cfg.seed)
+        violations, worst = 0, 0.0
+        for _ in range(cfg.n_samples):
+            st = sample_state(rng, cfg)
+            ybar = bound(al.mass(st), al.kinetic_energy(st), al.lp_norm(al.density_samples(st), 2), 1.0, q, q > 0)
+            part = check_apriori([al.monitor(state, run_cfg, t) for t, state in al.iter_evolve(st, run_cfg)], ybar)
+            violations += part.violations
+            worst = max(worst, part.worst_ratio)
+        with mock.patch.object(ineq, "ybar_bound", bound), mock.patch.object(
+            dyn, "BLOCK_ENTRIES", dyn.BLOCK_ENTRIES if entries is None else entries
+        ):
+            res = run_checks(cfg, 1.0, (), apriori=(1.0, q, 0.2, 1e-2))[0]
+        assert res.violations == violations
+        assert abs(res.worst_ratio - worst) <= 1e-15 * worst
+
     def test_one_kernel_run_per_rank(self, monkeypatch):
         runs = []
 
         def counting(grid, mu, orbitals, cfg):
             runs.append(mu.shape)
-            return dyn._split_step(grid, mu, orbitals, cfg)
+            return original(grid, mu, orbitals, cfg)
 
-        monkeypatch.setattr(ineq, "_split_step", counting)
+        original = dyn._split_step
+        monkeypatch.setattr(dyn, "_split_step", counting)
         cfg = EnsembleConfig(30, al.SpectralGrid(8), rank_range=(1, 4), seed=5)
         run_checks(cfg, 1.0, (), apriori=(1.0, 1.0, 0.05, 1e-2))
         rng = np.random.default_rng(cfg.seed)

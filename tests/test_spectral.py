@@ -6,6 +6,7 @@ Expected values are closed forms computed by hand and frozen here:
     B_20 brute-forced over |n| <= 2*10^5    (tail < 1e-90)
 """
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -28,6 +29,8 @@ from alber_lab.spectral import (
     synthesize_batch,
     toeplitz,
 )
+
+from conftest import named_first
 
 COTH_PI_HALF = 0.5018709365986607  # coth(pi)/2 to 16 digits
 B20_BRUTE = 0.15915524665586178  # (1 + 2*2^-20 + 2*5^-20 + ...)/(2*pi)
@@ -68,6 +71,26 @@ class TestSpectralGrid:
                 while k % prime == 0:
                     k //= prime
             assert k == 1
+
+    def test_fft_friendly_size_is_the_walk(self):
+        # the search over 2^a 3^b 5^c gives what a walk up one integer at a time gives
+        def five_smooth(k):
+            for prime in (2, 3, 5):
+                while k % prime == 0:
+                    k //= prime
+            return k == 1
+
+        want = 1
+        for m in range(1, 20001):
+            want = want if want >= m else next(k for k in itertools.count(m) if five_smooth(k))
+            assert fft_friendly_size(m) == want
+
+    def test_huge_cutoff_refused(self):
+        # a grid numpy cannot index is refused before any array of it is made
+        with pytest.raises(ValueError, match=named_first("N")):
+            al.SpectralGrid(10**300)
+        with pytest.raises(ValueError, match=named_first("N")):
+            al.SpectralGrid(4, M=2**63)
 
 
 class TestSynthesizeAnalyze:

@@ -563,6 +563,12 @@ class TestSerialization:
         d = al.state_to_dict(plane_wave_state(al.SpectralGrid(1), 0, 1.0))
         assert al.state_from_dict({**d, "grid": {"N": 1.0, "M": 6.0}}).grid == al.SpectralGrid(1, 6)
 
+    def test_huge_grid_rejected(self):
+        # a hand-made document with M = 0 leaves M to SpectralGrid, which refuses a grid numpy cannot index
+        d = al.state_to_dict(plane_wave_state(al.SpectralGrid(1), 0, 1.0))
+        with pytest.raises(ValueError, match="^state document is malformed: ValueError: N="):
+            al.state_from_dict({**d, "grid": {"N": 1e300, "M": 0}})
+
     def test_nested_weights_rejected(self):
         grid = al.SpectralGrid(1)
         d = al.state_to_dict(al.MixedState(grid, np.array([0.5, 0.5]), np.eye(2, grid.n_modes)))
