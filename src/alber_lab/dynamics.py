@@ -21,12 +21,16 @@ are tabulated once per run, and adjacent half free steps merge into one
 full free phase, so between records a step is one potential substep
 followed by one full free phase; the open half step is closed only at
 record points.  The loop allocates its working arrays once per run and
-writes every substep into them with out=, so only record points
-allocate.  Its transforms are the raw pocketfft pair bound in spectral
-(_fft, _ifft: numpy >= 2.0), which skips np.fft's per-call argument
-handling (a quarter to a third of a step at the lab's sizes) and keeps
-np.fft's bits.  iter_evolve wraps it for one MixedState.  evolve and the
-a-priori ensemble of inequalities (its samples in groups of equal rank)
+writes every substep into them, so only record points allocate.  Its
+transforms are the raw pocketfft pair bound in spectral (_fft, _ifft:
+numpy >= 2.0), which skips np.fft's per-call argument handling (a
+quarter to a third of a step at the lab's sizes) and keeps np.fft's
+bits.  At the lab's sizes a step is mostly call overhead, so the loop
+binds its ufuncs, the imaginary view of its potential buffer and its
+factors (np.fft's 1 / M and 1, and the potential constant, as 0-d
+arrays) once per run, and passes every output positionally.
+iter_evolve wraps it for one MixedState.  evolve and the a-priori
+ensemble of inequalities (its samples in groups of equal rank)
 read it through _observed, a block of records at a time on a leading
 record axis; penrose.perturbation_run reads its raw records beside the
 linearized flow's blocks.  _record_scalars is the one formula
@@ -90,6 +94,7 @@ from .spectral import (
     TWO_PI,
     SpectralGrid,
     _check_finite,
+    _check_int,
     _fft,
     _ifft,
     _stack_index,
@@ -153,9 +158,7 @@ class EvolveConfig:
             )
         if abs(self.T / self.dt - self.steps) > 1e-9 * self.steps:
             raise ValueError(f"T={self.T} is not a whole number of steps dt={self.dt}")
-        every = self.record_every
-        if isinstance(every, (bool, np.bool_)) or not isinstance(every, (int, np.integer)) or every < 1:
-            raise ValueError(f"record_every must be an int >= 1, got {every!r}")
+        _check_int(1, record_every=self.record_every)
 
     @property
     def steps(self) -> int:
@@ -271,7 +274,11 @@ def _split_step(
     squared moduli, rho and the potential argument and phase are
     allocated once per run and every substep writes into them, so only
     record points allocate; yielded arrays never share memory with this
-    workspace.
+    workspace.  The ufuncs, the imaginary view and the three factors (as
+    0-d float64 arrays, which numpy takes without converting a Python
+    float) are bound once per run, and every output is passed
+    positionally: the same operations, operands and workspace as with
+    out=, at fewer interpreter steps per call.
     """
     modes = grid.modes()
     band = modes % grid.M
@@ -279,10 +286,14 @@ def _split_step(
     half = np.exp(1j * cfg.p * n2 * (0.5 * cfg.dt))
     full = np.zeros(grid.M, dtype=complex)
     full[band] = np.exp(1j * cfg.p * n2 * cfg.dt)
-    kick = (-1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI).imag
-    inverse = 1.0 / grid.M  # np.fft.ifft's factor
+    # np.fft.ifft's and np.fft.fft's factors and the potential constant, as 0-d arrays
+    kick = np.array((-1j * cfg.q * cfg.dt * grid.M**2 / TWO_PI).imag)
+    inverse, forward = np.array(1.0 / grid.M), np.array(1.0)
     weights = mu[..., None, :]  # rho of every state as one stacked product, shape (..., 1, M)
-    steps, every = cfg.steps, cfg.record_every
+    steps, every, dt = cfg.steps, cfg.record_every, cfg.dt
+    # the loop's callables as locals: one lookup per run, not one per call
+    fft, ifft = _fft, _ifft
+    absolute, square, matmul, multiply, exp = np.absolute, np.square, np.matmul, np.multiply, np.exp
 
     yield 0.0, orbitals
     buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
@@ -291,19 +302,20 @@ def _split_step(
     dens = np.empty(buf.shape)
     rho = np.empty(buf.shape[:-2] + (1, grid.M))
     arg = np.zeros(rho.shape, dtype=complex)  # i * kick * rho; its real part stays +0.0
+    theta = arg.imag
     phase = np.empty_like(arg)
     for i in range(1, steps + 1):
-        _ifft(buf, inverse, out=psi)
-        np.abs(psi, out=dens)
-        np.square(dens, out=dens)
-        np.matmul(weights, dens, out=rho)
-        np.multiply(rho, kick, out=arg.imag)
-        np.exp(arg, out=phase)
-        psi *= phase
-        _fft(psi, 1.0, out=buf)
+        ifft(buf, inverse, psi)
+        absolute(psi, dens)
+        square(dens, dens)
+        matmul(weights, dens, rho)
+        multiply(rho, kick, theta)
+        exp(arg, phase)
+        multiply(psi, phase, psi)
+        fft(psi, forward, buf)
         if i % every == 0 or i == steps:
-            yield i * cfg.dt, buf[..., band] * half
-        buf *= full
+            yield i * dt, buf[..., band] * half
+        multiply(buf, full, buf)
 
 
 def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, MixedState]]:
@@ -507,14 +519,14 @@ def picard_solve(
     if the iterate distances stop decreasing above that floor.
     """
     _check_finite(p=p, q=q, T=T, gamma0=gamma0.entries)
+    _check_int(1, n_iter=n_iter)
+    _check_int(2, n_quad=n_quad)
     try:
         _check_hermitian(gamma0.entries)
     except ValueError as exc:
         raise ValueError(f"gamma0 is {exc}") from None
     if T < 0:
         raise ValueError("horizon must be >= 0")
-    if n_quad < 2 or n_iter < 1:
-        raise ValueError("need n_quad >= 2 and n_iter >= 1")
     if T == 0.0:
         return OperatorMatrix(gamma0.grid, gamma0.entries.copy(), hermitian=gamma0.hermitian)
     n2 = gamma0.grid.modes().astype(float) ** 2
@@ -614,6 +626,7 @@ def _linearized_blocks(
     grid = u0.grid
     if grid.N < bg.J:
         raise TruncationError(f"grid cutoff N={grid.N} below background support J={bg.J}")
+    _check_int(matrix_every=matrix_every)
     if matrix_every < 0:
         raise ValueError(f"matrix_every must be >= 0, got {matrix_every}")
     _check_finite(u0=u0.entries)

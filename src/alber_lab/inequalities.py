@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, _check_finite, bessel_constant, diagonal_sums
+from .spectral import TWO_PI, SpectralGrid, _check_finite, _check_int, bessel_constant, diagonal_sums
 from .spectral import analyze_batch, sobolev_norm, synthesize_batch, toeplitz
 from .states import (
     GramError,
@@ -92,10 +92,8 @@ class EnsembleConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for key, least in (("n_samples", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{key} must be an int >= {least}, got {value!r}")
+        _check_int(1, n_samples=self.n_samples)
+        _check_int(0, seed=self.seed)
         ranks = tuple(self.rank_range) if isinstance(self.rank_range, (tuple, list)) else ()
         n_modes = self.grid.n_modes
         if not (

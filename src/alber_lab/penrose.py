@@ -48,7 +48,7 @@ import numpy as np
 from .dynamics import EvolveConfig, _linearized_blocks, _split_step, _trusted
 from .inequalities import EnsembleConfig, run_checks
 from .presets import random_hermitian_perturbation
-from .spectral import TWO_PI, SpectralGrid, _check_finite
+from .spectral import TWO_PI, SpectralGrid, _check_finite, _check_int
 from .states import BackgroundSymbol, NotNonNegativeError, OperatorMatrix, _check_hermitian, _factored_trace_norm
 from .states import background_to_matrix, background_to_state, eigendecompose
 
@@ -68,6 +68,7 @@ class UnstableBackgroundError(ValueError):
 def _kernel_terms(bg: BackgroundSymbol, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero coefficients c_j = Gh(j+k) - Gh(j) and frequencies p*k*(2j+k); a
     ValueError starting "p " if p*k*(2j+k) is past the float range for a j of the sum."""
+    _check_int(k=k)
     if k == 0:
         raise ValueError("the k = 0 mode is conserved; kernels are defined for k != 0")
     j = np.arange(-bg.J - abs(k), bg.J + abs(k) + 1)
@@ -84,6 +85,7 @@ def volterra_kernel(bg: BackgroundSymbol, p: float, k: int, tau) -> np.ndarray:
     """Phi_k(tau); tau may be a scalar or an array."""
     c, omega = _kernel_terms(bg, p, k)
     tau = np.asarray(tau, dtype=float)
+    _check_finite(tau=tau)
     out = np.sum(c * np.exp(1j * np.multiply.outer(tau, omega)), axis=-1)
     return out if out.shape else complex(out)
 
@@ -91,6 +93,7 @@ def volterra_kernel(bg: BackgroundSymbol, p: float, k: int, tau) -> np.ndarray:
 def laplace_symbol(bg: BackgroundSymbol, p: float, k: int, lam) -> np.ndarray:
     """Phitilde_k(lambda) = sum_j c_j / (lambda - i*omega_j), Re(lambda) > 0."""
     lam = np.asarray(lam, dtype=complex)
+    _check_finite(lam=lam)
     if np.any(lam.real <= 0.0):
         raise ValueError("the Laplace symbol is defined on the open half-plane Re(lambda) > 0")
     c, omega = _kernel_terms(bg, p, k)
@@ -100,6 +103,7 @@ def laplace_symbol(bg: BackgroundSymbol, p: float, k: int, lam) -> np.ndarray:
 
 def dispersion(bg: BackgroundSymbol, p: float, q: float, k: int, lam) -> np.ndarray:
     """F_k(lambda) = 1 - (i*q/2pi) * Phitilde_k(lambda)."""
+    _check_finite(q=q)
     return 1.0 - (1j * q / TWO_PI) * laplace_symbol(bg, p, k, lam)
 
 
@@ -354,6 +358,7 @@ def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
     on purpose: it feeds the Volterra oracle that is checked against
     linearized_evolve, which uses spectral.diagonal_stack.
     """
+    _check_int(k=k)
     if k == 0:
         raise ValueError("k = 0 carries no free oscillation; use the trace")
     nm = u0.grid.n_modes
@@ -361,6 +366,7 @@ def free_density(u0: OperatorMatrix, p: float, k: int, t) -> np.ndarray:
         raise ValueError(f"|k|={abs(k)} outside the band of the matrix")
     d = np.diagonal(u0.entries, offset=-k)  # d[m] has frequency p*k*(2m - (size - 1))
     t = np.asarray(t, dtype=float)
+    _check_finite(p=p, t=t)
     w = np.exp(1j * (p * k) * t)
     z = w * w
     zbar = z.conj()

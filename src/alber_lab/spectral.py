@@ -14,15 +14,17 @@ its adjoint toeplitz (multiplication), both over any leading axes.  All
 operations here are pure functions; only the offset table that the pair
 indexes is cached, one read-only copy per matrix size.  _check_finite is
 the one check that arguments are finite, for every module that takes
-numbers or arrays from outside.
+numbers or arrays from outside, and _check_int the one rule for integer
+arguments (a Python or numpy integer, never a bool or a fraction).
 
 _fft and _ifft are the package's raw transforms: numpy's own pocketfft
 gufuncs (numpy >= 2.0; signature (n),()->(m) along the last axis), bound
 once here.  np.fft.fft and np.fft.ifft are Python wrappers around them
 that spend microseconds per call on argument handling (dtype, norm and
 axis resolution), a large share of a split-step substep at the lab's
-sizes.  Called with out= and np.fft's own factors, 1.0 forward and
-1.0 / M inverse, the gufuncs give exactly np.fft's bits.  The transform
+sizes.  Called with an output array (out= or positional) and np.fft's
+own factors, 1.0 forward and 1.0 / M inverse (floats or 0-d float64
+arrays), the gufuncs give exactly np.fft's bits.  The transform
 pair and the split-step loop in dynamics call them directly; nothing
 else in the package calls np.fft.
 """
@@ -52,11 +54,25 @@ def _check_finite(**values) -> None:
     non-finite entry" for an array.
     """
     for name, value in values.items():
-        if np.ndim(value):
+        if np.ndim(value) or isinstance(value, np.ndarray):  # a 0-d array may be complex
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got a non-finite entry")
         elif not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_int(least: int | None = None, **values) -> None:
+    """A ValueError for the first value that is not an int >= least (any int if least is None).
+
+    An int is a Python or numpy integer, never a bool, so a fraction, an
+    integral float or True is refused: "<name> must be an int >= <least>,
+    got <value>", starting with the parameter's name as _check_finite's.
+    """
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)) or (
+            least is not None and value < least
+        ):
+            raise ValueError(f"{name} must be an int{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 def fft_friendly_size(m: int) -> int:
@@ -86,6 +102,12 @@ class SpectralGrid:
     M: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("N", "M"):  # stored as Python ints; an integral float counts, a bool does not
+            value = getattr(self, name)
+            if isinstance(value, (float, np.floating)) and value.is_integer():
+                value = int(value)
+            _check_int(**{name: value})
+            object.__setattr__(self, name, int(value))
         if self.N < 1:
             raise ValueError(f"N must be >= 1 (the mode cutoff), got {self.N}")
         if self.M == 0:

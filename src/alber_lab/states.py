@@ -439,11 +439,7 @@ def state_from_dict(payload: dict) -> MixedState:
     if payload.get("schema") != STATE_SCHEMA:
         raise ValueError(f"state schema {payload.get('schema')!r} is not {STATE_SCHEMA!r}")
     try:
-        sizes = [payload["grid"][key] for key in ("N", "M")]
-        # type(), not isinstance: a bool is not a size, and a float counts only if integral
-        if not all(type(v) is int or type(v) is float and v.is_integer() for v in sizes):
-            raise ValueError(f"grid N and M must be integers, got {sizes}")
-        grid = SpectralGrid(*map(int, sizes))
+        grid = SpectralGrid(payload["grid"]["N"], payload["grid"]["M"])  # which refuses a bool or a fraction
         weights = np.asarray(payload["weights"], dtype=float)
         flat = np.asarray(payload["orbitals"], dtype=float)
         flat = flat.reshape(weights.size, 2 * grid.n_modes)

@@ -1448,6 +1448,37 @@ class TestLinearizedEvolve:
             al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 0.1), matrix_every=-1)
 
 
+NON_INTS = hst.one_of(hst.floats(), hst.sampled_from([True, False, np.True_, np.False_]))
+
+
+class TestOracleIntegerArguments:
+    """matrix_every, n_iter and n_quad follow record_every's rule: a Python or
+    numpy int, never a bool or a float (matrix_every=True once ran as 1 and
+    2.5 recorded where ends // record_every % 2.5 == 0, n_iter=True ran one
+    iterate, n_quad=3.5 raised a TypeError from linspace)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=NON_INTS)
+    def test_matrix_every_refused(self, value):
+        bg, p, q = al.background_preset("stable-broad")
+        u0 = al.random_hermitian_perturbation(al.SpectralGrid(4), 2, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="^matrix_every must be an int"):
+            al.linearized_evolve(u0, bg, al.EvolveConfig(p, q, 1e-2, 0.1), matrix_every=value)
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=hst.sampled_from(["n_iter", "n_quad"]), value=NON_INTS)
+    def test_picard_counts_refused(self, name, value):
+        gamma0 = al.to_matrix(random_state(al.SpectralGrid(8), 2, seed=3))
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= {1 if name == 'n_iter' else 2}"):
+            al.picard_solve(gamma0, 1.0, 1.0, 0.05, **{name: value})
+
+    @pytest.mark.parametrize("n_iter, n_quad", [(0, 9), (4, 1), (np.int64(0), 9), (4, np.int64(1))])
+    def test_picard_counts_below_their_least_refused(self, grid8, n_iter, n_quad):
+        name = "n_iter" if n_iter < 1 else "n_quad"
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= "):
+            al.picard_solve(al.to_matrix(random_state(grid8, 2, seed=3)), 1.0, 1.0, 0.05, n_iter, n_quad)
+
+
 class TestLinearizedBlocks:
     """linearized_evolve takes its records a block at a time (_linearized_blocks):
     every output is the bits of the per-record loop, whatever the block's

@@ -68,6 +68,67 @@ class TestVolterraKernel:
             al.volterra_kernel(bg, p, 0, 1.0)
 
 
+NON_INTS = hst.one_of(hst.floats(), hst.sampled_from([True, False, np.True_, np.False_]))
+NON_FINITE = hst.sampled_from([math.nan, math.inf, -math.inf])
+
+
+class TestArgumentRules:
+    """The mode k is a nonzero int (k=1.5 once raised an IndexError or a
+    TypeError, and True ran as 1), and times, lambda and the constants are
+    finite (a NaN once gave NaN, and got past the Re(lambda) > 0 test with
+    a warning)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=NON_INTS, route=hst.sampled_from(["kernel", "laplace", "dispersion", "margins", "free", "volterra"]))
+    def test_mode_must_be_an_int(self, rank_one, k, route):
+        bg, p, q = rank_one
+        u0 = seed_matrix(al.SpectralGrid(4), {(1, 0): 0.5})
+        t = np.linspace(0.0, 1.0, 11)
+        call = {
+            "kernel": lambda: al.volterra_kernel(bg, p, k, t),
+            "laplace": lambda: al.laplace_symbol(bg, p, k, 1.0 + 1.0j),
+            "dispersion": lambda: al.dispersion(bg, p, q, k, 1.0 + 1.0j),
+            "margins": lambda: al.penrose_margins(bg, p, q, [1, k]),
+            "free": lambda: al.free_density(u0, p, k, t),
+            "volterra": lambda: al.volterra_solve(bg, u0, p, q, k, t),
+        }[route]
+        with pytest.raises(ValueError, match="^k must be an int, got"):
+            call()
+
+    @settings(max_examples=30, deadline=None)
+    @given(bad=NON_FINITE, at=hst.integers(0, 4), scalar=hst.booleans())
+    def test_times_must_be_finite(self, rank_one, bad, at, scalar):
+        bg, p, _ = rank_one
+        u0 = seed_matrix(al.SpectralGrid(4), {(1, 0): 0.5})
+        t = bad if scalar else np.insert(np.linspace(0.0, 1.0, 4), at, bad)
+        with pytest.raises(ValueError, match=named_first("t")):
+            al.free_density(u0, p, 1, t)
+        with pytest.raises(ValueError, match=named_first("tau")):
+            al.volterra_kernel(bg, p, 1, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_constants_must_be_finite(self, rank_one, bad):
+        # free_density's p and dispersion's q; volterra_kernel refuses a non-finite p already
+        bg, p, q = rank_one
+        with pytest.raises(ValueError, match=named_first("p")):
+            al.free_density(seed_matrix(al.SpectralGrid(4), {(1, 0): 0.5}), bad, 1, np.linspace(0.0, 1.0, 4))
+        with pytest.raises(ValueError, match=named_first("q")):
+            al.dispersion(bg, p, bad, 1, 1.0 + 1.0j)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        lam=hst.one_of(hst.builds(complex, NON_FINITE, hst.floats()), hst.builds(complex, hst.floats(), NON_FINITE)),
+        scalar=hst.booleans(),
+    )
+    def test_lambda_must_be_finite(self, rank_one, lam, scalar):
+        bg, p, q = rank_one
+        lam = lam if scalar else np.array([1.0 + 1.0j, lam])
+        with pytest.raises(ValueError, match=named_first("lam")):
+            al.laplace_symbol(bg, p, 1, lam)
+        with pytest.raises(ValueError, match=named_first("lam")):
+            al.dispersion(bg, p, q, 1, lam)
+
+
 class TestLaplaceSymbol:
     def test_rank_one_closed_form(self, rank_one):
         bg, p, _ = rank_one

@@ -93,6 +93,38 @@ class TestSpectralGrid:
             al.SpectralGrid(4, M=2**63)
 
 
+BOOLS = [True, False, np.True_, np.False_]
+FRACTIONS = hst.floats().filter(lambda v: not v.is_integer())  # nan and +-inf among them
+
+
+class TestGridSizesAreInts:
+    """N and M are Python ints: an int, a numpy integer or an integral float,
+    never a bool or a fraction (SpectralGrid(2.5) once had the wavenumbers
+    -2.5 .. 2.5 and SpectralGrid(4, 18.5) kept M = 18.5)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hst.one_of(FRACTIONS, hst.sampled_from(BOOLS)))
+    def test_n_refused(self, n):
+        with pytest.raises(ValueError, match=named_first("N")):
+            al.SpectralGrid(n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=hst.one_of(FRACTIONS, hst.sampled_from(BOOLS)))
+    def test_m_refused(self, m):
+        with pytest.raises(ValueError, match=named_first("M")):
+            al.SpectralGrid(4, m)
+
+    @pytest.mark.parametrize(
+        "n, m", [(4.0, 0), (np.int64(4), np.int32(18)), (np.float64(4.0), 18.0), (4, np.uint8(18))]
+    )
+    def test_integral_values_stored_as_python_ints(self, n, m):
+        # M = 0 takes the default, 18 at N = 4
+        grid = al.SpectralGrid(n, m)
+        assert type(grid.N) is int and type(grid.M) is int
+        assert grid == al.SpectralGrid(4, 18)
+        assert type(grid.n_modes) is int and grid.modes().dtype.kind == "i"
+
+
 class TestSynthesizeAnalyze:
     def test_zero_field(self, grid8):
         assert np.all(synthesize_batch(grid8, np.zeros(grid8.n_modes)) == 0)
@@ -187,15 +219,25 @@ class TestRawTransformPair:
     fails here first."""
 
     def test_pair_is_np_fft_bit_for_bit(self):
+        # both calling conventions: the transform pair's float factors and out=,
+        # and the split-step loop's 0-d factor arrays and positional outputs
         gen = np.random.default_rng(20)
         for m in (50, 72, 135, 270):
             for shape in ((m,), (3, m), (2, 4, m), (0, m), (2, 0, m)):
                 a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-                forward, inverse = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-                _fft(a, 1.0, out=forward)
-                _ifft(a, 1.0 / m, out=inverse)
-                assert np.array_equal(forward, np.fft.fft(a)), (m, shape)
-                assert np.array_equal(inverse, np.fft.ifft(a)), (m, shape)
+                want_forward, want_inverse = np.fft.fft(a), np.fft.ifft(a)
+                for wrap in (float, np.array):
+                    one, inverse_factor = wrap(1.0), wrap(1.0 / m)
+                    forward, inverse = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+                    _fft(a, one, out=forward)
+                    _ifft(a, inverse_factor, out=inverse)
+                    assert np.array_equal(forward, want_forward), (m, shape, wrap)
+                    assert np.array_equal(inverse, want_inverse), (m, shape, wrap)
+                    forward, inverse = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+                    _fft(a, one, forward)
+                    _ifft(a, inverse_factor, inverse)
+                    assert np.array_equal(forward, want_forward), (m, shape, wrap)
+                    assert np.array_equal(inverse, want_inverse), (m, shape, wrap)
 
     @pytest.mark.parametrize("n", [12, 16, 64])
     def test_batch_transforms_keep_the_np_fft_bits(self, n, rng):
