@@ -25,9 +25,9 @@ find the line minimum by a safeguarded Newton iteration on the derivative
 of |F_k|^2.  penrose_margins scans the modes of a background at once:
 each mode's pole terms are padded with c = 0 to one width, so the polish
 and the line minima of all modes run through one evaluator and one
-Newton loop, and only the eigenvalues are taken mode by mode.  It
-refuses a line Re(lambda) = eta_min finer than the float spacing of the
-kernel frequencies can resolve.
+Newton loop, and only the eigenvalues are taken mode by mode.  The scan
+runs in lambda/|p|, where the poles are integers, so the dip of |F_k|
+beside a pole reads the same at every p.
 
 On the time side, volterra_solve marches the density equation as a
 linear recurrence with one running sum per kernel term.  Its forcing,
@@ -57,8 +57,8 @@ BOUNDARY_RE = 1e-9
 NEWTON_POLISH = 2
 # evaluator entries (points x pole terms) that one pass of penrose_margins may hold
 SCAN_ENTRIES = 2**17
-# the largest float spacing of the kernel frequencies, relative to eta_min, that penrose_margins accepts
-ETA_RESOLUTION = 2.0**-9
+# the largest rounding bound of |F_k| at a line minimum, relative to that minimum, that penrose_margins accepts
+MARGIN_ROUNDING = 2.0**-9
 
 
 class UnstableBackgroundError(ValueError):
@@ -123,30 +123,35 @@ class PenroseReport:
         }
 
 
-def _dispersion_derivatives(c: np.ndarray, omega: np.ndarray, coef: complex, lam) -> tuple:
-    """F_k, F_k' and F_k'' at lam from one pass over the pole terms, with
-    r_j = 1/(lam - i*omega_j) and coef = i*q/2pi:
+def _dispersion_derivatives(c: np.ndarray, offset: np.ndarray, coef: complex, lam) -> tuple:
+    """F_k, F_k' and F_k'' at the points i*m + lam from one pass over the pole
+    terms, given offset_j = i*(m - omega_j) for each point's integer m, with
+    r_j = 1/(lam + offset_j) and coef = i*q/2pi:
     F = 1 - coef*sum c r, F' = coef*sum c r^2, F'' = -2*coef*sum c r^3."""
-    gap = np.asarray(lam, dtype=complex)[..., None] - 1j * omega
+    gap = np.asarray(lam, dtype=complex)[..., None] + offset
     term2 = c / gap**2
     return 1.0 - coef * (c / gap).sum(axis=-1), coef * term2.sum(axis=-1), -2.0 * coef * (term2 / gap).sum(axis=-1)
 
 
-def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Im(lambda) and value of min |F_k| on the line Re(lambda) = eta, for
-    every mode of a pass: arrays of shape (modes,).
+def _line_minima(c, coef, omega, poles, zeros, level, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Im(lambda) = m + delta and value of min |F_k| on the line
+    Re(lambda) = eta, for every mode of a pass: arrays of shape (modes,).
 
-    residue = -coef*c and omega hold each mode's pole terms padded to one
-    width, zeros its eigenvalues in the slots of its own terms, poles marks
-    those slots, and level holds F_k at eta + i*omega there; all are
-    (modes, width) arrays, and evaluate(modes, lam) gives F_k, F_k' and
-    F_k'' of the mode of every point.  The local minima sit near the zeros
-    of F_k or beside its poles.  Near the pole i*omega_j the line sees
-    F_k ~ B_j + residue_j/(lambda - i*omega_j), whose pole term runs over a
-    circle through 0 and residue_j/eta; the seed there is the point where
-    the shifted circle comes closest to 0.  Every seed is bracketed by half
-    its distance to the nearest pole.  A padding slot seeds no bracket, and
-    its pole repeats one of the mode's own, so it moves no half-width.
+    c and omega hold each mode's pole terms padded to one width, zeros its
+    eigenvalues in the slots of its own terms, poles marks those slots, and
+    level holds F_k at eta + i*omega there; all are (modes, width) arrays.
+    The local minima sit near the zeros of F_k or beside its poles.  Near
+    the pole i*omega_j the line sees F_k ~ B_j + residue_j/(lambda - i*omega_j),
+    residue = -coef*c, whose pole term runs over a circle through 0 and
+    residue_j/eta; the seed there is the point where the shifted circle
+    comes closest to 0.  Every seed is bracketed by half its distance to the
+    nearest pole.  A padding slot seeds no bracket, and its pole repeats one
+    of the mode's own, so it moves no half-width.  The poles are integers,
+    and a bracket holds its points as offsets delta from an integer m, the
+    pole it sits beside or the one nearest its zero, so its terms read
+    1/(eta + i(delta + (m - omega_j))) with m - omega_j exact; it runs in
+    delta/unit, unit the power of 2 just above eta + its half-width, so
+    F_k' and F_k'' (per unit) stay in the float range however narrow its dip.
 
     Along the line phi(s) = |F_k(eta + i*s)|^2 has phi' = -2 Im(conj(F) F')
     and phi'' = 2(|F'|^2 - Re(conj(F) F'')), F' = dF_k/dlambda; divided by
@@ -157,34 +162,39 @@ def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np
     ends, Newton's method on phi' = 0 starts at the seed: each point moves
     the end of its side of the minimum, a Newton point off the bracket
     falls back to bisection, and a bracket stops once its Newton step would
-    lower phi by at most 1e-14 relative or move s by rounding only.  Any
+    lower phi by at most 1e-14 relative or move delta by rounding only.  Any
     other bracket keeps the smaller end.  All brackets of all modes take
     their steps together, each one reports its smallest evaluated |F_k|,
     and each mode its first smallest bracket in the order zeros, then
     poles.  No step reads another bracket, so a mode's minimum does not
     depend on the modes that share its pass.
     """
+    residue = -coef * c
     centre = residue / (2.0 * eta)  # (modes, width)
     with np.errstate(all="ignore"):  # shifted may vanish, and gap**2 overflows once |lambda| > 1e154
         shifted = np.zeros_like(centre)
         shifted[poles] = level - centre[poles]
         nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
         beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
-        seeds = np.concatenate([zeros.imag, omega + beside], -1)
-        half = 0.5 * np.abs(seeds[..., None] - omega[:, None, :]).min(axis=-1)
         brackets = np.concatenate([poles, poles], axis=-1)
         mode, _ = np.nonzero(brackets)
-        points = seeds[brackets][:, None] + half[brackets][:, None] * np.array([-1.0, 0.0, 1.0])  # lo, seed, hi
-        f, df, d2f = evaluate(mode[:, None], eta + 1j * points)
+        m = np.concatenate([np.rint(zeros.imag), omega], -1)[brackets]  # the integer each bracket is read from
+        seeds = np.concatenate([zeros.imag - np.rint(zeros.imag), beside], -1)[brackets]
+        offset = 1j * (m[:, None] - omega[mode])  # i(m - omega_j), taken once for every step of a bracket
+        half = 0.5 * np.abs(seeds[:, None] + offset.imag).min(axis=-1)
+        unit = np.ldexp(1.0, np.frexp(eta + half)[1])  # a power of 2, so each step only scales the search exactly
+        c_unit, offset, eta_unit = c[mode] / unit[:, None], offset / unit[:, None], eta / unit
+        points = (seeds[:, None] + half[:, None] * np.array([-1.0, 0.0, 1.0])) / unit[:, None]  # lo, seed, hi
+        f, df, d2f = _dispersion_derivatives(c_unit[:, None], offset[:, None], coef, eta_unit[:, None] + 1j * points)
         value = np.abs(f)
         s = points[np.arange(len(points)), value.argmin(axis=1)]
         least = value.min(axis=1)
         falling = (df / f).imag  # -phi'/(2 phi)
         dip = (falling[:, 0] > 0.0) & (falling[:, 2] < 0.0) | (value[:, 1] < np.minimum(value[:, 0], value[:, 2]))
         active = np.flatnonzero(dip)
-        mode, (lo, t, hi) = mode[active], points[active].T
+        lo, t, hi = points[active].T
         f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
-        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half[brackets][active])
+        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half[active] / unit[active])
         for _ in range(64):  # bisection alone shrinks a bracket to rounding in 53 steps
             u, v = df / f, d2f / f
             lo, hi = np.where(u.imag > 0.0, t, lo), np.where(u.imag < 0.0, t, hi)
@@ -194,28 +204,28 @@ def _line_minima(evaluate, residue, omega, poles, zeros, level, eta) -> tuple[np
             if done.all():
                 break
             t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
-            active, mode, lo, hi, floor = (a[~done] for a in (active, mode, lo, hi, floor))
-            f, df, d2f = evaluate(mode, eta + 1j * t)
+            active, lo, hi, floor = (a[~done] for a in (active, lo, hi, floor))
+            f, df, d2f = _dispersion_derivatives(c_unit[active], offset[active], coef, eta_unit[active] + 1j * t)
             better = np.abs(f) < least[active]
             s[active] = np.where(better, t, s[active])
             least[active] = np.where(better, np.abs(f), least[active])
-    at, minimum = np.zeros(seeds.shape), np.full(seeds.shape, np.inf)
-    at[brackets], minimum[brackets] = s, least
+    at, minimum = np.zeros((2, *brackets.shape)), np.full(brackets.shape, np.inf)
+    at[:, brackets], minimum[brackets] = (m, s * unit), least
     best = np.argmin(minimum, axis=-1)[:, None]
-    return np.take_along_axis(at, best, -1)[:, 0], np.take_along_axis(minimum, best, -1)[:, 0]
+    return *np.take_along_axis(at, best[None], -1)[..., 0], np.take_along_axis(minimum, best, -1)[:, 0]
 
 
 def check_eta_min(eta_min: float) -> float:
-    """eta_min as a float; a ValueError starting "eta_min" unless it is finite and > 0 with 2*eta_min finite
-    (the scan reads residue / (2*eta_min))."""
+    """eta_min as a float; a ValueError starting "eta_min" unless it is a normal float > 0 with 2*eta_min finite
+    (the scan reads residue / (2*eta_min/|p|))."""
     eta_min = float(eta_min)
-    if not (eta_min > 0.0 and math.isfinite(2.0 * eta_min)):
-        raise ValueError(f"eta_min must be finite and > 0, with 2*eta_min finite, got {eta_min}")
+    if not (eta_min >= np.finfo(float).tiny and math.isfinite(2.0 * eta_min)):
+        raise ValueError(f"eta_min must be finite and > 0, a normal float with 2*eta_min finite, got {eta_min}")
     return eta_min
 
 
-def _scan(ks: list, terms: list, coef: complex, eta: float, width: int) -> list[PenroseReport]:
-    """The PenroseReports of the modes ks in one pass; see penrose_margins."""
+def _scan(ks: list, terms: list, coef: complex, eta_min: float, scale: float, width: int) -> list[PenroseReport]:
+    """The PenroseReports of the modes ks in one pass, run in lambda/scale, scale = |p|; see penrose_margins."""
     # numpy sums a row of complex terms in blocks of four and adds the last
     # n % 4 one by one; a mode's own terms take the leading blocks and the
     # last slots of a row of width 3 mod 4, so the sums over its padded row
@@ -228,51 +238,59 @@ def _scan(ks: list, terms: list, coef: complex, eta: float, width: int) -> list[
     for i, (ci, wi) in enumerate(terms):
         c[i, own[i]], omega[i] = ci, wi[0] if wi.size else 0.0  # a padding term has c = 0 at the mode's first pole
         omega[i, own[i]] = wi
-
-    def evaluate(modes, lam):
-        return _dispersion_derivatives(c[modes], omega[modes], coef, lam)
-
+    eta = eta_min / scale
     # det(lambda - A) = prod_j (lambda - i*omega_j) * F_k(lambda) for the
     # diagonal-plus-rank-one A below (its secular equation), and no c_j
     # vanishes, so the eigenvalues of A are exactly the zeros of F_k
     z = np.concatenate([np.linalg.eigvals(np.diag(1j * w) + coef * np.outer(ci, np.ones(ci.size))) for ci, w in terms])
     owner = np.repeat(np.arange(len(ks)), count)
+    at_zero = -1j * omega[owner]  # a zero, and a pole's own point on the line, are read from m = 0
     # the first evaluation also takes F_k level with every pole on the line, which seeds the brackets there
-    mode, slot = np.nonzero(own)
     with np.errstate(all="ignore"):
-        f, df, _ = evaluate(np.concatenate([owner, mode]), np.concatenate([z, eta + 1j * omega[mode, slot]]))
-        f, df, level = f[: z.size], df[: z.size], f[z.size :]
+        f, df, _ = _dispersion_derivatives(c[owner], at_zero, coef, np.stack([z, eta + 1j * omega[own]]))
+        f, df, level = f[0], df[0], f[1]
         for _ in range(NEWTON_POLISH):
             newton = z - f / df
-            f_new, df_new, _ = evaluate(owner, newton)
+            f_new, df_new, _ = _dispersion_derivatives(c[owner], at_zero, coef, newton)
             better = np.abs(f_new) < np.abs(f)
             z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
         residual = np.abs(f)
-        size = np.abs(coef * c[owner] / (z[:, None] - 1j * omega[owner])).sum(axis=-1)
+        size = np.abs(coef * c[owner] / (z[:, None] + at_zero)).sum(axis=-1)
         rounding = np.finfo(float).eps * (1.0 + size)
         reach = z.real - 2.0 * np.abs(f / df)  # the real part left after twice the next Newton step
-    unresolved = (residual > np.maximum(ZERO_RESIDUAL, rounding)) & (reach > BOUNDARY_RE)
+        edge = np.maximum(BOUNDARY_RE / scale, np.finfo(float).eps * np.abs(z))  # no growth at or below it
+        z_scaled = scale * z
+    unresolved = (residual > np.maximum(ZERO_RESIDUAL, rounding)) & (reach > edge)
     if unresolved.any():
         i = int(np.flatnonzero(unresolved)[0])
         raise ValueError(
-            f"background: at k={ks[owner[i]]} F_k has a growing zero near {complex(z[i]):.6g} that {NEWTON_POLISH} "
-            f"Newton steps leave at residual |F_k| = {residual[i]:.3e} > ZERO_RESIDUAL = {ZERO_RESIDUAL:g}; the "
-            "symbol is too strongly coupled for its zeros to be resolved"
+            f"background: at k={ks[owner[i]]} F_k has a growing zero near {complex(z_scaled[i]):.6g} that "
+            f"{NEWTON_POLISH} Newton steps leave at residual |F_k| = {residual[i]:.3e} > ZERO_RESIDUAL = "
+            f"{ZERO_RESIDUAL:g}; the symbol is too strongly coupled for its zeros to be resolved"
         )
-    growing = (residual <= ZERO_RESIDUAL) & (z.real > BOUNDARY_RE)
+    growing = (residual <= ZERO_RESIDUAL) & (z.real > edge)
     zeros = np.zeros(own.shape, dtype=complex)
     zeros[own] = z
-    s, line = _line_minima(evaluate, -coef * c, omega, own, zeros, level, eta)
+    m, delta, line = _line_minima(c, coef, omega, own, zeros, level, eta)
+    with np.errstate(over="ignore"):  # a bound past the float range refuses the margin all the same
+        gap = eta + 1j * (delta[:, None] + (m[:, None] - omega))  # at each line minimum, as _line_minima reads it
+        bound = np.finfo(float).eps * (1.0 + np.abs(coef * c / gap).sum(axis=-1))  # as the zeros' rounding
     line = np.minimum(line, 1.0)
     reports = []
     for i, k in enumerate(ks):
         mine = owner == i
-        found = sorted((complex(w) for w in z[mine & growing]), key=lambda w: (-w.real, abs(w.imag)))
+        found = sorted((complex(w) for w in z_scaled[mine & growing]), key=lambda w: (-w.real, abs(w.imag)))
         if found:
             j = int(np.argmin(np.where(mine & growing, residual, np.inf)))
-            reports.append(PenroseReport(k, float(residual[j]), complex(z[j]), found))
-        else:
-            reports.append(PenroseReport(k, float(line[i]), complex(eta, s[i]), found))
+            reports.append(PenroseReport(k, float(residual[j]), complex(z_scaled[j]), found))
+            continue
+        if bound[i] > MARGIN_ROUNDING * line[i]:
+            raise ValueError(
+                f"eta_min = {eta_min:g} is below what double precision resolves: at k={k} F_k has the line "
+                f"minimum {line[i]:.3e}, within 1/MARGIN_ROUNDING = {1.0 / MARGIN_ROUNDING:g} times its rounding "
+                f"bound {bound[i]:.3e}"
+            )
+        reports.append(PenroseReport(k, float(line[i]), complex(eta_min, scale * (m[i] + delta[i])), found))
     return reports
 
 
@@ -281,11 +299,12 @@ def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float
 
     Zeros: every eigenvalue of the matrix in _scan, given at most
     NEWTON_POLISH Newton steps and kept if |F_k| <= ZERO_RESIDUAL there.
-    Kept zeros with Re(lambda) > BOUNDARY_RE are growth rates; zeros on
-    the imaginary axis are marginal modes, not growth.  An eigenvalue left
+    Kept zeros with Re(lambda) above the edge, BOUNDARY_RE or the rounding
+    eps |lambda| of the eigenvalue, are growth rates; zeros on the
+    imaginary axis are marginal modes, not growth.  An eigenvalue left
     with |F_k| above ZERO_RESIDUAL and above the rounding bound
     eps (1 + sum |coef c_j / (lambda - i omega_j)|) of its evaluation, yet
-    with Re(lambda) - 2 |F_k / F_k'| > BOUNDARY_RE, so that Newton's method
+    with Re(lambda) - 2 |F_k / F_k'| above the edge, so that Newton's method
     is still heading for a zero inside the growing half-plane, is a growing
     zero the polish did not resolve (strong coupling puts the eigenvalues
     far from the zeros): a ValueError starting "background" names the first
@@ -311,29 +330,30 @@ def penrose_margins(bg: BackgroundSymbol, p: float, q: float, ks, eta_min: float
     give.  Only the zero symbol has modes without pole terms; each has
     margin 1 and no zeros.
 
-    Near a pole the dip of |F_k| on the line is about eta_min wide; once
-    the float spacing of the largest |p*k*(2j+k)| exceeds ETA_RESOLUTION *
-    eta_min, the scan cannot resolve it, and a ValueError starting
-    "eta_min" is raised instead of a margin.
+    The scan runs in lambda/|p|, where the poles are the integers
+    sign(p) k (2j+k) and every p reads the same dip beside a pole.  A
+    ValueError starting "p " refuses p = 0, p*k*(2j+k) past the float range
+    and q/|p| or eta_min/|p| outside the normal floats; one starting
+    "eta_min" the first k whose line minimum is below 1/MARGIN_ROUNDING
+    times its rounding bound (as the zeros'): double precision cannot
+    resolve it.
     """
     _check_finite(p=p, q=q)
     eta_min = check_eta_min(eta_min)
     ks = list(ks)
-    terms = [_kernel_terms(bg, p, k) for k in ks]
-    fastest = max((float(np.abs(w).max()) for _, w in terms if w.size), default=0.0)
-    if np.spacing(fastest) > ETA_RESOLUTION * eta_min:
-        raise ValueError(
-            f"eta_min = {eta_min:g} is below what the scan resolves at p = {p:g}: the frequencies p*k*(2j+k) "
-            f"reach {fastest:.6g}, where the float spacing {np.spacing(fastest):.3g} of Im(lambda) exceeds "
-            f"ETA_RESOLUTION * eta_min = {ETA_RESOLUTION * eta_min:.3g}"
-        )
+    terms = [_kernel_terms(bg, math.copysign(1.0, p), k) for k in ks]
+    _kernel_terms(bg, p, max(ks, key=abs, default=1))  # the fastest mode refuses a p as the time side does
+    scale, tiny = abs(float(p)), np.finfo(float).tiny
+    coupling, eta = (abs(q) / scale, eta_min / scale) if scale else (math.inf, math.inf)
+    if not (tiny <= eta and math.isfinite(2.0 * eta) and (q == 0.0 or tiny <= coupling < math.inf)):
+        raise ValueError(f"p = {p:g} takes q/|p| or eta_min/|p| out of the normal floats the scan in lambda/|p| reads")
     width = 4 * bg.J + 3  # the 2(2J+1) terms a mode can have, and one slot
     # the largest evaluation reads the bracket ends: 2 width seeds x 3 points, each over width terms
     per_pass = max(1, SCAN_ENTRIES // (6 * width * width))
-    coef = 1j * q / TWO_PI
+    coef = 1j * q / TWO_PI / scale
     reports = []
     for start in range(0, len(ks), per_pass):
-        reports += _scan(ks[start : start + per_pass], terms[start : start + per_pass], coef, eta_min, width)
+        reports += _scan(ks[start : start + per_pass], terms[start : start + per_pass], coef, eta_min, scale, width)
     return reports
 
 
@@ -569,7 +589,8 @@ def margin_report(
     c_bilinear defaulting to the bilinear constant of a 40-sample ensemble at N = 16 drawn from
     seed; eta, epsilon and a given c_bilinear are checked before the scan, whatever its verdict.
     """
-    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear, k_max=k_max)
+    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear)
+    _check_int(1, k_max=k_max)
     reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
     kappa = min(r.margin for r in reports)
     stable = not any(r.zeros for r in reports)
@@ -616,21 +637,22 @@ def perturbation_run(
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    if T is not None and T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    _check_finite(**({} if T is None else {"T": T}), dt=dt)
+    _check_positive(T=T)
     if epsilon == 0 and T is None:
         raise ValueError("T is required when epsilon is 0 (no intrinsic horizon)")
     if fit_window is not None and not (len(fit_window) == 2 and fit_window[0] < fit_window[1]):
         raise ValueError(f"fit_window must be [t_lo, t_hi] with t_lo < t_hi, got {fit_window}")
     if grid.N < bg.J:
         raise ValueError(f"grid.N={grid.N} cannot hold the support J={bg.J} of the background")
-    check_eta_min(eta_min)  # also when a given kappa leaves it unread
+    check_eta_min(eta_min)  # also when a given kappa leaves it unread, as k_max
+    _check_int(1, k_max=k_max)
     seed_band = max(bg.J, 1) if seed_band is None else seed_band
-    if not 0 <= seed_band <= grid.N:
+    _check_int(0, seed_band=seed_band)
+    if seed_band > grid.N:
         raise ValueError(f"seed_band={seed_band} outside 0..{grid.N} (the grid N)")
     u0 = random_hermitian_perturbation(grid, seed_band, np.random.default_rng(seed))
     if kappa is None:
-        _check_positive(k_max=k_max)
         reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
         growing = next((r for r in reports if r.zeros), None)
         if growing is not None:

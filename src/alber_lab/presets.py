@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .spectral import SpectralGrid, _check_finite
+from .spectral import SpectralGrid, _check_finite, _check_int
 from .states import BackgroundSymbol, MixedState, OperatorMatrix, sobolev_schatten_norm
 
 REMARK_UNSTABLE = "remark-5-2-unstable"
@@ -76,6 +76,7 @@ def random_hermitian_perturbation(
     perturbed datum Gamma + eps U0; keep band at or below the spectral
     support of the background so the perturbed datum stays nonnegative
     for eps below the smallest occupied background level."""
+    _check_int(0, band=band)
     if band > grid.N:
         raise ValueError(f"band {band} exceeds grid cutoff {grid.N}")
     n = grid.modes()

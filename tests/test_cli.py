@@ -864,30 +864,37 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("command", ["penrose", "perturb"])
     def test_unresolved_eta_min(self, tmp_path, capsys, command):
-        # at p = 1e12 and k_max 8 the kernel frequencies reach 1e14, whose float
-        # spacing is 15.6 eta_min: the dip beside a pole is not resolved
+        # at eta_min = 1e-17 the line minimum of k = 1 is within 512 times the
+        # rounding bound of |F_1| there, at p = 1 as at any p (once p = 1e12
+        # was refused here for the float spacing of its frequencies)
         out = tmp_path / "x"
+        section = {"background": "stable-broad", "k_max": 8, "eta_min": 1e-17}
         if command == "penrose":
-            cfg = {"output_dir": str(out), "penrose": {"background": "stable-broad", "k_max": 8, "c_bilinear": 0.18}}
+            cfg = {"output_dir": str(out), "penrose": {**section, "c_bilinear": 0.18}}
         else:
-            cfg = perturb_input(out, k_max=8)
+            cfg = perturb_input(out, **section)
             del cfg["perturb"]["kappa"]
-        cfg["physics"] = {"p": 1e12}
+        cfg["physics"] = {"p": 1.0}
         err = self.run(tmp_path, capsys, command, cfg).splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config error: {command}.eta_min = 0.001 is below what the scan")
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: {command}.eta_min = 1e-17 is below what double precision resolves")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("q", [1e150, 1e200])
     @pytest.mark.parametrize("command", ["penrose", "perturb"])
     def test_overflowing_constants(self, tmp_path, capsys, command, q):
-        # stable-broad scans stable at these couplings, so the constants are
-        # taken, and c_star**2 (1e150) or c_star (1e200) passes the float range
+        # at p = -q and eta_min = 1e-3 q stable-broad scans as its preset
+        # (p = 1, q = -1; only q/|p|, eta_min/|p| and sign(p) enter the scan),
+        # so the constants are taken, and c_star**2 (1e150) or c_star (1e200)
+        # passes the float range; at p = 1 the scan refuses these couplings,
+        # whose pole terms cancel below their rounding
         out = tmp_path / "x"
         if command == "penrose":
-            cfg = {"output_dir": str(out), "penrose": {"background": "stable-broad", "k_max": 2, "c_bilinear": 0.18}}
+            section = {"background": "stable-broad", "k_max": 2, "c_bilinear": 0.18, "eta_min": 1e-3 * q}
+            cfg = {"output_dir": str(out), "penrose": section}
         else:
-            cfg = perturb_input(out)
-        cfg["physics"] = {"q": q}
+            cfg = perturb_input(out, eta_min=1e-3 * q)
+        cfg["physics"] = {"p": -q, "q": q}
         err = self.run(tmp_path, capsys, command, cfg).splitlines()
         assert len(err) == 1 and err[0].startswith(f"config error: {command}.constants are not finite")
         assert f"q={q:g}," in err[0]

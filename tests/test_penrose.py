@@ -129,6 +129,44 @@ class TestArgumentRules:
             al.dispersion(bg, p, q, 1, lam)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(k_max=hst.one_of(NON_INTS, hst.integers(-3, 0)), route=hst.sampled_from(["report", "perturb"]))
+    def test_k_max_must_be_a_positive_int(self, k_max, route):
+        # k_max = 2.5 once raised a TypeError from range, and True ran as 1
+        bg, p, q = al.background_preset("stable-broad")
+        call = {
+            "report": lambda: al.margin_report(bg, p, q, k_max=k_max, c_bilinear=0.18),
+            "perturb": lambda: al.perturbation_run(bg, p, q, al.SpectralGrid(4), 1e-3, T=0.02, dt=0.01, k_max=k_max),
+        }[route]
+        with pytest.raises(ValueError, match=r"^k_max must be an int >= 1, got"):
+            call()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        band=hst.one_of(NON_INTS, hst.integers(-3, -1), hst.integers(5, 9)),
+        route=hst.sampled_from(["band", "seed_band"]),
+    )
+    def test_band_must_be_an_int_on_the_grid(self, band, route):
+        # band 1.5 once drew on band 1, and band -1 failed as a "degenerate random draw"
+        bg, p, q = al.background_preset("stable-broad")
+        grid = al.SpectralGrid(4)
+        call = {
+            "band": lambda: al.random_hermitian_perturbation(grid, band, np.random.default_rng(0)),
+            "seed_band": lambda: al.perturbation_run(bg, p, q, grid, 1e-3, T=0.02, dt=0.01, kappa=0.03, seed_band=band),
+        }[route]
+        with pytest.raises(ValueError, match=f"^{route}[ =]"):
+            call()
+
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE, name=hst.sampled_from(["T", "dt"]))
+    def test_run_times_must_be_finite(self, bad, name):
+        # T = inf once raised "dt must be > 0 with a finite number of steps"
+        bg, p, q = al.background_preset("stable-broad")
+        times = {"T": 0.02, "dt": 0.01, name: bad}
+        with pytest.raises(ValueError, match=named_first(name)):
+            al.perturbation_run(bg, p, q, al.SpectralGrid(4), 1e-3, kappa=0.03, c_bilinear=0.18, **times)
+
+
 class TestLaplaceSymbol:
     def test_rank_one_closed_form(self, rank_one):
         bg, p, _ = rank_one
@@ -231,10 +269,12 @@ class TestPenroseMargin:
     def test_margin_doubles_with_eta_min(self):
         # stable-broad has zeros on the imaginary axis, so its margin grows
         # linearly with the line it is taken on; the line minima at 1e-3,
-        # 2e-3 and 4e-3 of the scan that once took three lines, frozen
+        # 2e-3 and 4e-3, frozen since the line is read as (pole, offset)
+        # (the scan that once took three lines gave 0.04327304743745109,
+        # 0.08608208371803072 and 0.1686399194376325, 3.3e-16 relative away)
         bg, p, q = al.background_preset("stable-broad")
         margins = [al.penrose_margins(bg, p, q, (1,), eta_min)[0].margin for eta_min in (1e-3, 2e-3, 4e-3)]
-        assert margins == [0.04327304743745109, 0.08608208371803072, 0.1686399194376325]
+        assert margins == [0.04327304743745108, 0.08608208371803074, 0.16863991943763246]
 
     def test_report_serializable(self, rank_one):
         import json
@@ -466,23 +506,29 @@ def test_import_loads_no_scipy():
 def golden_penrose_margin(bg, p, q, k, eta_min=1e-3):
     """penrose_margin as it was with an 80-step golden-section search on
     every bracket of the line minimum, frozen: the reference for the Newton
-    search.  Also returns Im(lambda) of the minimum on the line Re(lambda) = eta_min."""
+    search.  Also returns Im(lambda) of the minimum on the line Re(lambda) = eta_min.
+    The zeros are taken as the scan takes them, in lambda/|p|, and scaled back."""
     c, omega = penrose_mod._kernel_terms(bg, p, k)
     eta = np.array([eta_min])  # the search runs over an axis of lines; it takes one
     if c.size == 0:
         return al.PenroseReport(k, 1.0, complex(eta_min), []), 0.0
     coef = 1j * q / (2.0 * math.pi)
 
-    def f_value(lam):
+    def f_value(lam, coef=coef, omega=omega):
         return 1.0 - coef * np.sum(c / (np.asarray(lam, dtype=complex)[..., None] - 1j * omega), axis=-1)
 
-    z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
+    scale, unit = abs(p), penrose_mod._kernel_terms(bg, math.copysign(1.0, p), k)[1]
+    coef_unit = coef / scale
+    z = np.linalg.eigvals(np.diag(1j * unit) + coef_unit * np.outer(c, np.ones(c.size)))
     with np.errstate(all="ignore"):
         for _ in range(penrose_mod.NEWTON_POLISH):
-            newton = z - f_value(z) / (coef * np.sum(c / (z[:, None] - 1j * omega) ** 2, axis=-1))
-            z = np.where(np.abs(f_value(newton)) < np.abs(f_value(z)), newton, z)
-        residual = np.abs(f_value(z))
-    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > penrose_mod.BOUNDARY_RE)
+            slope = coef_unit * np.sum(c / (z[:, None] - 1j * unit) ** 2, axis=-1)
+            newton = z - f_value(z, coef_unit, unit) / slope
+            z = np.where(np.abs(f_value(newton, coef_unit, unit)) < np.abs(f_value(z, coef_unit, unit)), newton, z)
+        residual = np.abs(f_value(z, coef_unit, unit))
+        edge = np.maximum(penrose_mod.BOUNDARY_RE / scale, np.finfo(float).eps * np.abs(z))
+    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > edge)
+    z = scale * z
     zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
 
     residue, lines = -coef * c, eta[:, None]
@@ -586,16 +632,26 @@ class TestNewtonLineMinimum:
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1.0, 1e150])
     def test_extreme_amplitudes_warn_nothing(self, scale):
+        # at 1e150 the pole terms of |F_k| cancel far below their rounding
+        # (stable-broad's k = 1 line minimum was once read as 0.273 where
+        # |F_1| is 1 to 400 digits), so most of those margins are refused
         backgrounds = [al.background_preset(name) for name in ("stable-broad", UNSTABLE)]
         backgrounds += [(bg, 1.0, q) for _, q, bg in random_family(0)]
+        refused = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for bg, p, q in backgrounds:
                 scaled = al.BackgroundSymbol(bg.symbol * scale)
                 for k in range(1, 9):
                     for eta_min in (1e-3, 0.1):
-                        report = al.penrose_margins(scaled, p, q, (k,), eta_min)[0]
+                        try:
+                            report = al.penrose_margins(scaled, p, q, (k,), eta_min)[0]
+                        except ValueError as exc:
+                            assert str(exc).startswith(f"eta_min = {eta_min:g} is below what double precision")
+                            refused += 1
+                            continue
                         assert math.isfinite(report.margin) and 0.0 <= report.margin <= 1.0
+        assert (refused > 0) == (scale == 1e150)
 
 
 class TestUnresolvedZeros:
@@ -620,26 +676,37 @@ class TestUnresolvedZeros:
         assert report.margin <= penrose_mod.ZERO_RESIDUAL
 
 
-def loop_derivatives(c, omega, coef, lam):
-    """F_k, F_k' and F_k'' over one mode's own pole terms (the evaluator as it was)."""
-    gap = np.asarray(lam, dtype=complex)[..., None] - 1j * omega
+def loop_derivatives(c, offset, coef, lam):
+    """F_k, F_k' and F_k'' over one mode's own pole terms at i*m + lam, with
+    offset = i(m - omega) (the evaluator as it was)."""
+    gap = np.asarray(lam, dtype=complex)[..., None] + offset
     term2 = c / gap**2
     return 1.0 - coef * (c / gap).sum(axis=-1), coef * term2.sum(axis=-1), -2.0 * coef * (term2 / gap).sum(axis=-1)
 
 
-def loop_line_minimum(derivatives, residue, omega, zeros, eta):
-    """The per-mode safeguarded Newton line minimum as it was, frozen."""
-    eta = eta[:, None]
+def loop_line_minimum(c, coef, omega, zeros, eta):
+    """The per-mode safeguarded Newton line minimum as it was, frozen, with
+    the integer poles omega of lambda/|p|: each bracket is read from an
+    integer m, the nearest to its zero or its own pole, as offsets from m,
+    and runs in offset/unit, unit the power of 2 just above eta + its
+    half-width.  Returns m, the offset and the minimum."""
+    residue, eta = -coef * c, eta[:, None]
     centre = residue / (2.0 * eta)
     with np.errstate(all="ignore"):
-        shifted = derivatives(eta + 1j * omega)[0] - centre
+        shifted = loop_derivatives(c, 1j * (omega[:, None] - omega), coef, eta)[0] - centre
         nearest = centre - np.abs(centre) * shifted / np.abs(shifted)
         beside = np.nan_to_num((residue / nearest).imag, posinf=0.0, neginf=0.0)
-        seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape), omega + beside], axis=1)
-        half = 0.5 * np.abs(seeds[..., None] - omega).min(axis=-1)
-        points = (seeds[..., None] + half[..., None] * np.array([-1.0, 0.0, 1.0])).reshape(-1, 3)
-        row = np.repeat(eta, seeds.shape[1])
-        f, df, d2f = derivatives(row[:, None] + 1j * points)
+        near = np.broadcast_to(np.rint(zeros.imag), beside.shape)
+        m = np.concatenate([near, np.broadcast_to(omega, beside.shape)], axis=1)
+        seeds = np.concatenate([np.broadcast_to(zeros.imag, beside.shape) - near, beside], axis=1)
+        offset = 1j * (m[..., None] - omega)
+        half = 0.5 * np.abs(seeds[..., None] + offset.imag).min(axis=-1)
+        unit = np.ldexp(1.0, np.frexp(eta + half)[1]).ravel()
+        points = (seeds[..., None] + half[..., None] * np.array([-1.0, 0.0, 1.0])).reshape(-1, 3) / unit[:, None]
+        offset = offset.reshape(-1, omega.size) / unit[:, None]
+        row = np.repeat(eta, seeds.shape[1]) / unit
+        c_unit = c / unit[:, None]
+        f, df, d2f = loop_derivatives(c_unit[:, None], offset[:, None], coef, row[:, None] + 1j * points)
         value = np.abs(f)
         s = points[np.arange(len(points)), value.argmin(axis=1)]
         line = value.min(axis=1)
@@ -648,7 +715,7 @@ def loop_line_minimum(derivatives, residue, omega, zeros, eta):
         active = np.flatnonzero(dip)
         row, (lo, t, hi) = row[active], points[active].T
         f, df, d2f = f[active, 1], df[active, 1], d2f[active, 1]
-        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half.ravel()[active])
+        floor = 4.0 * np.finfo(float).eps * (np.abs(t) + half.ravel()[active] / unit[active])
         for _ in range(64):
             u, v = df / f, d2f / f
             lo, hi = np.where(u.imag > 0.0, t, lo), np.where(u.imag < 0.0, t, hi)
@@ -659,50 +726,58 @@ def loop_line_minimum(derivatives, residue, omega, zeros, eta):
                 break
             t = np.where(take, t + step, 0.5 * (lo + hi))[~done]
             active, row, lo, hi, floor = active[~done], row[~done], lo[~done], hi[~done], floor[~done]
-            f, df, d2f = derivatives(row + 1j * t)
+            f, df, d2f = loop_derivatives(c_unit[active], offset[active], coef, row + 1j * t)
             better = np.abs(f) < line[active]
             s[active] = np.where(better, t, s[active])
             line[active] = np.where(better, np.abs(f), line[active])
-    s, line = s.reshape(seeds.shape), line.reshape(seeds.shape)
+    s, line = (s * unit).reshape(seeds.shape), line.reshape(seeds.shape)
     best = np.argmin(line, axis=1)
     rows = np.arange(line.shape[0])
-    return s[rows, best], line[rows, best]
+    return m[rows, best], s[rows, best], line[rows, best]
 
 
 def loop_penrose_margin(bg, p, q, k, eta_min=1e-3):
     """penrose_margin as it was before the scan, one mode at a time with its
-    own eigen-step, polish and Newton line search, frozen: the scan's oracle."""
-    c, omega = penrose_mod._kernel_terms(bg, p, k)
-    eta = np.array([eta_min])  # loop_line_minimum runs over an axis of lines; it takes one
+    own eigen-step, polish and Newton line search, frozen: the scan's oracle.
+    Like the scan it runs in lambda/|p|, on the line Re = eta_min/|p|, and
+    scales the zeros and the argmin back by |p|."""
+    scale = abs(p)
+    c, omega = penrose_mod._kernel_terms(bg, math.copysign(1.0, p), k)
+    eta = np.array([eta_min / scale])  # loop_line_minimum runs over an axis of lines; it takes one
     if c.size == 0:
         return al.PenroseReport(k, 1.0, complex(eta_min), [])
-    coef = 1j * q / (2.0 * math.pi)
+    coef = 1j * q / (2.0 * math.pi) / scale
 
-    def derivatives(lam):
-        return loop_derivatives(c, omega, coef, lam)
+    def derivatives(offset, lam):
+        return loop_derivatives(c, offset, coef, lam)
 
     z = np.linalg.eigvals(np.diag(1j * omega) + coef * np.outer(c, np.ones(c.size)))
+    at_zero = -1j * omega
     with np.errstate(all="ignore"):
-        f, df, _ = derivatives(z)
+        f, df, _ = derivatives(at_zero, z)
         for _ in range(penrose_mod.NEWTON_POLISH):
             newton = z - f / df
-            f_new, df_new, _ = derivatives(newton)
+            f_new, df_new, _ = derivatives(at_zero, newton)
             better = np.abs(f_new) < np.abs(f)
             z, f, df = np.where(better, newton, z), np.where(better, f_new, f), np.where(better, df_new, df)
         residual = np.abs(f)
-        rounding = np.finfo(float).eps * (1.0 + np.abs(coef * c / (z[:, None] - 1j * omega)).sum(axis=-1))
+        rounding = np.finfo(float).eps * (1.0 + np.abs(coef * c / (z[:, None] + at_zero)).sum(axis=-1))
         reach = z.real - 2.0 * np.abs(f / df)
-    unresolved = (residual > np.maximum(penrose_mod.ZERO_RESIDUAL, rounding)) & (reach > penrose_mod.BOUNDARY_RE)
+        edge = np.maximum(penrose_mod.BOUNDARY_RE / scale, np.finfo(float).eps * np.abs(z))
+    unresolved = (residual > np.maximum(penrose_mod.ZERO_RESIDUAL, rounding)) & (reach > edge)
     if unresolved.any():
         raise ValueError(f"background: at k={k} F_k has an unresolved growing zero")
-    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > penrose_mod.BOUNDARY_RE)
-    zeros = sorted((complex(w) for w in z[growing]), key=lambda w: (-w.real, abs(w.imag)))
-    s, line = loop_line_minimum(derivatives, -coef * c, omega, z, eta)
+    growing = (residual <= penrose_mod.ZERO_RESIDUAL) & (z.real > edge)
+    zeros = sorted((complex(w) for w in scale * z[growing]), key=lambda w: (-w.real, abs(w.imag)))
+    m, s, line = loop_line_minimum(c, coef, omega, z, eta)
     line = np.minimum(line, 1.0)
     if zeros:
         i = int(np.argmin(np.where(growing, residual, np.inf)))
-        return al.PenroseReport(k, float(residual[i]), complex(z[i]), zeros)
-    return al.PenroseReport(k, float(line[0]), complex(eta_min, s[0]), zeros)
+        return al.PenroseReport(k, float(residual[i]), complex(scale * z[i]), zeros)
+    bound = np.finfo(float).eps * (1.0 + np.abs(coef * c / (eta + 1j * (s + (m - omega)))).sum())
+    if bound > penrose_mod.MARGIN_ROUNDING * line[0]:
+        raise ValueError(f"eta_min = {eta_min:g} is below what double precision resolves: at k={k} F_k is rounding")
+    return al.PenroseReport(k, float(line[0]), complex(eta_min, scale * (m[0] + s[0])), zeros)
 
 
 def close(a, b, rel=1e-12):
@@ -891,21 +966,110 @@ class TestFrequencyOverflow:
             for p, k in ((1e306, 8), (1e307, 2), (-1e307, 3)):
                 with pytest.raises(ValueError, match=rf"^p = {re.escape(f'{p:g}')} .* of mode k = {k} "):
                     run(p, k)
-        with pytest.raises(ValueError, match="^eta_min = 0.001 is below what the scan resolves at p = 1e[+]300"):
-            al.penrose_margins(bg, 1e300, q, (8,))  # finite frequencies, but far too fast for the line
+        # finite frequencies, far too fast for a line held as one float, read as (pole, offset)
+        assert al.penrose_margins(bg, 1e300, q, (8,))[0].margin == pytest.approx(LARGE_P_MARGINS[7], rel=1e-10)
+
+
+# stable-broad's margins for k = 1..8 at p = +-1e300, where the line in
+# lambda/|p| sits eta_min/|p| = 1e-303 from the poles; and the margins and
+# Im(argmin) of the scan that held the line as one float, at p = 1e4 and -100
+LARGE_P_MARGINS = [
+    0.041814662475408486, 0.032689952541837965, 0.031384981312556015, 0.031384981312556015,
+    0.031384981312556015, 0.031384981312556015, 0.031384981312556015, 0.031384981312556015,
+]
+PARENT_BELOW_1E4 = {
+    "stable-broad@10000": [
+        (0.04181480840862737, -10000.023915014468), (0.03268999637168689, 40000.03059041854),
+        (0.03138500023636035, -90000.031862364), (0.03138499154238997, -160000.0318623684),
+        (0.03138498776412404, -250000.03186237032), (0.03138498576013801, -360000.03186237137),
+        (0.031384984566402735, -490000.03186237195), (0.03138498379714252, -640000.0318623723),
+    ],
+    "stable-broad@-100": [
+        (0.04180006902046944, 99.97608077700134), (0.032685569698645375, 399.96940751228374),
+        (0.03138308903821441, 899.9681366667622), (0.031383958399052954, 1599.968137107653),
+        (0.03138433620264579, 2499.96813729925), (0.03138453658765, 3599.968137400871),
+        (0.03138465595264902, -4899.968137461404), (0.03138473287301599, -6399.968137500412),
+    ],
+    "random-4@10000": [
+        (0.020038738898273387, -9999.950096790863), (0.01837230891506597, -39999.94557029833),
+        (0.018176273178809772, -89999.94498323604), (0.01811958802611825, 159999.944811129),
+        (0.018069800860422383, 249999.94465906188), (0.018069803400129182, 359999.9446590658),
+        (0.018069804964377045, 489999.9446590682), (0.018069806011782354, 639999.9446590698),
+    ],
+    "random-4@-100": [
+        (0.02004934617742973, 100.04989001061521), (0.01837493123151331, 400.0544258189558),
+        (0.01817726007028695, 900.0550152709787), (0.018121029926421475, -1600.0551866759972),
+        (0.018070024059615976, 2500.0553405964665), (0.018069906421318085, 3600.0553407765387),
+        (0.018069843759290317, 4900.055340872457), (0.0180698077467619, 6400.055340927582),
+    ],
+    "random-5@10000": [
+        (0.01910233892692708, -10000.052349765303), (0.01781754813401752, -40000.056124496965),
+        (0.01710113013745077, -90000.05847569281), (0.017069639104685043, 160000.05858356328),
+        (0.017050159890065454, 250000.0586504871), (0.017031242261962537, -360000.05871562875),
+        (0.017031241289426024, -490000.05871563044), (0.017031240677853905, -640000.0587156315),
+    ],
+    "random-5@-100": [
+        (0.019090921183283562, 99.947634589926), (0.017814215903318883, 399.94387025584103),
+        (0.017099635908011834, 899.9415217530569), (0.017068663980439602, -1599.941414763766),
+        (0.017049531291822278, -2499.941348432019), (0.017030802143058327, -3599.9412836127535),
+        (0.01703091434164296, -4899.941283806112), (0.01703098673718162, -6399.941283930854),
+    ],
+    "random-6@10000": [
+        (0.021794529409881712, -9999.954117049858), (0.01915143273395422, -39999.947784629665),
+        (0.018724527966869235, -89999.94659413362), (0.018631534713891045, -159999.94632756617),
+        (0.01859262630301829, -249999.94621524273), (0.018585954957696552, -359999.9461959347),
+        (0.018581165533831445, 489999.94618206937), (0.01858116645263979, 639999.9461820706),
+    ],
+    "random-6@-100": [
+        (0.021806381643555785, 100.04587048422322), (0.019154709871973298, 400.0522109050617),
+        (0.018725894543075154, 900.0534039183484), (0.01863223455765536, 1600.0536714262105),
+        (0.01859302930143848, 2500.0537841746086), (0.01858620392485418, 3600.0538037050546),
+        (0.018581329428739572, 4900.0538176933915), (0.018581275668767872, 6400.053817771215),
+    ],
+}
+
+
+def scaled_line_grid_minimum(c, poles, coupling, eta):
+    """min |F_k| on the line Re(lambda') = eta of lambda' = lambda/|p|, capped
+    at its limit 1, with the integer poles sign(p)*k*(2j+k) and coupling q/|p|.
+
+    A sample is an integer m and an offset d, lambda' = eta + i(m + d), so a
+    term reads 1/(eta + i(d + (m - pole_j))) and a dip eta wide beside a
+    pole is sampled at any p: offsets sinh-spaced down to eta / 100 and a
+    0.01 grid from -1 to 1 around each pole, and a 0.05 grid over the
+    resonances from m = 0; then 2001 points between the neighbours of each
+    of the 16 smallest sampled local minima.
+    """
+    def f(m, d):
+        total = np.zeros(d.shape, dtype=complex)
+        for cj, nj in zip(c, poles):
+            total += cj / (eta + 1j * (d + (m - nj)))
+        return np.abs(1.0 - 1j * coupling / (2.0 * math.pi) * total)
+
+    span = np.abs(poles).max() + 10.0
+    near = np.unique(np.concatenate([np.arange(-1.0, 1.0, 0.01), eta * np.sinh(np.linspace(-12.0, 12.0, 481))]))
+    least, dips = 1.0, []
+    for m, d in [(0.0, np.arange(-span, span, 0.05))] + [(m, near) for m in np.unique(poles)]:
+        a = f(m, d)
+        least = min(least, a.min())
+        local = np.flatnonzero((a[1:-1] <= a[:-2]) & (a[1:-1] <= a[2:])) + 1
+        dips += [(a[i], m, d[i - 1], d[i + 1]) for i in local[np.argsort(a[local])[:16]]]
+    for _, m, lo, hi in sorted(dips, key=lambda dip: dip[0])[:16]:
+        least = min(least, f(m, np.linspace(lo, hi, 2001)).min())
+    return float(least)
 
 
 class TestResolution:
-    """A line Re(lambda) = eta_min finer than the float spacing of the kernel
-    frequencies can resolve is refused, not scanned."""
+    """The scan runs in lambda/|p| and holds the line as (pole, offset), so
+    no p is refused for its size; only a margin below what double precision
+    resolves at its argmin is."""
 
-    P_SCAN = np.logspace(6, 12, 49)  # 8 per decade, so 2 or 3 in each binade of max|p k (2j+k)|
+    P_SCAN = np.concatenate([np.logspace(6, 12, 49), 10.0 ** np.arange(20, 301, 20)])
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     def test_every_accepted_p_reads_the_large_p_margin(self, seed):
-        # kappa settles by p = 1e6; beyond ETA_RESOLUTION the dip beside a pole
-        # falls between floats and kappa drifts (stable-broad: 2e-6 off at
-        # p = 1e10, 5.7 % at 1e12), so those p are refused
+        # kappa settles by p = 1e6 and reads the same up to 1e300 (the line
+        # held as one float once drifted 2e-6 at p = 1e10 and 5.7 % at 1e12)
         if seed is None:
             bg, _, q = al.background_preset("stable-broad")
             cases = [(bg, q)]
@@ -914,29 +1078,75 @@ class TestResolution:
         for bg, q in cases:
             for sign in (1.0, -1.0):
                 ref = min(r.margin for r in al.penrose_margins(bg, sign * 1e6, q, range(1, 9)))
-                refused = []
                 for p in sign * self.P_SCAN:
-                    try:
-                        kappa = min(r.margin for r in al.penrose_margins(bg, p, q, range(1, 9)))
-                    except ValueError as exc:
-                        assert str(exc).startswith("eta_min = 0.001 is below what the scan resolves")
-                        refused.append(p)
-                        continue
-                    assert not refused, (p, refused)  # refused from one p on
+                    kappa = min(r.margin for r in al.penrose_margins(bg, p, q, range(1, 9)))
                     assert abs(kappa / ref - 1.0) <= 1e-6, (p, kappa, ref)
-                assert refused and abs(refused[0]) < 1e9 and refused[-1] == sign * 1e12
 
-    def test_threshold_follows_eta_min_and_the_frequencies(self):
+    def test_refusal_follows_the_rounding_not_p(self):
         bg, _, q = al.background_preset("stable-broad")
-        fastest = max(float(np.abs(penrose_mod._kernel_terms(bg, 1.0, k)[1]).max()) for k in range(1, 9))
-        for eta_min in (1e-3, 0.3):
-            # the floats of [2^e, 2^(e+1)) are 2^(e-52) apart: the last binade taken ends at this edge
-            edge = 2.0 ** (math.floor(math.log2(penrose_mod.ETA_RESOLUTION * eta_min)) + 53)
-            al.penrose_margins(bg, edge * (1.0 - 1e-12) / fastest, q, range(1, 9), eta_min)
-            with pytest.raises(ValueError, match="^eta_min"):
-                al.penrose_margins(bg, edge * (1.0 + 1e-12) / fastest, q, range(1, 9), eta_min)
-        # the zero symbol has no frequencies, so any finite p is taken
+        # the margins grow about linearly with eta_min down to 1e-14, where
+        # they read 1.0010 to 1.0018 times 1e-11 those at 1e-3, at any p
+        for p in (1.0, -1e290):
+            wide = [r.margin for r in al.penrose_margins(bg, p, q, range(1, 9))]
+            narrow = [r.margin for r in al.penrose_margins(bg, p, q, range(1, 9), 1e-14)]
+            assert all(abs(a / (1e-11 * b) - 1.0) <= 5e-3 for a, b in zip(narrow, wide)), narrow
+        # at 1e-17 the line minimum is within 512 times its rounding bound
+        for p in (1.0, 1e290):
+            with pytest.raises(ValueError, match="^eta_min = 1e-17 is below what double precision resolves: at k=1 "):
+                al.penrose_margins(bg, p, q, range(1, 9), 1e-17)
+        # lambda/|p| is undefined at p = 0, and q/|p| overflows at 5e-324
+        for p in (0.0, 5e-324, -5e-324):
+            with pytest.raises(ValueError, match="^p "):
+                al.penrose_margins(bg, p, q, range(1, 9))
+        # the zero symbol has no poles, so any p whose scaled line is a normal float is taken
         assert al.penrose_margins(al.BackgroundSymbol(np.zeros(3)), 1e300, q, (1, 2))[0].margin == 1.0
+
+    @pytest.mark.parametrize("p", [1e9, -1e9, 1e12, -1e50, 1e100, -1e200, 1e300, -1e300])
+    def test_stable_broad_reads_one_kappa(self, p):
+        bg, _, q = al.background_preset("stable-broad")
+        reports = al.penrose_margins(bg, p, q, range(1, 9))
+        assert f"{min(r.margin for r in reports):.10f}" == "0.0313849813"
+        if abs(p) == 1e300:
+            assert [r.margin for r in reports] == pytest.approx(LARGE_P_MARGINS, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**16),
+        slot=hst.integers(0, 2),
+        log_p=hst.floats(9.0, 300.0),
+        sign=hst.sampled_from([1.0, -1.0]),
+    )
+    def test_random_family_reads_its_large_p_kappa(self, seed, slot, log_p, sign):
+        # the benchmark's random family (J = 4, 5, 6): kappa is its p = +-1e300 value to 1e-10
+        _, q, bg = list(random_family(seed))[slot]
+        limit = min(r.margin for r in al.penrose_margins(bg, sign * 1e300, q, range(1, 9)))
+        kappa = min(r.margin for r in al.penrose_margins(bg, sign * 10.0**log_p, q, range(1, 9)))
+        assert abs(kappa - limit) <= 1e-10
+
+    @pytest.mark.parametrize("p", [1e6, 1e12, 1e100, -1e300])
+    def test_never_above_a_scaled_grid(self, p):
+        for J, q, bg in random_family(0):
+            for report in al.penrose_margins(bg, p, q, range(1, 9)):
+                k = report.k
+                c, n = written_out_terms(bg, 1.0, k)
+                keep = c != 0.0
+                grid = scaled_line_grid_minimum(c[keep], math.copysign(1.0, p) * n[keep], q / abs(p), 1e-3 / abs(p))
+                assert not report.zeros
+                assert report.margin <= grid * (1.0 + 1e-9), (J, k, report.margin, grid)
+
+    def test_parent_margins_below_1e4(self):
+        # the scan that held the line as one float, frozen at p = 1e4 and -100
+        # (k = 1..8): margins within 1e-12, argmins within 1e-9 or mirrored
+        # (stable-broad is even, so its minima at +-s tie)
+        bg, _, q = al.background_preset("stable-broad")
+        cases = [("stable-broad", bg, q)] + [(f"random-{J}", b, qq) for J, qq, b in random_family(0)]
+        for name, b, qq in cases:
+            for p in (1e4, -100.0):
+                reports = al.penrose_margins(b, p, qq, range(1, 9))
+                for r, (margin, im) in zip(reports, PARENT_BELOW_1E4[f"{name}@{p:g}"]):
+                    assert close(r.margin, margin)
+                    assert abs(abs(r.argmin_lambda.imag) - abs(im)) <= 1e-9 * abs(im)
+                    assert r.argmin_lambda.imag == pytest.approx(im, rel=1e-9) or name == "stable-broad"
 
 
 class TestFreeDensity:
