@@ -136,7 +136,7 @@ CONFIG_SCHEMA = {
     "penrose": {"physics": PRESET_PHYSICS, "penrose": {**MARGIN, "k_max": 8, "epsilon": 1e-2}, **COMMON},
     "perturb": {"grid": GRID, "physics": PRESET_PHYSICS, **COMMON,
                 "perturb": {**MARGIN, "k_max": 6, "epsilon": float, "kappa": float | None, "T": float | None,
-                            "dt": 1e-3, "seed_band": int | None, "drop_tol": 1e-12,
+                            "dt": 1e-3, "seed_band": int | None,
                             "record_every": int | None, "fit_window": list[float] | None}},
     "inequalities": {"physics": {"p": 1.0, "q": 1.0}, **COMMON,
                      "ensemble": {"n_samples": int, "N": 32, "rank_range": (1, 4), "decay_exponent": 2.0,

@@ -148,8 +148,7 @@ class EvolveConfig:
         _check_finite(p=self.p, q=self.q, dt=self.dt, T=self.T)
         if self.p * self.q == 0.0:
             raise ValueError("p and q must both be nonzero")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_finite(0, True, dt=self.dt)
         if self.T < self.dt:
             raise ValueError(f"T={self.T} is shorter than one step dt={self.dt}")
         if self.T / self.dt > MAX_STEPS:
@@ -422,6 +421,8 @@ def convergence_study(
     else:
         if not Ns:
             raise ValueError("Ns is missing or empty; mode 'N' needs at least one cutoff")
+        for i, n in enumerate(Ns):
+            _check_int(**{f"Ns[{i}]": n})
         bad = [n for n in Ns if not 1 <= n <= grid.N]
         if bad:
             raise ValueError(f"Ns {bad} outside 1..{grid.N} (the grid N)")
@@ -518,15 +519,14 @@ def picard_solve(
     the rounding floor of the contraction test.  Raises NoContractionError
     if the iterate distances stop decreasing above that floor.
     """
-    _check_finite(p=p, q=q, T=T, gamma0=gamma0.entries)
+    _check_finite(p=p, q=q, gamma0=gamma0.entries)
+    _check_finite(0, T=T)
     _check_int(1, n_iter=n_iter)
     _check_int(2, n_quad=n_quad)
     try:
         _check_hermitian(gamma0.entries)
     except ValueError as exc:
         raise ValueError(f"gamma0 is {exc}") from None
-    if T < 0:
-        raise ValueError("horizon must be >= 0")
     if T == 0.0:
         return OperatorMatrix(gamma0.grid, gamma0.entries.copy(), hermitian=gamma0.hermitian)
     n2 = gamma0.grid.modes().astype(float) ** 2

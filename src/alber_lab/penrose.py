@@ -67,10 +67,11 @@ class UnstableBackgroundError(ValueError):
 
 def _kernel_terms(bg: BackgroundSymbol, p: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero coefficients c_j = Gh(j+k) - Gh(j) and frequencies p*k*(2j+k); a
-    ValueError starting "p " if p*k*(2j+k) is past the float range for a j of the sum."""
+    ValueError starting "p " if p is not finite or p*k*(2j+k) is past the float range for a j of the sum."""
     _check_int(k=k)
     if k == 0:
         raise ValueError("the k = 0 mode is conserved; kernels are defined for k != 0")
+    _check_finite(p=p)
     j = np.arange(-bg.J - abs(k), bg.J + abs(k) + 1)
     c = bg.gamma_hat(j + k) - bg.gamma_hat(j)
     keep = c != 0.0
@@ -508,13 +509,6 @@ class PropagatorConstants:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _check_positive(**values) -> None:
-    """A ValueError "<name> must be positive" for the first given value (not None) that is not > 0."""
-    for name, value in values.items():
-        if value is not None and not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
 def propagator_constants(
     gamma_h1s1: float,
     gamma_l1: float,
@@ -530,9 +524,8 @@ def propagator_constants(
     _check_finite(**inputs)
     if kappa <= 0.0:
         raise UnstableBackgroundError(f"kappa must be a positive Penrose margin, got {kappa}")
-    if min(gamma_h1s1, gamma_l1) < 0.0:
-        raise ValueError("background norms must be >= 0")
-    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear)
+    _check_finite(0, gamma_h1s1=gamma_h1s1, gamma_l1=gamma_l1)
+    _check_finite(0, True, eta=eta, epsilon=epsilon, c_bilinear=c_bilinear)
     if q == 0.0:
         raise ValueError("q must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):  # numpy scalars overflow to inf, as floats do
@@ -589,7 +582,7 @@ def margin_report(
     c_bilinear defaulting to the bilinear constant of a 40-sample ensemble at N = 16 drawn from
     seed; eta, epsilon and a given c_bilinear are checked before the scan, whatever its verdict.
     """
-    _check_positive(eta=eta, epsilon=epsilon, c_bilinear=c_bilinear)
+    _check_finite(0, True, eta=eta, epsilon=epsilon, **({} if c_bilinear is None else {"c_bilinear": c_bilinear}))
     _check_int(1, k_max=k_max)
     reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
     kappa = min(r.margin for r in reports)
@@ -619,7 +612,7 @@ class PerturbationRun:
 
 def perturbation_run(
     bg: BackgroundSymbol, p: float, q: float, grid: SpectralGrid, epsilon: float, T: float | None = None,
-    dt: float = 1e-3, kappa: float | None = None, seed_band: int | None = None, drop_tol: float = 1e-12,
+    dt: float = 1e-3, kappa: float | None = None, seed_band: int | None = None,
     record_every: int | None = None, fit_window: list[float] | None = None, k_max: int = 6, eta: float = 1.0,
     eta_min: float = 1e-3, c_bilinear: float | None = None, seed: int = 0,
 ) -> PerturbationRun:
@@ -635,10 +628,9 @@ def perturbation_run(
     the trust region (_trusted).  The bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of
     log(deviation) in fit_window.
     """
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    _check_finite(**({} if T is None else {"T": T}), dt=dt)
-    _check_positive(T=T)
+    _check_finite(0, epsilon=epsilon)
+    _check_finite(0, True, **({} if T is None else {"T": T}))
+    _check_finite(dt=dt)
     if epsilon == 0 and T is None:
         raise ValueError("T is required when epsilon is 0 (no intrinsic horizon)")
     if fit_window is not None and not (len(fit_window) == 2 and fit_window[0] < fit_window[1]):
@@ -666,7 +658,7 @@ def perturbation_run(
     gamma_mat = background_to_matrix(bg, grid)
     datum_entries = gamma_mat.entries + epsilon * u0.entries
     try:
-        datum = eigendecompose(OperatorMatrix(grid, datum_entries, hermitian=True), drop_tol=drop_tol)
+        datum = eigendecompose(OperatorMatrix(grid, datum_entries, hermitian=True))
     except NotNonNegativeError as exc:
         raise ValueError(f"epsilon: the perturbed datum is not a state: {exc}") from exc
     horizon = consts.t_star if T is None else T

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .spectral import SpectralGrid, _check_finite, _check_int
@@ -51,8 +49,7 @@ def random_smooth_state(
     if not 0 <= band <= grid.N:
         raise ValueError(f"band {band} outside 0..{grid.N} (the grid cutoff N)")
     _check_finite(decay=decay)
-    if not (math.isfinite(total_mass) and total_mass >= 0.0):
-        raise ValueError(f"total_mass must be finite and >= 0, got {total_mass}")
+    _check_finite(0, total_mass=total_mass)
     n = grid.modes().astype(float)
     with np.errstate(over="ignore"):
         shape = np.where(np.abs(n) <= band, (1.0 + n * n) ** (-0.5 * decay), 0.0)

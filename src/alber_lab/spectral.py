@@ -12,10 +12,16 @@ and sobolev_norm the one H^s formula.  The plane-wave Toeplitz pair lives
 here too: diagonal_sums (the density coefficients of a mode matrix) and
 its adjoint toeplitz (multiplication), both over any leading axes.  All
 operations here are pure functions; only the offset table that the pair
-indexes is cached, one read-only copy per matrix size.  _check_finite is
-the one check that arguments are finite, for every module that takes
-numbers or arrays from outside, and _check_int the one rule for integer
-arguments (a Python or numpy integer, never a bool or a fraction).
+indexes is cached, one read-only copy per matrix size.
+
+Every module that takes numbers or arrays from outside checks them with
+two rules kept here.  _check_finite is the rule for real arguments: each
+value, or each entry of an array, must be finite and, given a lower
+bound, at or above it (above it if strict); NaN never passes.
+_check_int is the rule for integer arguments: a Python or numpy integer,
+never a bool or a fraction, at or above an optional least.  Both raise a
+ValueError whose message starts with the parameter's name, which the CLI
+maps to its config key.
 
 _fft and _ifft are the package's raw transforms: numpy's own pocketfft
 gufuncs (numpy >= 2.0; signature (n),()->(m) along the last axis), bound
@@ -46,19 +52,28 @@ _fft = _pocketfft_umath.fft
 _ifft = _pocketfft_umath.ifft
 
 
-def _check_finite(**values) -> None:
-    """A ValueError for the first value, a number or an array, that is not finite.
+def _check_finite(least: float | None = None, strict: bool = False, **values) -> None:
+    """A ValueError for the first value, a number or an array, that is not finite or not >= least.
 
-    The message starts with the parameter's name, so a caller can say where
-    it came from: "<name> must be finite, got <value>", or "got a
-    non-finite entry" for an array.
+    With least given, every value (every entry of an array) must be >= least,
+    or > least if strict; NaN never passes.  The message starts with the
+    parameter's name, so a caller can say where it came from: "<name> must
+    be finite, got <value>" ("got a non-finite entry" for an array), "<name>
+    must be positive, got <value>" (strict, least 0) or "<name> must be >=
+    <least>, got <value>", an array's value its least entry.
     """
     for name, value in values.items():
         if np.ndim(value) or isinstance(value, np.ndarray):  # a 0-d array may be complex
             if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite, got a non-finite entry")
+            if least is None or not np.size(value):
+                continue
+            value = np.min(value)
         elif not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+        if least is not None and not (value > least if strict else value >= least):
+            rule = "positive" if strict and least == 0 else f"{'>' if strict else '>='} {least}"
+            raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _check_int(least: int | None = None, **values) -> None:
@@ -234,8 +249,7 @@ def sobolev_norm(coeffs: np.ndarray, s: float):
     be finite and >= 0.  One row gives a float, a stack of rows (..., 2K+1)
     an array of their norms.
     """
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
+    _check_finite(0, s=s)
     coeffs = np.asarray(coeffs)
     if coeffs.shape[-1] % 2 != 1:
         raise ValueError(f"coefficients must cover modes -K..K, got length {coeffs.shape[-1]}")
@@ -284,11 +298,10 @@ def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
     K is chosen adaptively so that error stays below tail_tol; a tail_tol
     that would need more than BESSEL_MAX_TERMS terms is refused.
     """
-    _check_finite(s=s, tail_tol=tail_tol)
+    _check_finite(s=s)
+    _check_finite(0, True, tail_tol=tail_tol)
     if s <= 0.5:
         raise ValueError(f"sum_n <n>^(-2s) diverges for s={s} <= 1/2")
-    if tail_tol <= 0:
-        raise ValueError("tail_tol must be positive")
     # K = (s / (6 2pi tail_tol))^(1 / (2s + 1)), in logs so that no large s overflows
     K = max(math.ceil(math.exp((math.log(s) - math.log(6.0 * TWO_PI * tail_tol)) / (2.0 * s + 1.0))), 16)
     if K > BESSEL_MAX_TERMS:

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import TWO_PI, SpectralGrid, bessel_constant, synthesize_batch
+from .spectral import TWO_PI, SpectralGrid, _check_finite, _check_int, bessel_constant, synthesize_batch
 
 
 class GramError(ValueError):
@@ -78,10 +78,7 @@ class MixedState:
                 f"orbitals shape {self.orbitals.shape} does not match "
                 f"{self.weights.size} weights on {self.grid.n_modes} modes"
             )
-        if not np.isfinite(self.weights).all():
-            raise ValueError("weights must be finite")
-        if self.weights.size and self.weights.min() < 0.0:
-            raise ValueError(f"negative weight {self.weights.min()}")
+        _check_finite(0, weights=self.weights)
         # gram_tol = inf accepts all, unmeasured; a NaN deviation fails any finite tolerance
         if self.gram_tol != math.inf:
             dev = gram_deviation(self)
@@ -130,10 +127,11 @@ class OperatorMatrix:
 
 
 def _check_hermitian(entries: np.ndarray) -> None:
-    """A ValueError unless max|U - U*| <= 1e-12 ||U||_F (1e-12 for U = 0), per matrix along leading axes."""
+    """A ValueError unless max|U - U*| <= 1e-12 ||U||_F (1e-12 for U = 0), per matrix along leading
+    axes; a NaN entry makes the deviation NaN, which fails."""
     scale = np.sqrt((np.abs(entries) ** 2).sum(axis=(-2, -1)))
     dev = np.abs(entries - entries.swapaxes(-1, -2).conj()).max(axis=(-2, -1))
-    bad = dev > 1e-12 * np.where(scale == 0.0, 1.0, scale)
+    bad = ~(dev <= 1e-12 * np.where(scale == 0.0, 1.0, scale))
     if bad.any():
         raise ValueError(f"not Hermitian: max|U - U*| = {np.max(dev[bad]):.3e}")
 
@@ -148,10 +146,7 @@ class BackgroundSymbol:
         self.symbol = np.atleast_1d(np.asarray(self.symbol, dtype=float))
         if self.symbol.size % 2 != 1:
             raise ValueError("symbol must cover modes -J..J (odd length)")
-        if not np.isfinite(self.symbol).all():
-            raise ValueError("symbol entries must be finite")
-        if self.symbol.min() < 0.0:
-            raise ValueError(f"symbol must be >= 0, min is {self.symbol.min()}")
+        _check_finite(0, symbol=self.symbol)
 
     @property
     def J(self) -> int:
@@ -261,8 +256,7 @@ def schatten_norm(u: OperatorMatrix, p) -> float:
 
 def sobolev_schatten_norm(u: OperatorMatrix, s: float) -> float:
     """Trace norm of <D>^s U <D>^s with <D>^s = diag(<n>^s) on the band."""
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
+    _check_finite(0, s=s)
     d = u.grid.brackets_sq() ** (0.5 * s)
     weighted = d[:, None] * u.entries * d[None, :]
     return float(_singular_values(weighted).sum())
@@ -288,8 +282,7 @@ def _orbital_sum(mu: np.ndarray, orbitals: np.ndarray, w) -> np.ndarray:
 
 def hs1_norm_nonneg(state: MixedState, s: float) -> float:
     """H^s Schatten-1 norm of a non-negative state: sum_k mu_k ||psi_k||_{H^s}^2."""
-    if not 0 <= s < math.inf:
-        raise ValueError(f"s must be a finite Sobolev order >= 0, got {s}")
+    _check_finite(0, s=s)
     return float(_orbital_sum(state.weights, state.orbitals, state.grid.brackets_sq() ** s))
 
 
@@ -325,8 +318,9 @@ def _energy(kinetic, rho: np.ndarray, p: float, q: float):
 
 def energy(state: MixedState, p: float, q: float) -> float:
     """Conserved energy E = -p*K + (q/2)*||rho||_{L2}^2."""
+    _check_finite(p=p, q=q)
     if p * q == 0.0:
-        raise ValueError("dispersion and coupling coefficients must be nonzero")
+        raise ValueError("p and q must both be nonzero")
     kin = kinetic_energy(state)
     value = float(_energy(kin, density_samples(state), p, q))
     # |E| <= |p|*||gamma||_{H1 S1} + (|q|/2)*B_1*||gamma||_{S1}*||gamma||_{H1 S1}
@@ -342,8 +336,9 @@ def energy(state: MixedState, p: float, q: float) -> float:
 
 def galerkin_truncate(u: OperatorMatrix, n_prime: int) -> OperatorMatrix:
     """Compression P_N' U P_N' onto modes |n| <= N', kept on the same grid."""
-    if not 0 <= n_prime <= u.grid.N:
-        raise ValueError(f"truncation cutoff {n_prime} outside 0..{u.grid.N}")
+    _check_int(0, n_prime=n_prime)
+    if n_prime > u.grid.N:
+        raise ValueError(f"n_prime={n_prime} outside 0..{u.grid.N} (the grid N)")
     keep = np.abs(u.grid.modes()) <= n_prime
     entries = np.where(keep[:, None] & keep[None, :], u.entries, 0.0)
     return OperatorMatrix(u.grid, entries, hermitian=u.hermitian)
@@ -356,8 +351,7 @@ def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
     anything below that window raises NotNonNegativeError.  U must pass
     the Hermitian rule of OperatorMatrix(hermitian=True) (_check_hermitian).
     """
-    if not (math.isfinite(drop_tol) and drop_tol >= 0.0):
-        raise ValueError(f"drop_tol must be finite and >= 0, got {drop_tol}")
+    _check_finite(0, drop_tol=drop_tol)
     entries = u.entries
     _check_hermitian(entries)
     try:
@@ -396,10 +390,10 @@ def ybar_bound(
     Focusing: Ybar = M + (A + sqrt(A^2 + 4*K(0) + 2|q|M^2/(|p|*2*pi)))^2 / 4
     with A = |q| M^{3/2} / |p|.  Defocusing: Ybar = M + K(0) + (|q|/2|p|) ||rho_0||^2.
     """
+    _check_finite(0, mass_=mass_, kinetic0=kinetic0, rho0_l2=rho0_l2)
+    _check_finite(p=p, q=q)
     if p * q == 0.0:
-        raise ValueError("dispersion and coupling coefficients must be nonzero")
-    if min(mass_, kinetic0) < 0.0 or rho0_l2 < 0.0:
-        raise ValueError("mass, kinetic energy and density norm must be >= 0")
+        raise ValueError("p and q must both be nonzero")
     if focusing:
         a = abs(q) * mass_**1.5 / abs(p)
         disc = a * a + 4.0 * kinetic0 + 2.0 * abs(q) * mass_**2 / (abs(p) * TWO_PI)

@@ -1576,6 +1576,7 @@ class TestConvergenceStudy:
             ("Ns", {"mode": "N", "Ns": []}),
             ("Ns", {"mode": "N", "Ns": [2, 9]}),
             ("dt", {"mode": "N", "Ns": [2], "dt": 0.0}),
+            ("Ns[1]", {"mode": "N", "Ns": [2, 2.5]}),  # a fraction, named by its index as a dts entry is
         ],
     )
     def test_bad_input_named_first(self, grid8, monkeypatch, name, bad):

@@ -185,6 +185,22 @@ class TestCheckFinite:
         with pytest.raises(ValueError, match="^u0 must be finite, got a non-finite entry$"):
             _check_finite(p=1.0, u0=entries)
 
+    def test_bound_wordings(self):
+        for args, values, message in (
+            ((0, True), {"eta": 0.0}, "eta must be positive, got 0.0"),
+            ((0,), {"s": -1.0}, "s must be >= 0, got -1.0"),
+            ((0.5, True), {"s": 0.5}, "s must be > 0.5, got 0.5"),
+            ((0,), {"weights": np.array([1.0, -2.0, -1.0])}, "weights must be >= 0, got -2.0"),
+            ((0,), {"weights": np.array([1.0, math.nan])}, "weights must be finite, got a non-finite entry"),
+            ((0, True), {"eta": math.nan}, "eta must be finite, got nan"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _check_finite(*args, **values)
+
+    def test_values_on_the_bound(self):
+        _check_finite(0, s=0.0, t=-0.0, weights=np.zeros(3), empty=np.zeros(0))
+        _check_finite(0, True, eta=5e-324, c=np.float64(1.0))
+
 
 class TestSobolevNorm:
     def test_zero_field(self, grid8):
@@ -431,3 +447,64 @@ class TestToeplitzPair:
         assert np.array_equal(toeplitz(sums), np.array([toeplitz(d) for d in sums]))
         grid = diagonal_sums(stack.reshape(3, 11, 33, 33))
         assert np.array_equal(grid, sums.reshape(3, 11, 65))
+
+
+# Each public callable's real parameters with their bound: (case id, parameter, (least, strict) or None
+# for finite only, the call with the value in the parameter's place and valid values elsewhere)
+_GRID = al.SpectralGrid(2)
+_STATE = al.MixedState(_GRID, [1.0], np.eye(_GRID.n_modes, dtype=complex)[2:3])
+_MATRIX = al.to_matrix(_STATE)
+_BROAD, _P, _Q = al.background_preset("stable-broad")
+_CONSTANTS = {"gamma_h1s1": 0.5, "gamma_l1": 0.3, "kappa": 0.05, "q": -1.0, "eta": 0.7, "epsilon": 1e-3,
+              "c_bilinear": 0.2}
+_PERTURB = {"grid": al.SpectralGrid(6), "epsilon": 1e-3, "T": 0.2, "dt": 0.01, "kappa": 0.03, "c_bilinear": 0.18}
+REAL_ARGUMENTS = [
+    ("sobolev_norm", "s", (0, False), lambda v: al.sobolev_norm(np.ones(5), v)),
+    ("bessel_constant-s", "s", None, lambda v: al.bessel_constant(v)),
+    ("bessel_constant-tail_tol", "tail_tol", (0, True), lambda v: al.bessel_constant(1.0, v)),
+    ("MixedState", "weights", (0, False),
+     lambda v: al.MixedState(_GRID, [0.5, v], np.eye(_GRID.n_modes, dtype=complex)[:2])),
+    ("BackgroundSymbol", "symbol", (0, False), lambda v: al.BackgroundSymbol([1.0, v, 1.0])),
+    ("sobolev_schatten_norm", "s", (0, False), lambda v: al.sobolev_schatten_norm(_MATRIX, v)),
+    ("hs1_norm_nonneg", "s", (0, False), lambda v: al.hs1_norm_nonneg(_STATE, v)),
+    ("eigendecompose", "drop_tol", (0, False), lambda v: al.eigendecompose(_MATRIX, v)),
+    ("energy-p", "p", None, lambda v: al.energy(_STATE, v, 1.0)),
+    ("energy-q", "q", None, lambda v: al.energy(_STATE, 1.0, v)),
+    ("ybar_bound-mass_", "mass_", (0, False), lambda v: al.ybar_bound(v, 1.0, 1.0, 1.0, 1.0, True)),
+    ("ybar_bound-kinetic0", "kinetic0", (0, False), lambda v: al.ybar_bound(1.0, v, 1.0, 1.0, 1.0, True)),
+    ("ybar_bound-rho0_l2", "rho0_l2", (0, False), lambda v: al.ybar_bound(1.0, 1.0, v, 1.0, 1.0, False)),
+    ("ybar_bound-p", "p", None, lambda v: al.ybar_bound(1.0, 1.0, 1.0, v, 1.0, True)),
+    ("ybar_bound-q", "q", None, lambda v: al.ybar_bound(1.0, 1.0, 1.0, 1.0, v, False)),
+    ("random_smooth_state", "total_mass", (0, False),
+     lambda v: al.random_smooth_state(_GRID, 1, 1, 2.0, np.random.default_rng(0), total_mass=v)),
+    ("EvolveConfig", "dt", (0, True), lambda v: al.EvolveConfig(1.0, 1.0, v, 1.0)),
+    ("picard_solve", "T", (0, False), lambda v: al.picard_solve(_MATRIX, 1.0, 1.0, v)),
+    ("run_checks", "s", (0, False), lambda v: al.run_checks(al.EnsembleConfig(2, _GRID), v, ("gn",))),
+    *[(f"margin_report-{name}", name, (0, True), lambda v, name=name: al.margin_report(_BROAD, _P, _Q, **{name: v}))
+      for name in ("eta", "epsilon", "c_bilinear")],
+    *[(f"propagator_constants-{name}", name, (0, name not in ("gamma_h1s1", "gamma_l1")),
+       lambda v, name=name: al.propagator_constants(**{**_CONSTANTS, name: v}))
+      for name in ("gamma_h1s1", "gamma_l1", "eta", "epsilon", "c_bilinear")],
+    ("perturbation_run-epsilon", "epsilon", (0, False),
+     lambda v: al.perturbation_run(_BROAD, _P, _Q, **{**_PERTURB, "epsilon": v})),
+    ("perturbation_run-T", "T", (0, True), lambda v: al.perturbation_run(_BROAD, _P, _Q, **{**_PERTURB, "T": v})),
+]
+
+
+class TestRealArguments:
+    """One rule for real arguments: NaN, +-inf and a value below the bound each raise a ValueError
+    whose message starts with the parameter's name, which the CLI maps to its config key."""
+
+    @pytest.mark.parametrize("name, bound, call", [case[1:] for case in REAL_ARGUMENTS],
+                             ids=[case[0] for case in REAL_ARGUMENTS])
+    @settings(max_examples=15, deadline=None)
+    @given(data=hst.data())
+    def test_refused_naming_the_parameter(self, name, bound, call, data):
+        bad = [math.nan, math.inf, -math.inf]
+        if bound is not None:
+            least, strict = bound
+            below = hst.floats(max_value=least, allow_nan=False, allow_infinity=False)
+            bad.append(data.draw(below.filter(lambda v: v <= least if strict else v < least), label=name))
+        for value in bad:
+            with pytest.raises(ValueError, match=named_first(name)):
+                call(value)

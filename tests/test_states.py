@@ -20,7 +20,7 @@ import alber_lab.states as states_mod
 from alber_lab.spectral import TWO_PI, analyze_batch, diagonal_sums
 from alber_lab.states import GramError, _energy, _factored_trace_norm, gram_deviation, gram_matrix
 
-from conftest import random_state
+from conftest import named_first, random_state
 
 
 def plane_wave_state(grid, n, weight):
@@ -365,8 +365,9 @@ class TestGalerkinTruncate:
 
     def test_invalid_cut(self, grid8):
         u = al.OperatorMatrix(grid8, np.zeros((grid8.n_modes, grid8.n_modes), dtype=complex))
-        with pytest.raises(ValueError):
-            al.galerkin_truncate(u, grid8.N + 1)
+        for cut in (grid8.N + 1, -1, 2.5, True):  # a fraction or a bool is no cutoff
+            with pytest.raises(ValueError, match=named_first("n_prime")):
+                al.galerkin_truncate(u, cut)
 
 
 class TestEigendecompose:
@@ -415,6 +416,15 @@ class TestEigendecompose:
                 make()
             messages.append(str(info.value))
         assert messages[0] == messages[1] == f"not Hermitian: max|U - U*| = {1e-11 * scale:.3e}"
+
+    def test_nan_entry_fails_the_hermitian_rule(self, grid8):
+        # a NaN entry makes the deviation NaN, which fails the rule before LAPACK sees the matrix
+        m = np.eye(grid8.n_modes, dtype=complex)
+        m[2, 2] = math.nan
+        with pytest.raises(ValueError, match=r"^not Hermitian: max\|U - U\*\| = nan$"):
+            al.OperatorMatrix(grid8, m, hermitian=True)
+        with pytest.raises(ValueError, match=r"^not Hermitian: "):
+            al.eigendecompose(al.OperatorMatrix(grid8, m))
 
     def test_zero_matrix_gives_empty(self, grid8):
         u = al.OperatorMatrix(grid8, np.zeros((grid8.n_modes, grid8.n_modes), dtype=complex))
