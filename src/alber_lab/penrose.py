@@ -29,6 +29,14 @@ Newton loop, and only the eigenvalues are taken mode by mode.  The scan
 runs in lambda/|p|, where the poles are integers, so the dip of |F_k|
 beside a pole reads the same at every p.
 
+perturbation_run measures the window on a run: the nonlinear flow of
+Gamma + epsilon*U0 on the full grid beside the linearized flow of
+epsilon*U0, which runs on the mode box |m|, |n| <= J + 2*seed_band only.
+For U0 on |n| <= seed_band that is exact: the flow never mixes the
+diagonals k = m - n, the live ones have |k| <= 2*seed_band, and an entry
+outside the box has Gh(m) = Gh(n) = 0 and starts at zero, so it is never
+coupled and stays zero.
+
 On the time side, volterra_solve marches the density equation as a
 linear recurrence with one running sum per kernel term.  Its forcing,
 free_density, is a sum of equally spaced frequencies p*k*(2j+k), so it is
@@ -625,12 +633,16 @@ def perturbation_run(
     epsilon = 0, which has no horizon t_star and needs T.  Both flows run T in whole steps dt and
     are read side by side a block of records at a time (dynamics._linearized_blocks and
     _split_step, no object per record); the run stops at the first record after t = 0 outside
-    the trust region (_trusted).  The bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of
-    log(deviation) in fit_window.
+    the trust region (_trusted).  The linearized flow and its norm run on the mode box
+    |m|, |n| <= L = min(N, max(1, J + 2 seed_band)), epsilon*U0 cut to it, which is exact: the
+    flow never mixes the diagonals k = m - n and only |k| <= 2 seed_band are live, so an entry
+    outside the box has Gh(m) = Gh(n) = 0, starts at zero and stays zero, and the rows left out
+    would add only zero eigenvalues.  The datum, the nonlinear flow and its norm stay on the
+    full grid.  The bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of log(deviation)
+    in fit_window.
     """
     _check_finite(0, epsilon=epsilon)
-    _check_finite(0, True, **({} if T is None else {"T": T}))
-    _check_finite(dt=dt)
+    _check_finite(0, True, **({} if T is None else {"T": T}), dt=dt)
     if epsilon == 0 and T is None:
         raise ValueError("T is required when epsilon is 0 (no intrinsic horizon)")
     if fit_window is not None and not (len(fit_window) == 2 and fit_window[0] < fit_window[1]):
@@ -662,8 +674,8 @@ def perturbation_run(
     except NotNonNegativeError as exc:
         raise ValueError(f"epsilon: the perturbed datum is not a state: {exc}") from exc
     horizon = consts.t_star if T is None else T
-    if not (dt > 0.0 and math.isfinite(horizon / dt)):
-        raise ValueError(f"dt must be > 0 with a finite number of steps, got T={horizon}, dt={dt}")
+    if not math.isfinite(horizon / dt):
+        raise ValueError(f"dt must give a finite number of steps, got T={horizon}, dt={dt}")
     # the run takes whole steps, so the horizon it reports is steps * dt
     steps = max(1, int(round(horizon / dt)))
     horizon = steps * dt
@@ -677,7 +689,11 @@ def perturbation_run(
     waves = weight[:, None] * bg_state.orbitals.T
     core = np.diag(np.concatenate([datum.weights, -bg_state.weights]))
     records = _split_step(grid, datum.weights, datum.orbitals, run_cfg)
-    lin_u0 = OperatorMatrix(grid, epsilon * u0.entries, hermitian=True)
+    # the linearized flow's mode box, the modes -L..L of the grid (SpectralGrid needs L >= 1)
+    box = SpectralGrid(min(grid.N, max(1, bg.J + 2 * seed_band)))
+    cut = slice(grid.N - box.N, grid.N + box.N + 1)
+    lin_weight = weight[cut]
+    lin_u0 = OperatorMatrix(box, epsilon * u0.entries[cut, cut], hermitian=True)
     rows, diverged_at = [], None
     # both flows advance a block of records at a time; the norms of a block are two stacked calls,
     # and the block bounds the stacks, so their memory does not grow with the number of records
@@ -689,7 +705,7 @@ def perturbation_run(
         devs = _factored_trace_norm(factors, core)
         # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum
         with np.errstate(over="ignore", invalid="ignore"):
-            lin_weighted = weight[:, None] * lin_stack * weight
+            lin_weighted = lin_weight[:, None] * lin_stack * lin_weight
             finite = np.isfinite(lin_weighted).all(axis=(-2, -1))
             lin_devs = np.full(times.size, math.inf)
             lin_devs[finite] = _hermitian_trace_norm(lin_weighted[finite])

@@ -546,16 +546,19 @@ class TestPerturb:
         return got, np.array(dense), bg
 
     def test_norms_match_dense_route_on_readme_config(self, tmp_path):
-        cfg = {
-            "output_dir": str(tmp_path / "run"),
-            "seed": 7,
-            "grid": {"N": 12},
-            "perturb": {"background": "stable-broad", "epsilon": 1e-3, "dt": 1e-3, "seed_band": 2,
-                        "fit_window": [0.5, 2.0], "c_bilinear": 0.18},
-        }
-        got, dense, _ = self.run_against_dense_norms(tmp_path, cfg)
-        assert (dense > 0.0).all()
-        assert (np.abs(got - dense) <= 1e-12 * dense).all()
+        # at N = 24 the linearized flow's mode box (J + 2 seed_band = 6) is far smaller than the
+        # grid, while the dense route takes the full grid
+        for n in (12, 24):
+            cfg = {
+                "output_dir": str(tmp_path / f"run{n}"),
+                "seed": 7,
+                "grid": {"N": n},
+                "perturb": {"background": "stable-broad", "epsilon": 1e-3, "dt": 1e-3, "seed_band": 2,
+                            "fit_window": [0.5, 2.0], "c_bilinear": 0.18},
+            }
+            got, dense, _ = self.run_against_dense_norms(tmp_path, cfg)
+            assert (dense > 0.0).all()
+            assert (np.abs(got - dense) <= 1e-12 * dense).all()
 
     def test_norms_match_dense_route_at_zero_epsilon(self, tmp_path):
         # gamma(t) - Gamma is rounding only, so the two routes are held to the scale of

@@ -1330,6 +1330,37 @@ class TestLinearizedEvolve:
         for g, w in zip(got.matrices, want.matrices):
             assert np.abs(g.entries - w).max() <= 1e-10 * np.abs(w).max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hst.data(),
+        background=hst.sampled_from(["random", "remark-5-2-unstable", "stable-broad"]),
+        outside=hst.integers(1, 4),
+        steps_kind=hst.sampled_from(["one", "divisor", "partial"]),
+        power=hst.sampled_from([True, False]),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_stays_in_the_mode_box(self, data, background, outside, steps_kind, power, seed):
+        # U_lin(t) never leaves |m|, |n| <= J + 2b for U0 on |n| <= b: an entry outside starts
+        # at zero, its diagonal k = m - n has |k| <= 2b, so Gh(m) = Gh(n) = 0 and nothing couples in
+        gen = np.random.default_rng(seed)
+        if background == "random":
+            bg = al.BackgroundSymbol(gen.uniform(0.0, 2.0, 2 * data.draw(hst.integers(0, 3)) + 1))
+            p, q = data.draw(hst.sampled_from([0.5, 1.0, 1.5])), data.draw(hst.sampled_from([-3.0, -1.0, 1.0, 3.0]))
+        else:
+            bg, p, q = al.background_preset(background)
+        band = data.draw(hst.integers(0, 3))
+        box = bg.J + 2 * band
+        grid = al.SpectralGrid(box + outside)
+        u0 = al.random_hermitian_perturbation(grid, band, gen)
+        steps, record_every = stride_case(data, steps_kind)
+        cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=record_every)
+        with mock.patch.object(dyn, "_power_pays", lambda *args: power):
+            traj = al.linearized_evolve(u0, bg, cfg, matrix_every=1)
+        outer = np.abs(grid.modes()) > box
+        assert len(traj.matrices) == len(traj.times)
+        for m in traj.matrices:
+            assert (m.entries[outer, :] == 0).all() and (m.entries[:, outer] == 0).all()
+
     def test_matches_step_reference_on_oracle_configs(self):
         # criterion 4's configs and the perturb path (stride 10, every matrix)
         for name, n, dt, T, record_every, matrix_every in [

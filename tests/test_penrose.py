@@ -1609,6 +1609,43 @@ class TestPerturbationRun:
         assert run.rows[-1][0] < run.diverged_at
         assert all(_trusted(dev, lin) for _, dev, lin, _ in run.rows)
 
+    @pytest.mark.parametrize(
+        "background, n, seed_band, kappa, seed, box",
+        [
+            ("stable-broad", 12, 2, None, 4, 6),  # J = 2: the README config, half the modes
+            ("stable-broad", 32, 2, None, 4, 6),
+            ("stable-broad", 6, 2, None, 4, 6),  # the box is the grid
+            ("remark-5-2-unstable", 6, 1, 0.1, 4, 2),  # J = 0
+            ("remark-5-2-unstable", 1, 1, 0.1, 1, 1),  # J + 2b = 2 is cut to the grid
+            ("remark-5-2-unstable", 6, 0, 0.1, 4, 1),  # J + 2b = 0, and SpectralGrid needs N >= 1
+        ],
+    )
+    def test_linearized_flow_runs_on_its_mode_box(self, monkeypatch, background, n, seed_band, kappa, seed, box):
+        # (seeds 4 and 1 draw perturbations that keep the datum of remark-5-2-unstable a state)
+        bg, p, q = al.background_preset(background)
+        blocks = penrose_mod._linearized_blocks
+        grids = []
+
+        def spy(u0, *args, **kwargs):
+            grids.append(u0.grid)
+            return blocks(u0, *args, **kwargs)
+
+        monkeypatch.setattr(penrose_mod, "_linearized_blocks", spy)
+        run = al.perturbation_run(bg, p, q, al.SpectralGrid(n), 1e-4, T=0.05, dt=1e-2, kappa=kappa,
+                                  seed_band=seed_band, c_bilinear=0.18, seed=seed)
+        assert [g.N for g in grids] == [box]
+        assert run.diverged_at is None and len(run.rows) == 6
+
+    def test_zero_step_refused_before_the_scan(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a zero step must be refused before the Penrose scan and the ensemble")
+
+        monkeypatch.setattr(penrose_mod, "penrose_margins", forbidden)
+        monkeypatch.setattr(penrose_mod, "run_checks", forbidden)
+        bg, p, q = al.background_preset("stable-broad")
+        with pytest.raises(ValueError, match="^dt must be positive, got 0.0"):
+            al.perturbation_run(bg, p, q, al.SpectralGrid(6), 1e-3, T=0.2, dt=0.0)
+
     def test_linearized_trace_norms_need_hermitian_stacks(self):
         gen = np.random.default_rng(0)
         a = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))
@@ -1634,6 +1671,7 @@ class TestPerturbationRun:
             ("kappa", {"kappa": -1.0}),
             ("dt", {"dt": 0.0}),
             ("record_every", {"record_every": 0}),
+            ("dt", {"dt": 5e-324}),  # T / dt overflows: no finite number of steps
         ],
     )
     def test_bad_input_named_first(self, name, bad):
