@@ -25,10 +25,11 @@ writes every substep into them, so only record points allocate.  Its
 transforms are the raw pocketfft pair bound in spectral (_fft, _ifft:
 numpy >= 2.0), which skips np.fft's per-call argument handling (a
 quarter to a third of a step at the lab's sizes) and keeps np.fft's
-bits.  At the lab's sizes a step is mostly call overhead, so the loop
-binds its ufuncs, the imaginary view of its potential buffer and its
-factors (np.fft's 1 / M and 1, and the potential constant, as 0-d
-arrays) once per run, and passes every output positionally.
+bits; they run in place, writing into their input.  At the lab's sizes
+a step is mostly call overhead, so the loop binds its ufuncs, flat
+views of its potential buffers and its factors (np.fft's 1 / M and 1,
+and the potential constant, as 0-d arrays) once per run, passes every
+output positionally and broadcasts in one call only.
 iter_evolve wraps it for one MixedState.  evolve and the a-priori
 ensemble of inequalities (its samples in groups of equal rank)
 read it through _observed, a block of records at a time on a leading
@@ -76,8 +77,9 @@ floor 1e-14 ||gamma0||_F, so n_iter is a cap.
 
 Densities and the energy come from states and V_rho from the Toeplitz pair
 in spectral; potential_step and _split_step keep rho inline as they reuse
-psi.  Split-step, Picard and linearized flow each keep their own free
-phases, so the three solvers the oracle tests compare stay independent.
+the orbital samples.  Split-step, Picard and linearized flow each keep
+their own free phases, so the three solvers the oracle tests compare stay
+independent.
 """
 
 from __future__ import annotations
@@ -265,19 +267,28 @@ def _split_step(
     cutoff.  The FFT normalizations cancel over a substep, except in the
     density, where they are folded into the potential constant.  The
     transforms are spectral's _ifft and _fft with np.fft's factors (1 / M
-    and 1), so every substep has the bits np.fft.ifft/fft give it.  The
-    potential's argument i*kick*rho is one real product kick*rho,
-    written into the imaginary part of a buffer whose real part stays
-    +0.0: bit for bit the complex product (1j*kick)*rho, whose real part
-    is +0.0 for either sign of q.  The buffer, the samples psi, their
+    and 1), run in place on the buffer (input and output the same array,
+    so pocketfft copies nothing in and makes no temporary), and every
+    substep has the bits np.fft.ifft/fft give it.  The potential's
+    argument i*kick*rho is one real product kick*rho, written into the
+    imaginary part of a buffer whose real part stays +0.0: bit for bit
+    the complex product (1j*kick)*rho, whose real part is +0.0 for either
+    sign of q.  The buffer, the full-step table tiled to its shape, the
     squared moduli, rho and the potential argument and phase are
     allocated once per run and every substep writes into them, so only
     record points allocate; yielded arrays never share memory with this
-    workspace.  The ufuncs, the imaginary view and the three factors (as
-    0-d float64 arrays, which numpy takes without converting a Python
-    float) are bound once per run, and every output is passed
-    positionally: the same operations, operands and workspace as with
-    out=, at fewer interpreter steps per call.
+    workspace.  The ufuncs, flat views of rho and of the argument's
+    imaginary part, and the three factors (as 0-d float64 arrays, which
+    numpy takes without converting a Python float) are bound once per
+    run, and every output is passed positionally: the same operations,
+    operands and workspace as with out=, at fewer interpreter steps per
+    call.  With the tiled table and the flat views every elementwise call
+    but one has same-shape or one-axis operands, numpy's trivially
+    iterable path; the one broadcast left is the potential phase, one row
+    per state applied to its r orbitals, for which numpy allocates an
+    iteration buffer per call (at most 8192 entries).  It is kept because
+    no alternative measured (a row loop, a stride-0 view, an (M,) phase,
+    exp of a tiled argument) was faster.
     """
     modes = grid.modes()
     band = modes % grid.M
@@ -297,21 +308,21 @@ def _split_step(
     yield 0.0, orbitals
     buf = np.zeros(orbitals.shape[:-1] + (grid.M,), dtype=complex)
     buf[..., band] = orbitals * half
-    psi = np.empty_like(buf)
+    full = np.broadcast_to(full, buf.shape).copy()  # one row per orbital: a same-shape product
     dens = np.empty(buf.shape)
     rho = np.empty(buf.shape[:-2] + (1, grid.M))
     arg = np.zeros(rho.shape, dtype=complex)  # i * kick * rho; its real part stays +0.0
-    theta = arg.imag
+    rho_flat, theta_flat = rho.reshape(-1), arg.reshape(-1).imag  # views of the contiguous buffers
     phase = np.empty_like(arg)
     for i in range(1, steps + 1):
-        ifft(buf, inverse, psi)
-        absolute(psi, dens)
+        ifft(buf, inverse, buf)
+        absolute(buf, dens)
         square(dens, dens)
         matmul(weights, dens, rho)
-        multiply(rho, kick, theta)
+        multiply(rho_flat, kick, theta_flat)
         exp(arg, phase)
-        multiply(psi, phase, psi)
-        fft(psi, forward, buf)
+        multiply(buf, phase, buf)
+        fft(buf, forward, buf)
         if i % every == 0 or i == steps:
             yield i * dt, buf[..., band] * half
         multiply(buf, full, buf)

@@ -30,9 +30,11 @@ that spend microseconds per call on argument handling (dtype, norm and
 axis resolution), a large share of a split-step substep at the lab's
 sizes.  Called with an output array (out= or positional) and np.fft's
 own factors, 1.0 forward and 1.0 / M inverse (floats or 0-d float64
-arrays), the gufuncs give exactly np.fft's bits.  The transform
-pair and the split-step loop in dynamics call them directly; nothing
-else in the package calls np.fft.
+arrays), the gufuncs give exactly np.fft's bits, also when the output
+is the input itself: they may write into their input, which
+synthesize_batch (on its own padded buffer) and the split-step loop in
+dynamics do.  The transform pair and that loop call them directly;
+nothing else in the package calls np.fft.
 """
 
 from __future__ import annotations
@@ -163,10 +165,9 @@ def synthesize_batch(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected trailing axis {grid.n_modes}, got {coeffs.shape}")
     padded = np.zeros(coeffs.shape[:-1] + (grid.M,), dtype=complex)
     padded[..., grid.modes() % grid.M] = coeffs
-    samples = np.empty_like(padded)
-    _ifft(padded, 1.0 / grid.M, out=samples)
-    samples *= grid.M / math.sqrt(TWO_PI)
-    return samples
+    _ifft(padded, 1.0 / grid.M, out=padded)  # in place: the buffer is this call's own
+    padded *= grid.M / math.sqrt(TWO_PI)
+    return padded
 
 
 def analyze_batch(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ e^{-i q rho(x) dt} pointwise.
 import csv
 import json
 import math
+import tracemalloc
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from unittest import mock
 
 import numpy as np
@@ -548,6 +549,16 @@ def random_stack(grid, batch, rank, rng):
     return np.stack([st.weights for st in states]), np.stack([st.orbitals for st in states])
 
 
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, of calling run()."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_same_records(run, reference):
     """Two record streams, compared in lockstep as they are yielded."""
     for (t, orbitals), (ref_t, ref_orbitals) in zip(run, reference, strict=True):
@@ -619,6 +630,34 @@ class TestWorkspace:
         for _ in dyn._split_step(grid8, mu, orbitals, cfg):
             pass
         assert np.array_equal(mu, mu_before) and np.array_equal(orbitals, orbitals_before)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_peak_memory_is_the_workspace(self, n, stacked):
+        # 200 steps with records at t = 0 and T only, the last one held.  The
+        # workspace: buf, the tiled full-step table and dens, one row per
+        # orbital; rho, arg and phase, one row per state; the last record; and
+        # the mode tables (modes, band, n2, half: 40 bytes a mode).  Beyond it a
+        # run holds one transient at a time, each measured here alone: numpy's
+        # iteration buffer for the one broadcast product buf *= phase (up to a
+        # buffer, at most 8192 entries), or the record's gather at T; and a few
+        # KB of interpreter objects.  So an array kept across calls, or memory
+        # growing per step, breaks the bound; a transient of one buffer may not.
+        grid = al.SpectralGrid(n)
+        mu, orbitals = random_stack(grid, 16, 4, np.random.default_rng(n))
+        if not stacked:
+            mu, orbitals = mu[0], orbitals[0]
+        cfg = al.EvolveConfig(1.0, 1.0, 1e-3, 0.2, record_every=10**9)
+        assert cfg.steps == 200
+        rows, states = orbitals.shape[:-1], mu.shape[:-1] + (1,)
+        workspace = 40 * (math.prod(rows) + math.prod(states)) * grid.M + orbitals.nbytes + 40 * grid.n_modes
+        buf, phase = np.ones(rows + (grid.M,), dtype=complex), np.ones(states + (grid.M,), dtype=complex)
+        band, half = grid.modes() % grid.M, np.ones(grid.n_modes, dtype=complex)
+        product = traced_peak(lambda: np.multiply(buf, phase, buf))
+        gather = traced_peak(lambda: buf[..., band] * half) - orbitals.nbytes
+        del buf, phase
+        peak = traced_peak(lambda: deque(dyn._split_step(grid, mu, orbitals, cfg), maxlen=1))
+        assert peak <= workspace + max(product, gather) + 8192
 
 
 class TestTimeReversal:

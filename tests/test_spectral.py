@@ -231,8 +231,8 @@ class TestSobolevNorm:
 class TestRawTransformPair:
     """_fft/_ifft are numpy's private pocketfft gufuncs: called with out= and
     np.fft's factors (1.0 forward, 1.0 / M inverse) they are np.fft.fft and
-    np.fft.ifft bit for bit.  A numpy release that changes that contract
-    fails here first."""
+    np.fft.ifft bit for bit, also when out= is the input itself.  A numpy
+    release that changes that contract fails here first."""
 
     def test_pair_is_np_fft_bit_for_bit(self):
         # both calling conventions: the transform pair's float factors and out=,
@@ -252,6 +252,27 @@ class TestRawTransformPair:
                     forward, inverse = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
                     _fft(a, one, forward)
                     _ifft(a, inverse_factor, inverse)
+                    assert np.array_equal(forward, want_forward), (m, shape, wrap)
+                    assert np.array_equal(inverse, want_inverse), (m, shape, wrap)
+
+    def test_pair_in_place_is_np_fft_bit_for_bit(self):
+        # the output is the input array, as in the split-step loop (positional)
+        # and in synthesize_batch (out=): the transform overwrites its operand
+        gen = np.random.default_rng(21)
+        for m in (50, 72, 135, 270):
+            for shape in ((m,), (3, m), (2, 4, m), (0, m), (2, 0, m)):
+                a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+                want_forward, want_inverse = np.fft.fft(a), np.fft.ifft(a)
+                for wrap in (float, np.array):
+                    one, inverse_factor = wrap(1.0), wrap(1.0 / m)
+                    forward, inverse = a.copy(), a.copy()
+                    _fft(forward, one, out=forward)
+                    _ifft(inverse, inverse_factor, out=inverse)
+                    assert np.array_equal(forward, want_forward), (m, shape, wrap)
+                    assert np.array_equal(inverse, want_inverse), (m, shape, wrap)
+                    forward, inverse = a.copy(), a.copy()
+                    _fft(forward, one, forward)
+                    _ifft(inverse, inverse_factor, inverse)
                     assert np.array_equal(forward, want_forward), (m, shape, wrap)
                     assert np.array_equal(inverse, want_inverse), (m, shape, wrap)
 
