@@ -44,9 +44,7 @@ from .dynamics import (
     convergence_study,
     evolve,
     free_step,
-    iter_evolve,
     linearized_evolve,
-    monitor,
     picard_solve,
     potential_step,
     strang_step,

@@ -30,13 +30,12 @@ a step is mostly call overhead, so the loop binds its ufuncs, flat
 views of its potential buffers and its factors (np.fft's 1 / M and 1,
 and the potential constant, as 0-d arrays) once per run, passes every
 output positionally and broadcasts in one call only.
-iter_evolve wraps it for one MixedState.  evolve and the a-priori
-ensemble of inequalities (its samples in groups of equal rank)
-read it through _observed, a block of records at a time on a leading
-record axis; penrose.perturbation_run reads its raw records beside the
-linearized flow's blocks.  _record_scalars is the one formula
-for the record channels, over the same leading axes: monitor takes one
-state's from it, _observed a whole block's.
+evolve and the a-priori ensemble of inequalities (its samples in groups
+of equal rank) read it through _observed, a block of records at a time
+on a leading record axis; penrose.perturbation_run reads its raw records
+beside the linearized flow's blocks.  _record_scalars is the one formula
+for the record channels, over the same leading axes: _observed takes a
+whole block's from one call.
 
 _trusted (all values finite and within DIVERGENCE_LIMIT) is the one
 divergence rule for every flow: _observed raises DivergenceError on it,
@@ -197,7 +196,7 @@ def potential_step(state: MixedState, q: float, dt: float) -> MixedState:
     under the step because every |psi_k(x)| is.  Content pushed past the
     mode cutoff by the multiplier is discarded, so orthonormality can
     drift for under-resolved states; the drift is reported through the
-    gram_dev monitor channel instead of being rejected here.
+    gram_dev record channel instead of being rejected here.
     """
     if state.rank == 0:
         return state
@@ -238,13 +237,6 @@ def _record_scalars(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, p:
     kin = _orbital_sum(mu, orbitals, grid.modes().astype(float) ** 2)
     rho = _density(grid, mu, orbitals)
     return mass_v, s2, _energy(kin, rho, p, q), kin, gram_dev, mass_v + kin, rho
-
-
-def monitor(state: MixedState, cfg: EvolveConfig, t: float = 0.0) -> TrajectoryRecord:
-    """Assemble the per-record observables (_record_scalars); pure, no state mutation."""
-    *scalars, rho = _record_scalars(state.grid, state.weights, state.orbitals, cfg.p, cfg.q)
-    spectrum = np.abs(analyze_batch(state.grid, rho))
-    return TrajectoryRecord(t, *map(float, scalars), density_spectrum=spectrum)
 
 
 def _trusted(*values) -> np.ndarray:
@@ -326,19 +318,6 @@ def _split_step(
         if i % every == 0 or i == steps:
             yield i * dt, buf[..., band] * half
         multiply(buf, full, buf)
-
-
-def iter_evolve(state: MixedState, cfg: EvolveConfig) -> Iterator[tuple[float, MixedState]]:
-    """Strang split-step run over [0, T], yielding (t, state) records.
-
-    Yields the initial state itself at t = 0, then the state after every
-    record_every steps and after the last step (_split_step on one state).
-    """
-    records = _split_step(state.grid, state.weights, state.orbitals, cfg)
-    next(records)
-    yield 0.0, state
-    for t, orbitals in records:
-        yield t, MixedState(state.grid, state.weights, orbitals, gram_tol=math.inf)
 
 
 def _observed(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, cfg: EvolveConfig) -> Iterator[tuple]:

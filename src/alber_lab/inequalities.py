@@ -98,7 +98,7 @@ class EnsembleConfig:
         n_modes = self.grid.n_modes
         if not (
             len(ranks) == 2
-            and all(isinstance(r, (int, np.integer)) for r in ranks)
+            and all(isinstance(r, (int, np.integer)) and not isinstance(r, bool) for r in ranks)
             and 1 <= ranks[0] <= ranks[1] <= n_modes
         ):
             raise ValueError(
@@ -305,7 +305,7 @@ def _violations(ratio: np.ndarray, bad: np.ndarray, offender: Callable) -> tuple
 
 def _bessel(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
     """||rho||_inf <= B_s ||gamma||_{H^s S1}, slack 1 + 1e-8."""
-    b_s = bessel_constant(s, 1e-12)
+    b_s = bessel_constant(s)
     w = cfg.grid.brackets_sq() ** s
     lhs, norm = _over_states(
         blk, cfg.n_samples - blk.start, lambda mu, c: (_density(cfg.grid, mu, c).max(axis=-1), _orbital_sum(mu, c, w))
@@ -635,7 +635,7 @@ def _fourier_summation(cfg: EnsembleConfig, blk: _Block, s: float) -> tuple:
 def fourier_summation_semi_explicit() -> float:
     """8 * sum_{j in Z} <j>^-2 = 8 * 2*pi * B_1; an upper bound for the
     constant in the Fourier summation estimate."""
-    return 8.0 * TWO_PI * bessel_constant(1.0, 1e-12)
+    return 8.0 * TWO_PI * bessel_constant(1.0)
 
 
 class _Check(NamedTuple):

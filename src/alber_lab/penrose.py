@@ -626,20 +626,20 @@ def perturbation_run(
 ) -> PerturbationRun:
     """Nonlinear against linearized H^1 S^1 deviation from bg of the datum Gamma + epsilon*U0.
 
-    U0 is random Hermitian on |n| <= seed_band (default max(J, 1)), drawn from seed.  kappa
-    defaults to the least margin of k = 1..k_max on Re(lambda) = eta_min; a scan that finds a
+    U0 is random Hermitian on |n| <= seed_band (default max(J, 1)), drawn from seed.  The
+    constants (c_bilinear as in margin_report) are taken at epsilon, or at 1 for epsilon = 0,
+    which has no horizon t_star and needs T.  Without kappa, margin_report scans k = 1..k_max on
+    Re(lambda) = eta_min and gives kappa, its least margin, and the constants; a scan that finds a
     growing zero leaves no margin, and an UnstableBackgroundError starting "kappa" names k and the
-    zero.  The constants (c_bilinear as in margin_report) are taken at epsilon, or at 1 for
-    epsilon = 0, which has no horizon t_star and needs T.  Both flows run T in whole steps dt and
-    are read side by side a block of records at a time (dynamics._linearized_blocks and
-    _split_step, no object per record); the run stops at the first record after t = 0 outside
-    the trust region (_trusted).  The linearized flow and its norm run on the mode box
-    |m|, |n| <= L = min(N, max(1, J + 2 seed_band)), epsilon*U0 cut to it, which is exact: the
-    flow never mixes the diagonals k = m - n and only |k| <= 2 seed_band are live, so an entry
-    outside the box has Gh(m) = Gh(n) = 0, starts at zero and stays zero, and the rows left out
-    would add only zero eigenvalues.  The datum, the nonlinear flow and its norm stay on the
-    full grid.  The bound is 2 c_star (1 + t^2) epsilon, fit_rate the slope of log(deviation)
-    in fit_window.
+    zero.  Both flows run T in whole steps dt and are read side by side a block of records at a
+    time (dynamics._linearized_blocks and _split_step, no object per record); the run stops at
+    the first record after t = 0 outside the trust region (_trusted).  The linearized flow and
+    its norm run on the mode box |m|, |n| <= L = min(N, max(1, J + 2 seed_band)), epsilon*U0
+    cut to it, which is exact: the flow never mixes the diagonals k = m - n and only
+    |k| <= 2 seed_band are live, so an entry outside the box has Gh(m) = Gh(n) = 0, starts at
+    zero and stays zero, and the rows left out would add only zero eigenvalues.  The datum, the
+    nonlinear flow and its norm stay on the full grid.  The bound is 2 c_star (1 + t^2) epsilon,
+    fit_rate the slope of log(deviation) in fit_window.
     """
     _check_finite(0, epsilon=epsilon)
     _check_finite(0, True, **({} if T is None else {"T": T}), dt=dt)
@@ -656,16 +656,18 @@ def perturbation_run(
     if seed_band > grid.N:
         raise ValueError(f"seed_band={seed_band} outside 0..{grid.N} (the grid N)")
     u0 = random_hermitian_perturbation(grid, seed_band, np.random.default_rng(seed))
+    window_epsilon = epsilon if epsilon > 0 else 1.0  # the epsilon the constants are taken at
     if kappa is None:
-        reports = penrose_margins(bg, p, q, range(1, k_max + 1), eta_min)
-        growing = next((r for r in reports if r.zeros), None)
-        if growing is not None:
+        report = margin_report(bg, p, q, k_max, eta_min, eta, window_epsilon, c_bilinear, seed)
+        if not report.stable:
+            growing = next(r for r in report.reports if r.zeros)
             raise UnstableBackgroundError(
                 f"kappa: the background has no Penrose margin: F_k has the growing zero {growing.zeros[0]:.6g} "
                 f"at k={growing.k}; pass kappa to run it anyway"
             )
-        kappa = min(r.margin for r in reports)
-    consts = _window_constants(bg, kappa, q, eta, epsilon if epsilon > 0 else 1.0, c_bilinear, seed)
+        consts = report.constants
+    else:
+        consts = _window_constants(bg, kappa, q, eta, window_epsilon, c_bilinear, seed)
 
     gamma_mat = background_to_matrix(bg, grid)
     datum_entries = gamma_mat.entries + epsilon * u0.entries

@@ -44,6 +44,7 @@ def random_smooth_state(
     <n>^-decay coefficient falloff; geometric weights normalized to
     total_mass.  Smooth enough (for band << N) that split-step aliasing
     sits at rounding level."""
+    _check_int(0, rank=rank, band=band)
     if not 0 <= rank <= grid.n_modes:
         raise ValueError(f"rank {rank} outside 0..{grid.n_modes} (the modes of the grid)")
     if not 0 <= band <= grid.N:

@@ -8,11 +8,12 @@ Everything downstream relies on the unitary Fourier convention
 so Parseval reads ||f||_{L2}^2 = sum_n |f_hat(n)|^2 with no extra factor.
 A field is a plain array of its coefficients on modes -N..N, or a stack
 of such rows: synthesize_batch/analyze_batch are the one transform pair,
-and sobolev_norm the one H^s formula.  The plane-wave Toeplitz pair lives
-here too: diagonal_sums (the density coefficients of a mode matrix) and
-its adjoint toeplitz (multiplication), both over any leading axes.  All
-operations here are pure functions; only the offset table that the pair
-indexes is cached, one read-only copy per matrix size.
+and sobolev_norm the one H^s formula.  bessel_constant sums the lattice
+constant B_s to one fixed tail tolerance, BESSEL_TAIL.  The plane-wave
+Toeplitz pair lives here too: diagonal_sums (the density coefficients of
+a mode matrix) and its adjoint toeplitz (multiplication), both over any
+leading axes.  All operations here are pure functions; only the offset
+table that the pair indexes is cached, one read-only copy per matrix size.
 
 Every module that takes numbers or arrays from outside checks them with
 two rules kept here.  _check_finite is the rule for real arguments: each
@@ -285,30 +286,23 @@ def lp_norm(samples: np.ndarray, p) -> float:
     raise ValueError(f"unsupported exponent p={p}; use 1, 2, 4 or math.inf")
 
 
-# most terms bessel_constant sums, a 128 MiB array of floats; the tail_tol
-# 1e-12 of the checks needs about 1.2e5 at any s > 1/2
-BESSEL_MAX_TERMS = 2**24
+# the tail tolerance of bessel_constant; the sum then takes at most 115 166 terms, as s -> 1/2
+BESSEL_TAIL = 1e-12
 
 
-def bessel_constant(s: float, tail_tol: float = 1e-10) -> float:
+def bessel_constant(s: float) -> float:
     """B_s = (2*pi)**-1 * sum_{n in Z} <n>^{-2s}, valid for s > 1/2.
 
     Partial summation over |n| <= K plus an integral estimate of the
     remainder.  The midpoint integral int_{K+1/2}^inf (1+x^2)^{-s} dx
     matches the tail sum with Euler-Maclaurin error O(s * K^{-2s-1});
-    K is chosen adaptively so that error stays below tail_tol; a tail_tol
-    that would need more than BESSEL_MAX_TERMS terms is refused.
+    K is chosen so that error stays below BESSEL_TAIL.
     """
     _check_finite(s=s)
-    _check_finite(0, True, tail_tol=tail_tol)
     if s <= 0.5:
         raise ValueError(f"sum_n <n>^(-2s) diverges for s={s} <= 1/2")
-    # K = (s / (6 2pi tail_tol))^(1 / (2s + 1)), in logs so that no large s overflows
-    K = max(math.ceil(math.exp((math.log(s) - math.log(6.0 * TWO_PI * tail_tol)) / (2.0 * s + 1.0))), 16)
-    if K > BESSEL_MAX_TERMS:
-        raise ValueError(
-            f"tail_tol={tail_tol:g} at s={s:g} needs {K:.3g} terms, above the cap of {BESSEL_MAX_TERMS}"
-        )
+    # K = (s / (6 2pi BESSEL_TAIL))^(1 / (2s + 1)), in logs so that no large s overflows
+    K = max(math.ceil(math.exp((math.log(s) - math.log(6.0 * TWO_PI * BESSEL_TAIL)) / (2.0 * s + 1.0))), 16)
     n = np.arange(1, K + 1, dtype=float)
     partial = 1.0 + 2.0 * float(np.sum((1.0 + n * n) ** (-s)))
     # Tail integral expanded in x^-2: (1+x^2)^-s = x^-2s * sum_i binom(-s,i) x^-2i.

@@ -23,6 +23,8 @@ the general dense route; _factored_trace_norm takes the trace norm of a
 finite-rank operator F C F* in factor space, from the QR of F, which is
 how the inequality lab measures differences and commutators of states,
 and perturbation_run the deviation gamma(t) - Gamma from its background.
+eigendecompose, and reorthonormalized through it, treats eigenvalues
+within DROP_TOL ||U||_op of zero as zero and refuses any below that.
 """
 
 from __future__ import annotations
@@ -92,11 +94,6 @@ class MixedState:
     @classmethod
     def empty(cls, grid: SpectralGrid) -> "MixedState":
         return cls(grid, np.zeros(0), np.zeros((0, grid.n_modes), dtype=complex))
-
-
-def gram_matrix(state: MixedState) -> np.ndarray:
-    """G_kl = <psi_k, psi_l> = sum_n conj(psihat_k(n)) psihat_l(n)."""
-    return state.orbitals.conj() @ state.orbitals.T
 
 
 def _gram_deviation(orbitals: np.ndarray) -> np.ndarray:
@@ -301,7 +298,7 @@ def kinetic_energy(state: MixedState) -> float:
 
 @lru_cache(maxsize=8)
 def _bessel_b1() -> float:
-    return bessel_constant(1.0, 1e-12)
+    return bessel_constant(1.0)
 
 
 def _energy(kinetic, rho: np.ndarray, p: float, q: float):
@@ -344,14 +341,17 @@ def galerkin_truncate(u: OperatorMatrix, n_prime: int) -> OperatorMatrix:
     return OperatorMatrix(u.grid, entries, hermitian=u.hermitian)
 
 
-def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
+# eigendecompose's drop tolerance, relative to ||U||_op: eigenvalues within it of zero are zero
+DROP_TOL = 1e-12
+
+
+def eigendecompose(u: OperatorMatrix) -> MixedState:
     """Spectral decomposition of a non-negative self-adjoint matrix.
 
-    Eigenvalues in (-drop_tol, drop_tol) * ||U||_op are treated as zero;
+    Eigenvalues in [-DROP_TOL, DROP_TOL] * ||U||_op are treated as zero;
     anything below that window raises NotNonNegativeError.  U must pass
     the Hermitian rule of OperatorMatrix(hermitian=True) (_check_hermitian).
     """
-    _check_finite(0, drop_tol=drop_tol)
     entries = u.entries
     _check_hermitian(entries)
     try:
@@ -359,24 +359,24 @@ def eigendecompose(u: OperatorMatrix, drop_tol: float = 1e-12) -> MixedState:
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition failed") from exc
     top = float(np.abs(evals).max()) if evals.size else 0.0
-    threshold = drop_tol * top
+    threshold = DROP_TOL * top
     if evals.size and float(evals.min()) < -threshold:
         raise NotNonNegativeError(
-            f"eigenvalue {float(evals.min()):.6e} below -{drop_tol:g} * ||U||_op"
+            f"eigenvalue {float(evals.min()):.6e} below -{DROP_TOL:g} * ||U||_op"
         )
     keep = evals > threshold
     order = np.argsort(evals[keep])[::-1]
     return MixedState(u.grid, evals[keep][order], evecs[:, keep][:, order].T)
 
 
-def reorthonormalized(state: MixedState, drop_tol: float = 1e-12) -> MixedState:
+def reorthonormalized(state: MixedState) -> MixedState:
     """Rebuild a valid state from a drifted one, preserving the operator.
 
     Goes through the matrix and its eigendecomposition, which keeps
-    gamma itself fixed up to drop_tol instead of trusting the orbitals.
+    gamma itself fixed up to DROP_TOL instead of trusting the orbitals.
     """
     loose = MixedState(state.grid, state.weights, state.orbitals, gram_tol=math.inf)
-    return eigendecompose(to_matrix(loose), drop_tol=drop_tol)
+    return eigendecompose(to_matrix(loose))
 
 
 # ---- a-priori bound ----

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 import alber_lab as al
+import alber_lab.dynamics as dyn
 from alber_lab import cli
+from alber_lab.spectral import analyze_batch
 
 
 @pytest.fixture
@@ -29,6 +32,22 @@ def random_state(grid: al.SpectralGrid, rank: int, seed: int, band=None, decay=2
     return al.random_smooth_state(
         grid, rank=rank, band=grid.N if band is None else band, decay=decay, rng=gen
     )
+
+
+def split_step_states(state: al.MixedState, cfg: al.EvolveConfig):
+    """(t, state) per record of dynamics._split_step on one state, the given state itself at t = 0:
+    the loop read record by record, outside the block reader dynamics._observed."""
+    records = dyn._split_step(state.grid, state.weights, state.orbitals, cfg)
+    next(records)
+    yield 0.0, state
+    for t, orbitals in records:
+        yield t, al.MixedState(state.grid, state.weights, orbitals, gram_tol=math.inf)
+
+
+def record_of(state: al.MixedState, cfg: al.EvolveConfig, t: float = 0.0) -> al.TrajectoryRecord:
+    """The TrajectoryRecord of one state at t, its channels from one dynamics._record_scalars call."""
+    *scalars, rho = dyn._record_scalars(state.grid, state.weights, state.orbitals, cfg.p, cfg.q)
+    return al.TrajectoryRecord(t, *map(float, scalars), density_spectrum=np.abs(analyze_batch(state.grid, rho)))
 
 
 def readme_example(section: str, out_dir) -> dict:

@@ -31,6 +31,8 @@ from alber_lab.presets import background_preset
 from alber_lab.states import STATE_SCHEMA, to_matrix
 from alber_lab.dynamics import DivergenceError, _trusted
 
+from conftest import split_step_states
+
 
 def write_config(tmp_path: Path, payload: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
@@ -521,7 +523,7 @@ class TestPerturb:
 
     def run_against_dense_norms(self, tmp_path, cfg):
         """deviation.csv of cfg and, per record of the same two flows rebuilt through the public
-        iter_evolve and linearized_evolve, the dense route's norms: one sobolev_schatten_norm
+        split-step loop (read record by record) and linearized_evolve, the dense route's norms: one sobolev_schatten_norm
         of gamma(t) - Gamma and of the linearized matrix."""
         assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
         out = Path(cfg["output_dir"])
@@ -532,13 +534,13 @@ class TestPerturb:
         gamma = al.background_to_matrix(bg, grid).entries
         u0 = al.random_hermitian_perturbation(grid, sec["seed_band"], np.random.default_rng(cfg["seed"]))
         u0 = sec["epsilon"] * u0.entries
-        datum = al.eigendecompose(al.OperatorMatrix(grid, gamma + u0, hermitian=True), drop_tol=1e-12)
+        datum = al.eigendecompose(al.OperatorMatrix(grid, gamma + u0, hermitian=True))
         horizon = json.loads((out / "summary.json").read_text())["horizon"]
         record_every = sec.get("record_every") or max(1, round(horizon / sec["dt"]) // 200)
         run_cfg = al.EvolveConfig(p, q, sec["dt"], horizon, record_every)
         lin = al.linearized_evolve(al.OperatorMatrix(grid, u0, hermitian=True), bg, run_cfg, matrix_every=1)
         dense = []
-        for (t, state), lin_u in zip(al.iter_evolve(datum, run_cfg), lin.matrices, strict=True):
+        for (t, state), lin_u in zip(split_step_states(datum, run_cfg), lin.matrices, strict=True):
             diff = al.OperatorMatrix(grid, to_matrix(state).entries - gamma)
             dense.append((al.sobolev_schatten_norm(diff, 1.0), al.sobolev_schatten_norm(lin_u, 1.0)))
         assert len(dense) == len(rows)

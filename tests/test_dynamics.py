@@ -23,7 +23,7 @@ import alber_lab.dynamics as dyn
 from alber_lab.dynamics import DivergenceError, diagonal_sums
 from alber_lab.spectral import TWO_PI, _stack_index, analyze_batch, diagonal_stack, synthesize_batch, toeplitz
 
-from conftest import named_first, random_state, run_cli
+from conftest import named_first, random_state, record_of, run_cli, split_step_states
 
 
 def plane_wave_state(grid, n, weight):
@@ -203,12 +203,12 @@ class TestEvolve:
 
 
 def reference_evolve(state, cfg):
-    """evolve spelled out with the reference composition strang_step."""
-    records = [al.monitor(state, cfg, 0.0)]
+    """evolve spelled out with the reference composition strang_step, a record per state."""
+    records = [record_of(state, cfg, 0.0)]
     for i in range(1, cfg.steps + 1):
         state = al.strang_step(state, cfg)
         if i % cfg.record_every == 0 or i == cfg.steps:
-            records.append(al.monitor(state, cfg, i * cfg.dt))
+            records.append(record_of(state, cfg, i * cfg.dt))
     return state, records
 
 
@@ -275,28 +275,19 @@ class TestFusedKernel:
         for a, b in zip(blocked[1], records):
             assert np.array_equal(a.density_spectrum, b.density_spectrum)
 
-    def test_iter_evolve_records_match_evolve(self, grid8):
-        st = random_state(grid8, 2, seed=30, band=3)
-        cfg = al.EvolveConfig(1.0, 1.0, 1e-2, 0.2, record_every=3)
-        pairs = list(al.iter_evolve(st, cfg))
-        final, records = al.evolve(st, cfg)
-        assert [t for t, _ in pairs] == [r.t for r in records]
-        assert pairs[0][1] is st
-        assert np.array_equal(pairs[-1][1].orbitals, final.orbitals)
-
     def test_yielded_states_are_never_overwritten(self, grid8):
         st = random_state(grid8, 3, seed=31, band=4)
         initial = st.orbitals.copy()
         cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.2, record_every=2)
         held, snapshots, records = [], [], []
-        for t, state in al.iter_evolve(st, cfg):
+        for t, state in split_step_states(st, cfg):
             held.append((t, state))
             snapshots.append(state.orbitals.copy())
-            records.append(al.monitor(state, cfg, t))
+            records.append(record_of(state, cfg, t))
         assert np.array_equal(st.orbitals, initial)
         for (t, state), snap, rec in zip(held, snapshots, records):
             assert np.array_equal(state.orbitals, snap)
-            again = al.monitor(state, cfg, t)
+            again = record_of(state, cfg, t)
             assert all(getattr(again, f) == getattr(rec, f) for f in RECORD_FIELDS)
             assert np.array_equal(again.density_spectrum, rec.density_spectrum)
         for (_, a), (_, b) in zip(held, held[1:]):
@@ -400,8 +391,8 @@ class TestObserved:
 
 class TestBatchKernel:
     """One loop and one formula: every batch row of _split_step is the run
-    iter_evolve gives that state alone, and _record_scalars on one state is
-    bit for bit the single-state routes monitor was written with."""
+    it gives that state alone, and _record_scalars on one state is bit for
+    bit the single-state routes the record channels were written with."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -422,10 +413,10 @@ class TestBatchKernel:
         mu = np.stack([st.weights for st in states])
         rows = list(dyn._split_step(grid, mu, np.stack([st.orbitals for st in states]), cfg))
         for j, st in enumerate(states):
-            single = list(al.iter_evolve(st, cfg))
+            single = list(dyn._split_step(grid, st.weights, st.orbitals, cfg))
             assert [t for t, _ in rows] == [t for t, _ in single]
-            for (_, orbitals), (_, state) in zip(rows, single):
-                assert np.array_equal(orbitals[j], state.orbitals)
+            for (_, orbitals), (_, alone) in zip(rows, single):
+                assert np.array_equal(orbitals[j], alone)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -442,7 +433,7 @@ class TestBatchKernel:
         st = al.random_smooth_state(grid, rank, n, 2.5, np.random.default_rng(seed)) if rank else al.MixedState.empty(grid)
         cfg = al.EvolveConfig(p, q, 1e-2, max(steps, 1) * 1e-2)
         if steps:  # an evolved state's orbitals are not laid out like a drawn one's
-            st = list(al.iter_evolve(st, cfg))[-1][1]
+            st = list(split_step_states(st, cfg))[-1][1]
         mu = st.weights
         g = st.orbitals.conj() @ st.orbitals.T
         rho = (np.abs(synthesize_batch(grid, st.orbitals)) ** 2).T @ mu
@@ -459,7 +450,7 @@ class TestBatchKernel:
         *scalars, got_rho = dyn._record_scalars(grid, mu, st.orbitals, p, q)
         assert tuple(map(float, scalars)) == expected
         assert np.array_equal(got_rho, rho)
-        rec = al.monitor(st, cfg, 0.0)
+        rec = record_of(st, cfg, 0.0)  # the record reference_evolve builds
         assert tuple(getattr(rec, name) for name in RECORD_FIELDS) == expected
         assert np.array_equal(rec.density_spectrum, np.abs(analyze_batch(grid, rho)))
 
@@ -606,11 +597,15 @@ class TestWorkspace:
         # equal shapes, so a workspace kept between runs (by shape or otherwise) would mix them
         a, b = random_state(grid16, 3, seed=50, band=6), random_state(grid16, 3, seed=51, band=8)
         cfg = al.EvolveConfig(1.0, -1.0, 1e-2, 0.3, record_every=4)
-        alone = [[(t, st.orbitals) for t, st in al.iter_evolve(x, cfg)] for x in (a, b)]
+
+        def records(x):
+            return dyn._split_step(grid16, x.weights, x.orbitals, cfg)
+
+        alone = [list(records(x)) for x in (a, b)]
         alternating = ([], [])
-        for rec_a, rec_b in zip(al.iter_evolve(a, cfg), al.iter_evolve(b, cfg), strict=True):
-            for held, (t, st) in zip(alternating, (rec_a, rec_b)):
-                held.append((t, st.orbitals))
+        for rec_a, rec_b in zip(records(a), records(b), strict=True):
+            for held, record in zip(alternating, (rec_a, rec_b)):
+                held.append(record)
         for run, ref in zip(alternating, alone):
             assert_same_records(run, ref)
 
@@ -712,7 +707,7 @@ class TestHomogeneousSteadiness:
         expected[support, support] = symbol
         scale = float(np.sqrt(np.sum(symbol**2)))
         cfg = al.EvolveConfig(p, q, 1e-2, steps * 1e-2, record_every=record_every)
-        records = list(al.iter_evolve(al.background_to_state(bg, grid), cfg))
+        records = list(split_step_states(al.background_to_state(bg, grid), cfg))
         assert len(records) == -(-steps // record_every) + 1
         for _, state in records:
             assert np.abs(al.to_matrix(state).entries - expected).max() <= 1e-12 * scale
@@ -721,15 +716,17 @@ class TestHomogeneousSteadiness:
 
 
 class TestMonitor:
+    """The record of one state: its channels from one _record_scalars call (record_of)."""
+
     def test_zero_state_record(self, grid8):
-        rec = al.monitor(al.MixedState.empty(grid8), al.EvolveConfig(1.0, 1.0, 1e-3, 1.0))
+        rec = record_of(al.MixedState.empty(grid8), al.EvolveConfig(1.0, 1.0, 1e-3, 1.0))
         assert rec.mass == 0.0 and rec.s2_norm == 0.0 and rec.energy == 0.0
         assert np.all(rec.density_spectrum == 0)
 
     def test_matches_direct_observables(self, grid16):
         st = random_state(grid16, 3, seed=8)
         cfg = al.EvolveConfig(1.0, -1.0, 1e-3, 1.0)
-        rec = al.monitor(st, cfg)
+        rec = record_of(st, cfg)
         assert abs(rec.mass - al.mass(st)) < 1e-12
         assert abs(rec.kinetic - al.kinetic_energy(st)) < 1e-12
         assert abs(rec.energy - al.energy(st, 1.0, -1.0)) < 1e-10

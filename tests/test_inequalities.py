@@ -34,6 +34,8 @@ from alber_lab.inequalities import (
 from alber_lab.spectral import analyze_batch, synthesize_batch
 from alber_lab.states import _factored_trace_norm, _singular_values
 
+from conftest import record_of, split_step_states
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -49,7 +51,7 @@ def sample_state(rng, cfg):
 
 def loop_bessel(cfg, s=1.0):
     rng = np.random.default_rng(cfg.seed)
-    b_s = ineq.bessel_constant(s, 1e-12)
+    b_s = ineq.bessel_constant(s)
     violations, worst, offender = 0, 0.0, None
     for _ in range(cfg.n_samples):
         state = sample_state(rng, cfg)
@@ -249,7 +251,8 @@ class TestEnsembleConfig:
         cfg = EnsembleConfig(5, al.SpectralGrid(2), rank_range=rank_range)  # 5 modes
         assert tuple(cfg.rank_range) == tuple(rank_range)
 
-    @pytest.mark.parametrize("rank_range", [(1, 6), (6, 6), (1,), (1, 2, 3), (1.0, 2.0), (1, 2.5), 3])
+    # (True, 3): a bool is no int
+    @pytest.mark.parametrize("rank_range", [(1, 6), (6, 6), (1,), (1, 2, 3), (1.0, 2.0), (1, 2.5), 3, (True, 3)])
     def test_rank_range_rejected(self, rank_range):
         with pytest.raises(ValueError, match="rank_range"):
             EnsembleConfig(5, al.SpectralGrid(2), rank_range=rank_range)
@@ -283,7 +286,7 @@ class TestBessel:
     def test_plane_wave_ratio(self, grid8):
         # sup rho = mu/2pi, ||gamma||_{H1 S1} = mu: ratio is 1/(2pi B_1)
         state = plane_wave_mixture(grid8, [0], [1.0])
-        b1 = al.bessel_constant(1.0, 1e-12)
+        b1 = al.bessel_constant(1.0)
         rho = al.density_samples(state)
         lhs = float(rho.max())
         rhs = b1 * al.hs1_norm_nonneg(state, 1.0)
@@ -412,7 +415,7 @@ class TestApriori:
         seed=hst.integers(0, 2**16),
     )
     def test_property_any_block_bound(self, entries, shrink, q, seed):
-        # the oracle reads each sample's records one by one (iter_evolve and monitor), not through the reader
+        # the oracle reads each sample's records one by one (split_step_states and record_of), not through the reader
         def bound(*args):
             return shrink * al.ybar_bound(*args)
 
@@ -423,7 +426,7 @@ class TestApriori:
         for _ in range(cfg.n_samples):
             st = sample_state(rng, cfg)
             ybar = bound(al.mass(st), al.kinetic_energy(st), al.lp_norm(al.density_samples(st), 2), 1.0, q, q > 0)
-            part = check_apriori([al.monitor(state, run_cfg, t) for t, state in al.iter_evolve(st, run_cfg)], ybar)
+            part = check_apriori([record_of(state, run_cfg, t) for t, state in split_step_states(st, run_cfg)], ybar)
             violations += part.violations
             worst = max(worst, part.worst_ratio)
         with mock.patch.object(ineq, "ybar_bound", bound), mock.patch.object(
@@ -724,7 +727,7 @@ class TestFourierSummation:
         assert res.worst_ratio <= fourier_summation_semi_explicit()
 
     def test_semi_explicit_value(self):
-        expected = 8.0 * TWO_PI * al.bessel_constant(1.0, 1e-12)
+        expected = 8.0 * TWO_PI * al.bessel_constant(1.0)
         assert abs(fourier_summation_semi_explicit() - expected) < 1e-12
 
 
@@ -1103,13 +1106,13 @@ class TestOneDraw:
     def test_offender_is_the_lowest_index_violator(self, monkeypatch, block):
         cfg = EnsembleConfig(30, al.SpectralGrid(8), seed=3)
         rng = np.random.default_rng(cfg.seed)
-        b1 = al.bessel_constant(1.0, 1e-12)
+        b1 = al.bessel_constant(1.0)
         states = [sample_state(rng, cfg) for _ in range(cfg.n_samples)]
         ratios = [float(al.density_samples(st).max()) / (b1 * al.hs1_norm_nonneg(st, 1.0)) for st in states]
         shrink = float(np.median(ratios))  # a constant shrunk by the median ratio: about half the samples violate
         violators = [i for i, r in enumerate(ratios) if r / shrink > 1.0 + 1e-8]
         assert 0 < violators[0] and len(violators) >= 5
-        monkeypatch.setattr(ineq, "bessel_constant", lambda s, tol: shrink * al.bessel_constant(s, tol))
+        monkeypatch.setattr(ineq, "bessel_constant", lambda s: shrink * al.bessel_constant(s))
         monkeypatch.setattr(ineq, "STATE_BLOCK", block)
         for res in (run_checks(cfg, 1.0, ("bessel",))[0], run_checks(cfg)[0]):
             assert res.violations == len(violators)

@@ -1646,6 +1646,27 @@ class TestPerturbationRun:
         with pytest.raises(ValueError, match="^dt must be positive, got 0.0"):
             al.perturbation_run(bg, p, q, al.SpectralGrid(6), 1e-3, T=0.2, dt=0.0)
 
+    @pytest.mark.parametrize("name, bad", [("eta", {"eta": 0.0}), ("eta", {"eta": math.nan}),
+                                           ("c_bilinear", {"c_bilinear": -0.18})])
+    def test_window_inputs_refused_before_the_scan(self, monkeypatch, name, bad):
+        # without kappa the scan is margin_report's, which takes eta and c_bilinear first, as penrose does
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a bad window input must be refused before the Penrose scan")
+
+        monkeypatch.setattr(penrose_mod, "penrose_margins", forbidden)
+        bg, p, q = al.background_preset("stable-broad")
+        with pytest.raises(ValueError, match=named_first(name)):
+            al.perturbation_run(bg, p, q, al.SpectralGrid(6), 1e-3, T=0.2, dt=0.01, **bad)
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.0])
+    def test_default_kappa_is_margin_reports(self, epsilon):
+        # kappa and the constants are margin_report's at the constants' epsilon (1 for epsilon = 0)
+        bg, p, q = al.background_preset("stable-broad")
+        run = al.perturbation_run(bg, p, q, al.SpectralGrid(6), epsilon, T=0.05, dt=0.01, k_max=4, eta=0.7,
+                                  c_bilinear=0.18, seed=3)
+        report = al.margin_report(bg, p, q, 4, 1e-3, 0.7, epsilon or 1.0, 0.18, 3)
+        assert run.constants == report.constants and run.constants.kappa == report.kappa
+
     def test_linearized_trace_norms_need_hermitian_stacks(self):
         gen = np.random.default_rng(0)
         a = gen.standard_normal((3, 5, 5)) + 1j * gen.standard_normal((3, 5, 5))

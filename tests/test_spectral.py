@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
@@ -34,6 +34,7 @@ from conftest import named_first
 
 COTH_PI_HALF = 0.5018709365986607  # coth(pi)/2 to 16 digits
 B20_BRUTE = 0.15915524665586178  # (1 + 2*2^-20 + 2*5^-20 + ...)/(2*pi)
+B2_CLOSED = 0.25682418581574  # (2*pi)^-1 (pi/2)(coth(pi) + pi csch(pi)^2), the s = 2 sum
 
 
 def mode_coeffs(grid, n, coeff):
@@ -360,14 +361,14 @@ class TestLpNorm:
 
 class TestBesselConstant:
     def test_s1_closed_form(self):
-        assert abs(al.bessel_constant(1.0, tail_tol=1e-12) - COTH_PI_HALF) < 2e-12
+        assert abs(al.bessel_constant(1.0) - COTH_PI_HALF) < 2e-12
+
+    def test_s2_closed_form(self):
+        # sum_n <n>^-4 = (pi/2)(coth(pi) + pi csch(pi)^2)
+        assert abs(al.bessel_constant(2.0) - B2_CLOSED) < 2e-12
 
     def test_large_s(self):
         assert abs(al.bessel_constant(20.0) - B20_BRUTE) < 1e-12
-
-    def test_tail_tolerance_honored(self):
-        tight = al.bessel_constant(0.6, tail_tol=1e-13)
-        assert abs(al.bessel_constant(0.6, tail_tol=1e-8) - tight) < 1e-8
 
     def test_strictly_decreasing_in_s(self):
         values = [al.bessel_constant(s) for s in (0.6, 0.8, 1.0, 2.0, 5.0)]
@@ -376,35 +377,38 @@ class TestBesselConstant:
     @pytest.mark.parametrize("s", [200.0, 1e10, 1e102, 1e300, 1.7e308])
     def test_huge_order_is_the_zero_mode(self, s):
         # every term but n = 0 underflows; K and the tail neither overflow nor turn NaN
-        assert al.bessel_constant(s, 1e-12) == 1.0 / TWO_PI
+        assert al.bessel_constant(s) == 1.0 / TWO_PI
 
-    @pytest.mark.parametrize("s, tail_tol, terms", [(0.51, 1e-30, "8.44e+13"), (0.6, 1e-20, "1.88e+08")])
-    def test_tail_tolerance_past_the_term_cap_refused(self, s, tail_tol, terms):
-        # the first once raised MemoryError for 614 TiB, the second sized 187 739 046 terms;
-        # both are refused before the partial sum is allocated
+    @pytest.mark.parametrize("s", [0.5 + 1e-9, math.nextafter(0.5, 1.0)])
+    def test_next_to_one_half(self, s):
+        # B_s diverges as s -> 1/2, where the sum takes its most terms, 115 166: three arrays of
+        # them (0.92 MB each) at the peak, so no order needs a cap on the terms
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="^" + re.escape(f"tail_tol={tail_tol:g} at s={s:g} needs {terms} terms")):
-                al.bessel_constant(s, tail_tol)
+            value = al.bessel_constant(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
+        assert 1e8 < value < math.inf
+        assert peak < 2**22
 
-    def test_tight_tolerances_below_the_term_cap_accepted(self):
-        # 524 195 terms, and about 1.2e5 for the tail 1e-12 the checks use, next to s = 1/2
-        assert al.bessel_constant(0.75, 1e-16) > al.bessel_constant(0.8, 1e-16)
-        assert al.bessel_constant(0.5 + 1e-9, 1e-12) > 1e8
+    @settings(max_examples=60, deadline=None)
+    @given(s=hst.floats(0.5, 50.0, exclude_min=True), t=hst.floats(0.5, 50.0, exclude_min=True))
+    def test_property_finite_non_increasing_above_the_first_terms(self, s, t):
+        lo, hi = sorted((s, t))
+        # orders closer than 1e-6 apart (relative) may differ by less than the tail tolerance
+        assume(lo == hi or hi - lo >= 1e-6 * lo)
+        b_lo, b_hi = al.bessel_constant(lo), al.bessel_constant(hi)
+        assert math.isfinite(b_lo) and b_lo >= b_hi
+        # at least the terms |n| <= 16, which the partial sum always takes, in its own form
+        n = np.arange(1, 17, dtype=float)
+        assert b_lo >= (1.0 + 2.0 * float(np.sum((1.0 + n * n) ** (-lo)))) / TWO_PI
 
-    @pytest.mark.parametrize(
-        "s, tail_tol, name",
-        [(0.75, math.nan, "tail_tol"), (math.nan, 1e-10, "s"), (math.inf, 1e-10, "s"), (0.75, math.inf, "tail_tol")],
-    )
-    def test_non_finite_argument_named(self, s, tail_tol, name):
-        # NaN and an infinite s once raised "cannot convert float NaN to integer",
-        # and tail_tol = inf gave a value from 16 terms with no tolerance at all
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            al.bessel_constant(s, tail_tol)
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_non_finite_argument_named(self, s):
+        # NaN and an infinite s once raised "cannot convert float NaN to integer"
+        with pytest.raises(ValueError, match="^s must be finite"):
+            al.bessel_constant(s)
 
     def test_divergent_order_rejected(self):
         with pytest.raises(ValueError):
@@ -482,13 +486,11 @@ _PERTURB = {"grid": al.SpectralGrid(6), "epsilon": 1e-3, "T": 0.2, "dt": 0.01, "
 REAL_ARGUMENTS = [
     ("sobolev_norm", "s", (0, False), lambda v: al.sobolev_norm(np.ones(5), v)),
     ("bessel_constant-s", "s", None, lambda v: al.bessel_constant(v)),
-    ("bessel_constant-tail_tol", "tail_tol", (0, True), lambda v: al.bessel_constant(1.0, v)),
     ("MixedState", "weights", (0, False),
      lambda v: al.MixedState(_GRID, [0.5, v], np.eye(_GRID.n_modes, dtype=complex)[:2])),
     ("BackgroundSymbol", "symbol", (0, False), lambda v: al.BackgroundSymbol([1.0, v, 1.0])),
     ("sobolev_schatten_norm", "s", (0, False), lambda v: al.sobolev_schatten_norm(_MATRIX, v)),
     ("hs1_norm_nonneg", "s", (0, False), lambda v: al.hs1_norm_nonneg(_STATE, v)),
-    ("eigendecompose", "drop_tol", (0, False), lambda v: al.eigendecompose(_MATRIX, v)),
     ("energy-p", "p", None, lambda v: al.energy(_STATE, v, 1.0)),
     ("energy-q", "q", None, lambda v: al.energy(_STATE, 1.0, v)),
     ("ybar_bound-mass_", "mass_", (0, False), lambda v: al.ybar_bound(v, 1.0, 1.0, 1.0, 1.0, True)),
