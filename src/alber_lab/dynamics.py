@@ -56,8 +56,9 @@ diagonal of U, hence its trace, is kept bit for bit.  Only powers of the scheme'
 eigenvalue or matrix exponential of the Penrose matrix: the growth rate
 the flow yields is checked against that matrix's eigenvalue.  Its
 records come a block at a time (_linearized_blocks), with no object per
-record: per block one buffer of at most BLOCK_ENTRIES stack entries, one
-density sum, one trust test and one gather of the recorded matrices.
+record: per block one buffer of the live diagonals, one density sum, one
+trust test and one gather of the recorded matrices straight from the
+buffer.
 
 The Picard oracle iterates the mild (Duhamel) formula on a uniform
 grid.  Its free phases are one exponential of m^2 - n^2 per node, and
@@ -239,6 +240,17 @@ def _record_scalars(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, p:
     return mass_v, s2, _energy(kin, rho, p, q), kin, gram_dev, mass_v + kin, rho
 
 
+# the array entries a block of records holds, summed over every array of a record: _observed's orbital
+# samples, linearized_evolve's diagonal stacks, and penrose.perturbation_run's factors, diagonals
+# and matrices of both flows together
+BLOCK_ENTRIES = 2**16
+
+
+def _block_records(entries: int) -> int:
+    """Records per block when a record holds `entries` array entries: BLOCK_ENTRIES' worth, at least one."""
+    return max(1, BLOCK_ENTRIES // entries)
+
+
 def _trusted(*values) -> np.ndarray:
     """Whether all values are finite and within DIVERGENCE_LIMIT, elementwise."""
     return np.all([np.abs(v) <= DIVERGENCE_LIMIT for v in values], axis=0)
@@ -328,7 +340,7 @@ def _observed(grid: SpectralGrid, mu: np.ndarray, orbitals: np.ndarray, cfg: Evo
     fails are yielded, then DivergenceError(t, []) raised.  A run past it warns nothing (errstate, left at a yield).
     """
     records = _split_step(grid, mu, orbitals, cfg)
-    size = max(1, BLOCK_ENTRIES // 4 // max(1, mu.size * grid.M))
+    size = _block_records(4 * max(1, mu.size * grid.M))
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             if not (block := list(itertools.islice(records, size))):
@@ -579,10 +591,6 @@ class LinearizedTrajectory:
 # rank-one step's five calls take about 7 us on top of their arithmetic,
 # about 7000 multiplies of 1 ns, and a batched matrix product about as much
 CALL_COST = 7000
-# entries (records x diagonal stack) of one block of linearized records; penrose.perturbation_run
-# reads its split-step records in blocks of the same count
-BLOCK_ENTRIES = 2**16
-
 
 def _power_pays(n: int, uses: int, nm: int, live: int) -> bool:
     """Whether `uses` runs of n steps cost less as products with M^n.
@@ -601,17 +609,19 @@ def _power_pays(n: int, uses: int, nm: int, live: int) -> bool:
 
 
 def _linearized_blocks(
-    u0: OperatorMatrix, bg: BackgroundSymbol, cfg: EvolveConfig, matrix_every: int = 0
+    u0: OperatorMatrix, bg: BackgroundSymbol, cfg: EvolveConfig, matrix_every: int = 0, _records: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray, bool, np.ndarray, np.ndarray]]:
     """The records of linearized_evolve, a block of them at a time.
 
     Per block: the record times, the density modes (one row of d(k),
     k = -N..N, per record), whether all of them are _trusted, and the
     times and stacked entries of the matrices recorded among them.  Each
-    record's live diagonals are written into a block buffer, so a block is
-    one sum of them, one _trusted, one copy into a padded diagonal stack
-    and one gather through _stack_index.  The stack holds at most
-    BLOCK_ENTRIES entries (or one record), so it does not grow with N.
+    record's live diagonals are written into a block buffer whose last row
+    stays zero, so a block is one sum of them, one _trusted and one gather
+    of the recorded matrices straight from the buffer through _stack_index,
+    every dead diagonal read from the zero row.  A block holds _records
+    records, by default BLOCK_ENTRIES // ((2nm - 1) nm), and at most the
+    run's.
     """
     grid = u0.grid
     if grid.N < bg.J:
@@ -649,27 +659,30 @@ def _linearized_blocks(
     recorded = (ends == 0) | (ends == cfg.steps)
     if matrix_every:
         recorded |= ends // cfg.record_every % matrix_every == 0
-    band = (live >= grid.N) & (live <= 3 * grid.N)  # the live diagonals k = -N..N of d(k), k = -2N..2N
-    diagonals = np.empty((max(1, BLOCK_ENTRIES // ((2 * nm - 1) * nm)), live.size, nm), dtype=complex)
-    stack = np.zeros((len(diagonals), 2 * nm - 1, nm), dtype=complex)
-    rows, cols = _stack_index(nm)
+    band = np.flatnonzero((live >= grid.N) & (live <= 3 * grid.N))  # the live k = -N..N of d(k), k = -2N..2N
+    records = min(ends.size, _records or _block_records((2 * nm - 1) * nm))
+    # entry (m, n) of a recorded matrix is column min(m, n) of the row of diagonal m - n
+    diagonals = np.zeros((records, live.size + 1, nm), dtype=complex)
+    row_of = np.full(2 * nm - 1, live.size)
+    row_of[live] = np.arange(live.size)
+    offsets, cols = _stack_index(nm)
+    rows = row_of[offsets]
     prev = 0
     # growth is flagged, not raised, so overflow on the way is no error; the errstate
     # is left before every yield, so it never holds in the caller's code
     with np.errstate(over="ignore", invalid="ignore"):
         powers = {n: np.linalg.matrix_power(step, n) for n in pays}
-    for start in range(0, ends.size, len(diagonals)):
-        block = ends[start : start + len(diagonals)]
+    for start in range(0, ends.size, records):
+        block = ends[start : start + records]
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(block.tolist()):
-                x = diagonals[j] = advance(x, i - prev)
+                x = diagonals[j, :-1] = advance(x, i - prev)
                 prev = i
             d = np.zeros((block.size, 2 * grid.N + 1), dtype=complex)
             d[:, live[band] - grid.N] = diagonals[: block.size, band].sum(axis=-1)
             trusted = bool(_trusted(d).all())
-        stack[: block.size, live] = diagonals[: block.size]
-        kept = recorded[start : start + block.size]
-        yield block * cfg.dt, d, trusted, block[kept] * cfg.dt, stack[: block.size][kept][:, rows, cols]
+        kept = np.flatnonzero(recorded[start : start + block.size])
+        yield block * cfg.dt, d, trusted, block[kept] * cfg.dt, diagonals[kept[:, None, None], rows, cols]
 
 
 def linearized_evolve(
@@ -698,7 +711,7 @@ def linearized_evolve(
     where _power_pays counts that as cheaper than n rank-one steps
     x <- h^2 x + dt (h c) (w . x), and those steps otherwise.  The records
     come a block at a time (_linearized_blocks), and a matrix is rebuilt
-    from the stack only where one is recorded.  M_0 is
+    from the live diagonals only where one is recorded.  M_0 is
     exactly the identity (h = 1 and c = 0 there), so every diagonal entry
     of U, hence tr U, keeps its initial value bit for bit.  Unbounded
     growth is expected for spectrally unstable backgrounds and is

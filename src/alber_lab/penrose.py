@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolveConfig, _linearized_blocks, _split_step, _trusted
+from .dynamics import EvolveConfig, _block_records, _linearized_blocks, _split_step, _trusted
 from .inequalities import EnsembleConfig, run_checks
 from .presets import random_hermitian_perturbation
 from .spectral import TWO_PI, SpectralGrid, _check_finite, _check_int
@@ -422,7 +422,8 @@ def volterra_solve(
 ) -> np.ndarray:
     """Product-trapezoidal march for the scalar density equation at mode k.
 
-    t_grid must be finite, uniform and start at 0.  Phi_k is a sum of
+    t_grid must be finite, uniform (to 1e-9 of a step, beside the rounding
+    of its times) and start at 0.  Phi_k is a sum of
     exponentials c_j exp(i*omega_j*tau), so the trapezoid history sum splits
     into one running sum per term, S_j <- exp(i*omega_j*dt)(S_j + rho_i) from
     S_j = rho_0/2 * exp(i*omega_j*dt).  With g_i = rho_free_i / denom,
@@ -443,7 +444,9 @@ def volterra_solve(
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("t_grid must be 1-d, start at 0 and have >= 2 points")
     dt = t[1] - t[0]
-    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-9, atol=1e-12):
+    # a step may differ from dt by 1e-9 of dt and by the rounding of the times, at most eps max|t| a time
+    rounding = 4.0 * np.finfo(float).eps * np.abs(t).max()
+    if dt <= 0 or not np.allclose(np.diff(t), dt, rtol=1e-9, atol=rounding):
         raise ValueError("t_grid must be uniformly spaced")
     c, omega = _kernel_terms(bg, p, k)
     omega_max = float(np.abs(omega).max()) if omega.size else 0.0
@@ -633,7 +636,11 @@ def perturbation_run(
     growing zero leaves no margin, and an UnstableBackgroundError starting "kappa" names k and the
     zero.  Both flows run T in whole steps dt and are read side by side a block of records at a
     time (dynamics._linearized_blocks and _split_step, no object per record); the run stops at
-    the first record after t = 0 outside the trust region (_trusted).  The linearized flow and
+    the first record after t = 0 outside the trust region (_trusted).  A block holds as many
+    records as BLOCK_ENTRIES holds of a record's arrays in both flows: the factors of the
+    nonlinear norm on the grid, the live diagonals and the matrix of the linearized flow on its
+    box.  Each stacked QR, SVD and eigvalsh takes a record's matrix as if alone, so the rows have
+    the same bits at any block length.  The linearized flow and
     its norm run on the mode box |m|, |n| <= L = min(N, max(1, J + 2 seed_band)), epsilon*U0
     cut to it, which is exact: the flow never mixes the diagonals k = m - n and only
     |k| <= 2 seed_band are live, so an entry outside the box has Gh(m) = Gh(n) = 0, starts at
@@ -669,12 +676,17 @@ def perturbation_run(
     else:
         consts = _window_constants(bg, kappa, q, eta, window_epsilon, c_bilinear, seed)
 
-    gamma_mat = background_to_matrix(bg, grid)
-    datum_entries = gamma_mat.entries + epsilon * u0.entries
+    # the linearized flow's mode box, the modes -L..L of the grid (SpectralGrid needs L >= 1)
+    box = SpectralGrid(min(grid.N, max(1, bg.J + 2 * seed_band)))
+    cut = slice(grid.N - box.N, grid.N + box.N + 1)
+    lin_u0 = OperatorMatrix(box, epsilon * u0.entries[cut, cut], hermitian=True)
     try:
-        datum = eigendecompose(OperatorMatrix(grid, datum_entries, hermitian=True))
+        datum = eigendecompose(
+            OperatorMatrix(grid, background_to_matrix(bg, grid).entries + epsilon * u0.entries, hermitian=True)
+        )
     except NotNonNegativeError as exc:
         raise ValueError(f"epsilon: the perturbed datum is not a state: {exc}") from exc
+    del u0  # no dense matrix of the grid is held through the record blocks
     horizon = consts.t_star if T is None else T
     if not math.isfinite(horizon / dt):
         raise ValueError(f"dt must give a finite number of steps, got T={horizon}, dt={dt}")
@@ -688,29 +700,34 @@ def perturbation_run(
     # C = diag(mu, -Gamma_hat(supp)), whose trace norm is taken in factor space (rank r + |supp|)
     weight = grid.brackets_sq() ** 0.5
     bg_state = background_to_state(bg, grid)
-    waves = weight[:, None] * bg_state.orbitals.T
+    rank, columns = datum.weights.size, datum.weights.size + bg_state.weights.size
     core = np.diag(np.concatenate([datum.weights, -bg_state.weights]))
     records = _split_step(grid, datum.weights, datum.orbitals, run_cfg)
-    # the linearized flow's mode box, the modes -L..L of the grid (SpectralGrid needs L >= 1)
-    box = SpectralGrid(min(grid.N, max(1, bg.J + 2 * seed_band)))
-    cut = slice(grid.N - box.N, grid.N + box.N + 1)
     lin_weight = weight[cut]
-    lin_u0 = OperatorMatrix(box, epsilon * u0.entries[cut, cut], hermitian=True)
+    # a record of a block holds the factors F on the grid and, on the box, the live diagonals
+    # |k| <= 2 seed_band with the zero row that stands for the dead ones, and the gathered matrix;
+    # BLOCK_ENTRIES bounds their sum, so a block's memory grows neither with N nor with the run
+    diagonal_rows = 4 * min(seed_band, box.N) + 2
+    per_record = grid.n_modes * columns + box.n_modes * (diagonal_rows + box.n_modes)
+    length = min(_block_records(per_record), -(-steps // record_every) + 1)  # at most the run's records
+    # F's plane-wave columns are the same in every record, so they are written once
+    factors = np.empty((length, grid.n_modes, columns), dtype=complex)
+    factors[:, :, rank:] = weight[:, None] * bg_state.orbitals.T
     rows, diverged_at = [], None
-    # both flows advance a block of records at a time; the norms of a block are two stacked calls,
-    # and the block bounds the stacks, so their memory does not grow with the number of records
-    for times, _, _, _, lin_stack in _linearized_blocks(lin_u0, bg, run_cfg, matrix_every=1):
-        orbitals = np.stack([orb for _, orb in itertools.islice(records, times.size)])
-        factors = np.concatenate(
-            [weight[:, None] * orbitals.swapaxes(-1, -2), np.broadcast_to(waves, (times.size, *waves.shape))], axis=-1
-        )
-        devs = _factored_trace_norm(factors, core)
-        # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum
+    # both flows advance a block of records at a time; the norms of a block are two stacked calls
+    for times, _, _, _, lin_stack in _linearized_blocks(lin_u0, bg, run_cfg, 1, length):
+        block = factors[: times.size]
+        for j, (_, orbitals) in enumerate(itertools.islice(records, times.size)):
+            np.multiply(weight[:, None], orbitals.T, out=block[j, :, :rank])
+        devs = _factored_trace_norm(block, core)
+        # the explicit linearized step can overflow, and a matrix that is not finite has no spectrum:
+        # its norm is inf, and the stacked call, which takes each matrix alone, reads it as zero
         with np.errstate(over="ignore", invalid="ignore"):
-            lin_weighted = lin_weight[:, None] * lin_stack * lin_weight
-            finite = np.isfinite(lin_weighted).all(axis=(-2, -1))
-            lin_devs = np.full(times.size, math.inf)
-            lin_devs[finite] = _hermitian_trace_norm(lin_weighted[finite])
+            lin_stack *= lin_weight[:, None]
+            lin_stack *= lin_weight
+            finite = np.isfinite(lin_stack).all(axis=(-2, -1))
+            lin_stack[~finite] = 0.0
+            lin_devs = np.where(finite, _hermitian_trace_norm(lin_stack), math.inf)
         # the datum's own row is always kept, so there is a last good time
         bad = np.flatnonzero(~_trusted(devs, lin_devs) & (times > 0.0))
         good = bad[0] if bad.size else times.size

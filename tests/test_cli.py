@@ -463,7 +463,10 @@ class TestPerturb:
         import alber_lab.states as states
 
         block = 32
-        monkeypatch.setattr(dyn, "BLOCK_ENTRIES", block * 25 * 13)  # a record's diagonal stack at N=6 is 25 x 13
+        # a record's entries at N=6, whose mode box is the grid (L = J + 2 seed_band = 6, 13 modes):
+        # the factors F, 13 x (5 + 5) for the datum's rank 5 and Gamma's 5 plane waves, and on the box
+        # the 9 live diagonals |k| <= 4 with one zero row, 10 x 13, and the gathered 13 x 13 matrix
+        monkeypatch.setattr(dyn, "BLOCK_ENTRIES", block * (13 * (5 + 5) + 10 * 13 + 13 * 13))
 
         calls = {states: [], penrose: []}
 
@@ -487,6 +490,7 @@ class TestPerturb:
             assert cli.main(["perturb", "--config", write_config(tmp_path, cfg)]) == 0
             _, rows = read_csv(out / "deviation.csv")
             assert len(calls[penrose]) == math.ceil(len(rows) / block)
+            assert calls[penrose][0] == (min(block, len(rows)), 13, 13)
             counts.append((len(rows), len(calls[states])))
         (many, fixed_many), (few, fixed_few) = counts
         assert many > block and few > 1

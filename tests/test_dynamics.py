@@ -636,9 +636,12 @@ class TestWorkspace:
         # run holds one transient at a time, each measured here alone: numpy's
         # iteration buffer for the one broadcast product buf *= phase (up to a
         # buffer, at most 8192 entries), or the record's gather at T; and a few
-        # KB of interpreter objects.  So an array kept across calls, or memory
-        # growing per step, breaks the bound; a transient of one buffer may not.
-        grid = al.SpectralGrid(n)
+        # KB of interpreter objects.  M is well above 2(2N+1), so one orbital
+        # buffer (4 x 4096 or 64 x 1024 entries) exceeds the larger of those
+        # transients by more than the slack: an array kept across calls, memory
+        # growing per step, or a transient of one buffer per step (an fft or a
+        # product that allocates its output) breaks the bound.
+        grid = al.SpectralGrid(n, 1024 if stacked else 4096)
         mu, orbitals = random_stack(grid, 16, 4, np.random.default_rng(n))
         if not stacked:
             mu, orbitals = mu[0], orbitals[0]

@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import alber_lab as al
+import alber_lab.dynamics as dyn
 import alber_lab.penrose as penrose_mod
 from alber_lab import cli
 from alber_lab.dynamics import _trusted
@@ -1395,6 +1397,27 @@ class TestVolterraSolve:
         with pytest.raises(ValueError):
             al.volterra_solve(bg, u0, p, q, 1, np.array([0.0, 0.1, 0.3]))
 
+    @pytest.mark.parametrize("t_grid", [[0.0, 1e-13, 5e-13, 6e-13], [0.0, 1e-300, 3e-300]])
+    def test_nonuniform_tiny_steps_rejected(self, grid8, rank_one, t_grid):
+        # steps far below any absolute tolerance are held to their own scale
+        bg, p, q = rank_one
+        u0 = seed_matrix(grid8, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="^t_grid must be uniformly spaced"):
+            al.volterra_solve(bg, u0, p, q, 1, np.array(t_grid))
+
+    @pytest.mark.parametrize("dt", [1e-13, 1e-3, 0.1, 1.0 / 3.0, 7.0])
+    @pytest.mark.parametrize("n", [2, 3, 1001, 50_001])
+    @pytest.mark.parametrize("layout", ["arange", "linspace"])
+    def test_uniform_grids_accepted(self, grid8, rank_one, dt, n, layout):
+        # the times' rounding, up to an ulp of the last time, is no reason to refuse a grid
+        bg, p, q = rank_one
+        u0 = seed_matrix(grid8, {(1, 0): 1.0})
+        t = np.arange(n) * dt if layout == "arange" else np.linspace(0.0, (n - 1) * dt, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the coarse steps undersample the kernel
+            rho = al.volterra_solve(bg, u0, p, q, 1, t)
+        assert rho.shape == (n,)
+
     @pytest.mark.parametrize("name", ["p", "q"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, grid8, rank_one, name, bad):
@@ -1635,6 +1658,56 @@ class TestPerturbationRun:
                                   seed_band=seed_band, c_bilinear=0.18, seed=seed)
         assert [g.N for g in grids] == [box]
         assert run.diverged_at is None and len(run.rows) == 6
+
+    @pytest.mark.parametrize("n, seed_band, record_every", [(12, 2, 1), (33, 1, 2), (6, 2, 1)])
+    def test_rows_do_not_depend_on_the_block_length(self, monkeypatch, n, seed_band, record_every):
+        # the stacked QR, SVD and eigvalsh take each record's matrix as if alone, so a run read in
+        # blocks of the default length, or of one record, has the bits of a run read in one block
+        bg, p, q = al.background_preset("stable-broad")
+        blocks = penrose_mod._linearized_blocks
+        lengths = []
+
+        def spy(*args, **kwargs):
+            lengths.append([])
+            for block in blocks(*args, **kwargs):
+                lengths[-1].append(block[0].size)
+                yield block
+
+        monkeypatch.setattr(penrose_mod, "_linearized_blocks", spy)
+
+        def rows(entries):
+            monkeypatch.setattr(dyn, "BLOCK_ENTRIES", entries)
+            return al.perturbation_run(bg, p, q, al.SpectralGrid(n), 1e-3, T=0.3, dt=1e-3, kappa=0.03,
+                                       seed_band=seed_band, record_every=record_every, c_bilinear=0.18,
+                                       seed=n).rows
+
+        default = dyn.BLOCK_ENTRIES
+        one = rows(2**40)
+        assert rows(default) == one and rows(1) == one
+        assert [len(blocks) for blocks in lengths] == [1, -(-len(one) // lengths[1][0]), len(one)]
+        assert len(lengths[1]) > 1
+
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # a block's arrays, the factors F on the grid and the box's diagonals and matrices, hold at
+        # most BLOCK_ENTRIES complex entries, and a stacked QR, eigvalsh or Hermitian check copies a
+        # block at a time; the grid's dense matrices (the datum and U0) are not held through the
+        # blocks.  So at N = 64 the run keeps within 2.5 x 16 BLOCK_ENTRIES bytes and about its peak
+        # at N = 12 (when the blocks were sized by the linearized stack alone, 13 MiB, 2.2x that peak)
+        bg, p, q = al.background_preset("stable-broad")
+        args = dict(epsilon=1e-3, dt=1e-3, seed_band=2, fit_window=[0.5, 2.0], c_bilinear=0.18, seed=7)
+        al.perturbation_run(bg, p, q, al.SpectralGrid(12), **args)  # imports and caches are not the run's
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                al.perturbation_run(bg, p, q, al.SpectralGrid(n), **args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(12), peak(64)
+        assert large <= 2.5 * 16 * dyn.BLOCK_ENTRIES
+        assert large <= 1.5 * small
 
     def test_zero_step_refused_before_the_scan(self, monkeypatch):
         def forbidden(*args, **kwargs):
